@@ -162,7 +162,6 @@ fn main() {
     let mut shards = 1u32;
     let mut isolated = false;
     let mut test_oom_key: Option<String> = None;
-    let mut test_stall_key: Option<String> = None;
 
     let mut args = raw_args.into_iter();
     while let Some(arg) = args.next() {
@@ -194,11 +193,10 @@ fn main() {
                 Some(n) if n > 0 => shards = n,
                 _ => usage(),
             },
-            // Test-only hooks: force one isolated child (matched by key
-            // substring) to OOM under its rlimit or stall past the
-            // watchdog. Hidden from usage; no effect without --isolate.
+            // Test-only hook: force one isolated child (matched by key
+            // substring) to OOM under its rlimit. Hidden from usage; no
+            // effect without --isolate.
             "--test-oom-key" => test_oom_key = args.next(),
-            "--test-stall-key" => test_stall_key = args.next(),
             _ => match (arg.parse::<u64>(), positionals) {
                 (Ok(n), 0) => {
                     settings.instructions = n;
@@ -250,7 +248,6 @@ fn main() {
         }
         let mut iso = IsolateOptions::new(exe, base_args);
         iso.oom_key = test_oom_key;
-        iso.stall_key = test_stall_key;
         sup.isolation = Some(iso);
     }
 

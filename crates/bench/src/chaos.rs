@@ -1,11 +1,14 @@
 //! Harness-level chaos injection: a deterministic fault plan that
 //! exercises the supervisor (`crate::supervisor`) end to end.
 //!
-//! Chaos faults attack the *harness*, not the simulated machine (PR 1's
-//! `plp_core::fault` owns that layer): worker panics and artificial
-//! stalls fire inside the supervised attempt closure, and cache faults
-//! corrupt on-disk entries before execution so the quarantine path has
-//! something real to recover from.
+//! Chaos faults attack the *harness*, not the simulated machine
+//! (`plp_core::fault` owns that layer): worker panics and artificial
+//! stalls fire inside a supervised attempt — the retry driver alone
+//! decides, through [`ChaosFault::fires`], which fault fires on which
+//! attempt, and each executor injects it (in-process via [`inject`],
+//! isolated via child flags) — and cache faults corrupt on-disk entries
+//! before execution so the quarantine path has something real to
+//! recover from.
 //!
 //! Determinism is the load-bearing property. Which fault (if any) a run
 //! receives is a pure function of `(chaos seed, run key)` — thread
@@ -26,8 +29,11 @@ use crate::cache;
 pub enum ChaosClass {
     /// The attempt closure panics (exercises `catch_unwind` isolation).
     WorkerPanic,
-    /// The attempt closure sleeps past the watchdog (exercises the
-    /// timeout path; the abandoned thread finishes in the background).
+    /// The attempt sleeps past the watchdog (exercises the timeout
+    /// path). An in-process attempt thread is abandoned and finishes in
+    /// the background, but only the retry driver touches the cache and
+    /// the counters, so it changes nothing; an isolated child is
+    /// SIGKILLed.
     WorkerStall,
     /// The run's cache entry is cut short on disk (exercises the
     /// truncation quarantine).
@@ -73,6 +79,21 @@ pub struct ChaosFault {
     /// A sticky worker fault fires on *every* attempt from `attempt`
     /// on — unrecoverable by design, for testing graceful degradation.
     pub sticky: bool,
+}
+
+impl ChaosFault {
+    /// Whether this fault fires on `attempt`: a sticky worker fault on
+    /// every attempt from its own on, any other worker fault on its own
+    /// attempt only. Cache faults never fire on an attempt — they are
+    /// planted on disk before execution.
+    pub fn fires(&self, attempt: u32) -> bool {
+        !self.class.is_cache_fault()
+            && if self.sticky {
+                attempt >= self.attempt
+            } else {
+                attempt == self.attempt
+            }
+    }
 }
 
 impl std::fmt::Display for ChaosFault {
@@ -245,20 +266,12 @@ fn entry_bytes(path: &Path, key: &str) -> Vec<u8> {
     }
 }
 
-/// Fires the worker-class faults planned for this attempt inside the
-/// supervised closure. Stalls sleep `stall` (sized past the watchdog
-/// by the caller); panics unwind into the supervisor's `catch_unwind`.
-pub fn apply_worker_faults(faults: &[ChaosFault], attempt: u32, stall: std::time::Duration) {
-    for fault in faults {
-        let fires = if fault.sticky {
-            attempt >= fault.attempt
-        } else {
-            attempt == fault.attempt
-        };
-        if !fires {
-            continue;
-        }
-        match fault.class {
+/// Injects the worker faults firing on an in-process attempt, on the
+/// attempt thread. Stalls sleep `stall` (sized past the watchdog by the
+/// caller); panics unwind into the attempt thread's `catch_unwind`.
+pub fn inject(fire: &[ChaosClass], stall: std::time::Duration) {
+    for class in fire {
+        match class {
             ChaosClass::WorkerPanic => {
                 // lint: allow(no-panic-lib) the whole point: an injected panic the supervisor must contain
                 panic!("chaos: injected worker panic")
@@ -320,6 +333,28 @@ mod tests {
         // Without a cache, plant-time faults are not injected and the
         // enumeration says so.
         assert!(plan.injected_count(false) < plan.injected_count(true));
+    }
+
+    #[test]
+    fn faults_fire_on_their_attempt_and_sticky_ones_after() {
+        let fault = |class, sticky| ChaosFault {
+            class,
+            attempt: 1,
+            sticky,
+        };
+        let once = fault(ChaosClass::WorkerStall, false);
+        assert_eq!(
+            (0..4).map(|a| once.fires(a)).collect::<Vec<_>>(),
+            [false, true, false, false]
+        );
+        let sticky = fault(ChaosClass::WorkerPanic, true);
+        assert_eq!(
+            (0..4).map(|a| sticky.fires(a)).collect::<Vec<_>>(),
+            [false, true, true, true]
+        );
+        // Cache faults are planted before execution, never fired.
+        let planted = fault(ChaosClass::CacheBitFlip, true);
+        assert!((0..4).all(|a| !planted.fires(a)));
     }
 
     #[test]

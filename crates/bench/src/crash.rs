@@ -418,9 +418,26 @@ fn parse_park_persist(line: &str) -> Option<u64> {
         .and_then(|v| v.parse().ok())
 }
 
-/// Spawns one child, waits for a marker line, SIGKILLs it if parked.
-/// Returns the outcome *before* judging (the caller owns the image).
-fn run_cell_child(exe: &Path, spec: &ChildSpec, watchdog: Duration) -> CellOutcome {
+/// How a watched child process ended.
+#[derive(Debug)]
+enum ChildEnd {
+    /// The armed failpoint fired; the child was SIGKILLed while parked.
+    /// Carries the park-marker line.
+    Parked(String),
+    /// The child printed the marker that ends the wait without parking.
+    Done,
+    /// Neither marker arrived inside the watchdog window; the child was
+    /// SIGKILLed.
+    TimedOut,
+    /// Spawn or pipe failure.
+    Error(String),
+}
+
+/// Spawns one child and waits for the park marker or the `done` marker
+/// line ([`COMPLETED_MARKER`] for a run, [`RECOVERED_MARKER`] for a
+/// recovery), SIGKILLing it if it parks or stays silent past the
+/// watchdog.
+fn watch_child(exe: &Path, spec: &ChildSpec, done: &str, watchdog: Duration) -> ChildEnd {
     let mut child = match Command::new(exe)
         .args(spec.to_args())
         .stdout(Stdio::piped())
@@ -428,7 +445,7 @@ fn run_cell_child(exe: &Path, spec: &ChildSpec, watchdog: Duration) -> CellOutco
         .spawn()
     {
         Ok(child) => child,
-        Err(e) => return CellOutcome::Error(format!("spawn failed: {e}")),
+        Err(e) => return ChildEnd::Error(format!("spawn failed: {e}")),
     };
     // Park-marker bookkeeping: while the child lives, a `.pid` file
     // next to its image names it. A parent killed mid-cell leaves the
@@ -444,7 +461,7 @@ fn run_cell_child(exe: &Path, spec: &ChildSpec, watchdog: Duration) -> CellOutco
         if let Some(pf) = &pid_file {
             let _ = std::fs::remove_file(pf);
         }
-        return CellOutcome::Error("child stdout was not captured".to_string());
+        return ChildEnd::Error("child stdout was not captured".to_string());
     };
     // A reader thread forwards marker lines; recv_timeout is the
     // watchdog. After the SIGKILL the pipe closes and the thread
@@ -458,112 +475,19 @@ fn run_cell_child(exe: &Path, spec: &ChildSpec, watchdog: Duration) -> CellOutco
             }
         }
     });
-    let outcome = loop {
+    let end = loop {
         match rx.recv_timeout(watchdog) {
             Ok(line) if line.starts_with(PARK_MARKER) => {
                 // The whole point: a real, unblockable SIGKILL while
                 // the child is parked mid-persist.
                 let _ = child.kill();
-                break match parse_park_persist(&line) {
-                    Some(persist) => CellOutcome::Killed {
-                        persist,
-                        judgement: Judgement {
-                            verdict: FaultVerdict::Clean,
-                            counters_match: false,
-                            complete: 0,
-                            partial: 0,
-                        },
-                    },
-                    None => CellOutcome::Error(format!("unparseable park marker: {line}")),
-                };
+                break ChildEnd::Parked(line);
             }
-            Ok(line) if line.starts_with(COMPLETED_MARKER) => {
-                break CellOutcome::NotReached {
-                    judgement: Judgement {
-                        verdict: FaultVerdict::Clean,
-                        counters_match: false,
-                        complete: 0,
-                        partial: 0,
-                    },
-                };
-            }
+            Ok(line) if line.starts_with(done) => break ChildEnd::Done,
             Ok(_) => continue,
             Err(_) => {
                 let _ = child.kill();
-                break CellOutcome::TimedOut;
-            }
-        }
-    };
-    let _ = child.wait();
-    let _ = reader.join();
-    if let Some(pf) = &pid_file {
-        let _ = std::fs::remove_file(pf);
-    }
-    outcome
-}
-
-/// How a recovery-mode child (double-kill protocol) ended.
-#[derive(Debug, Clone, PartialEq)]
-enum RecoveryChildEnd {
-    /// The armed recovery failpoint fired; the child was SIGKILLed
-    /// while parked.
-    Parked,
-    /// Durable recovery ran to completion; the [`RECOVERED_MARKER`]
-    /// line it printed.
-    Completed(String),
-    /// Neither marker arrived inside the watchdog window.
-    TimedOut,
-    /// Spawn or child-side failure.
-    Error(String),
-}
-
-/// Spawns one recovery-mode child and waits for its marker, with the
-/// same SIGKILL-while-parked and pid-file discipline as
-/// [`run_cell_child`].
-fn run_recovery_child(exe: &Path, spec: &ChildSpec, watchdog: Duration) -> RecoveryChildEnd {
-    let mut child = match Command::new(exe)
-        .args(spec.to_args())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-    {
-        Ok(child) => child,
-        Err(e) => return RecoveryChildEnd::Error(format!("spawn failed: {e}")),
-    };
-    let pid_file = spec.image.as_deref().map(pid_marker_path);
-    if let Some(pf) = &pid_file {
-        let _ = std::fs::write(pf, format!("{}\n", child.id()));
-    }
-    let Some(stdout) = child.stdout.take() else {
-        let _ = child.kill();
-        let _ = child.wait();
-        if let Some(pf) = &pid_file {
-            let _ = std::fs::remove_file(pf);
-        }
-        return RecoveryChildEnd::Error("child stdout was not captured".to_string());
-    };
-    let (tx, rx) = mpsc::channel::<String>();
-    let reader = std::thread::spawn(move || {
-        for line in std::io::BufReader::new(stdout).lines() {
-            let Ok(line) = line else { break };
-            if tx.send(line).is_err() {
-                break;
-            }
-        }
-    });
-    let end = loop {
-        match rx.recv_timeout(watchdog) {
-            Ok(line) if line.starts_with(PARK_MARKER) => {
-                let _ = child.kill();
-                break RecoveryChildEnd::Parked;
-            }
-            Ok(line) if line.starts_with(RECOVERED_MARKER) => {
-                break RecoveryChildEnd::Completed(line);
-            }
-            Ok(_) => continue,
-            Err(_) => {
-                let _ = child.kill();
-                break RecoveryChildEnd::TimedOut;
+                break ChildEnd::TimedOut;
             }
         }
     };
@@ -573,6 +497,26 @@ fn run_recovery_child(exe: &Path, spec: &ChildSpec, watchdog: Duration) -> Recov
         let _ = std::fs::remove_file(pf);
     }
     end
+}
+
+/// Classifies how a run-mode child ended, with a placeholder judgement
+/// the caller fills in from the image.
+fn cell_outcome(end: ChildEnd) -> CellOutcome {
+    let judgement = Judgement {
+        verdict: FaultVerdict::Clean,
+        counters_match: false,
+        complete: 0,
+        partial: 0,
+    };
+    match end {
+        ChildEnd::Parked(line) => match parse_park_persist(&line) {
+            Some(persist) => CellOutcome::Killed { persist, judgement },
+            None => CellOutcome::Error(format!("unparseable park marker: {line}")),
+        },
+        ChildEnd::Done => CellOutcome::NotReached { judgement },
+        ChildEnd::TimedOut => CellOutcome::TimedOut,
+        ChildEnd::Error(e) => CellOutcome::Error(e),
+    }
 }
 
 /// Path of the `.pid` park-marker file for a child using `image`.
@@ -786,7 +730,8 @@ pub fn run_harness(opts: &HarnessOptions, exe: &Path) -> Result<HarnessReport, S
                     plan: Some(FailpointPlan { point, hit }),
                     recover: false,
                 };
-                let mut outcome = run_cell_child(exe, &spec, opts.watchdog);
+                let mut outcome =
+                    cell_outcome(watch_child(exe, &spec, COMPLETED_MARKER, opts.watchdog));
                 // Judge the surviving image for both kill and
                 // run-to-completion outcomes.
                 match &mut outcome {
@@ -1055,7 +1000,7 @@ pub fn run_double_kill(opts: &HarnessOptions, exe: &Path) -> Result<DoubleKillRe
             plan: Some(run_plan),
             recover: false,
         };
-        let first = run_cell_child(exe, &spec1, opts.watchdog);
+        let first = cell_outcome(watch_child(exe, &spec1, COMPLETED_MARKER, opts.watchdog));
         let first_persist = match &first {
             CellOutcome::Killed { persist, .. } => *persist,
             other => {
@@ -1162,11 +1107,11 @@ fn double_kill_cell(
         plan: Some(FailpointPlan { point: rp, hit: rh }),
         recover: true,
     };
-    let second_fired = match run_recovery_child(exe, &spec2, opts.watchdog) {
-        RecoveryChildEnd::Parked => true,
-        RecoveryChildEnd::Completed(_) => false,
-        RecoveryChildEnd::TimedOut => return DoubleKillOutcome::TimedOut,
-        RecoveryChildEnd::Error(e) => {
+    let second_fired = match watch_child(exe, &spec2, RECOVERED_MARKER, opts.watchdog) {
+        ChildEnd::Parked(_) => true,
+        ChildEnd::Done => false,
+        ChildEnd::TimedOut => return DoubleKillOutcome::TimedOut,
+        ChildEnd::Error(e) => {
             return DoubleKillOutcome::Error(format!("killed recovery: {e}"))
         }
     };
@@ -1183,13 +1128,13 @@ fn double_kill_cell(
         plan: None,
         ..spec2
     };
-    match run_recovery_child(exe, &spec3, opts.watchdog) {
-        RecoveryChildEnd::Completed(_) => {}
-        RecoveryChildEnd::Parked => {
+    match watch_child(exe, &spec3, RECOVERED_MARKER, opts.watchdog) {
+        ChildEnd::Done => {}
+        ChildEnd::Parked(_) => {
             return DoubleKillOutcome::Error("unarmed recovery parked".to_string())
         }
-        RecoveryChildEnd::TimedOut => return DoubleKillOutcome::TimedOut,
-        RecoveryChildEnd::Error(e) => {
+        ChildEnd::TimedOut => return DoubleKillOutcome::TimedOut,
+        ChildEnd::Error(e) => {
             return DoubleKillOutcome::Error(format!("final recovery: {e}"))
         }
     }

@@ -1,25 +1,28 @@
-//! Process-isolated run supervision: each matrix attempt executes in
-//! a re-exec'ed child under real OS resource limits, so a wedged or
+//! The process-isolated attempt executor: each matrix attempt executes
+//! in a re-exec'ed child under real OS resource limits, so a wedged or
 //! memory-hungry run can be SIGKILLed instead of abandoned.
 //!
-//! The in-process supervisor (`crate::supervisor`) has one documented
-//! sharp edge: Rust cannot cancel a thread, so a timed-out attempt is
-//! *abandoned* and keeps burning CPU in the background. This module is
-//! the fix. With isolation on, every attempt re-execs the harness
-//! binary as `<exe> --run-one <key> …`; the child applies rlimits to
-//! itself ([`apply_self_limits`]), runs exactly one simulation, and
-//! returns its [`RunReport`] over stdout as a single length-prefixed,
-//! FNV-checksummed frame (the `plp_nvm::image` frame codec carrying
-//! the run-cache text codec — both already versioned and corruption-
-//! checked). Watchdog trips become real SIGKILLs; panics become
-//! nonzero exits; a child that outgrows its address-space limit dies
-//! to the allocator's abort and is reported as
-//! [`RunVerdict::OomKilled`] instead of hanging the sweep.
+//! The retry/backoff/verdict loop is `crate::supervisor::supervise`'s,
+//! shared with the in-process executor; this module only runs one
+//! attempt ([`run_attempt`]). Rust cannot cancel a thread, so a
+//! timed-out in-process attempt is abandoned and keeps burning CPU in
+//! the background; an isolated one is killed. Every attempt re-execs
+//! the harness binary as `<exe> --run-one <key> …`; the child applies
+//! rlimits to itself ([`apply_self_limits`]), runs exactly one
+//! simulation, and returns its [`RunReport`] over stdout as a single
+//! length-prefixed, FNV-checksummed frame (the `plp_nvm::image` frame
+//! codec carrying the run-cache text codec — both already versioned and
+//! corruption-checked). Watchdog trips become real SIGKILLs; panics
+//! become nonzero exits; a child that outgrows its address-space limit
+//! dies to the allocator's abort and is reported as
+//! [`RunVerdict::OomKilled`](crate::RunVerdict::OomKilled) instead of
+//! hanging the sweep.
 //!
 //! Output discipline matches the in-process path: isolation never
 //! touches stdout, reports decode bit-exactly (the cache codec is
-//! lossless), and the cache stays a parent-side concern — children
-//! never open it, so a corrupt entry is quarantined exactly once.
+//! lossless), and the cache stays with the driver in the parent —
+//! children never open it, so a corrupt entry is quarantined exactly
+//! once.
 
 use std::io::Read;
 use std::path::PathBuf;
@@ -27,13 +30,12 @@ use std::process::{Command, Stdio};
 use std::sync::mpsc;
 use std::time::Duration;
 
-use plp_core::retry::RetryToken;
 use plp_core::RunReport;
 use plp_nvm::image::{decode_frame, encode_frame};
 
 use crate::cache;
-use crate::chaos::{ChaosClass, ChaosFault};
-use crate::supervisor::{RunError, RunLog, RunVerdict, SupervisedRun, SupervisorOptions};
+use crate::chaos::ChaosClass;
+use crate::supervisor::{AttemptOutcome, RunError};
 
 /// Frame tag for a `RunReport` crossing the child→parent pipe. Outside
 /// the device-image tag space (1–12) by a wide margin, so a frame file
@@ -51,7 +53,8 @@ pub const EXIT_RUN_FAILED: i32 = 5;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResourceLimits {
     /// `RLIMIT_AS` in bytes; an allocation past it fails and the
-    /// allocator aborts the child (SIGABRT → [`RunVerdict::OomKilled`]).
+    /// allocator aborts the child (SIGABRT →
+    /// [`RunVerdict::OomKilled`](crate::RunVerdict::OomKilled)).
     pub address_space_bytes: Option<u64>,
     /// `RLIMIT_CPU` in seconds — a kernel-side backstop behind the
     /// parent's wall-clock watchdog.
@@ -115,7 +118,7 @@ pub fn apply_self_limits(limits: &ResourceLimits) -> Result<(), String> {
 /// Test-only allocation bomb (`--chaos-oom`): requests an allocation
 /// far past any sane address-space limit. Under `RLIMIT_AS` the
 /// allocator aborts the process, which the parent classifies as
-/// [`RunVerdict::OomKilled`]; without a limit the reservation may
+/// [`AttemptOutcome::OomKilled`]; without a limit the reservation may
 /// succeed untouched (overcommit), in which case the child exits
 /// without a report frame instead of dirtying terabytes.
 pub fn allocation_bomb() -> ! {
@@ -168,9 +171,6 @@ pub struct IsolateOptions {
     /// Test-only: keys containing this substring run the allocation
     /// bomb instead of simulating (pins the OomKilled path).
     pub oom_key: Option<String>,
-    /// Test-only: keys containing this substring stall past the
-    /// watchdog on every attempt (pins the SIGKILL path).
-    pub stall_key: Option<String>,
 }
 
 impl IsolateOptions {
@@ -181,25 +181,8 @@ impl IsolateOptions {
             base_args,
             limits: ResourceLimits::default(),
             oom_key: None,
-            stall_key: None,
         }
     }
-}
-
-/// How one isolated attempt ended.
-enum ChildEnd {
-    /// Clean exit with a verified report frame.
-    Report(Box<RunReport>),
-    /// Clean exit but the frame failed verification.
-    IpcCorrupt(String),
-    /// The child panicked (exit 101), message extracted from stderr.
-    Panicked(String),
-    /// SIGABRT under an address-space limit: the allocator aborted.
-    OomKilled,
-    /// The watchdog expired; the child was SIGKILLed for real.
-    TimedOut,
-    /// Anything else: spawn failure, unexpected signal or exit code.
-    Failed(String),
 }
 
 /// The panic message a child printed, extracted from the default
@@ -223,14 +206,17 @@ fn panic_message_from_stderr(stderr: &[u8]) -> String {
     "child panicked (exit 101)".to_string()
 }
 
-/// Runs one isolated attempt: spawn, pump stdout on a named reader
-/// thread, SIGKILL on watchdog expiry, classify the exit.
-fn run_attempt(
+/// The isolated executor: runs one attempt in a child — fault flags
+/// for the classes in `fire`, spawn, pump stdout on a named reader
+/// thread, SIGKILL on watchdog expiry, classify the exit. A stall
+/// sleeps `stall` in the child.
+pub fn run_attempt(
     iso: &IsolateOptions,
     key: &str,
-    extra: &[String],
+    fire: &[ChaosClass],
     watchdog: Duration,
-) -> ChildEnd {
+    stall: Duration,
+) -> AttemptOutcome {
     let mut cmd = Command::new(&iso.exe);
     cmd.args(&iso.base_args)
         .arg("--run-one")
@@ -243,15 +229,29 @@ fn run_attempt(
     if let Some(secs) = iso.limits.cpu_secs {
         cmd.arg("--limit-cpu").arg(secs.to_string());
     }
-    cmd.args(extra);
+    for class in fire {
+        match class {
+            ChaosClass::WorkerPanic => {
+                cmd.arg("--chaos-panic");
+            }
+            ChaosClass::WorkerStall => {
+                cmd.arg("--chaos-stall-ms")
+                    .arg(stall.as_millis().to_string());
+            }
+            _ => {}
+        }
+    }
+    if iso.oom_key.as_deref().is_some_and(|s| key.contains(s)) {
+        cmd.arg("--chaos-oom");
+    }
     let mut child = match cmd.spawn() {
         Ok(child) => child,
-        Err(e) => return ChildEnd::Failed(format!("spawn failed: {e}")),
+        Err(e) => return failed(format!("spawn failed: {e}")),
     };
     let (Some(mut stdout), Some(mut stderr)) = (child.stdout.take(), child.stderr.take()) else {
         let _ = child.kill();
         let _ = child.wait();
-        return ChildEnd::Failed("child pipes were not captured".to_string());
+        return failed("child pipes were not captured".to_string());
     };
     // Reader threads drain both pipes; stdout EOF doubles as the
     // completion signal for the watchdog's recv_timeout. Both threads
@@ -274,7 +274,7 @@ fn run_attempt(
     let (Ok(out_reader), Ok(err_reader)) = (out_reader, err_reader) else {
         let _ = child.kill();
         let _ = child.wait();
-        return ChildEnd::Failed("could not spawn pipe reader".to_string());
+        return failed("could not spawn pipe reader".to_string());
     };
     let (stdout_bytes, timed_out) = match rx.recv_timeout(watchdog) {
         Ok(bytes) => (bytes, false),
@@ -289,11 +289,11 @@ fn run_attempt(
     let _ = out_reader.join();
     let stderr_bytes = err_reader.join().unwrap_or_default();
     if timed_out {
-        return ChildEnd::TimedOut;
+        return AttemptOutcome::TimedOut;
     }
     let status = match status {
         Ok(status) => status,
-        Err(e) => return ChildEnd::Failed(format!("wait failed: {e}")),
+        Err(e) => return failed(format!("wait failed: {e}")),
     };
     #[cfg(unix)]
     {
@@ -303,203 +303,40 @@ fn run_attempt(
             // allocation under RLIMIT_AS. Any other fatal signal is
             // outside the protocol.
             return if signal == 6 {
-                ChildEnd::OomKilled
+                AttemptOutcome::OomKilled
             } else {
-                ChildEnd::Failed(format!("child killed by signal {signal}"))
+                failed(format!("child killed by signal {signal}"))
             };
         }
     }
     match status.code() {
         Some(0) => match decode_report(key, &stdout_bytes) {
-            Ok(report) => ChildEnd::Report(Box::new(report)),
-            Err(e) => ChildEnd::IpcCorrupt(e),
+            Ok(report) => AttemptOutcome::Report(Box::new(report)),
+            Err(e) => AttemptOutcome::IpcCorrupt(e),
         },
-        Some(101) => ChildEnd::Panicked(panic_message_from_stderr(&stderr_bytes)),
+        Some(101) => AttemptOutcome::Panicked(panic_message_from_stderr(&stderr_bytes)),
         Some(code) => {
             let tail = String::from_utf8_lossy(&stderr_bytes);
-            ChildEnd::Failed(format!(
+            failed(format!(
                 "child exited {code}: {}",
                 tail.lines().last().unwrap_or("").trim()
             ))
         }
-        None => ChildEnd::Failed("child reported no exit status".to_string()),
+        None => failed("child reported no exit status".to_string()),
     }
 }
 
-/// Kind of the most recent failed attempt.
-enum LastFailure {
-    Timeout,
-    Panic,
-    Ipc,
-    Error(RunError),
-}
-
-/// Drives one run to a verdict with process isolation: per attempt,
-/// fire the planned chaos faults as child flags, probe the cache
-/// parent-side (children never touch it), spawn-and-watch the child,
-/// and on retryable failure back off deterministically — the same
-/// seeded schedule as the in-process supervisor. An OOM kill is
-/// terminal: the same allocation would fail identically, so retrying
-/// only burns the budget.
-pub fn supervise_isolated(
-    key: &str,
-    sup: &SupervisorOptions,
-    iso: &IsolateOptions,
-    faults: &[ChaosFault],
-) -> (Option<SupervisedRun>, RunLog) {
-    let policy = &sup.retry;
-    let token = RetryToken::new(sup.backoff_seed).mix_str(key);
-    let stall_ms = sup.chaos_stall().as_millis();
-    let mut failures = Vec::new();
-    let mut quarantine: Option<String> = None;
-    let mut last = LastFailure::Timeout;
-    for attempt in 0..=policy.max_retries {
-        if attempt > 0 {
-            std::thread::sleep(Duration::from_nanos(policy.delay_ns(token, attempt) as u64));
-        }
-        // Chaos worker faults fire inside the child, mirroring the
-        // in-process ordering: a fault-bearing attempt never reaches
-        // the cache probe.
-        let mut extra: Vec<String> = Vec::new();
-        for fault in faults {
-            let fires = if fault.sticky {
-                attempt >= fault.attempt
-            } else {
-                attempt == fault.attempt
-            };
-            if !fires {
-                continue;
-            }
-            match fault.class {
-                ChaosClass::WorkerPanic => extra.push("--chaos-panic".to_string()),
-                ChaosClass::WorkerStall => {
-                    extra.push("--chaos-stall-ms".to_string());
-                    extra.push(stall_ms.to_string());
-                }
-                _ => {}
-            }
-        }
-        if iso.oom_key.as_deref().is_some_and(|s| key.contains(s)) {
-            extra.push("--chaos-oom".to_string());
-        }
-        if iso.stall_key.as_deref().is_some_and(|s| key.contains(s)) {
-            extra.push("--chaos-stall-ms".to_string());
-            extra.push(stall_ms.to_string());
-        }
-        if extra.is_empty() {
-            if let Some(dir) = sup.matrix.cache_dir.as_deref() {
-                match cache::load_checked(dir, key) {
-                    cache::CacheOutcome::Hit(report) => {
-                        let mut log = RunLog {
-                            verdict: if attempt > 0 {
-                                RunVerdict::Retried { attempts: attempt }
-                            } else {
-                                RunVerdict::Ok
-                            },
-                            failures,
-                            quarantine: None,
-                            error: None,
-                        };
-                        log.absorb_quarantine(quarantine);
-                        return (
-                            Some(SupervisedRun {
-                                report: *report,
-                                cache_hit: true,
-                                quarantined: None,
-                            }),
-                            log,
-                        );
-                    }
-                    cache::CacheOutcome::Quarantined { reason, .. } => {
-                        if quarantine.is_none() {
-                            quarantine = Some(reason);
-                        }
-                    }
-                    cache::CacheOutcome::Miss => {}
-                }
-            }
-        }
-        match run_attempt(iso, key, &extra, sup.watchdog) {
-            ChildEnd::Report(report) => {
-                if let Some(dir) = sup.matrix.cache_dir.as_deref() {
-                    cache::store(dir, key, &report);
-                }
-                let mut log = RunLog {
-                    verdict: if attempt > 0 {
-                        RunVerdict::Retried { attempts: attempt }
-                    } else {
-                        RunVerdict::Ok
-                    },
-                    failures,
-                    quarantine: None,
-                    error: None,
-                };
-                log.absorb_quarantine(quarantine);
-                return (
-                    Some(SupervisedRun {
-                        report: *report,
-                        cache_hit: false,
-                        quarantined: None,
-                    }),
-                    log,
-                );
-            }
-            ChildEnd::OomKilled => {
-                failures.push(format!(
-                    "attempt {attempt}: child exceeded its address-space limit and was terminated"
-                ));
-                return (
-                    None,
-                    RunLog {
-                        verdict: RunVerdict::OomKilled {
-                            attempts: attempt + 1,
-                        },
-                        failures,
-                        quarantine,
-                        error: None,
-                    },
-                );
-            }
-            ChildEnd::TimedOut => {
-                failures.push(format!("attempt {attempt}: watchdog timeout"));
-                last = LastFailure::Timeout;
-            }
-            ChildEnd::Panicked(message) => {
-                failures.push(format!("attempt {attempt}: panicked: {message}"));
-                last = LastFailure::Panic;
-            }
-            ChildEnd::IpcCorrupt(message) => {
-                failures.push(format!("attempt {attempt}: ipc frame rejected: {message}"));
-                last = LastFailure::Ipc;
-            }
-            ChildEnd::Failed(message) => {
-                failures.push(format!("attempt {attempt}: {message}"));
-                last = LastFailure::Error(RunError::ChildFailed(message));
-            }
-        }
-    }
-    let attempts = policy.max_retries + 1;
-    let (verdict, error) = match last {
-        LastFailure::Timeout => (RunVerdict::TimedOut { attempts }, None),
-        LastFailure::Panic => (RunVerdict::Panicked { attempts }, None),
-        LastFailure::Ipc => (RunVerdict::IpcCorrupt { attempts }, None),
-        LastFailure::Error(e) => (RunVerdict::Rejected, Some(e)),
-    };
-    (
-        None,
-        RunLog {
-            verdict,
-            failures,
-            quarantine,
-            error,
-        },
-    )
+/// A child that died outside the `--run-one` protocol: a spawn
+/// failure, an unexpected signal or exit code (retryable).
+fn failed(message: String) -> AttemptOutcome {
+    AttemptOutcome::Failed(RunError::ChildFailed(message))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::matrix::MatrixOptions;
+    use crate::supervisor::{supervise, RunVerdict, SupervisorOptions};
     use plp_core::retry::RetryPolicy;
 
     fn report_frame_roundtrip_key() -> (String, RunReport) {
@@ -546,7 +383,7 @@ mod tests {
         );
     }
 
-    /// The watchdog satellite: a stalled child is SIGKILLed for real —
+    /// A stalled child is SIGKILLed for real —
     /// afterwards no process with the marker survives, and no
     /// `plp-run-attempt` thread was ever spawned (process isolation
     /// replaced thread abandonment).
@@ -567,9 +404,10 @@ mod tests {
                 cpu_secs: None,
             },
             oom_key: None,
-            stall_key: None,
         };
-        let (run, log) = supervise_isolated("stall-key", &sup, &iso, &[]);
+        let (run, log) = supervise("stall-key", &sup, &[], |fire| {
+            run_attempt(&iso, "stall-key", fire, sup.watchdog, sup.chaos_stall())
+        });
         assert!(run.is_none());
         assert_eq!(log.verdict, RunVerdict::TimedOut { attempts: 2 });
         assert_eq!(

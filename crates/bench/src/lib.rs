@@ -16,9 +16,7 @@ pub mod matrix;
 pub mod specs;
 pub mod supervisor;
 
-use plp_core::{run_benchmark, RunReport, SystemConfig};
 use plp_events::stats::geometric_mean;
-use plp_trace::{spec, WorkloadProfile};
 
 pub use chaos::{ChaosOptions, ChaosPlan};
 pub use crash::{ChildSpec, HarnessOptions, HarnessReport};
@@ -65,27 +63,6 @@ impl RunSettings {
         }
         s
     }
-}
-
-/// Runs one benchmark under one configuration.
-pub fn run(profile: &WorkloadProfile, config: &SystemConfig, settings: RunSettings) -> RunReport {
-    run_benchmark(profile, config, settings.instructions, settings.seed)
-}
-
-/// Runs every SPEC benchmark under `make_config`, returning
-/// `(profile, report)` pairs in the paper's benchmark order.
-pub fn run_all(
-    settings: RunSettings,
-    make_config: impl Fn(&WorkloadProfile) -> SystemConfig,
-) -> Vec<(WorkloadProfile, RunReport)> {
-    spec::all_benchmarks()
-        .into_iter()
-        .map(|p| {
-            let config = make_config(&p);
-            let report = run(&p, &config, settings);
-            (p, report)
-        })
-        .collect()
 }
 
 /// A results table: one row per benchmark, one column per series,
@@ -172,11 +149,6 @@ pub fn banner_string(id: &str, what: &str, settings: RunSettings) -> String {
     )
 }
 
-/// Prints a standard experiment banner.
-pub fn banner(id: &str, what: &str, settings: RunSettings) {
-    print!("{}", banner_string(id, what, settings));
-}
-
 /// The whole standalone-binary behaviour of one experiment: parse
 /// `[instructions] [seed]` from the command line, execute the spec's
 /// run matrix serially and uncached (exactly what the hand-rolled
@@ -194,7 +166,6 @@ pub fn run_spec(spec: &ExperimentSpec) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plp_core::UpdateScheme;
 
     #[test]
     fn settings_defaults() {
@@ -219,18 +190,5 @@ mod tests {
     fn table_rejects_ragged_rows() {
         let mut t = SeriesTable::new("bench", &["a", "b"]);
         t.push("x", vec![1.0]);
-    }
-
-    #[test]
-    fn run_all_covers_every_benchmark() {
-        let settings = RunSettings {
-            instructions: 2_000,
-            seed: 1,
-        };
-        let results = run_all(settings, |_| {
-            SystemConfig::for_scheme(UpdateScheme::SecureWb)
-        });
-        assert_eq!(results.len(), 15);
-        assert!(results.iter().all(|(_, r)| r.instructions >= 2_000));
     }
 }

@@ -19,7 +19,8 @@ use plp_events::stats::Throughput;
 use plp_trace::{multi, spec, Trace, TraceStore};
 
 use crate::cache;
-use crate::chaos::{self, ChaosFault, ChaosPlan};
+use crate::chaos::{self, ChaosPlan};
+use crate::isolate;
 use crate::supervisor::{self, RunError, RunLog, RunVerdict, SupervisedRun, SupervisorOptions};
 use crate::supervisor::DegradationReport;
 use crate::RunSettings;
@@ -164,15 +165,6 @@ impl MatrixOptions {
             cache_dir: None,
         }
     }
-
-    /// Parallel execution with the default cache under
-    /// `results/cache/`.
-    pub fn parallel(threads: usize) -> Self {
-        MatrixOptions {
-            threads: threads.max(1),
-            cache_dir: Some(default_cache_dir()),
-        }
-    }
 }
 
 /// The default on-disk run-cache location.
@@ -257,51 +249,6 @@ pub fn execute(requests: &[RunRequest], opts: &MatrixOptions) -> (ResultSet, Mat
     (results, stats)
 }
 
-/// Everything one attempt closure needs to own (the attempt runs on
-/// its own thread, so borrows of the worker's state won't do).
-struct AttemptJob {
-    req: RunRequest,
-    key: String,
-    traces: Arc<TraceStore>,
-    cache_dir: Option<PathBuf>,
-    faults: Vec<ChaosFault>,
-    stall: Duration,
-    cache_hits: Arc<AtomicUsize>,
-}
-
-impl AttemptJob {
-    /// One isolated attempt: fire this attempt's chaos faults, probe
-    /// the cache (quarantining anything corrupt), and simulate on a
-    /// miss.
-    fn run(self, attempt: u32) -> Result<SupervisedRun, RunError> {
-        chaos::apply_worker_faults(&self.faults, attempt, self.stall);
-        let mut quarantined = None;
-        if let Some(dir) = self.cache_dir.as_deref() {
-            match cache::load_checked(dir, &self.key) {
-                cache::CacheOutcome::Hit(report) => {
-                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(SupervisedRun {
-                        report: *report,
-                        cache_hit: true,
-                        quarantined: None,
-                    });
-                }
-                cache::CacheOutcome::Quarantined { reason, .. } => quarantined = Some(reason),
-                cache::CacheOutcome::Miss => {}
-            }
-        }
-        let report = run_request(&self.req, &self.traces)?;
-        if let Some(dir) = self.cache_dir.as_deref() {
-            cache::store(dir, &self.key, &report);
-        }
-        Ok(SupervisedRun {
-            report,
-            cache_hit: false,
-            quarantined,
-        })
-    }
-}
-
 /// Executes every distinct request exactly once under full
 /// supervision: panic isolation, watchdog timeouts, seeded
 /// retry/backoff, cache quarantine and (optionally) chaos injection.
@@ -355,10 +302,9 @@ pub fn execute_supervised(
     };
 
     let traces = Arc::new(TraceStore::new());
-    let slots: Vec<OnceLock<RunReport>> = (0..unique.len()).map(|_| OnceLock::new()).collect();
+    let slots: Vec<OnceLock<SupervisedRun>> = (0..unique.len()).map(|_| OnceLock::new()).collect();
     let logs: Vec<OnceLock<RunLog>> = (0..unique.len()).map(|_| OnceLock::new()).collect();
     let next = AtomicUsize::new(0);
-    let cache_hits = Arc::new(AtomicUsize::new(0));
     let throughput = Mutex::new(Throughput::new());
     let stall = sup.chaos_stall();
 
@@ -370,62 +316,23 @@ pub fn execute_supervised(
             let key = &keys[idx];
             // lint: allow(nondeterminism) wall-clock feeds throughput stats, never a simulation
             let run_started = Instant::now();
-            let faults: Vec<ChaosFault> = plan
-                .as_ref()
-                .map(|p| p.for_key(key).to_vec())
-                .unwrap_or_default();
-            let has_worker_faults = faults.iter().any(|f| !f.class.is_cache_fault());
-
-            // Fast path: with no worker faults planned, a clean cache
-            // hit needs no attempt thread — this keeps warm-cache
-            // supervision overhead at effectively zero.
-            let mut pre_quarantine = None;
-            let mut outcome: Option<(SupervisedRun, RunLog)> = None;
-            if !has_worker_faults {
-                if let Some(dir) = opts.cache_dir.as_deref() {
-                    match cache::load_checked(dir, key) {
-                        cache::CacheOutcome::Hit(report) => {
-                            cache_hits.fetch_add(1, Ordering::Relaxed);
-                            let run = SupervisedRun {
-                                report: *report,
-                                cache_hit: true,
-                                quarantined: None,
-                            };
-                            outcome = Some((run, RunLog::clean()));
-                        }
-                        cache::CacheOutcome::Quarantined { reason, .. } => {
-                            pre_quarantine = Some(reason);
-                        }
-                        cache::CacheOutcome::Miss => {}
-                    }
+            let faults = plan.as_ref().map_or(&[][..], |p| p.for_key(key));
+            let (run, log) = supervisor::supervise(key, sup, faults, |fire| match &sup.isolation {
+                // An isolated attempt re-execs the harness binary and
+                // shares neither this process's traces nor its cache.
+                Some(iso) => isolate::run_attempt(iso, key, fire, sup.watchdog, stall),
+                None => {
+                    let (req, traces, fire) = ((*req).clone(), Arc::clone(&traces), fire.to_vec());
+                    let job = move || {
+                        chaos::inject(&fire, stall);
+                        run_request(&req, &traces)
+                    };
+                    supervisor::attempt_in_thread(job, sup.watchdog)
                 }
-            }
-
-            let (run, mut log) = match outcome {
-                Some((run, log)) => (Some(run), log),
-                // Isolated attempts re-exec the harness binary and
-                // never share this process's traces or cache handles;
-                // the in-process path keeps the thread-pool fast path.
-                None => match &sup.isolation {
-                    Some(iso) => crate::isolate::supervise_isolated(key, sup, iso, &faults),
-                    None => supervisor::supervise(key, sup, |attempt| {
-                        let job = AttemptJob {
-                            req: (*req).clone(),
-                            key: key.clone(),
-                            traces: Arc::clone(&traces),
-                            cache_dir: opts.cache_dir.clone(),
-                            faults: faults.clone(),
-                            stall,
-                            cache_hits: Arc::clone(&cache_hits),
-                        };
-                        Box::new(move || job.run(attempt))
-                    }),
-                },
-            };
-            log.absorb_quarantine(pre_quarantine);
+            });
             if let Some(run) = run {
                 local.record(run.report.total_cycles.get(), run_started.elapsed());
-                let _ = slots[idx].set(run.report);
+                let _ = slots[idx].set(run);
             }
             let _ = logs[idx].set(log);
         }
@@ -447,9 +354,11 @@ pub fn execute_supervised(
 
     let mut degradation = DegradationReport::new(chaos_faults);
     let mut reports = HashMap::with_capacity(unique.len());
+    let mut cache_hits = 0;
     for ((key, slot), log) in keys.iter().zip(slots).zip(logs) {
-        if let Some(report) = slot.into_inner() {
-            reports.insert(key.clone(), report);
+        if let Some(run) = slot.into_inner() {
+            cache_hits += usize::from(run.cache_hit);
+            reports.insert(key.clone(), run.report);
         }
         let log = log.into_inner().unwrap_or_else(|| RunLog {
             verdict: RunVerdict::Rejected,
@@ -462,7 +371,7 @@ pub fn execute_supervised(
     let stats = MatrixStats {
         requested: requests.len(),
         unique: seen.len(),
-        cache_hits: cache_hits.load(Ordering::Relaxed),
+        cache_hits,
         elapsed: started.elapsed(),
         throughput: throughput
             .into_inner()

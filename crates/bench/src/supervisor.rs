@@ -1,28 +1,30 @@
-//! The run supervisor: panic isolation, watchdog timeouts, seeded
-//! retry/backoff and graceful degradation for the experiment matrix.
+//! The run supervisor: the one retry/backoff/verdict driver of the
+//! experiment matrix, with panic isolation, watchdog timeouts and
+//! graceful degradation.
 //!
-//! PR 1 made the *simulated* system crash-recoverable; this module
-//! applies the same discipline to the harness that measures it. Every
-//! run attempt executes on a dedicated thread under
-//! [`std::panic::catch_unwind`] with a watchdog timeout; failures are
-//! retried with the shared [`plp_core::retry`] policy (jitter seeded by
-//! the run key, so schedules replay exactly); runs that exhaust their
-//! budget degrade to a structured [`RunVerdict`] in a
-//! [`DegradationReport`] instead of aborting the whole matrix. Output
-//! discipline: supervision never touches stdout — surviving runs render
-//! byte-identically to a clean run, and everything about failures goes
-//! to stderr via [`DegradationReport::render`].
+//! [`supervise`] drives one run to a [`RunVerdict`]. Per attempt it
+//! decides which chaos faults fire ([`ChaosFault::fires`]), probes the
+//! run cache when none does (quarantining a corrupt entry), hands the
+//! attempt to an executor, and stores a fresh report; a retryable
+//! failure backs off under the shared [`plp_core::retry`] policy
+//! (jitter seeded by the run key, so schedules replay exactly). A run
+//! that exhausts its budget degrades to a structured verdict in a
+//! [`DegradationReport`] instead of aborting the whole matrix.
 //!
-//! One sharp edge is documented rather than hidden: a timed-out attempt
-//! thread is *abandoned*, not killed (Rust has no thread cancellation).
-//! An artificially stalled attempt therefore finishes in the
-//! background and may bump the cache-hit counter after stats are
-//! collected; reports and stdout are unaffected because result slots
-//! are written once by the retry driver only. Process isolation
-//! (`crate::isolate`, [`SupervisorOptions::isolation`]) removes the
-//! edge entirely: each attempt re-execs the harness binary under
-//! rlimits, so a watchdog trip is a real SIGKILL and nothing is ever
-//! abandoned.
+//! Executors only run an attempt and classify how it ended, as one
+//! [`AttemptOutcome`]. In-process, [`attempt_in_thread`] runs it on a
+//! dedicated thread under [`std::panic::catch_unwind`], bounded by the
+//! watchdog. Isolated (`crate::isolate::run_attempt`,
+//! [`SupervisorOptions::isolation`]), it re-execs the harness binary
+//! under rlimits and SIGKILLs the child on a watchdog trip.
+//!
+//! Rust has no thread cancellation, so a timed-out in-process attempt
+//! thread is abandoned and finishes in the background. It changes
+//! nothing: only the driver touches the cache, the result slots and the
+//! counters. Output discipline: supervision never touches stdout —
+//! surviving runs render byte-identically to a clean run, and
+//! everything about failures goes to stderr via
+//! [`DegradationReport::render`].
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -33,8 +35,12 @@ use std::time::Duration;
 use plp_core::retry::{RetryPolicy, RetryToken};
 use plp_core::{ConfigError, RunReport};
 
-use crate::chaos::ChaosOptions;
+use crate::cache::{self, CacheOutcome};
+use crate::chaos::{ChaosClass, ChaosFault, ChaosOptions};
 use crate::matrix::MatrixOptions;
+
+/// Seed mixed with each run key into the backoff jitter token.
+const BACKOFF_SEED: u64 = 0x5355_5045_5256_4953; // "SUPERVIS"
 
 /// Why a run request could not produce a report — the typed form of
 /// what used to be worker panics in `matrix::run_request`.
@@ -86,13 +92,12 @@ pub struct SupervisorOptions {
     /// Retry/backoff policy (delays in nanoseconds, per the shared
     /// `plp_core::retry` convention).
     pub retry: RetryPolicy,
-    /// Seed mixed with each run key into the backoff jitter token.
-    pub backoff_seed: u64,
     /// Harness-level fault injection, if enabled.
     pub chaos: Option<ChaosOptions>,
     /// Process isolation: when set, every attempt re-execs the harness
     /// binary under rlimits (`crate::isolate`) instead of running on
-    /// an in-process thread. Warm-cache fast paths are unaffected.
+    /// an in-process thread. Cache hits never start an attempt in
+    /// either mode.
     pub isolation: Option<crate::isolate::IsolateOptions>,
 }
 
@@ -109,7 +114,6 @@ impl SupervisorOptions {
                 .with_multiplier(4.0)
                 .with_max_delay_ns(400.0e6)
                 .with_jitter(0.25),
-            backoff_seed: 0x5355_5045_5256_4953, // "SUPERVIS"
             chaos: None,
             isolation: None,
         }
@@ -219,18 +223,6 @@ impl RunLog {
             failures: Vec::new(),
             quarantine: None,
             error: None,
-        }
-    }
-
-    /// Folds a cache-quarantine observation made *outside* the
-    /// supervised attempt (the worker's fast-path probe) into the log,
-    /// upgrading a plain `Ok` verdict to `CacheQuarantined`.
-    pub fn absorb_quarantine(&mut self, reason: Option<String>) {
-        if self.quarantine.is_none() {
-            self.quarantine = reason;
-        }
-        if self.quarantine.is_some() && self.verdict == RunVerdict::Ok {
-            self.verdict = RunVerdict::CacheQuarantined;
         }
     }
 }
@@ -422,19 +414,26 @@ pub struct SupervisedRun {
     pub report: RunReport,
     /// Whether the report came out of the on-disk cache.
     pub cache_hit: bool,
-    /// Why the run's previous cache entry was quarantined, if it was.
-    pub quarantined: Option<String>,
 }
 
-/// What one isolated attempt came back with.
-enum AttemptOutcome {
-    /// The attempt ran to completion (successfully or with a typed
-    /// error).
-    Finished(Box<Result<SupervisedRun, RunError>>),
+/// How one attempt ended, whichever executor ran it.
+#[derive(Debug)]
+pub enum AttemptOutcome {
+    /// The attempt produced a report.
+    Report(Box<RunReport>),
     /// The attempt panicked; the payload rendered as text.
     Panicked(String),
-    /// The watchdog expired; the attempt thread was abandoned.
+    /// The watchdog expired: the attempt thread was abandoned, or the
+    /// isolated child SIGKILLed.
     TimedOut,
+    /// The isolated child outgrew its address-space rlimit and the
+    /// allocator aborted it.
+    OomKilled,
+    /// The isolated child exited cleanly but its result frame failed
+    /// verification.
+    IpcCorrupt(String),
+    /// A typed error: a spec bug, or an executor-level failure.
+    Failed(RunError),
 }
 
 thread_local! {
@@ -470,30 +469,30 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one attempt on a dedicated thread under `catch_unwind`,
-/// bounded by the watchdog. A timed-out thread is abandoned (see the
-/// module docs) — the channel send into a dropped receiver is simply
-/// lost.
-fn supervise_attempt<J>(job: J, watchdog: Duration) -> AttemptOutcome
+/// The in-process executor: runs one attempt on a dedicated thread
+/// under `catch_unwind`, bounded by the watchdog. A timed-out thread is
+/// abandoned (see the module docs) — its send into the dropped
+/// receiver is simply lost.
+pub fn attempt_in_thread<J>(job: J, watchdog: Duration) -> AttemptOutcome
 where
-    J: FnOnce() -> Result<SupervisedRun, RunError> + Send + 'static,
+    J: FnOnce() -> Result<RunReport, RunError> + Send + 'static,
 {
+    install_quiet_hook();
     let (tx, rx) = mpsc::sync_channel(1);
     let spawned = std::thread::Builder::new()
         .name("plp-run-attempt".to_string())
         .spawn(move || {
             SUPERVISED_THREAD.with(|s| s.set(true));
             let outcome = match catch_unwind(AssertUnwindSafe(job)) {
-                Ok(result) => AttemptOutcome::Finished(Box::new(result)),
+                Ok(Ok(report)) => AttemptOutcome::Report(Box::new(report)),
+                Ok(Err(error)) => AttemptOutcome::Failed(error),
                 Err(payload) => AttemptOutcome::Panicked(panic_message(payload.as_ref())),
             };
             let _ = tx.send(outcome);
         });
     let handle = match spawned {
         Ok(handle) => handle,
-        Err(e) => {
-            return AttemptOutcome::Finished(Box::new(Err(RunError::SpawnFailed(e.to_string()))))
-        }
+        Err(e) => return AttemptOutcome::Failed(RunError::SpawnFailed(e.to_string())),
     };
     match rx.recv_timeout(watchdog) {
         Ok(outcome) => {
@@ -507,85 +506,118 @@ where
     }
 }
 
-/// The kind of the most recent failed attempt, for the terminal
-/// verdict.
-enum LastFailure {
-    Timeout,
-    Panic,
-    Error(RunError),
-}
-
-/// Drives one run to a verdict: attempt, and on retryable failure back
-/// off (deterministically, seeded by `key`) and attempt again until
-/// success or budget exhaustion. `make_job` builds a fresh isolated
-/// job for each attempt index.
-pub fn supervise<F>(key: &str, opts: &SupervisorOptions, mut make_job: F) -> (Option<SupervisedRun>, RunLog)
+/// Drives one run to a verdict. Per attempt: pick the planned `faults`
+/// that fire on it; when none does, probe the cache and return a hit
+/// (a corrupt entry is quarantined, and the first reason kept); else
+/// run the attempt through `execute` (given the firing fault classes)
+/// and store a fresh report. A retryable failure backs off
+/// (deterministically, seeded by `key`) and tries again until success
+/// or budget exhaustion; a spec bug or an OOM kill ends the run at
+/// once, since every further attempt would fail the same way.
+pub fn supervise<E>(
+    key: &str,
+    opts: &SupervisorOptions,
+    faults: &[ChaosFault],
+    mut execute: E,
+) -> (Option<SupervisedRun>, RunLog)
 where
-    F: FnMut(u32) -> Box<dyn FnOnce() -> Result<SupervisedRun, RunError> + Send + 'static>,
+    E: FnMut(&[ChaosClass]) -> AttemptOutcome,
 {
-    install_quiet_hook();
     let policy = &opts.retry;
-    let token = RetryToken::new(opts.backoff_seed).mix_str(key);
+    let token = RetryToken::new(BACKOFF_SEED).mix_str(key);
+    let cache_dir = opts.matrix.cache_dir.as_deref();
+    let budget = policy.max_retries + 1;
     let mut failures = Vec::new();
-    // Failed attempts cannot report a quarantine they performed (the
-    // typed error channel carries no extras); the worker's fast-path
-    // probe merges one in afterwards via `absorb_quarantine`.
-    let quarantine = None;
-    let mut last = LastFailure::Timeout;
+    let mut quarantine: Option<String> = None;
+    // The verdict and error if the budget drains after the latest
+    // failed attempt.
+    let mut exhausted = (RunVerdict::TimedOut { attempts: budget }, None);
+    // The successful run and the index of the attempt that produced it.
+    let mut success = None;
     for attempt in 0..=policy.max_retries {
         if attempt > 0 {
             std::thread::sleep(Duration::from_nanos(policy.delay_ns(token, attempt) as u64));
         }
-        match supervise_attempt(make_job(attempt), opts.watchdog) {
-            AttemptOutcome::Finished(result) => match *result {
-                Ok(run) => {
-                    let mut log = RunLog {
-                        verdict: if attempt > 0 {
-                            RunVerdict::Retried { attempts: attempt }
-                        } else {
-                            RunVerdict::Ok
-                        },
-                        failures,
-                        quarantine,
-                        error: None,
+        let fire: Vec<ChaosClass> = faults
+            .iter()
+            .filter(|f| f.fires(attempt))
+            .map(|f| f.class)
+            .collect();
+        if let (true, Some(dir)) = (fire.is_empty(), cache_dir) {
+            match cache::load_checked(dir, key) {
+                CacheOutcome::Hit(report) => {
+                    let run = SupervisedRun {
+                        report: *report,
+                        cache_hit: true,
                     };
-                    log.absorb_quarantine(run.quarantined.clone());
-                    return (Some(run), log);
+                    success = Some((run, attempt));
+                    break;
                 }
-                Err(error) => {
-                    failures.push(format!("attempt {attempt}: {error}"));
-                    if !error.is_retryable() {
-                        return (
-                            None,
-                            RunLog {
-                                verdict: RunVerdict::Rejected,
-                                failures,
-                                quarantine,
-                                error: Some(error),
-                            },
-                        );
-                    }
-                    last = LastFailure::Error(error);
+                CacheOutcome::Quarantined { reason, .. } => {
+                    quarantine.get_or_insert(reason);
                 }
-            },
-            AttemptOutcome::Panicked(message) => {
-                failures.push(format!("attempt {attempt}: panicked: {message}"));
-                last = LastFailure::Panic;
-            }
-            AttemptOutcome::TimedOut => {
-                failures.push(format!("attempt {attempt}: watchdog timeout"));
-                last = LastFailure::Timeout;
+                CacheOutcome::Miss => {}
             }
         }
+        let (line, verdict, error) = match execute(&fire) {
+            AttemptOutcome::Report(report) => {
+                if let Some(dir) = cache_dir {
+                    cache::store(dir, key, &report);
+                }
+                let run = SupervisedRun {
+                    report: *report,
+                    cache_hit: false,
+                };
+                success = Some((run, attempt));
+                break;
+            }
+            AttemptOutcome::Panicked(message) => (
+                format!("panicked: {message}"),
+                RunVerdict::Panicked { attempts: budget },
+                None,
+            ),
+            AttemptOutcome::TimedOut => (
+                "watchdog timeout".to_string(),
+                RunVerdict::TimedOut { attempts: budget },
+                None,
+            ),
+            AttemptOutcome::OomKilled => (
+                "child exceeded its address-space limit and was terminated".to_string(),
+                RunVerdict::OomKilled {
+                    attempts: attempt + 1,
+                },
+                None,
+            ),
+            AttemptOutcome::IpcCorrupt(message) => (
+                format!("ipc frame rejected: {message}"),
+                RunVerdict::IpcCorrupt { attempts: budget },
+                None,
+            ),
+            AttemptOutcome::Failed(error) => (
+                match &error {
+                    RunError::ChildFailed(message) => message.clone(),
+                    other => other.to_string(),
+                },
+                RunVerdict::Rejected,
+                Some(error),
+            ),
+        };
+        failures.push(format!("attempt {attempt}: {line}"));
+        let terminal = matches!(verdict, RunVerdict::OomKilled { .. })
+            || error.as_ref().is_some_and(|e| !e.is_retryable());
+        exhausted = (verdict, error);
+        if terminal {
+            break;
+        }
     }
-    let attempts = policy.max_retries + 1;
-    let (verdict, error) = match last {
-        LastFailure::Timeout => (RunVerdict::TimedOut { attempts }, None),
-        LastFailure::Panic => (RunVerdict::Panicked { attempts }, None),
-        LastFailure::Error(e) => (RunVerdict::Rejected, Some(e)),
+    let (run, (verdict, error)) = match success {
+        Some((run, 0)) if quarantine.is_some() => (Some(run), (RunVerdict::CacheQuarantined, None)),
+        Some((run, 0)) => (Some(run), (RunVerdict::Ok, None)),
+        Some((run, attempts)) => (Some(run), (RunVerdict::Retried { attempts }, None)),
+        None => (None, exhausted),
     };
     (
-        None,
+        run,
         RunLog {
             verdict,
             failures,
@@ -608,58 +640,66 @@ mod tests {
         opts
     }
 
-    fn ok_run() -> Result<SupervisedRun, RunError> {
-        Ok(SupervisedRun {
-            report: RunReport::default(),
-            cache_hit: false,
-            quarantined: None,
+    fn ok_run() -> Result<RunReport, RunError> {
+        Ok(RunReport::default())
+    }
+
+    fn fault(class: ChaosClass, sticky: bool) -> ChaosFault {
+        ChaosFault {
+            class,
+            attempt: 0,
+            sticky,
+        }
+    }
+
+    /// Drives key `k` through the in-process executor: each attempt
+    /// injects its firing faults, then succeeds.
+    fn drive(opts: &SupervisorOptions, faults: &[ChaosFault]) -> (Option<SupervisedRun>, RunLog) {
+        let stall = opts.chaos_stall();
+        supervise("k", opts, faults, |fire| {
+            let fire = fire.to_vec();
+            attempt_in_thread(
+                move || {
+                    crate::chaos::inject(&fire, stall);
+                    ok_run()
+                },
+                opts.watchdog,
+            )
         })
     }
 
     #[test]
     fn clean_job_is_ok_first_try() {
-        let (run, log) = supervise("k", &test_opts(), |_| Box::new(ok_run));
-        assert!(run.is_some());
-        assert_eq!(log.verdict, RunVerdict::Ok);
-        assert!(log.failures.is_empty());
+        let (run, log) = drive(&test_opts(), &[]);
+        assert!(run.is_some_and(|r| !r.cache_hit));
+        assert_eq!(log, RunLog::clean());
     }
 
     #[test]
     fn panicking_job_is_isolated_and_retried() {
-        let (run, log) = supervise("k", &test_opts(), |attempt| {
-            if attempt == 0 {
-                Box::new(|| panic!("injected"))
-            } else {
-                Box::new(ok_run)
-            }
-        });
+        let (run, log) = drive(&test_opts(), &[fault(ChaosClass::WorkerPanic, false)]);
         assert!(run.is_some());
         assert_eq!(log.verdict, RunVerdict::Retried { attempts: 1 });
-        assert_eq!(log.failures, vec!["attempt 0: panicked: injected".to_string()]);
+        assert_eq!(
+            log.failures,
+            vec!["attempt 0: panicked: chaos: injected worker panic".to_string()]
+        );
     }
 
     #[test]
     fn stalled_job_trips_watchdog_and_retries() {
-        let opts = test_opts();
-        let stall = opts.chaos_stall();
-        let (run, log) = supervise("k", &opts, move |attempt| {
-            if attempt == 0 {
-                Box::new(move || {
-                    std::thread::sleep(stall);
-                    ok_run()
-                })
-            } else {
-                Box::new(ok_run)
-            }
-        });
+        let (run, log) = drive(&test_opts(), &[fault(ChaosClass::WorkerStall, false)]);
         assert!(run.is_some());
         assert_eq!(log.verdict, RunVerdict::Retried { attempts: 1 });
-        assert_eq!(log.failures, vec!["attempt 0: watchdog timeout".to_string()]);
+        assert_eq!(
+            log.failures,
+            vec!["attempt 0: watchdog timeout".to_string()]
+        );
     }
 
     #[test]
     fn always_panicking_job_exhausts_budget() {
-        let (run, log) = supervise("k", &test_opts(), |_| Box::new(|| panic!("sticky")));
+        let (run, log) = drive(&test_opts(), &[fault(ChaosClass::WorkerPanic, true)]);
         assert!(run.is_none());
         assert_eq!(log.verdict, RunVerdict::Panicked { attempts: 3 });
         assert_eq!(log.failures.len(), 3);
@@ -668,9 +708,9 @@ mod tests {
     #[test]
     fn non_retryable_error_rejects_immediately() {
         let mut calls = 0;
-        let (run, log) = supervise("k", &test_opts(), |_| {
+        let (run, log) = supervise("k", &test_opts(), &[], |_| {
             calls += 1;
-            Box::new(|| Err(RunError::UnknownBenchmark("nope".to_string())))
+            AttemptOutcome::Failed(RunError::UnknownBenchmark("nope".to_string()))
         });
         assert!(run.is_none());
         assert_eq!(calls, 1, "a spec bug must not burn the retry budget");
@@ -679,6 +719,93 @@ mod tests {
             log.error,
             Some(RunError::UnknownBenchmark("nope".to_string()))
         );
+    }
+
+    #[test]
+    fn oom_kill_is_terminal() {
+        let mut calls = 0;
+        let (run, log) = supervise("k", &test_opts(), &[], |_| {
+            calls += 1;
+            AttemptOutcome::OomKilled
+        });
+        assert!(run.is_none());
+        assert_eq!(calls, 1, "the same allocation would fail identically");
+        assert_eq!(log.verdict, RunVerdict::OomKilled { attempts: 1 });
+        assert_eq!(
+            log.failures,
+            ["attempt 0: child exceeded its address-space limit and was terminated"]
+        );
+    }
+
+    #[test]
+    fn budget_drains_to_the_last_failure_kind() {
+        let mut outcomes = vec![
+            AttemptOutcome::IpcCorrupt("checksum mismatch".to_string()),
+            AttemptOutcome::Failed(RunError::ChildFailed(
+                "child killed by signal 11".to_string(),
+            )),
+            AttemptOutcome::TimedOut,
+        ];
+        let (run, log) = supervise("k", &test_opts(), &[], |_| outcomes.pop().unwrap());
+        assert!(run.is_none());
+        assert_eq!(log.verdict, RunVerdict::IpcCorrupt { attempts: 3 });
+        assert_eq!(log.error, None);
+        // A child failure prints its own message, without the error's
+        // prefix.
+        assert_eq!(
+            log.failures,
+            [
+                "attempt 0: watchdog timeout",
+                "attempt 1: child killed by signal 11",
+                "attempt 2: ipc frame rejected: checksum mismatch",
+            ]
+        );
+    }
+
+    #[test]
+    fn cache_is_probed_only_on_attempts_no_fault_fires_on() {
+        let dir = std::env::temp_dir().join(format!("plp-supervise-cache-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut opts = test_opts();
+        opts.matrix.cache_dir = Some(dir.clone());
+        let corrupt = || {
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(cache::cache_path(&dir, "k"), "garbage").unwrap();
+        };
+
+        // A corrupt entry is quarantined and the fresh report stored;
+        // the quarantine upgrades a first-try Ok.
+        corrupt();
+        let (run, log) = drive(&opts, &[]);
+        assert!(run.is_some_and(|r| !r.cache_hit));
+        assert_eq!(log.verdict, RunVerdict::CacheQuarantined);
+        assert!(log.quarantine.is_some());
+
+        // The stored report is a hit: no attempt runs at all.
+        let (run, log) = supervise("k", &opts, &[], |_| AttemptOutcome::TimedOut);
+        assert!(run.is_some_and(|r| r.cache_hit));
+        assert_eq!(log, RunLog::clean());
+
+        // A fault firing on attempt 0 skips its probe; attempt 1 probes,
+        // hits, and the run counts as retried.
+        let mut calls = 0;
+        let faults = [fault(ChaosClass::WorkerStall, false)];
+        let (run, log) = supervise("k", &opts, &faults, |fire| {
+            calls += 1;
+            assert_eq!(fire, [ChaosClass::WorkerStall]);
+            AttemptOutcome::TimedOut
+        });
+        assert_eq!(calls, 1);
+        assert!(run.is_some_and(|r| r.cache_hit));
+        assert_eq!(log.verdict, RunVerdict::Retried { attempts: 1 });
+
+        // A quarantine never downgrades a retried verdict.
+        corrupt();
+        let (run, log) = drive(&opts, &[fault(ChaosClass::WorkerPanic, false)]);
+        assert!(run.is_some_and(|r| !r.cache_hit));
+        assert_eq!(log.verdict, RunVerdict::Retried { attempts: 1 });
+        assert!(log.quarantine.is_some());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -764,19 +891,6 @@ mod tests {
         // signal problem), unlike spec bugs.
         assert!(RunError::ChildFailed("signal 11".to_string()).is_retryable());
         assert!(!RunError::UnknownBenchmark("x".to_string()).is_retryable());
-    }
-
-    #[test]
-    fn quarantine_upgrades_ok_verdict() {
-        let mut log = RunLog::clean();
-        log.absorb_quarantine(Some("content checksum mismatch".to_string()));
-        assert_eq!(log.verdict, RunVerdict::CacheQuarantined);
-        assert!(log.verdict.recovered());
-        // But never downgrades an eventful verdict.
-        let mut retried = RunLog::clean();
-        retried.verdict = RunVerdict::Retried { attempts: 2 };
-        retried.absorb_quarantine(Some("truncated entry".to_string()));
-        assert_eq!(retried.verdict, RunVerdict::Retried { attempts: 2 });
     }
 
     #[test]

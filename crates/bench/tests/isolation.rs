@@ -3,13 +3,17 @@
 //! `all … --run-one <key>`).
 //!
 //! Pinned behaviours:
-//! - stdout is byte-identical between in-process and isolated sweeps;
+//! - stdout is byte-identical between in-process and isolated sweeps,
+//!   and under a chaos seed so is stderr minus the timing line;
 //! - the degradation report (stderr minus the timing line) is equal
 //!   across thread counts under a chaos seed in isolated mode;
+//! - a warm-cache chaos sweep serves every run from the cache except
+//!   the quarantined ones, in both modes;
 //! - a child that exhausts its address-space rlimit degrades to an
 //!   `oom-killed` verdict promptly instead of hanging the sweep;
 //! - no `--run-one` child processes survive a finished sweep.
 
+use std::path::Path;
 use std::process::{Command, Output};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -29,7 +33,14 @@ fn all_binary() -> &'static str {
 }
 
 fn run_all(args: &[&str]) -> Output {
+    run_all_in(Path::new("."), args)
+}
+
+/// Runs `all` with `dir` as its working directory (and so with its run
+/// cache under `dir/results/cache`).
+fn run_all_in(dir: &Path, args: &[&str]) -> Output {
     Command::new(all_binary())
+        .current_dir(dir)
         .args([INSTRUCTIONS, SEED])
         .args(args)
         .output()
@@ -45,6 +56,22 @@ fn stable_stderr(output: &Output) -> String {
         .filter(|line| !line.starts_with("[plp-bench] all ("))
         .collect::<Vec<_>>()
         .join("\n")
+}
+
+/// The number printed just before `label` on the first stderr line
+/// containing it (`525` for `" unique,"` in `… (525 unique, …`).
+fn stderr_count(output: &Output, label: &str) -> usize {
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let line = stderr
+        .lines()
+        .find(|l| l.contains(label))
+        .unwrap_or_else(|| panic!("no '{label}' in stderr:\n{stderr}"));
+    let before = line[..line.find(label).unwrap()].trim_end();
+    before
+        .rsplit([' ', '('])
+        .next()
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no count before '{label}' in: {line}"))
 }
 
 /// True if any live process on the system has `needle` in its argv.
@@ -119,6 +146,71 @@ fn isolated_chaos_report_is_deterministic_across_thread_counts() {
         "chaos banner missing from stderr:\n{report}"
     );
     assert_eq!(two.status.code(), Some(0), "chaos sweep did not recover");
+    assert_no_surviving_children();
+}
+
+#[test]
+fn chaos_sweep_reports_equal_in_process_and_isolated() {
+    let _guard = SWEEP_LOCK.lock().unwrap();
+    let in_process = run_all(&["--no-cache", "--chaos", "0xC0FFEE"]);
+    let isolated = run_all(&["--no-cache", "--chaos", "0xC0FFEE", "--isolate"]);
+    assert_eq!(
+        in_process.status.code(),
+        Some(0),
+        "in-process chaos sweep did not recover"
+    );
+    assert_eq!(
+        isolated.status.code(),
+        Some(0),
+        "isolated chaos sweep did not recover"
+    );
+    assert_eq!(
+        in_process.stdout, isolated.stdout,
+        "isolated chaos stdout diverged from in-process"
+    );
+    assert_eq!(
+        stable_stderr(&in_process),
+        stable_stderr(&isolated),
+        "isolated degradation report diverged from in-process"
+    );
+    assert_no_surviving_children();
+}
+
+/// After a warm-up sweep, a chaos sweep finds every entry on disk: only
+/// the quarantined ones (planted corruption) miss, including for runs
+/// retried after a worker fault, in both modes.
+#[test]
+fn warm_chaos_sweep_caches_every_run_but_the_quarantined() {
+    let _guard = SWEEP_LOCK.lock().unwrap();
+    for mode in [&[][..], &["--isolate"][..]] {
+        let dir = std::env::temp_dir().join(format!(
+            "plp-isolation-warm-{}-{}",
+            mode.len(),
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let warm_up = run_all_in(&dir, &[&["--threads", "2"], mode].concat());
+        assert!(warm_up.status.success(), "warm-up sweep failed {mode:?}");
+        let chaos = run_all_in(
+            &dir,
+            &[&["--threads", "2", "--chaos", "0xC0FFEE"], mode].concat(),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(
+            chaos.status.code(),
+            Some(0),
+            "chaos sweep did not recover {mode:?}"
+        );
+        let unique = stderr_count(&chaos, " unique,");
+        let quarantined = stderr_count(&chaos, " cache-quarantined,");
+        assert!(quarantined > 0, "the chaos plan plants cache faults");
+        assert_eq!(
+            stderr_count(&chaos, " cached) in"),
+            unique - quarantined,
+            "cached runs {mode:?}"
+        );
+    }
     assert_no_surviving_children();
 }
 

@@ -61,11 +61,12 @@ repo_root=$(pwd)
 cmp "$clean_out" "$chaos_out" || {
   echo "verify: chaos sweep stdout diverged from the clean run"; exit 1
 }
-rm -rf "$clean_out" "$chaos_out" "$chaos_dir"
+rm -rf "$chaos_out" "$chaos_dir"
 
 # Sharded-topology gate. Three parts:
 #   1. `all --streams 1 --shards 1` must be stdout byte-identical to
-#      the plain run — the unit topology IS the unsharded simulator.
+#      the plain run saved above — the unit topology IS the unsharded
+#      simulator.
 #   2. A reduced 4-streams x 4-shards sweep (sanitizer on, per-spec
 #      default) must exit 0: every scheme's cross-shard run upholds
 #      stream persist-order and root-of-roots epoch ordering.
@@ -80,9 +81,7 @@ shard_chaos_out=$(mktemp)
 shard_dir=$(mktemp -d)
 repo_root=$(pwd)
 cargo run --release -q -p plp-bench --bin all -- 10000 7 --no-cache --streams 1 --shards 1 > "$unit_out"
-clean_ref=$(mktemp)
-cargo run --release -q -p plp-bench --bin all -- 10000 7 --no-cache > "$clean_ref"
-cmp "$clean_ref" "$unit_out" || {
+cmp "$clean_out" "$unit_out" || {
   echo "verify: --streams 1 --shards 1 stdout diverged from the unsharded run"; exit 1
 }
 (cd "$shard_dir" && "$repo_root/target/release/all" 6000 7 --streams 4 --shards 4 2> shard.err > "$shard_out") || {
@@ -97,7 +96,7 @@ cmp "$shard_out" "$shard_chaos_out" || {
 ./target/release/shard_sweep 6000 7 > /dev/null || {
   echo "verify: shard_sweep (scaling table + cross-shard mutation checks) failed"; exit 1
 }
-rm -rf "$unit_out" "$clean_ref" "$shard_out" "$shard_chaos_out" "$shard_dir"
+rm -rf "$clean_out" "$unit_out" "$shard_out" "$shard_chaos_out" "$shard_dir"
 
 # Crash-harness gate: a reduced real-process SIGKILL sweep (two
 # failpoints, one hit, all seven swept schemes — the five correct

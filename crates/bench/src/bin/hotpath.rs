@@ -1,19 +1,24 @@
-//! Hot-path microbenchmark: steady-state host cost of the persist
-//! path per scheme, plus the cold/warm wall-clock of a reduced
-//! experiment sweep.
+//! Hot-path microbenchmark: steady-state host cost of a simulation
+//! per scheme, plus the cold/warm wall-clock of a reduced experiment
+//! sweep.
 //!
 //! Per scheme, the benchmark generates one trace, warms the process
 //! with an untimed run, then times `--reps` full simulations and
-//! reports the *fastest* observed host nanoseconds per persist-path
-//! invocation (ordered persists + eviction write-backs — every call
-//! that walks the BMT). Host noise is strictly additive, so the
-//! minimum is the stable estimator of the code's actual cost — a
-//! median would gate on machine load. Each sample is additionally
-//! divided by the wall-clock of a fixed pure-CPU calibration
-//! workload timed around it, yielding a load-normalized *relative
-//! cost*: a slow or contended machine inflates numerator and
-//! denominator alike, while a code regression inflates only the
-//! numerator. The sweep section executes every registered
+//! reports the *fastest* observed host nanoseconds per simulated
+//! instruction. Every run simulates the same instruction count, so
+//! the denominator is never zero and means the same for every
+//! scheme. Host noise is strictly additive, so the minimum is the
+//! stable estimator of the code's actual cost — a median would gate
+//! on machine load. Each sample is additionally divided by the host
+//! time of one iteration of a fixed pure-CPU calibration workload
+//! timed around it, yielding a load-normalized *relative cost* (the
+//! cost of a simulated instruction in calibration iterations): a slow
+//! or contended machine inflates numerator and denominator alike,
+//! while a code regression inflates only the numerator. Where a
+//! scheme's run makes persist-path calls (ordered persists + eviction
+//! write-backs, every call that walks the BMT), the host nanoseconds
+//! per call are reported too; `secure_WB` on milc makes none, so it
+//! has no such figure. The sweep section executes every registered
 //! experiment's requests at a reduced instruction count, cold then
 //! warm, through [`plp_bench::matrix::time_sweep`].
 //!
@@ -118,10 +123,10 @@ fn parse_args() -> Options {
 /// chain the optimizer cannot elide).
 const CAL_ITERS: u64 = 1 << 22;
 
-/// Times the fixed calibration workload once, in nanoseconds. Pure
-/// CPU with no memory traffic: machine load slows it and the
-/// simulator alike, so their ratio is load-invariant.
-fn calibration_ns() -> f64 {
+/// Times the fixed calibration workload once, in nanoseconds per
+/// iteration. Pure CPU with no memory traffic: machine load slows it
+/// and the simulator alike, so their ratio is load-invariant.
+fn calibration_ns_per_iter() -> f64 {
     // lint: allow(nondeterminism) host wall-clock is the measurand
     let started = Instant::now();
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
@@ -129,37 +134,54 @@ fn calibration_ns() -> f64 {
         x = std::hint::black_box(x.wrapping_mul(0x0100_0000_01B3).wrapping_add(i));
     }
     std::hint::black_box(x);
-    started.elapsed().as_nanos() as f64
+    started.elapsed().as_nanos() as f64 / CAL_ITERS as f64
 }
 
-/// One scheme's steady-state persist-path cost: `(ns_per_persist,
-/// relative_cost)` where the relative cost is the load-normalized
-/// gate metric — host ns per persist divided by the host ns of the
-/// calibration workload timed around the same sample. One untimed
-/// warmup run, then the minimum over `reps` timed runs of each.
-fn scheme_persist_cost(scheme: UpdateScheme, o: &Options) -> (f64, f64) {
+/// One scheme's steady-state host cost.
+struct SchemeCost {
+    scheme: UpdateScheme,
+    /// Host ns per simulated instruction.
+    ns_per_instr: f64,
+    /// Host ns per persist-path call; `None` when the run makes none.
+    ns_per_persist: Option<f64>,
+    /// The gate metric: host ns per instruction divided by the host ns
+    /// per iteration of the calibration workload timed around the same
+    /// sample.
+    relative_cost: f64,
+}
+
+/// Measures one scheme on milc: one untimed warmup run, then the
+/// minimum over `reps` timed runs of each figure.
+fn scheme_cost(scheme: UpdateScheme, o: &Options) -> SchemeCost {
     let profile = spec::benchmark("milc").expect("milc is a registered benchmark");
     let trace = TraceGenerator::new(profile.clone(), o.seed).generate(o.instructions);
     let mut cfg = SystemConfig::for_scheme(scheme);
     cfg.ideal_metadata = true;
     let setup = SimSetup::for_profile(cfg, &profile, o.seed).expect("paper-default config");
 
-    let _ = setup.simulation().run(&trace); // warmup
+    // Warmup. The simulation is deterministic, so its counts are every
+    // timed run's.
+    let warm = setup.simulation().run(&trace);
+    let instructions = warm.instructions.max(1) as f64;
+    let calls = warm.persists + warm.writebacks;
     let (mut best_ns, mut best_rel) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..o.reps {
-        let cal_before = calibration_ns();
+        let cal_before = calibration_ns_per_iter();
         let sim = setup.simulation();
         // lint: allow(nondeterminism) host wall-clock is the measurand
         let started = Instant::now();
-        let report = sim.run(&trace);
-        let elapsed = started.elapsed();
-        let cal = cal_before.min(calibration_ns());
-        let calls = (report.persists + report.writebacks).max(1);
-        let ns = elapsed.as_nanos() as f64 / calls as f64;
-        best_ns = best_ns.min(ns);
-        best_rel = best_rel.min(ns / cal);
+        let _report = sim.run(&trace);
+        let elapsed = started.elapsed().as_nanos() as f64;
+        let cal = cal_before.min(calibration_ns_per_iter());
+        best_ns = best_ns.min(elapsed);
+        best_rel = best_rel.min(elapsed / instructions / cal);
     }
-    (best_ns, best_rel)
+    SchemeCost {
+        scheme,
+        ns_per_instr: best_ns / instructions,
+        ns_per_persist: (calls > 0).then(|| best_ns / calls as f64),
+        relative_cost: best_rel,
+    }
 }
 
 /// The reduced all-experiments sweep, executed cold then warm through
@@ -188,9 +210,18 @@ fn sweep_timing(o: &Options) -> SweepTiming {
     timing
 }
 
-fn render_json(o: &Options, timings: &[(UpdateScheme, f64, f64)], sweep: &SweepTiming) -> String {
+/// Renders one `"name": { "scheme": value, ... }` section of the
+/// flat JSON document.
+fn json_section<'a>(name: &str, rows: impl Iterator<Item = (&'a str, String)>) -> String {
+    let body: Vec<String> = rows
+        .map(|(scheme, value)| format!("    \"{scheme}\": {value}"))
+        .collect();
+    format!("  \"{name}\": {{\n{}\n  }},\n", body.join(",\n"))
+}
+
+fn render_json(o: &Options, costs: &[SchemeCost], sweep: &SweepTiming) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"format\": 1,\n");
+    out.push_str("  \"format\": 2,\n");
     out.push_str(&format!("  \"instructions\": {},\n", o.instructions));
     out.push_str(&format!("  \"seed\": {},\n", o.seed));
     out.push_str(&format!("  \"reps\": {},\n", o.reps));
@@ -198,18 +229,26 @@ fn render_json(o: &Options, timings: &[(UpdateScheme, f64, f64)], sweep: &SweepT
         "  \"sweep_instructions\": {},\n",
         o.sweep_instructions
     ));
-    out.push_str("  \"relative_cost\": {\n");
-    for (i, (scheme, _, rel)) in timings.iter().enumerate() {
-        let comma = if i + 1 < timings.len() { "," } else { "" };
-        out.push_str(&format!("    \"{}\": {:.6}{}\n", scheme.name(), rel, comma));
-    }
-    out.push_str("  },\n");
-    out.push_str("  \"ns_per_persist\": {\n");
-    for (i, (scheme, ns, _)) in timings.iter().enumerate() {
-        let comma = if i + 1 < timings.len() { "," } else { "" };
-        out.push_str(&format!("    \"{}\": {:.1}{}\n", scheme.name(), ns, comma));
-    }
-    out.push_str("  },\n");
+    out.push_str(&json_section(
+        "relative_cost",
+        costs
+            .iter()
+            .map(|c| (c.scheme.name(), format!("{:.4}", c.relative_cost))),
+    ));
+    out.push_str(&json_section(
+        "ns_per_instr",
+        costs
+            .iter()
+            .map(|c| (c.scheme.name(), format!("{:.2}", c.ns_per_instr))),
+    ));
+    // Only schemes whose runs make persist-path calls have a per-call
+    // cost; a zero base would turn the whole run into one "call".
+    out.push_str(&json_section(
+        "ns_per_persist",
+        costs
+            .iter()
+            .filter_map(|c| Some((c.scheme.name(), format!("{:.1}", c.ns_per_persist?)))),
+    ));
     out.push_str(&format!("  \"sweep_unique_runs\": {},\n", sweep.unique_runs));
     out.push_str(&format!(
         "  \"cold_sweep_ms\": {:.1},\n",
@@ -239,22 +278,23 @@ fn json_number(doc: &str, key: &str) -> Option<f64> {
 /// baseline's `relative_cost` section; returns the regression report
 /// lines (empty = gate passes). Only the load-normalized metric
 /// gates — raw nanoseconds track the machine, not the code.
-fn check_regressions(baseline: &str, timings: &[(UpdateScheme, f64, f64)]) -> Vec<String> {
+fn check_regressions(baseline: &str, costs: &[SchemeCost]) -> Vec<String> {
     let rel_section = match baseline.find("\"relative_cost\"") {
         Some(pos) => &baseline[pos..],
         None => return vec!["  baseline has no \"relative_cost\" section".to_string()],
     };
     let mut failures = Vec::new();
-    for (scheme, _, rel) in timings {
-        let Some(base) = json_number(rel_section, scheme.name()) else {
+    for c in costs {
+        let Some(base) = json_number(rel_section, c.scheme.name()) else {
             // A scheme missing from the baseline is not a regression —
             // the next baseline refresh will pin it.
             continue;
         };
-        if *rel > base * REGRESSION_TOLERANCE {
+        let rel = c.relative_cost;
+        if rel > base * REGRESSION_TOLERANCE {
             failures.push(format!(
                 "  {}: relative cost {:.4} vs baseline {:.4} (+{:.0}%)",
-                scheme.name(),
+                c.scheme.name(),
                 rel,
                 base,
                 (rel / base - 1.0) * 100.0
@@ -267,16 +307,20 @@ fn check_regressions(baseline: &str, timings: &[(UpdateScheme, f64, f64)]) -> Ve
 fn main() {
     let o = parse_args();
 
-    let mut timings = Vec::new();
+    let mut costs = Vec::new();
     for scheme in UpdateScheme::all_extended() {
-        let (ns, rel) = scheme_persist_cost(scheme, &o);
-        eprintln!(
-            "hotpath: {:<10} {:>10.1} ns/persist  (relative cost {:.4})",
-            scheme.name(),
-            ns,
-            rel
+        let c = scheme_cost(scheme, &o);
+        let per_persist = c.ns_per_persist.map_or_else(
+            || "no persists".to_string(),
+            |ns| format!("{ns:.1} ns/persist"),
         );
-        timings.push((scheme, ns, rel));
+        eprintln!(
+            "hotpath: {:<10} {:>8.2} ns/instr  (relative cost {:.3}; {per_persist})",
+            scheme.name(),
+            c.ns_per_instr,
+            c.relative_cost
+        );
+        costs.push(c);
     }
 
     let sweep = sweep_timing(&o);
@@ -287,7 +331,7 @@ fn main() {
         sweep.warm.as_secs_f64()
     );
 
-    let doc = render_json(&o, &timings, &sweep);
+    let doc = render_json(&o, &costs, &sweep);
     if let Err(e) = std::fs::write(&o.out, &doc) {
         eprintln!("hotpath: cannot write {}: {e}", o.out.display());
         std::process::exit(2);
@@ -302,7 +346,7 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        let failures = check_regressions(&baseline, &timings);
+        let failures = check_regressions(&baseline, &costs);
         if !failures.is_empty() {
             eprintln!(
                 "hotpath: PERF GATE FAILED (>{:.0}% over baseline):",

@@ -51,6 +51,12 @@ fn fault_roll(state: &mut u64, p: f64) -> bool {
     unit < p
 }
 
+/// Reservations a bank keeps before it starts trimming stale ones.
+const TRIM_THRESHOLD: usize = 1024;
+
+/// Cycles behind `latest_end` beyond which a reservation is stale.
+const TRIM_HORIZON: u64 = 2_000_000;
+
 /// One bank's schedule: non-overlapping busy reservations.
 ///
 /// Requests do not arrive in time order — the security engine books
@@ -73,6 +79,10 @@ impl Bank {
     /// Books `len` busy cycles at the earliest gap at or after `now`;
     /// returns the start time.
     fn reserve(&mut self, now: u64, len: u64) -> u64 {
+        // A zero-length booking at an existing start would overwrite
+        // that reservation and free a busy bank; NvmConfig::validate
+        // rejects every timing that converts to zero cycles.
+        debug_assert!(len > 0, "zero-length bank reservation");
         let mut candidate = now;
         // A reservation already covering `candidate` pushes it to its
         // end.
@@ -90,10 +100,19 @@ impl Bank {
         }
         self.reservations.insert(candidate, candidate + len);
         // Bounded memory: drop reservations far behind the schedule
-        // frontier (no future request plausibly lands there).
-        if self.reservations.len() > 1024 {
-            let horizon = self.latest_end.saturating_sub(2_000_000);
-            self.reservations.retain(|_, &mut e| e >= horizon);
+        // frontier (no future request plausibly lands there). The
+        // reservations do not overlap and are keyed by start, so their
+        // ends ascend with their keys: every stale one (`end <
+        // horizon`) precedes every kept one, and popping the stale
+        // prefix leaves exactly the map a full scan would.
+        if self.reservations.len() > TRIM_THRESHOLD {
+            let horizon = self.latest_end.saturating_sub(TRIM_HORIZON);
+            while let Some(first) = self.reservations.first_entry() {
+                if *first.get() >= horizon {
+                    break;
+                }
+                first.remove();
+            }
         }
         candidate
     }
@@ -560,5 +579,86 @@ mod tests {
         let s = d.stats();
         assert_eq!(s.reads, 1);
         assert_eq!(s.writes, 2);
+    }
+
+    /// `Bank::reserve` with the trim done by a `retain` scan of the
+    /// whole map on every call past the threshold: the reference the
+    /// stale-prefix trim must match.
+    fn reserve_by_scan(bank: &mut Bank, now: u64, len: u64) -> u64 {
+        let mut candidate = now;
+        if let Some((_, &e)) = bank.reservations.range(..=candidate).next_back() {
+            if e > candidate {
+                candidate = e;
+            }
+        }
+        for (&s, &e) in bank.reservations.range(candidate..) {
+            if s >= candidate + len {
+                break;
+            }
+            candidate = candidate.max(e);
+        }
+        bank.reservations.insert(candidate, candidate + len);
+        if bank.reservations.len() > TRIM_THRESHOLD {
+            let horizon = bank.latest_end.saturating_sub(TRIM_HORIZON);
+            bank.reservations.retain(|_, &mut e| e >= horizon);
+        }
+        candidate
+    }
+
+    #[test]
+    fn prefix_trim_matches_full_scan_oracle() {
+        for seed in [1u64, 2] {
+            let mut rng = seed;
+            let (mut fast, mut oracle) = (Bank::default(), Bank::default());
+            let (mut now, mut writes, mut removed, mut peak) = (0u64, 0u64, 0usize, 0usize);
+            for _ in 0..4_200 {
+                // ~1600 cycles a call: a 2M-cycle horizon holds ~1250
+                // reservations, just past the trim threshold.
+                now += splitmix_next(&mut rng) % 3_200;
+                let draw = splitmix_next(&mut rng);
+                // Reads book at the present clock; writes are booked
+                // ahead of it, as the engine books gated persists.
+                let (at, len) = if draw.is_multiple_of(8) {
+                    (now, if draw & 8 == 0 { 290 } else { 70 })
+                } else {
+                    writes += 1;
+                    (now + (draw >> 32) % 20_000, 600)
+                };
+                let before = fast.reservations.len();
+                let start = fast.reserve(at, len);
+                assert_eq!(start, reserve_by_scan(&mut oracle, at, len), "seed {seed}");
+                // Advance the frontier exactly as `read`/`write` do.
+                for bank in [&mut fast, &mut oracle] {
+                    if start + len >= bank.latest_end {
+                        bank.latest_end = start + len;
+                    }
+                }
+                // The same map, whose starts and ends strictly ascend.
+                assert_eq!(
+                    fast.reservations.len(),
+                    oracle.reservations.len(),
+                    "seed {seed}"
+                );
+                let mut prev: Option<(u64, u64)> = None;
+                for (entry, expected) in fast.reservations.iter().zip(&oracle.reservations) {
+                    assert_eq!(entry, expected, "seed {seed}");
+                    let (&s, &e) = entry;
+                    assert!(s < e, "seed {seed}: empty reservation at {s}");
+                    if let Some((ps, pe)) = prev {
+                        assert!(ps < s && pe < e, "seed {seed}: {ps}..{pe} then {s}..{e}");
+                        assert!(pe <= s, "seed {seed}: {ps}..{pe} overlaps {s}..{e}");
+                    }
+                    prev = Some((s, e));
+                }
+                removed += before + 1 - fast.reservations.len();
+                peak = peak.max(fast.reservations.len());
+            }
+            // The stream crossed both the entry threshold and the
+            // cycle horizon, so the trim really removed entries.
+            assert!(writes > 3_400, "seed {seed}: {writes} writes");
+            assert!(peak > TRIM_THRESHOLD, "seed {seed}: peak {peak}");
+            assert!(fast.latest_end > 2 * TRIM_HORIZON, "seed {seed}");
+            assert!(removed > 1_000, "seed {seed}: {removed} trimmed");
+        }
     }
 }

@@ -223,6 +223,18 @@ impl NvmConfig {
         if !(0.0..=1.0).contains(&p) || p.is_nan() {
             return Err(NvmError::BadFaultProbability { probability: p });
         }
+        // Every command books its latency on a bank; a zero-cycle
+        // booking (zero, negative or NaN ns) would hold no slot.
+        let (t, cpu) = (&self.timing, self.cpu_freq);
+        for (latency, cycles) in [
+            ("read row-hit", t.read_row_hit_cycles(cpu)),
+            ("read row-miss", t.read_row_miss_cycles(cpu)),
+            ("write", t.write_cycles(cpu)),
+        ] {
+            if cycles == Cycle::ZERO {
+                return Err(NvmError::ZeroLatency { latency });
+            }
+        }
         Ok(())
     }
 }
@@ -251,6 +263,11 @@ pub enum NvmError {
     BadFaultProbability {
         /// The rejected probability.
         probability: f64,
+    },
+    /// A command latency converts to zero CPU cycles.
+    ZeroLatency {
+        /// Which latency ("read row-hit", "read row-miss" or "write").
+        latency: &'static str,
     },
     /// An I/O operation on a file-backed image failed.
     ImageIo {
@@ -290,6 +307,9 @@ impl std::fmt::Display for NvmError {
             }
             NvmError::BadFaultProbability { probability } => {
                 write!(f, "read-fault probability {probability} outside [0, 1]")
+            }
+            NvmError::ZeroLatency { latency } => {
+                write!(f, "NVM {latency} latency is zero CPU cycles")
             }
             NvmError::ImageIo { op } => {
                 write!(f, "image file {op} failed")
@@ -336,5 +356,60 @@ mod tests {
         assert_eq!(c.read_queue, 64);
         assert_eq!(c.write_queue, 128);
         assert_eq!(c.timing, NvmTiming::default());
+    }
+
+    /// Validates the paper device with its timing edited by `edit`.
+    fn validate_timing(edit: impl FnOnce(&mut NvmTiming)) -> Result<(), NvmError> {
+        let mut c = NvmConfig::paper_default();
+        edit(&mut c.timing);
+        c.validate()
+    }
+
+    fn zero(latency: &'static str) -> Result<(), NvmError> {
+        Err(NvmError::ZeroLatency { latency })
+    }
+
+    #[test]
+    fn zero_cycle_write_latency_is_rejected() {
+        for ns in [0.0, -150.0, f64::NAN] {
+            assert_eq!(
+                validate_timing(|t| t.t_wr_ns = ns),
+                zero("write"),
+                "tWR {ns}"
+            );
+        }
+        // Any positive time rounds up to at least one cycle.
+        assert_eq!(validate_timing(|t| t.t_wr_ns = 1e-3), Ok(()));
+    }
+
+    #[test]
+    fn zero_cycle_row_hit_latency_is_rejected() {
+        // The row-hit read is tCL + tBURST.
+        for (cl, burst) in [(0.0, 0.0), (-12.5, 5.0), (f64::NAN, 5.0), (12.5, f64::NAN)] {
+            assert_eq!(
+                validate_timing(|t| (t.t_cl_ns, t.t_burst_ns) = (cl, burst)),
+                zero("read row-hit"),
+                "tCL {cl} tBURST {burst}"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_cycle_row_miss_latency_is_rejected() {
+        // The row-miss read adds tRCD to the (valid) 17.5 ns row hit.
+        for ns in [-17.5, -55.0, f64::NAN] {
+            assert_eq!(
+                validate_timing(|t| t.t_rcd_ns = ns),
+                zero("read row-miss"),
+                "tRCD {ns}"
+            );
+        }
+        assert_eq!(validate_timing(|t| t.t_rcd_ns = 0.0), Ok(()));
+    }
+
+    #[test]
+    fn zero_latency_error_names_the_latency() {
+        let e = NvmError::ZeroLatency { latency: "write" };
+        assert_eq!(e.to_string(), "NVM write latency is zero CPU cycles");
     }
 }

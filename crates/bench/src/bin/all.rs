@@ -1,13 +1,17 @@
-//! Every paper artefact in one invocation.
+//! Every paper artefact in one invocation: the one entry point of the
+//! experiment registry.
 //!
 //! Collects the run requests of every registered [`plp_bench::specs`]
 //! experiment, executes the union as one deduplicated matrix — in
 //! parallel, through the on-disk run cache, and under the run
-//! supervisor by default — and prints each artefact exactly as its
-//! standalone binary would, separated by blank lines. Execution
-//! statistics and the supervisor's degradation report go to stderr so
-//! stdout is byte-identical across serial, parallel, warm-cache and
-//! fully-recovered chaos runs.
+//! supervisor by default — and prints each artefact, separated by
+//! blank lines. Execution statistics and the supervisor's degradation
+//! report go to stderr so stdout is byte-identical across serial,
+//! parallel, warm-cache and fully-recovered chaos runs.
+//!
+//! `--only ID[,ID…]` executes and renders only the named specs, in
+//! registry order, through the same matrix; `all 400000 7 --only fig10`
+//! prints exactly `results/fig10.txt`. An unknown id is a usage error.
 //!
 //! Chaos mode (`--chaos SEED`) injects a deterministic fault plan —
 //! worker panics, artificial stalls, cache truncation, bit-flips and
@@ -30,28 +34,39 @@
 //! `oom-killed` verdict instead of a hung sweep.
 //!
 //! Exit codes: 0 clean (all faults, if any, recovered), 1 sanitizer
-//! violation, 2 usage, 3 degraded (some runs produced no report).
+//! violation, 2 usage (including a zero instruction count or an
+//! unknown `--only` id), 3 degraded (some runs produced no report).
 //!
-//! Usage: `all [instructions] [seed] [--serial] [--threads N]
-//! [--no-cache] [--chaos SEED] [--chaos-hard N] [--watchdog-ms N]
-//! [--streams N] [--shards M] [--isolate]`
+//! Usage: `all [instructions] [seed] [--only ID[,ID…]] [--serial]
+//! [--threads N] [--no-cache] [--chaos SEED] [--chaos-hard N]
+//! [--watchdog-ms N] [--streams N] [--shards M] [--isolate]`
 
 use std::io::Write;
 use std::time::Duration;
 
 use plp_bench::{
-    all_specs, isolate, matrix, ChaosOptions, IsolateOptions, MatrixOptions, ResourceLimits,
+    all_specs, isolate, matrix, specs, ChaosOptions, IsolateOptions, MatrixOptions, ResourceLimits,
     RunSettings, SupervisorOptions,
 };
 use plp_core::ShardTopology;
 
 fn usage() -> ! {
+    let ids: Vec<&str> = all_specs().iter().map(|spec| spec.id).collect();
     eprintln!(
-        "usage: all [instructions] [seed] [--serial] [--threads N] [--no-cache] \
-         [--chaos SEED] [--chaos-hard N] [--watchdog-ms N] [--streams N] [--shards M] \
-         [--isolate]"
+        "usage: all [instructions] [seed] [--only ID[,ID...]] [--serial] [--threads N] \
+         [--no-cache] [--chaos SEED] [--chaos-hard N] [--watchdog-ms N] [--streams N] \
+         [--shards M] [--isolate]\n  instructions > 0; IDs: {}",
+        ids.join(", ")
     );
     std::process::exit(2);
+}
+
+/// Parses `--only`'s comma-separated spec ids; `None` if any of them
+/// is not registered.
+fn parse_only(list: &str) -> Option<Vec<&'static str>> {
+    list.split(',')
+        .map(|id| specs::find(id).map(|spec| spec.id))
+        .collect()
 }
 
 /// Child mode (`--run-one <key>`): apply rlimits, fire any injected
@@ -161,6 +176,7 @@ fn main() {
     let mut streams = 1u32;
     let mut shards = 1u32;
     let mut isolated = false;
+    let mut only: Option<Vec<&'static str>> = None;
     let mut test_oom_key: Option<String> = None;
 
     let mut args = raw_args.into_iter();
@@ -169,6 +185,10 @@ fn main() {
             "--serial" => threads = 1,
             "--no-cache" => cached = false,
             "--isolate" => isolated = true,
+            "--only" => match args.next().as_deref().and_then(parse_only) {
+                Some(ids) => only.get_or_insert_with(Vec::new).extend(ids),
+                None => usage(),
+            },
             "--threads" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n > 0 => threads = n,
                 _ => usage(),
@@ -198,7 +218,7 @@ fn main() {
             // effect without --isolate.
             "--test-oom-key" => test_oom_key = args.next(),
             _ => match (arg.parse::<u64>(), positionals) {
-                (Ok(n), 0) => {
+                (Ok(n), 0) if n > 0 => {
                     settings.instructions = n;
                     positionals = 1;
                 }
@@ -251,9 +271,16 @@ fn main() {
         sup.isolation = Some(iso);
     }
 
+    // The `--run-one` children look their keys up in the full
+    // registry, so `--only` narrows only what this process requests
+    // and prints.
+    let selected: Vec<_> = all_specs()
+        .iter()
+        .filter(|spec| only.as_ref().is_none_or(|ids| ids.contains(&spec.id)))
+        .collect();
     let topology = ShardTopology::new(streams, shards);
     let mut requests = Vec::new();
-    for spec in all_specs() {
+    for spec in &selected {
         requests.extend(
             spec.runs_needed(settings)
                 .into_iter()
@@ -279,7 +306,7 @@ fn main() {
     // Specs render by unit-topology keys; under a sharded run, alias
     // each executed (sharded) report back under its unit key.
     if !topology.is_unit() {
-        for spec in all_specs() {
+        for spec in &selected {
             for req in spec.runs_needed(settings) {
                 let sharded = req.clone().with_topology(topology);
                 if results.contains(&sharded) {
@@ -296,7 +323,7 @@ fn main() {
     // and blank-line separation.
     let mut first = true;
     let mut skipped = Vec::new();
-    for spec in all_specs() {
+    for spec in &selected {
         let complete = spec
             .runs_needed(settings)
             .iter()

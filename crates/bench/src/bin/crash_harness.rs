@@ -23,7 +23,7 @@
 //! to finish with verdict Clean and field-exact counters (DetectedLoss
 //! for the strawman). Recovery children are `--child --recover ...`.
 //!
-//! Usage:
+//! Usage (exit codes: 0 PASS, 1 FAIL, 2 usage):
 //!   crash_harness [instructions] [seed] [--points p1,p2,..] [--hits h1,h2,..]
 //!   crash_harness [instructions] [seed] --double-kill [--points ..]
 //!   crash_harness --child --scheme S --benchmark B --instructions N \
@@ -56,9 +56,17 @@ fn child_main(args: &[String]) -> ! {
     }
 }
 
-fn parse_points(list: &str) -> Result<Vec<Failpoint>, String> {
+fn usage() -> ! {
+    eprintln!(
+        "usage: crash_harness [instructions] [seed] [--double-kill] [--points p1,p2,..] \
+         [--hits h1,h2,..] [--watchdog-secs N]"
+    );
+    std::process::exit(2);
+}
+
+fn parse_points(list: &str) -> Option<Vec<Failpoint>> {
     list.split(',')
-        .map(|name| Failpoint::parse(name.trim()).ok_or_else(|| format!("unknown failpoint {name}")))
+        .map(|name| Failpoint::parse(name.trim()))
         .collect()
 }
 
@@ -75,31 +83,26 @@ fn main() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--double-kill" => double_kill = true,
-            "--points" => {
-                let list = it.next().expect("--points needs a comma-separated list");
-                opts.points = parse_points(list).unwrap_or_else(|e| panic!("{e}"));
-            }
-            "--hits" => {
-                let list = it.next().expect("--hits needs a comma-separated list");
-                opts.hits = Some(
-                    list.split(',')
-                        .map(|h| h.trim().parse().expect("hit indices are integers"))
-                        .collect(),
-                );
-            }
-            "--watchdog-secs" => {
-                let secs: u64 = it
-                    .next()
-                    .expect("--watchdog-secs needs a value")
-                    .parse()
-                    .expect("watchdog is an integer number of seconds");
-                opts.watchdog = Duration::from_secs(secs);
-            }
+            "--points" => match it.next().and_then(|list| parse_points(list)) {
+                Some(points) => opts.points = points,
+                None => usage(),
+            },
+            "--hits" => match it
+                .next()
+                .and_then(|list| list.split(',').map(|h| h.trim().parse().ok()).collect())
+            {
+                Some(hits) => opts.hits = Some(hits),
+                None => usage(),
+            },
+            "--watchdog-secs" => match it.next().and_then(|v| v.parse().ok()) {
+                Some(secs) => opts.watchdog = Duration::from_secs(secs),
+                None => usage(),
+            },
             other => {
-                match positional {
-                    0 => opts.instructions = other.parse().expect("instructions is an integer"),
-                    1 => opts.seed = other.parse().expect("seed is an integer"),
-                    _ => panic!("unexpected argument {other}"),
+                match (positional, other.parse()) {
+                    (0, Ok(n)) => opts.instructions = n,
+                    (1, Ok(n)) => opts.seed = n,
+                    _ => usage(),
                 }
                 positional += 1;
             }

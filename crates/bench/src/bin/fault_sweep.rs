@@ -18,7 +18,8 @@
 //!   always catch non-authentic states.
 //!
 //! Usage: `fault_sweep [instructions] [seed]` (defaults 60000, 7).
-//! The whole matrix is a pure function of the two arguments.
+//! The whole matrix is a pure function of the two arguments. Exit
+//! codes: 0 PASS, 1 FAIL, 2 usage.
 
 use plp_core::fault::{ClassTally, FaultClass, FaultConfig, FaultSweep};
 use plp_core::{run_with_crash, SystemConfig, UpdateScheme};
@@ -40,13 +41,20 @@ fn tally_row(scheme: UpdateScheme, points: usize, label: &str, t: &ClassTally) -
     )
 }
 
+fn usage() -> ! {
+    eprintln!("usage: fault_sweep [instructions] [seed]");
+    std::process::exit(2);
+}
+
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let instructions: u64 = args
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(60_000);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(7);
+    let (mut instructions, mut seed) = (60_000u64, 7u64);
+    for (position, arg) in std::env::args().skip(1).enumerate() {
+        match (position, arg.parse()) {
+            (0, Ok(n)) => instructions = n,
+            (1, Ok(n)) => seed = n,
+            _ => usage(),
+        }
+    }
     let profile = spec::benchmark("gcc").expect("gcc profile exists");
 
     println!("== Fault sweep: crash-point enumeration x fault injection ==");

@@ -1,12 +1,13 @@
 //! Shared support for the experiment harness.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper (see `DESIGN.md` §4 for the experiment index) by looking its
-//! [`ExperimentSpec`] up in the declarative registry ([`specs`]) and
-//! handing it to [`run_spec`]. The `all` binary executes every spec's
-//! requests through one deduplicated, parallel, disk-cached run
-//! [`matrix`]. This library holds the common machinery: run settings,
-//! the matrix and cache, table formatting and geometric means.
+//! Every table and figure of the paper (see `DESIGN.md` §4 for the
+//! experiment index) is an [`ExperimentSpec`] in the declarative
+//! registry ([`specs`]). The `all` binary is the one entry point that
+//! produces them: it executes the requests of every spec, or of the
+//! ones named by `--only`, through one deduplicated, parallel,
+//! disk-cached run [`matrix`]. This library holds the common
+//! machinery: run settings, the matrix and cache, table formatting and
+//! geometric means.
 
 pub mod cache;
 pub mod chaos;
@@ -28,11 +29,9 @@ pub use matrix::{
 pub use specs::{all_specs, shard_spec, ExperimentSpec};
 pub use supervisor::{DegradationReport, RunError, RunVerdict, SupervisorOptions};
 
-/// Harness-wide run settings, parsed from the command line.
-///
-/// Every experiment binary accepts `[instructions] [seed]` positional
-/// arguments; the defaults (400k instructions, seed 7) regenerate the
-/// numbers quoted in `EXPERIMENTS.md` in a couple of minutes.
+/// Harness-wide run settings: `all`'s `[instructions] [seed]`
+/// positional arguments. The defaults (400k instructions, seed 7)
+/// regenerate the numbers quoted in `EXPERIMENTS.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunSettings {
     /// Instructions per benchmark run.
@@ -47,21 +46,6 @@ impl Default for RunSettings {
             instructions: 400_000,
             seed: 7,
         }
-    }
-}
-
-impl RunSettings {
-    /// Parses `[instructions] [seed]` from `std::env::args`.
-    pub fn from_args() -> Self {
-        let mut s = RunSettings::default();
-        let mut args = std::env::args().skip(1);
-        if let Some(n) = args.next().and_then(|a| a.parse().ok()) {
-            s.instructions = n;
-        }
-        if let Some(n) = args.next().and_then(|a| a.parse().ok()) {
-            s.seed = n;
-        }
-        s
     }
 }
 
@@ -147,20 +131,6 @@ pub fn banner_string(id: &str, what: &str, settings: RunSettings) -> String {
         "== {id}: {what}\n   ({} instructions per benchmark, seed {})\n\n",
         settings.instructions, settings.seed
     )
-}
-
-/// The whole standalone-binary behaviour of one experiment: parse
-/// `[instructions] [seed]` from the command line, execute the spec's
-/// run matrix serially and uncached (exactly what the hand-rolled
-/// binaries did), and print the artefact to stdout. Execution
-/// statistics go to stderr so stdout stays byte-identical to the
-/// pre-registry binaries.
-pub fn run_spec(spec: &ExperimentSpec) {
-    let raw = RunSettings::from_args();
-    let requests = spec.runs_needed(raw);
-    let (results, stats) = matrix::execute(&requests, &MatrixOptions::serial());
-    print!("{}", spec.output(&results, raw));
-    eprintln!("[plp-bench] {}: {}", spec.id, stats.summary());
 }
 
 #[cfg(test)]

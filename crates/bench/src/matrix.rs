@@ -157,8 +157,8 @@ pub struct MatrixOptions {
 }
 
 impl MatrixOptions {
-    /// Serial, uncached execution — exactly what the standalone
-    /// experiment binaries do.
+    /// Serial, uncached execution: what `all --serial --no-cache`
+    /// does.
     pub fn serial() -> Self {
         MatrixOptions {
             threads: 1,

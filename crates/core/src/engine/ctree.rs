@@ -12,7 +12,8 @@
 //! to the extra cost incurred by the counter tree"); this engine makes
 //! it measurable: a sequential 2SP walk whose completion additionally
 //! waits for the whole path to drain to the NVM device. The matching
-//! ablation lives in the `sgx_compare` harness binary.
+//! ablation is the harness's `sgx_compare` artefact
+//! (`all --only sgx_compare`).
 
 use plp_events::Cycle;
 

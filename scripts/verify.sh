@@ -148,15 +148,34 @@ rm -f "$id_img"
   echo "verify: file-backed child stdout diverged from the in-memory run"; exit 1
 }
 
-# Paper-length gate: the other byte-identity gates run 6k-20k
+# Paper-length artefact gate: every registered artefact at the paper's
+# 400k instructions must stay byte-identical to its committed
+# results/ID.txt. The other byte-identity gates run 6k-20k
 # instructions, where no NVM bank books enough reservations to engage
-# the stale-reservation trim (DESIGN.md §7b). sgx_compare at the
-# paper's 400k instructions does (its sp_ctree runs write every tree
-# level), and its output must stay byte-identical to the committed
-# artefact.
-./target/release/sgx_compare 400000 7 | cmp - results/sgx_compare.txt || {
-  echo "verify: paper-length sgx_compare diverged from results/sgx_compare.txt"; exit 1
+# the stale-reservation trim (DESIGN.md §7b). One cold `all` in a
+# throwaway directory fills a run cache there; each `--only ID` then
+# renders from that cache. The cold stdout must equal the committed
+# sections joined by one blank line, so a registered spec without a
+# committed artefact (or an id dropped from the registry) fails too.
+paper_ids="fig8 fig9 fig10 fig11 fig12 table1 table2 table5 wpq_sweep mdc_sweep llc_sweep sgx_compare summary ablation zoo"
+paper_dir=$(mktemp -d)
+paper_joined="$paper_dir/joined.txt"
+(cd "$paper_dir" && "$repo_root/target/release/all" 400000 7 2> cold.err > cold.txt) || {
+  echo "verify: paper-length sweep failed (exit $?)"; cat "$paper_dir/cold.err" >&2; exit 1
 }
+sep=""
+for id in $paper_ids; do
+  (cd "$paper_dir" && "$repo_root/target/release/all" 400000 7 --only "$id" 2> /dev/null) | cmp - "results/$id.txt" || {
+    echo "verify: paper-length $id diverged from results/$id.txt"; exit 1
+  }
+  printf '%s' "$sep" >> "$paper_joined"
+  cat "results/$id.txt" >> "$paper_joined"
+  sep=$'\n'
+done
+cmp "$paper_dir/cold.txt" "$paper_joined" || {
+  echo "verify: paper-length all diverged from the committed artefacts joined in registry order"; exit 1
+}
+rm -rf "$paper_dir"
 
 # Perf gate: the hotpath microbench writes BENCH_hotpath.json and
 # fails on a >10% per-scheme regression of the load-normalized

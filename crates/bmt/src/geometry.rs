@@ -31,20 +31,24 @@ impl BmtGeometry {
     ///
     /// # Panics
     ///
-    /// Panics if `arity < 2` or `levels == 0`, or if the tree would not
-    /// fit in 64-bit labels.
+    /// Panics if [`BmtGeometry::try_new`] rejects the shape.
     pub fn new(arity: u64, levels: u32) -> Self {
-        assert!(arity >= 2, "tree arity must be at least 2");
-        assert!(levels >= 1, "tree must have at least one level");
-        // The total node count must fit comfortably in u64.
-        // lint: allow(no-panic-lib) documented constructor validation of a static configuration
-        let leaves = arity.checked_pow(levels - 1).expect("tree too large");
-        leaves
-            .checked_mul(arity)
-            .and_then(|x| x.checked_div(arity - 1))
+        match Self::try_new(arity, levels) {
+            Some(geometry) => geometry,
             // lint: allow(no-panic-lib) documented constructor validation of a static configuration
-            .expect("tree too large");
-        BmtGeometry { arity, levels }
+            None => panic!("no tree has arity {arity} and {levels} levels"),
+        }
+    }
+
+    /// Creates a geometry, or `None` when no tree has this shape: an
+    /// arity below 2, no levels, or a tree too large for 64-bit node
+    /// arithmetic. The form for shapes read from untrusted bytes, such
+    /// as a device-image header.
+    pub fn try_new(arity: u64, levels: u32) -> Option<Self> {
+        // `node_count` computes arity^levels before dividing by
+        // arity - 1, so that power must fit.
+        let fits = arity >= 2 && levels >= 1 && arity.checked_pow(levels).is_some();
+        fits.then_some(BmtGeometry { arity, levels })
     }
 
     /// The geometry covering `memory_bytes` of protected memory with
@@ -212,6 +216,25 @@ mod tests {
     #[should_panic(expected = "arity")]
     fn rejects_unary() {
         let _ = BmtGeometry::new(1, 3);
+    }
+
+    #[test]
+    fn try_new_rejects_instead_of_panicking() {
+        assert_eq!(BmtGeometry::try_new(1, 3), None);
+        assert_eq!(BmtGeometry::try_new(8, 0), None);
+        assert_eq!(BmtGeometry::try_new(65_536, 16), None);
+        assert_eq!(BmtGeometry::try_new(8, 9), Some(BmtGeometry::new(8, 9)));
+        // 8^12 nodes is a 78 GB arena, but a valid shape.
+        assert!(BmtGeometry::try_new(8, 12).is_some());
+        // 2^64 overflows `node_count`'s intermediate; 2^63 fits.
+        assert_eq!(BmtGeometry::try_new(2, 64), None);
+        assert!(BmtGeometry::try_new(2, 63).is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "arity 65536 and 16 levels")]
+    fn new_panics_on_overflow() {
+        let _ = BmtGeometry::new(65_536, 16);
     }
 
     #[test]

@@ -79,6 +79,24 @@ impl NodeArena {
         self.values[i] = value;
     }
 
+    /// Number of occupied labels below `cutoff`: a popcount over the
+    /// bitmap prefix, `cutoff / 64` whole words and one partial word.
+    fn populated_below(&self, cutoff: u64) -> usize {
+        let end = arena_slot(cutoff);
+        let (words, bits) = (end >> 6, end & 63);
+        let partial = match bits {
+            0 => 0,
+            _ => self.occupied[words] & ((1u64 << bits) - 1),
+        };
+        let ones: u64 = self.occupied[..words]
+            .iter()
+            .chain([&partial])
+            .map(|w| u64::from(w.count_ones()))
+            .sum();
+        // At most `cutoff` bits are set, and `cutoff` is an arena index.
+        arena_slot(ones)
+    }
+
     /// Occupied labels in descending raw order — deepest level first,
     /// which is the order the consistency check wants.
     fn labels_deepest_first(&self) -> impl Iterator<Item = NodeLabel> + '_ {
@@ -147,21 +165,33 @@ impl BonsaiTree {
     /// Creates the all-fresh tree (every page's counter block new).
     pub fn new(geometry: BmtGeometry, master_key: SipKey) -> Self {
         let key = master_key.derive("bmt");
-        let levels = geometry.levels_usize();
-        let mut defaults = vec![0; levels];
-        let fresh = CounterBlock::new();
-        defaults[levels - 1] = Self::leaf_value_with(key, &fresh);
-        for level in (1..levels).rev() {
-            let children = vec![defaults[level]; geometry.arity_usize()];
-            defaults[level - 1] = Self::internal_value_with(key, &children);
-        }
         BonsaiTree {
             geometry,
             key,
             store: NodeArena::new(geometry.node_count()),
-            defaults,
+            defaults: Self::level_defaults(geometry, key),
             child_scratch: vec![0; geometry.arity_usize()],
         }
+    }
+
+    /// The root of the all-fresh tree, [`BonsaiTree::new`]`(..).root()`
+    /// without the arena: one hash per level, whatever the geometry.
+    pub fn fresh_root(geometry: BmtGeometry, master_key: SipKey) -> NodeValue {
+        Self::level_defaults(geometry, master_key.derive("bmt"))[0]
+    }
+
+    /// The all-fresh value of each level (index `level - 1`): the leaf
+    /// hash of a new counter block, then each parent's hash of `arity`
+    /// copies of its child default.
+    fn level_defaults(geometry: BmtGeometry, key: SipKey) -> Vec<NodeValue> {
+        let levels = geometry.levels_usize();
+        let mut defaults = vec![0; levels];
+        defaults[levels - 1] = Self::leaf_value_with(key, &CounterBlock::new());
+        for level in (1..levels).rev() {
+            let children = vec![defaults[level]; geometry.arity_usize()];
+            defaults[level - 1] = Self::internal_value_with(key, &children);
+        }
+        defaults
     }
 
     /// Rebuilds a tree from a set of persisted counter blocks — the
@@ -207,12 +237,19 @@ impl BonsaiTree {
     /// durably persists levels `floor..=levels` must rebuild after a
     /// crash. `floor == 1` means the whole tree is durable: nothing to
     /// rebuild.
+    ///
+    /// Breadth-first labels are contiguous by level, so levels
+    /// `1..floor` are exactly the labels below
+    /// `level_offset(floor)`: the count is a popcount over that bitmap
+    /// prefix, `level_offset(floor) / 64` words (37 449 at floor 9 of
+    /// an 8-ary tree), never the whole arena.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `floor` is 0 or exceeds the tree's level count.
     pub fn populated_nodes_above(&self, floor: u32) -> usize {
-        let cutoff = self.geometry.level_offset(floor);
         self.store
-            .labels_deepest_first()
-            .filter(|l| l.raw() < cutoff)
-            .count()
+            .populated_below(self.geometry.level_offset(floor))
     }
 
     fn leaf_value_with(key: SipKey, cb: &CounterBlock) -> NodeValue {
@@ -317,6 +354,11 @@ impl BonsaiTree {
 
     /// Checks that every stored internal node equals the hash of its
     /// children.
+    ///
+    /// Walks the whole occupancy bitmap, `node_count / 64` words
+    /// whatever the population: 19.2M words (153 MB) for an 8-ary,
+    /// 11-level tree. A test-facing check; keep it off the recovery
+    /// path, whose costs must scale with the populated nodes.
     ///
     /// # Errors
     ///

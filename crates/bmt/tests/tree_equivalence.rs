@@ -8,8 +8,8 @@
 //! correct, not fast. Every test drives both trees through the same
 //! sequence of operations (updates, tampering, crash-and-rebuild) and
 //! asserts the stores are indistinguishable: same root, same value for
-//! *every* label in the tree, same populated-node count, same
-//! consistency verdicts.
+//! *every* label in the tree, same populated-node count (in total and
+//! above every recovery floor), same consistency verdicts.
 
 use std::collections::HashMap;
 
@@ -75,6 +75,15 @@ impl GoldenTree {
         self.nodes.len()
     }
 
+    /// Populated labels at levels shallower than `floor`, by asking
+    /// each stored label its level.
+    fn populated_nodes_above(&self, floor: u32) -> usize {
+        self.nodes
+            .keys()
+            .filter(|l| self.geometry.level(**l) < floor)
+            .count()
+    }
+
     fn recompute_internal(&self, label: NodeLabel) -> NodeValue {
         let children: Vec<NodeValue> = (0..self.geometry.arity())
             .map(|i| self.node_value(self.geometry.child(label, i)))
@@ -117,15 +126,28 @@ impl GoldenTree {
     }
 }
 
-/// Assert the two stores are indistinguishable from the outside:
-/// root, populated count, and the value of every single label.
-fn assert_stores_equal(golden: &GoldenTree, arena: &BonsaiTree, g: BmtGeometry) {
-    assert_eq!(golden.root(), arena.root(), "roots diverged");
+/// Assert the two trees agree on the populated count, in total and
+/// above every recovery floor `1..=levels`.
+fn assert_populated_equal(golden: &GoldenTree, arena: &BonsaiTree, g: BmtGeometry) {
     assert_eq!(
         golden.populated_nodes(),
         arena.populated_nodes(),
         "populated-node counts diverged"
     );
+    for floor in 1..=g.levels() {
+        assert_eq!(
+            golden.populated_nodes_above(floor),
+            arena.populated_nodes_above(floor),
+            "populated-node counts above floor {floor} diverged"
+        );
+    }
+}
+
+/// Assert the two stores are indistinguishable from the outside:
+/// root, populated counts, and the value of every single label.
+fn assert_stores_equal(golden: &GoldenTree, arena: &BonsaiTree, g: BmtGeometry) {
+    assert_eq!(golden.root(), arena.root(), "roots diverged");
+    assert_populated_equal(golden, arena, g);
     for raw in 0..g.node_count() {
         let label = NodeLabel::new(raw);
         assert_eq!(
@@ -143,6 +165,13 @@ fn arb_geometry() -> impl Strategy<Value = BmtGeometry> {
 }
 
 proptest! {
+    #[test]
+    fn fresh_root_agrees(g in arb_geometry()) {
+        let fresh = BonsaiTree::fresh_root(g, key());
+        prop_assert_eq!(fresh, GoldenTree::new(g, key()).root());
+        prop_assert_eq!(fresh, BonsaiTree::new(g, key()).root());
+    }
+
     #[test]
     fn update_sequences_agree(
         g in arb_geometry(),
@@ -245,6 +274,35 @@ fn paper_default_geometry_roots_agree() {
         arena.update_leaf(page, &cb);
     }
     assert_eq!(golden.root(), arena.root());
-    assert_eq!(golden.populated_nodes(), arena.populated_nodes());
+    assert_populated_equal(&golden, &arena, g);
     assert!(arena.verify_consistent().is_ok());
+}
+
+/// The tallest tree the recovery sweeps use: 8-ary, 11 levels, a
+/// 19.2M-word occupancy bitmap. Floor 9 cuts at label 2 396 745, nine bits into
+/// bitmap word 37 449: the last leaf's level-8 ancestor (label
+/// 2 396 744) sits just below the cut and leaf 0's level-9 ancestor
+/// (label 2 396 745) just above it, in the same word.
+#[test]
+fn tall_tree_floor_cuts_inside_a_bitmap_word() {
+    let g = BmtGeometry::new(8, 11);
+    let cutoff = g.level_offset(9);
+    assert_eq!(cutoff, 2_396_745);
+    assert_ne!(cutoff % 64, 0, "the cut must fall inside a word");
+    let mut golden = GoldenTree::new(g, key());
+    let mut arena = BonsaiTree::new(g, key());
+    let mut cb = CounterBlock::new();
+    for page in [0, g.leaf_count() - 1] {
+        cb.bump((page % 64) as usize);
+        golden.update_leaf(page, &cb);
+        arena.update_leaf(page, &cb);
+    }
+    assert_eq!(golden.root(), arena.root());
+    assert_populated_equal(&golden, &arena, g);
+    // The root, then two disjoint paths through levels 2..=8.
+    assert_eq!(arena.populated_nodes_above(9), 1 + 2 * 7);
+    assert_eq!(
+        BonsaiTree::fresh_root(g, key()),
+        GoldenTree::new(g, key()).root()
+    );
 }

@@ -381,10 +381,11 @@ fn le_counters(p: &[u8], off: usize) -> Result<CounterBlock, ReplayError> {
 pub fn replay_image(path: &Path, key: SipKey) -> Result<ReplayedImage, ReplayError> {
     let contents = read_image(path)?;
     let header = contents.header.clone();
-    if header.arity < 2 || header.arity > 1 << 16 || header.levels == 0 || header.levels > 16 {
+    if header.arity > 1 << 16 || header.levels > 16 {
         return Err(ReplayError::BadGeometry);
     }
-    let geometry = BmtGeometry::new(header.arity, header.levels);
+    let geometry =
+        BmtGeometry::try_new(header.arity, header.levels).ok_or(ReplayError::BadGeometry)?;
     // An image with no root frame on disk keeps the fresh-tree root —
     // the same convention as `PersistImage::fresh`.
     let mut image = PersistImage::fresh(geometry, key);
@@ -1027,6 +1028,42 @@ mod tests {
         assert_eq!(
             wb2.outcome.verdict(),
             crate::FaultVerdict::DetectedLoss
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The header checksum is FNV-1a, so anyone can forge a header.
+    /// A valid but enormous geometry replays without building its
+    /// tree (8-ary, 12 levels would be a 78 GB arena), and one whose
+    /// node count overflows 64-bit labels is a typed error.
+    #[test]
+    fn replay_survives_forged_geometry_headers() {
+        let config = SystemConfig::for_scheme(UpdateScheme::Sp);
+        let write = |name: &str, arity: u64, levels: u32| {
+            let path = temp_image(name);
+            let header = ImageHeader {
+                arity,
+                levels,
+                seed: 7,
+                scheme: "sp".to_string(),
+            };
+            drop(ImageWriter::create(&path, &header).unwrap());
+            path
+        };
+
+        let path = write("forged-tall", 8, 12);
+        let replayed = replay_image(&path, config.key).unwrap();
+        assert_eq!(replayed.frames, 0);
+        assert_eq!(
+            replayed.image.root,
+            plp_bmt::BonsaiTree::fresh_root(BmtGeometry::new(8, 12), config.key)
+        );
+        std::fs::remove_file(&path).unwrap();
+
+        let path = write("forged-overflow", 1 << 16, 16);
+        assert_eq!(
+            replay_image(&path, config.key).unwrap_err(),
+            ReplayError::BadGeometry
         );
         std::fs::remove_file(&path).unwrap();
     }

@@ -300,8 +300,10 @@ impl RecoveryManager {
         // Step 3: per-block triage. A verified MAC proves the
         // (ciphertext, address, counter) triple is one the engine
         // produced; the plaintext history then separates "the version
-        // we wanted" from "an older authentic version".
-        let history = plaintext_history(records);
+        // we wanted" from "an older authentic version". Only a block
+        // that verifies but is not the expected plaintext reads the
+        // history, so it is built on the first such block.
+        let mut history = None;
         let mut addrs: Vec<BlockAddr> = expected.plaintexts.keys().copied().collect();
         addrs.sort();
         let mut fates = Vec::with_capacity(addrs.len());
@@ -322,6 +324,7 @@ impl RecoveryManager {
                 if plain == expected_plain {
                     BlockFate::Salvaged
                 } else if history
+                    .get_or_insert_with(|| plaintext_history(records))
                     .get(&addr)
                     .is_some_and(|versions| versions.contains(&plain))
                 {
@@ -593,15 +596,96 @@ mod tests {
         // Drop the LAST persist entirely: the medium is a perfectly
         // consistent older state, so nothing can detect it — the
         // verdict must say so rather than pretend recovery succeeded.
-        let records = make_records(4);
+        // The other two blocks are salvaged. After four persists the
+        // stale block sorts first; after six it sorts last, behind
+        // the salvaged blocks that never read the history.
+        for n in [4, 6] {
+            let records = make_records(n);
+            let t = Cycle::new(1_000_000);
+            let thinned = &records[..records.len() - 1];
+            let image = PersistImage::at_time(thinned, t, geometry(), key());
+            let expected = ObserverExpectation::at_time(&records, t);
+            let outcome = manager().recover(&image, &records, &expected);
+            assert_eq!(outcome.root, RootStatus::Intact, "old state is consistent");
+            assert_eq!(outcome.verdict(), FaultVerdict::StaleRollback, "{outcome}");
+            assert_eq!(outcome.count(BlockFate::StaleAuthentic), 1);
+            assert_eq!(outcome.count(BlockFate::Salvaged), 2);
+        }
+    }
+
+    #[test]
+    fn forged_mac_over_unwritten_plaintext_is_silent_garbage() {
+        // Whoever holds the key can forge a MAC that verifies over a
+        // plaintext the program never wrote. No integrity check can
+        // catch that block, and the verdict must say so.
+        let records = make_records(6);
         let t = Cycle::new(1_000_000);
-        let thinned: Vec<PersistRecord> = records[..3].to_vec();
-        let image = PersistImage::at_time(&thinned, t, geometry(), key());
+        let mut image = PersistImage::at_time(&records, t, geometry(), key());
         let expected = ObserverExpectation::at_time(&records, t);
+        let addr = records[5].addr;
+        let counter = image.counters[&addr.page().index()].value_for(addr);
+        let forged = DataBlock::from_u64(0xBAD_F00D);
+        let cipher = CtrEngine::new(key()).encrypt(forged, addr, counter);
+        image.data.insert(addr, cipher);
+        image
+            .macs
+            .insert(addr, MacEngine::new(key()).compute(&cipher, addr, counter));
         let outcome = manager().recover(&image, &records, &expected);
-        assert_eq!(outcome.root, RootStatus::Intact, "old state is consistent");
-        assert_eq!(outcome.verdict(), FaultVerdict::StaleRollback, "{outcome}");
-        assert_eq!(outcome.count(BlockFate::StaleAuthentic), 1);
+        assert_eq!(outcome.count(BlockFate::Salvaged), 2, "{outcome}");
+        assert_eq!(
+            outcome.fates.last(),
+            Some(&(addr, BlockFate::SilentGarbage))
+        );
+        assert_eq!(outcome.verdict(), FaultVerdict::UndetectedCorruption);
+    }
+
+    #[test]
+    fn recovery_cost_grows_with_populated_nodes_not_height() {
+        // Every page lies below arity^(h-1), so the tree h + 2 levels
+        // tall holds the h-level tree under the first child of its
+        // first child: the two extra levels add exactly two populated
+        // nodes, both on the root chain. The model charges populated
+        // nodes, so the Full and Suffix rebuilds each cost two more
+        // cycles, and a suspect root's prefix search (one path per
+        // record) adds one more hash per record per level.
+        let records = make_records(6);
+        let t = Cycle::new(1_000_000);
+        let recover = |levels: u32, strategy, flip_root: bool| {
+            let g = BmtGeometry::new(8, levels);
+            let mut image = PersistImage::at_time(&records, t, g, key());
+            if flip_root {
+                image.root ^= 1;
+            }
+            let expected = ObserverExpectation::at_time(&records, t);
+            let populated =
+                BonsaiTree::from_counters(g, key(), image.counters.iter().map(|(p, c)| (*p, c)))
+                    .populated_nodes();
+            let outcome = RecoveryManager::new(g, key(), Cycle::new(40))
+                .with_strategy(strategy)
+                .recover(&image, &records, &expected);
+            (populated, outcome)
+        };
+        let h = 4;
+        let (populated_h, full_h) = recover(h, RebuildStrategy::Full, false);
+        let (populated_h2, full_h2) = recover(h + 2, RebuildStrategy::Full, false);
+        assert_eq!(full_h.root, RootStatus::Intact);
+        assert_eq!(full_h2.root, RootStatus::Intact);
+        assert_eq!(populated_h2, populated_h + 2);
+        assert_eq!(full_h2.recovery_cycles, full_h.recovery_cycles + 2);
+
+        // The floor keeps its depth above the leaves.
+        let (_, suffix_h) = recover(h, RebuildStrategy::Suffix { floor: h - 1 }, false);
+        let (_, suffix_h2) = recover(h + 2, RebuildStrategy::Suffix { floor: h + 1 }, false);
+        assert_eq!(suffix_h2.recovery_cycles, suffix_h.recovery_cycles + 2);
+
+        let (_, suspect_h) = recover(h, RebuildStrategy::Full, true);
+        let (_, suspect_h2) = recover(h + 2, RebuildStrategy::Full, true);
+        assert_eq!(suspect_h.root, RootStatus::Suspect);
+        let per_level = 1 + records.len() as u64;
+        assert_eq!(
+            suspect_h2.recovery_cycles,
+            suspect_h.recovery_cycles + 2 * per_level
+        );
     }
 
     #[test]

@@ -27,13 +27,13 @@ pub struct PersistImage {
 
 impl PersistImage {
     /// The image of a fresh system (nothing persisted, all-default
-    /// tree).
+    /// tree). Costs one hash per tree level, not a tree.
     pub fn fresh(geometry: BmtGeometry, key: SipKey) -> Self {
         PersistImage {
             data: HashMap::new(),
             macs: HashMap::new(),
             counters: HashMap::new(),
-            root: BonsaiTree::new(geometry, key).root(),
+            root: BonsaiTree::fresh_root(geometry, key),
         }
     }
 

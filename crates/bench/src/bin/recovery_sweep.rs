@@ -27,13 +27,13 @@
 //! Usage: `recovery_sweep [instructions] [seed] [--out PATH]
 //! [--check BASELINE] [--table PATH]`
 
-use std::collections::{BTreeSet, HashMap};
 use std::path::PathBuf;
 
 use plp_core::{
-    replay_image, DurableSink, FaultVerdict, ObserverExpectation, PersistRecord, RebuildStrategy,
-    RecoveryManager, SimSetup, SystemConfig, UpdateScheme,
+    replay_image, DurableSink, FaultVerdict, ObserverExpectation, RebuildStrategy, RecoveryManager,
+    SimSetup, SystemConfig, UpdateScheme,
 };
+use plp_nvm::image::IMAGE_HEADER_BYTES;
 use plp_trace::spec;
 
 /// BMT heights swept: 8-ary trees covering 256K, 16M and 1G leaf
@@ -43,10 +43,17 @@ const LEVELS: [u32; 3] = [7, 9, 11];
 /// Height the runtime column is measured at (the paper default).
 const RUNTIME_LEVELS: u32 = 9;
 
-/// Image-cut fractions of the post-header bytes: the enumerated crash
-/// points. 1.0 is the graceful-shutdown control; the others land the
-/// kill mid-history.
+/// Image-cut fractions of the bytes past [`CUT_BASE`]: the enumerated
+/// crash points. 1.0 is the graceful-shutdown control; the others land
+/// the kill mid-history.
 const CUTS: [f64; 4] = [0.25, 0.5, 0.75, 1.0];
+
+/// Byte offset the [`CUTS`] fractions are measured from. It is not the
+/// header length ([`IMAGE_HEADER_BYTES`]): the committed Pareto table
+/// and baseline were measured from this offset, and `unordered`'s
+/// column moves if the cuts shift by even a few bytes. Cuts that would
+/// land inside the header are clamped to its end.
+const CUT_BASE: usize = 32;
 
 /// Every scheme that can attach the durable sink, zoo included.
 const SCHEMES: [UpdateScheme; 7] = [
@@ -74,8 +81,8 @@ struct Options {
 impl Default for Options {
     fn default() -> Self {
         Options {
-            // Same budget as the crash-analysis tables: per-persist
-            // records are memory-heavy.
+            // Short by default: the run records every persist, which
+            // is memory-heavy.
             instructions: 20_000,
             seed: 7,
             out: PathBuf::from("BENCH_recovery.json"),
@@ -141,17 +148,6 @@ fn temp_image(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("plp-recovery-sweep-{name}-{}.img", std::process::id()))
 }
 
-/// Program-order fold of the completely-persisted prefix — the
-/// observer recovery is judged against (same shape as the crash
-/// harness and the idempotence proptest).
-fn expectation_for(records: &[PersistRecord], complete: &BTreeSet<u64>) -> ObserverExpectation {
-    let mut plaintexts = HashMap::new();
-    for r in records.iter().filter(|r| complete.contains(&r.id.0)) {
-        plaintexts.insert(r.addr, r.plaintext);
-    }
-    ObserverExpectation { plaintexts }
-}
-
 fn config_for(scheme: UpdateScheme, levels: u32) -> SystemConfig {
     let mut config = SystemConfig::for_scheme(scheme);
     config.bmt = plp_bmt::BmtGeometry::new(8, levels);
@@ -193,15 +189,16 @@ fn worst_recovery_cycles(scheme: UpdateScheme, levels: u32, o: &Options) -> u64 
     let correct = UpdateScheme::correct().contains(&scheme);
     let mut worst = 0u64;
     for (i, cut) in CUTS.iter().enumerate() {
-        // Keep the 32-byte header — the sink writes it before the run
-        // starts, so no kill can halve it.
-        let header = 32.min(bytes.len());
-        let len = header + ((bytes.len() - header) as f64 * cut) as usize;
+        // Keep the whole image header — the sink writes it before the
+        // run starts, so no kill can cut into it.
+        let len = (CUT_BASE + (bytes.len().saturating_sub(CUT_BASE) as f64 * cut) as usize)
+            .clamp(IMAGE_HEADER_BYTES.min(bytes.len()), bytes.len());
         let cut_path = temp_image(&format!("{}-{levels}-cut{i}", scheme.name()));
         std::fs::write(&cut_path, &bytes[..len]).expect("writable cut image");
         let replayed = replay_image(&cut_path, key).expect("replayable cut image");
         let _ = std::fs::remove_file(&cut_path);
-        let expected = expectation_for(&report.records, &replayed.complete_ids);
+        let expected =
+            ObserverExpectation::from_complete_ids(&report.records, &replayed.complete_ids);
         let outcome = manager.recover(&replayed.image, &report.records, &expected);
         if correct
             && matches!(

@@ -28,6 +28,7 @@ use plp_cache::CacheStats;
 use plp_core::sanitizer::{SanitizerMode, Violation, ViolationKind};
 use plp_core::{EpochId, RunReport, UpdateScheme};
 use plp_events::Cycle;
+use plp_nvm::image::fnv1a;
 use plp_nvm::NvmStats;
 
 /// Cache format version; part of every content address. v3 added the
@@ -36,19 +37,10 @@ use plp_nvm::NvmStats;
 /// it).
 pub const CACHE_FORMAT: &str = "plp-run-cache v3";
 
-/// 64-bit FNV-1a of `key` — the content address.
-pub fn key_hash(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The file a key's report is stored in.
+/// The file a key's report is stored in, named by the key's 64-bit
+/// FNV-1a — the content address.
 pub fn cache_path(dir: &Path, key: &str) -> PathBuf {
-    dir.join(format!("{:016x}.run", key_hash(key)))
+    dir.join(format!("{:016x}.run", fnv1a(key.as_bytes())))
 }
 
 fn encode_cache_stats(out: &mut String, name: &str, s: &CacheStats) {
@@ -136,7 +128,7 @@ pub fn encode(key: &str, report: &RunReport) -> String {
             v.addr
         );
     }
-    let _ = writeln!(out, "checksum {:016x}", key_hash(&out));
+    let _ = writeln!(out, "checksum {:016x}", fnv1a(out.as_bytes()));
     out.push_str("end\n");
     out
 }
@@ -230,7 +222,7 @@ fn verify_checksum(text: &str) -> Result<(), CacheFault> {
         .map(str::trim_end)
         .and_then(|h| u64::from_str_radix(h, 16).ok())
         .ok_or(CacheFault::Malformed)?;
-    if key_hash(body) != stored {
+    if fnv1a(body.as_bytes()) != stored {
         return Err(CacheFault::ChecksumMismatch);
     }
     Ok(())
@@ -601,7 +593,7 @@ mod tests {
     fn hash_is_stable() {
         // FNV-1a reference value: hashing must never drift across
         // refactors, or every cache entry silently invalidates.
-        assert_eq!(key_hash(""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(key_hash("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

@@ -242,7 +242,7 @@ pub fn run_recover_child(child: &ChildSpec) -> Result<String, String> {
     let golden = golden_run(child.scheme, &child.benchmark, child.instructions, child.seed)?;
     let replayed = replay_image(image, golden.config.key)
         .map_err(|e| format!("replay of {} failed: {e}", image.display()))?;
-    let expected = cut_expectation(&golden, &replayed.complete_ids);
+    let expected = ObserverExpectation::from_complete_ids(&golden.records, &replayed.complete_ids);
     let manager = RecoveryManager::for_config(&golden.config);
     let mut registry = child.plan.map(FailpointRegistry::park);
     let wb = plp_core::recover_image(
@@ -321,23 +321,6 @@ impl Judgement {
     }
 }
 
-/// The observer expectation for the completely persisted prefix: the
-/// program-order fold of the golden records cut to `complete_ids`.
-/// The file is append-ordered, so id order is the architectural order
-/// for every scheme (including unordered, whose component *times*
-/// legitimately reorder against program order).
-fn cut_expectation(golden: &Golden, complete_ids: &BTreeSet<u64>) -> ObserverExpectation {
-    let mut plaintexts = HashMap::new();
-    for r in golden
-        .records
-        .iter()
-        .filter(|r| complete_ids.contains(&r.id.0))
-    {
-        plaintexts.insert(r.addr, r.plaintext);
-    }
-    ObserverExpectation { plaintexts }
-}
-
 /// The golden program-order counter fold of the same cut — the
 /// "field-exact counters" half of a judgement.
 fn cut_counters(golden: &Golden, complete_ids: &BTreeSet<u64>) -> HashMap<u64, CounterBlock> {
@@ -356,7 +339,7 @@ fn cut_counters(golden: &Golden, complete_ids: &BTreeSet<u64>) -> HashMap<u64, C
 fn judge(golden: &Golden, image: &Path) -> Result<Judgement, String> {
     let replayed = replay_image(image, golden.config.key)
         .map_err(|e| format!("replay of {} failed: {e}", image.display()))?;
-    let expected = cut_expectation(golden, &replayed.complete_ids);
+    let expected = ObserverExpectation::from_complete_ids(&golden.records, &replayed.complete_ids);
     let counters = cut_counters(golden, &replayed.complete_ids);
     let outcome = RecoveryManager::for_config(&golden.config).recover(
         &replayed.image,
@@ -1145,7 +1128,8 @@ fn double_kill_cell(
         Err(e) => return DoubleKillOutcome::Error(format!("replay of final image: {e}")),
     };
     monotone = monotone && final_replay.complete_ids == *base_ids && final_replay.recovered;
-    let expected = cut_expectation(golden, &final_replay.complete_ids);
+    let expected =
+        ObserverExpectation::from_complete_ids(&golden.records, &final_replay.complete_ids);
     let counters = cut_counters(golden, &final_replay.complete_ids);
     let outcome = RecoveryManager::for_config(&golden.config).recover(
         &final_replay.image,

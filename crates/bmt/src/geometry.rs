@@ -126,20 +126,6 @@ impl BmtGeometry {
         (self.arity.pow(level - 1) - 1) / (self.arity - 1)
     }
 
-    /// Number of nodes at 1-based `level`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` is out of range.
-    pub fn level_width(&self, level: u32) -> u64 {
-        assert!(
-            (1..=self.levels).contains(&level),
-            "level {level} out of 1..={}",
-            self.levels
-        );
-        self.arity.pow(level - 1)
-    }
-
     /// The per-level container slot for 1-based `level` — the index
     /// into level-major arrays such as the tree's default table.
     ///
@@ -153,11 +139,6 @@ impl BmtGeometry {
             self.levels
         );
         (level - 1) as usize
-    }
-
-    /// Bytes of memory protected by this tree (leaves × page size).
-    pub fn covered_bytes(&self) -> u64 {
-        self.leaf_count() * PAGE_SIZE as u64
     }
 }
 
@@ -190,14 +171,12 @@ mod tests {
     }
 
     #[test]
-    fn level_offsets_and_widths() {
+    fn level_offsets() {
         let g = BmtGeometry::new(8, 4);
         assert_eq!(g.level_offset(1), 0);
         assert_eq!(g.level_offset(2), 1);
         assert_eq!(g.level_offset(3), 9);
         assert_eq!(g.level_offset(4), 73);
-        assert_eq!(g.level_width(1), 1);
-        assert_eq!(g.level_width(4), 512);
     }
 
     #[test]
@@ -205,7 +184,7 @@ mod tests {
         // 8 GB at 4 KiB pages = 2^21 leaves -> 8 node levels for arity 8.
         let g = BmtGeometry::for_memory(8 << 30, 8);
         assert_eq!(g.levels(), 8);
-        assert!(g.covered_bytes() >= 8 << 30);
+        assert!(g.leaf_count() * PAGE_SIZE as u64 >= 8 << 30);
         // Tiny memory: single page, single-node tree.
         let t = BmtGeometry::for_memory(100, 8);
         assert_eq!(t.levels(), 1);

@@ -106,20 +106,6 @@ impl BmtGeometry {
         NodeLabel(self.level_offset(self.levels()) + page_index)
     }
 
-    /// The page index covered by a leaf label.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `leaf` is not at the leaf level.
-    pub fn page_of_leaf(&self, leaf: NodeLabel) -> u64 {
-        let offset = self.level_offset(self.levels());
-        assert!(
-            leaf.raw() >= offset && leaf.raw() < offset + self.leaf_count(),
-            "{leaf} is not a leaf"
-        );
-        leaf.raw() - offset
-    }
-
     /// The update path from `leaf` to the root, inclusive, ordered
     /// leaf-first (the order persists walk the tree in).
     ///
@@ -226,16 +212,6 @@ impl BmtGeometry {
         }
         NodeLabel(self.level_offset(level) + ia)
     }
-
-    /// Number of update-path node updates *saved* when persists to `a`
-    /// and `b` coalesce at their LCA: the shared suffix — LCA through
-    /// root — is walked once instead of twice (Fig. 5: δ1/δ2 coalescing
-    /// at X31 turns 8 node updates into 5, saving the 3 shared nodes).
-    pub fn coalesced_savings(&self, a: NodeLabel, b: NodeLabel) -> u32 {
-        let lca = self.lca(a, b);
-        // The shared suffix spans levels 1..=level(LCA).
-        self.level(lca)
-    }
 }
 
 #[cfg(test)]
@@ -330,29 +306,11 @@ mod tests {
     }
 
     #[test]
-    fn leaf_page_round_trip() {
-        let g = g();
-        for page in [0u64, 1, 63, 511] {
-            assert_eq!(g.page_of_leaf(g.leaf(page)), page);
-        }
-    }
-
-    #[test]
     fn ancestors_end_at_root() {
         let g = g();
         let a = g.ancestors(g.leaf(5));
         assert_eq!(a.len(), 3);
         assert_eq!(*a.last().unwrap(), NodeLabel::ROOT);
-    }
-
-    #[test]
-    fn coalesced_savings_counts_shared_suffix() {
-        let g = g();
-        // LCA at level 3 -> shared suffix {X3, X2, X1} walked once: 3
-        // node updates saved (Fig. 5's δ1/δ2 pair).
-        assert_eq!(g.coalesced_savings(g.leaf(0), g.leaf(1)), 3);
-        // LCA at root -> only the root update is saved.
-        assert_eq!(g.coalesced_savings(g.leaf(0), g.leaf(511)), 1);
     }
 
     #[test]

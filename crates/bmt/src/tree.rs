@@ -260,11 +260,6 @@ impl BonsaiTree {
         key.hash_words(children)
     }
 
-    /// The leaf hash for a counter block under this tree's key.
-    pub fn leaf_value(&self, cb: &CounterBlock) -> NodeValue {
-        Self::leaf_value_with(self.key, cb)
-    }
-
     fn recompute_internal(&self, label: NodeLabel) -> NodeValue {
         let children: Vec<NodeValue> = (0..self.geometry.arity())
             .map(|i| self.node_value(self.geometry.child(label, i)))

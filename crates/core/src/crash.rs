@@ -190,7 +190,6 @@ impl TriadFrame<'_> {
 pub struct DurableSink {
     writer: ImageWriter,
     error: Option<NvmError>,
-    frames: u64,
 }
 
 impl DurableSink {
@@ -206,7 +205,6 @@ impl DurableSink {
         Ok(DurableSink {
             writer: ImageWriter::create(path, &header)?,
             error: None,
-            frames: 0,
         })
     }
 
@@ -215,18 +213,12 @@ impl DurableSink {
         self.error
     }
 
-    /// Frames appended so far.
-    pub fn frames(&self) -> u64 {
-        self.frames
-    }
-
     fn push(&mut self, tag: u8, payload: &[u8]) {
         if self.error.is_some() {
             return;
         }
-        match self.writer.append(tag, payload) {
-            Ok(()) => self.frames += 1,
-            Err(e) => self.error = Some(e),
+        if let Err(e) = self.writer.append(tag, payload) {
+            self.error = Some(e);
         }
     }
 
@@ -693,7 +685,7 @@ mod tests {
 
     use super::*;
     use crate::failpoint::{Failpoint, FailpointPlan, FailpointRegistry};
-    use crate::{PersistRecord, SimSetup, UpdateScheme};
+    use crate::{ObserverExpectation, PersistRecord, SimSetup, UpdateScheme};
 
     fn temp_image(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("plp-crash-{name}-{}.img", std::process::id()))
@@ -777,6 +769,37 @@ mod tests {
     #[test]
     fn phoenix_roundtrip_equals_in_memory() {
         roundtrip_equals_in_memory(UpdateScheme::Phoenix, "phoenix");
+    }
+
+    /// Time order is program order for tuple-atomic schemes: at every
+    /// cut time, the program-order fold over the ids completed by then
+    /// is the time-ordered observer state. The round-trip test above
+    /// and every complete-id judgement rest on this.
+    #[test]
+    fn complete_id_expectation_matches_time_cut() {
+        for scheme in UpdateScheme::correct() {
+            let setup = setup_for(scheme);
+            let report = setup.simulation().run(&setup.generate_trace(8_000));
+            let records = &report.records;
+            assert!(records.len() > 8, "{scheme}: too few persists");
+            let mut cuts = vec![Cycle::ZERO, Cycle::MAX];
+            for k in [1, records.len() / 4, records.len() / 2, records.len() - 1] {
+                let t = records[k].completed_at();
+                cuts.extend([t.saturating_sub(Cycle::new(1)), t]);
+            }
+            for t in cuts {
+                let complete: BTreeSet<u64> = records
+                    .iter()
+                    .filter(|r| r.completed_at() <= t)
+                    .map(|r| r.id.0)
+                    .collect();
+                assert_eq!(
+                    ObserverExpectation::from_complete_ids(records, &complete),
+                    ObserverExpectation::at_time(records, t),
+                    "{scheme} at {t}"
+                );
+            }
+        }
     }
 
     /// A kill inside `triad_nvm`'s relaxed flush window leaves the
@@ -898,8 +921,9 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// Unordered kills mid-tuple leave genuinely partial component
-    /// state on disk.
+    /// An unordered kill mid-tuple leaves genuinely partial component
+    /// state on disk: the durable prefix holds persists 1–100 whole
+    /// and only persist 101's data and counter frames.
     #[test]
     fn unordered_mid_tuple_leaves_partial_components() {
         let setup = setup_for(UpdateScheme::Unordered);
@@ -907,8 +931,9 @@ mod tests {
         let path = temp_image("unordered-partial");
         let mut sim = setup.simulation();
         sim.attach_durable_sink(DurableSink::create(&path, setup.config(), 7).unwrap());
-        // Unordered visits mid-tuple three times per persist; hit 301
-        // lands after the counter component of persist 101.
+        // Unordered visits mid-tuple three times per persist (after its
+        // data, counter and MAC frames); zero-based hit 301 is persist
+        // 101's second visit, after its counter frame.
         sim.arm_failpoints(FailpointRegistry::observe(FailpointPlan {
             point: Failpoint::MidTuple,
             hit: 301,
@@ -916,29 +941,38 @@ mod tests {
         let (_, finished) = sim.run_with_state(&trace);
         let fired = finished.fired_failpoint().expect("failpoint must fire");
         assert_eq!(fired.persist, 101);
-        // In observe mode the run continues past the armed hit; the
-        // harness child would have been killed there. Replaying the
-        // *whole* image still yields only complete tuples, so instead
-        // truncate the image to the kill instant by dropping frames:
-        // covered end-to-end by the crash_harness integration; here we
-        // just confirm component frames exist at all.
-        let replayed = replay_image(&path, setup.config().key).unwrap();
-        assert!(replayed.partial_ids.is_empty());
-        assert!(replayed.complete_ids.len() > 100);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    /// Observer expectation for the completely-persisted prefix: the
-    /// program-order fold the crash harness judges against.
-    fn expectation_for(
-        records: &[PersistRecord],
-        complete: &BTreeSet<u64>,
-    ) -> crate::ObserverExpectation {
-        let mut plaintexts = std::collections::HashMap::new();
-        for r in records.iter().filter(|r| complete.contains(&r.id.0)) {
-            plaintexts.insert(r.addr, r.plaintext);
+        // Observe mode runs on past the armed hit; keep only the frames
+        // that were durable when a killed child would have died there.
+        let contents = plp_nvm::read_image(&path).unwrap();
+        let id_of = |r: &plp_nvm::ImageRecord| le_u64(&r.payload, 0);
+        let kill = contents
+            .records
+            .iter()
+            .position(|r| r.tag == TAG_MAC && id_of(r) == 101)
+            .expect("persist 101 has a MAC frame");
+        let tags: Vec<(u8, u64)> = contents.records[kill - 2..kill + 2]
+            .iter()
+            .map(|r| (r.tag, id_of(r)))
+            .collect();
+        assert_eq!(
+            tags,
+            [
+                (TAG_DATA, 101),
+                (TAG_COUNTER, 101),
+                (TAG_MAC, 101),
+                (TAG_ROOT, 101)
+            ]
+        );
+        {
+            let mut w = ImageWriter::create(&path, &contents.header).unwrap();
+            for r in &contents.records[..kill] {
+                w.append(r.tag, &r.payload).unwrap();
+            }
         }
-        crate::ObserverExpectation { plaintexts }
+        let replayed = replay_image(&path, setup.config().key).unwrap();
+        assert_eq!(replayed.complete_ids, (1..=100).collect::<BTreeSet<u64>>());
+        assert_eq!(replayed.partial_ids, BTreeSet::from([101]));
+        std::fs::remove_file(&path).unwrap();
     }
 
     /// Durable recovery of a torn image commits a canonical recovered
@@ -961,7 +995,7 @@ mod tests {
         let manager = crate::RecoveryManager::for_config(setup.config());
         let before = replay_image(&path, key).unwrap();
         assert!(!before.recovered);
-        let expected = expectation_for(&report.records, &before.complete_ids);
+        let expected = ObserverExpectation::from_complete_ids(&report.records, &before.complete_ids);
 
         // Observe-mode registry so recovery failpoints count hits.
         let mut reg = FailpointRegistry::observe(FailpointPlan {
@@ -1012,7 +1046,8 @@ mod tests {
         let before = replay_image(&path, key).unwrap();
         // Expect one extra block the image never persisted completely:
         // recovery must quarantine it (missing data fails its MAC).
-        let mut expected = expectation_for(&report.records, &before.complete_ids);
+        let mut expected =
+            ObserverExpectation::from_complete_ids(&report.records, &before.complete_ids);
         let ghost = BlockAddr::new(u64::MAX - 1);
         expected.plaintexts.insert(ghost, Default::default());
 

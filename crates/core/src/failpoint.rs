@@ -214,11 +214,6 @@ impl FailpointRegistry {
         self.persist += 1;
     }
 
-    /// One-based index of the persist currently in flight.
-    pub fn persist_index(&self) -> u64 {
-        self.persist
-    }
-
     /// Would a [`hit`](Self::hit) at `point` fire right now? Lets the
     /// durable sink substitute a torn frame for the write the kill is
     /// about to land on.

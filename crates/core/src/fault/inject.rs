@@ -7,11 +7,11 @@
 
 use plp_crypto::{CounterBlock, DataBlock, MacTag};
 use plp_events::addr::{BlockAddr, CACHE_BLOCK_SIZE};
-use plp_events::Cycle;
+use plp_events::{splitmix64, Cycle};
 
 use crate::{PersistImage, PersistRecord, TupleComponent};
 
-use super::{splitmix_below, splitmix_next, FaultSpec};
+use super::{splitmix_below, FaultSpec};
 
 /// Words per 64-byte data line.
 const DATA_WORDS: usize = CACHE_BLOCK_SIZE / 8;
@@ -205,7 +205,7 @@ impl FaultInjector {
             for slot in 0..TAGS_PER_LINE {
                 let addr = BlockAddr::new(line_base + slot);
                 let revert = addr == victim
-                    || (image.macs.contains_key(&addr) && splitmix_next(&mut self.rng) & 1 == 1);
+                    || (image.macs.contains_key(&addr) && splitmix64(&mut self.rng) & 1 == 1);
                 if revert {
                     if let std::collections::hash_map::Entry::Occupied(mut e) =
                         image.macs.entry(addr)
@@ -240,7 +240,7 @@ impl FaultInjector {
         let forced = differing[pick_index(&mut self.rng, differing.len())];
         let mut mask: u16 = 1 << forced;
         for w in 0..words {
-            if w != forced && splitmix_next(&mut self.rng) & 1 == 1 {
+            if w != forced && splitmix64(&mut self.rng) & 1 == 1 {
                 mask |= 1 << w;
             }
         }

@@ -36,6 +36,7 @@ mod manager;
 mod sweep;
 
 use plp_events::addr::BlockAddr;
+use plp_events::splitmix64;
 use serde::{Deserialize, Serialize};
 
 use crate::{PersistId, TupleComponent};
@@ -44,21 +45,11 @@ pub use inject::FaultInjector;
 pub use manager::{RebuildStrategy, RecoveryError, RecoveryManager, RecoveryOutcome, RootStatus};
 pub use sweep::{enumerate_crash_points, ClassTally, FaultOutcome, FaultSweep, SchemeRobustness};
 
-/// One splitmix64 step — the deterministic randomness source of the
-/// whole fault subsystem (no external RNG dependency, identical
-/// streams on every platform).
-pub(crate) fn splitmix_next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Draws a value in `0..bound` from the stream.
+/// Draws a value in `0..bound` from a [`splitmix64`] stream — the
+/// deterministic randomness source of the whole fault subsystem.
 pub(crate) fn splitmix_below(state: &mut u64, bound: u64) -> u64 {
     debug_assert!(bound > 0);
-    splitmix_next(state) % bound
+    splitmix64(state) % bound
 }
 
 /// The fault classes the injector models.
@@ -76,13 +67,6 @@ pub enum FaultClass {
 }
 
 impl FaultClass {
-    /// All fault classes.
-    pub const ALL: [FaultClass; 3] = [
-        FaultClass::TornWrite,
-        FaultClass::BitFlip,
-        FaultClass::DroppedPersist,
-    ];
-
     /// A short, stable name for tables.
     pub fn name(self) -> &'static str {
         match self {
@@ -131,17 +115,6 @@ pub enum FaultSpec {
         /// Its data block.
         addr: BlockAddr,
     },
-}
-
-impl FaultSpec {
-    /// The class this concrete fault belongs to.
-    pub fn class(&self) -> FaultClass {
-        match self {
-            FaultSpec::TornWrite { .. } => FaultClass::TornWrite,
-            FaultSpec::BitFlip { .. } => FaultClass::BitFlip,
-            FaultSpec::DroppedPersist { .. } => FaultClass::DroppedPersist,
-        }
-    }
 }
 
 impl std::fmt::Display for FaultSpec {
@@ -296,15 +269,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn splitmix_is_deterministic_and_spreads() {
+    fn splitmix_below_stays_below() {
         let mut a = 7u64;
-        let mut b = 7u64;
-        let xs: Vec<u64> = (0..8).map(|_| splitmix_next(&mut a)).collect();
-        let ys: Vec<u64> = (0..8).map(|_| splitmix_next(&mut b)).collect();
-        assert_eq!(xs, ys);
-        let mut sorted = xs.clone();
-        sorted.dedup();
-        assert_eq!(sorted.len(), xs.len(), "stream repeated immediately");
         for _ in 0..100 {
             assert!(splitmix_below(&mut a, 10) < 10);
         }
@@ -333,12 +299,11 @@ mod tests {
     }
 
     #[test]
-    fn spec_display_and_class() {
+    fn spec_and_class_display() {
         let spec = FaultSpec::DroppedPersist {
             id: PersistId(3),
             addr: BlockAddr::new(8),
         };
-        assert_eq!(spec.class(), FaultClass::DroppedPersist);
         assert!(spec.to_string().contains("δ3"));
         assert_eq!(FaultClass::TornWrite.to_string(), "torn");
     }

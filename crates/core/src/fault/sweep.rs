@@ -7,13 +7,13 @@
 //! reachable durable state. A deterministic sampler bounds the work
 //! when a run has more distinct timestamps than the budget.
 
-use plp_events::Cycle;
+use plp_events::{splitmix64, Cycle};
 use serde::{Deserialize, Serialize};
 
 use crate::{ObserverExpectation, PersistImage, PersistRecord, SystemConfig, UpdateScheme};
 
 use super::{
-    splitmix_below, splitmix_next, FaultClass, FaultConfig, FaultInjector, FaultSpec, FaultVerdict,
+    splitmix_below, FaultClass, FaultConfig, FaultInjector, FaultSpec, FaultVerdict,
     RecoveryManager,
 };
 
@@ -190,11 +190,6 @@ impl FaultSweep {
         }
     }
 
-    /// The fault configuration this sweep runs.
-    pub fn fault_config(&self) -> FaultConfig {
-        self.fault
-    }
-
     /// Runs the full sweep for one scheme's recorded persists.
     pub fn run(&self, scheme: UpdateScheme, records: &[PersistRecord]) -> SchemeRobustness {
         let points =
@@ -315,7 +310,7 @@ fn mix_seed(seed: u64, scheme: UpdateScheme, point: usize, class: usize, fault: 
         ^ (point as u64).wrapping_mul(0x9E37_79B9)
         ^ (class as u64) << 48
         ^ (fault as u64) << 56;
-    splitmix_next(&mut state)
+    splitmix64(&mut state)
 }
 
 #[cfg(test)]

@@ -79,4 +79,4 @@ pub use sanitizer::{
 pub use shard::{ShardMutation, ShardTopology, ShardedSetup};
 pub use system::{run_benchmark, run_trace, run_with_crash, FinishedSim, SimSetup, Simulation};
 pub use tuple::{EpochId, PersistId, PersistRecord, TupleTimes};
-pub use wpq::{Wpq, WpqEntry};
+pub use wpq::Wpq;

@@ -84,11 +84,6 @@ impl MetadataCaches {
         }
     }
 
-    /// Whether the caches are in ideal (always-hit) mode.
-    pub fn is_ideal(&self) -> bool {
-        self.ideal
-    }
-
     /// Looks up a counter block for page `page`; returns `true` on hit.
     /// On miss the caller fetches and the line is filled dirty-on-write.
     pub fn access_counter(&mut self, page: u64, write: bool) -> bool {
@@ -174,7 +169,6 @@ mod tests {
     #[test]
     fn ideal_mode_always_hits() {
         let mut m = MetadataCaches::new(32 << 10, true);
-        assert!(m.is_ideal());
         for page in 0..10_000 {
             assert!(m.access_counter(page, true));
         }

@@ -82,11 +82,6 @@ impl Sanitizer {
         }
     }
 
-    /// The contract this sanitizer enforces.
-    pub fn contract(&self) -> SchemeContract {
-        self.contract
-    }
-
     /// Whether the engine tap should record node updates at all (false
     /// for the contract-free `unordered` strawman).
     pub fn wants_node_events(&self) -> bool {

@@ -52,15 +52,6 @@ pub fn sgx_write_amplification(geometry: BmtGeometry) -> f64 {
     sgx_persist_cost(geometry).nvm_persists as f64 / bmt_persist_cost(geometry).nvm_persists as f64
 }
 
-/// Estimated cycles to drain one persist's tree-related NVM writes,
-/// given a per-write occupancy (e.g. tWR at the CPU clock). With a
-/// BMT this is one write; with the counter tree the writes serialize
-/// on the same update path ordering (shadow copies would be needed to
-/// overlap them, §V-D).
-pub fn persist_drain_cycles(cost: TreePersistCost, write_cycles: u64) -> u64 {
-    cost.nvm_persists * write_cycles
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,14 +71,6 @@ mod tests {
             bmt_persist_cost(g).path_updates,
             sgx_persist_cost(g).path_updates
         );
-    }
-
-    #[test]
-    fn drain_cycles_scale_with_height() {
-        let g = BmtGeometry::new(8, 9);
-        // 600 cycles per NVM write (150 ns at 4 GHz).
-        assert_eq!(persist_drain_cycles(bmt_persist_cost(g), 600), 600);
-        assert_eq!(persist_drain_cycles(sgx_persist_cost(g), 600), 5400);
     }
 
     #[test]

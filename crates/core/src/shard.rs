@@ -411,11 +411,6 @@ impl ShardedSetup {
         &self.setup
     }
 
-    /// The run topology.
-    pub fn topology(&self) -> ShardTopology {
-        self.topology
-    }
-
     /// Runs one trace per stream and merges the shard reports.
     ///
     /// The unit topology takes the classic unsharded path — its output

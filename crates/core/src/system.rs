@@ -319,11 +319,6 @@ pub struct FinishedSim {
 }
 
 impl FinishedSim {
-    /// The configuration the run used.
-    pub fn config(&self) -> &SystemConfig {
-        &self.sim.config
-    }
-
     /// The architectural (pre-crash) BMT root — what the on-chip
     /// register holds after all issued updates.
     pub fn architectural_root(&self) -> plp_bmt::NodeValue {
@@ -337,14 +332,6 @@ impl FinishedSim {
         self.sim.failpoints.as_ref().and_then(|f| f.fired())
     }
 
-    /// Total visits the armed registry counted at `point`.
-    pub fn failpoint_hits(&self, point: Failpoint) -> u64 {
-        self.sim
-            .failpoints
-            .as_ref()
-            .map_or(0, |f| f.hit_count(point))
-    }
-
     /// The first I/O error the durable sink swallowed, if a sink was
     /// attached and errored. Sink errors never disturb the simulation;
     /// callers that care (the crash-harness child) check here.
@@ -354,11 +341,6 @@ impl FinishedSim {
 }
 
 impl Simulation {
-    /// The configuration this simulation was built with.
-    pub fn config(&self) -> &SystemConfig {
-        &self.config
-    }
-
     /// Arms the named-failpoint registry for this run. In observe mode
     /// the run completes and [`FinishedSim::fired_failpoint`] reports
     /// where the plan fired; in park mode the run stops dead at the

@@ -7,36 +7,12 @@
 //! ciphertext, counter, MAC and BMT-root acknowledgement have all
 //! arrived, after which the blocks may drain to NVMM. On power failure
 //! incomplete entries are invalidated — that is what makes the tuple
-//! persist atomic.
+//! persist atomic. Timing needs only each in-flight entry's
+//! completion time, so that is all [`Wpq`] keeps.
 
 use std::collections::VecDeque;
 
 use plp_events::Cycle;
-use serde::{Deserialize, Serialize};
-
-use crate::PersistId;
-
-/// Gathering state of one WPQ entry (step 1 of 2SP).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WpqEntry {
-    /// The persist this entry gathers.
-    pub id: PersistId,
-    /// Ciphertext arrived.
-    pub data: bool,
-    /// Counter arrived.
-    pub counter: bool,
-    /// MAC arrived.
-    pub mac: bool,
-    /// BMT root update acknowledged.
-    pub root_ack: bool,
-}
-
-impl WpqEntry {
-    /// Whether the full tuple has gathered (step 2 may flag complete).
-    pub fn is_complete(&self) -> bool {
-        self.data && self.counter && self.mac && self.root_ack
-    }
-}
 
 /// Timing + occupancy model of the WPQ.
 ///
@@ -50,7 +26,6 @@ pub struct Wpq {
     inflight: VecDeque<Cycle>,
     stall_cycles: u64,
     peak: usize,
-    admitted: u64,
 }
 
 impl Wpq {
@@ -69,7 +44,6 @@ impl Wpq {
             inflight: VecDeque::with_capacity(capacity + 1),
             stall_cycles: 0,
             peak: 0,
-            admitted: 0,
         }
     }
 
@@ -81,7 +55,6 @@ impl Wpq {
             self.inflight.pop_front();
         }
         self.peak = self.peak.max(self.inflight.len() + 1);
-        self.admitted += 1;
         if self.inflight.len() < self.capacity {
             now
         } else {
@@ -108,36 +81,11 @@ impl Wpq {
     pub fn peak_occupancy(&self) -> usize {
         self.peak
     }
-
-    /// Number of admissions.
-    pub fn admitted(&self) -> u64 {
-        self.admitted
-    }
-
-    /// Completion time of the most recently registered persist.
-    pub fn last_completion(&self) -> Cycle {
-        self.inflight.back().copied().unwrap_or(Cycle::ZERO)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn entry_completes_only_with_full_tuple() {
-        let mut e = WpqEntry {
-            id: PersistId(1),
-            ..WpqEntry::default()
-        };
-        assert!(!e.is_complete());
-        e.data = true;
-        e.counter = true;
-        e.mac = true;
-        assert!(!e.is_complete(), "root ack still missing");
-        e.root_ack = true;
-        assert!(e.is_complete());
-    }
 
     #[test]
     fn admission_is_free_below_capacity() {
@@ -147,7 +95,6 @@ mod tests {
             q.complete_at(Cycle::new(1000 + i));
         }
         assert_eq!(q.stall_cycles(), 0);
-        assert_eq!(q.admitted(), 4);
     }
 
     #[test]
@@ -171,15 +118,6 @@ mod tests {
         assert_eq!(q.admit(Cycle::new(60)), Cycle::new(60));
         assert_eq!(q.stall_cycles(), 0);
         assert_eq!(q.peak_occupancy(), 1);
-    }
-
-    #[test]
-    fn last_completion_tracks_tail() {
-        let mut q = Wpq::new(8);
-        assert_eq!(q.last_completion(), Cycle::ZERO);
-        q.admit(Cycle::ZERO);
-        q.complete_at(Cycle::new(77));
-        assert_eq!(q.last_completion(), Cycle::new(77));
     }
 
     #[test]

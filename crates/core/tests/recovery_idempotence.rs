@@ -68,19 +68,6 @@ fn temp_image(name: &str) -> PathBuf {
     ))
 }
 
-/// Program-order fold of the completely-persisted prefix — the
-/// observer the crash harness judges recovery against.
-fn expectation_for(
-    records: &[PersistRecord],
-    complete: &std::collections::BTreeSet<u64>,
-) -> ObserverExpectation {
-    let mut plaintexts = HashMap::new();
-    for r in records.iter().filter(|r| complete.contains(&r.id.0)) {
-        plaintexts.insert(r.addr, r.plaintext);
-    }
-    ObserverExpectation { plaintexts }
-}
-
 const SCHEMES: [UpdateScheme; 6] = [
     UpdateScheme::Sp,
     UpdateScheme::Coalescing,
@@ -116,7 +103,7 @@ proptest! {
         let key = base.config.key;
         let torn = replay_image(&path, key).unwrap();
         prop_assert!(!torn.recovered);
-        let expected = expectation_for(&base.records, &torn.complete_ids);
+        let expected = ObserverExpectation::from_complete_ids(&base.records, &torn.complete_ids);
         let manager = RecoveryManager::for_config(&base.config);
 
         let wb = recover_image(&path, key, &manager, &base.records, &expected, None).unwrap();

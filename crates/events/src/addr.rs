@@ -24,8 +24,7 @@ pub const BLOCKS_PER_PAGE: usize = PAGE_SIZE / CACHE_BLOCK_SIZE;
 /// ```
 /// use plp_events::addr::{BlockAddr, BLOCKS_PER_PAGE};
 ///
-/// let a = BlockAddr::from_byte_addr(0x1040);
-/// assert_eq!(a.index(), 0x41);
+/// let a = BlockAddr::new(0x41);
 /// assert_eq!(a.byte_addr(), 0x1040);
 /// assert_eq!(a.page().index(), 0x41 / BLOCKS_PER_PAGE as u64);
 /// ```
@@ -39,13 +38,6 @@ impl BlockAddr {
     #[inline]
     pub const fn new(index: u64) -> Self {
         BlockAddr(index)
-    }
-
-    /// Creates a block address from a byte address (truncating to the
-    /// containing block).
-    #[inline]
-    pub const fn from_byte_addr(byte: u64) -> Self {
-        BlockAddr(byte / CACHE_BLOCK_SIZE as u64)
     }
 
     /// The block index.
@@ -162,12 +154,6 @@ impl ShardMap {
         ShardMap { shards }
     }
 
-    /// Number of shards in the partition.
-    #[inline]
-    pub const fn shards(self) -> u32 {
-        self.shards
-    }
-
     /// The shard owning `addr`'s page.
     #[inline]
     pub fn shard_of(self, addr: BlockAddr) -> u32 {
@@ -205,17 +191,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn block_round_trips() {
+    fn block_byte_addr() {
         let a = BlockAddr::new(123);
-        assert_eq!(BlockAddr::from_byte_addr(a.byte_addr()), a);
         assert_eq!(a.byte_addr(), 123 * 64);
-    }
-
-    #[test]
-    fn byte_addr_truncates_into_block() {
-        assert_eq!(BlockAddr::from_byte_addr(63).index(), 0);
-        assert_eq!(BlockAddr::from_byte_addr(64).index(), 1);
-        assert_eq!(BlockAddr::from_byte_addr(127).index(), 1);
     }
 
     #[test]

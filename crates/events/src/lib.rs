@@ -1,52 +1,27 @@
-//! Deterministic discrete-event simulation kernel for the PLP simulator.
+//! Base types shared by every crate of the PLP simulator.
 //!
-//! This crate provides the time base and scheduling primitives shared by
-//! every timing model in the workspace:
+//! * [`Cycle`] and [`Freq`] — the simulated clock, a strongly-typed
+//!   `u64` cycle count, and the nanosecond-to-cycle conversion the NVM
+//!   timing model uses;
+//! * [`addr`] — 64-byte block and 4 KiB page addresses, and the
+//!   page-interleaved shard map;
+//! * [`retry`] — the workspace's one seeded retry/backoff policy, and
+//!   [`splitmix64`], the deterministic stream behind it and behind
+//!   every fault draw;
+//! * [`stats`] — harness throughput accumulators and the geometric
+//!   mean every figure summarises with.
 //!
-//! * [`Cycle`] — the simulated clock, a strongly-typed `u64` cycle count;
-//! * [`EventQueue`] — a time-ordered queue with deterministic FIFO
-//!   tie-breaking for events scheduled at the same cycle;
-//! * [`BusyResource`] and [`PipelinedUnit`] — occupancy models for
-//!   single-server resources (e.g. a MAC unit) and pipelined units
-//!   (initiation interval < latency);
-//! * [`BoundedQueue`] — a capacity-limited FIFO with occupancy statistics,
-//!   used for write-pending queues and memory-controller queues;
-//! * [`stats`] — counters, histograms and running means used by every
-//!   component to report results.
-//!
-//! The kernel is deliberately single-threaded and allocation-light: the
-//! PLP experiments sweep many configurations and benchmarks, so
-//! simulation determinism (bit-identical results for identical seeds)
-//! matters more than parallel speed.
-//!
-//! # Example
-//!
-//! ```
-//! use plp_events::{Cycle, EventQueue};
-//!
-//! let mut q = EventQueue::new();
-//! q.push(Cycle::new(10), "b");
-//! q.push(Cycle::new(5), "a");
-//! q.push(Cycle::new(10), "c"); // same time as "b": FIFO order preserved
-//!
-//! assert_eq!(q.pop(), Some((Cycle::new(5), "a")));
-//! assert_eq!(q.pop(), Some((Cycle::new(10), "b")));
-//! assert_eq!(q.pop(), Some((Cycle::new(10), "c")));
-//! assert_eq!(q.pop(), None);
-//! ```
+//! Timing itself lives with the component it models: the WPQ in
+//! `plp-core`, banked PCM timing in `plp-nvm`. Everything here is
+//! deterministic — identical seeds give bit-identical results.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod addr;
-mod bounded;
-mod queue;
-mod resource;
 pub mod retry;
 pub mod stats;
 mod time;
 
-pub use bounded::BoundedQueue;
-pub use queue::EventQueue;
-pub use resource::{BusyResource, PipelinedUnit};
+pub use retry::splitmix64;
 pub use time::{Cycle, Freq};

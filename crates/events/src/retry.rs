@@ -26,8 +26,13 @@
 //! assert!(schedule.iter().all(|&d| d <= policy.max_delay_ns * 1.25));
 //! ```
 
-/// One splitmix64 step — the deterministic stream behind jitter.
-fn splitmix(state: &mut u64) -> u64 {
+/// One splitmix64 step: advances `state` and returns the next value of
+/// the stream. The workspace's one deterministic randomness source —
+/// retry jitter here, the NVM device's read faults and the fault
+/// injector's draws — identical on every platform, with no RNG
+/// dependency.
+#[inline]
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -38,9 +43,9 @@ fn splitmix(state: &mut u64) -> u64 {
 /// The seed of a retry schedule's jitter: a mixed-down identity of the
 /// operation being retried (e.g. a run key plus a harness seed).
 ///
-/// Tokens are plain values; mixing is associative-enough hashing (FNV-1a
-/// over strings, splitmix finalization over integers), so a token built
-/// from the same parts in the same order is always the same token.
+/// Tokens are plain values; mixing is FNV-1a over strings, so a token
+/// built from the same parts in the same order is always the same
+/// token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RetryToken(u64);
 
@@ -58,12 +63,6 @@ impl RetryToken {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
         RetryToken(h)
-    }
-
-    /// Folds an integer into the token.
-    pub fn mix(self, v: u64) -> Self {
-        let mut state = self.0 ^ v;
-        RetryToken(splitmix(&mut state))
     }
 
     /// The raw mixed value.
@@ -98,17 +97,6 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// No retries at all.
-    pub const fn none() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            base_delay_ns: 0.0,
-            multiplier: 1.0,
-            max_delay_ns: 0.0,
-            jitter: 0.0,
-        }
-    }
-
     /// A constant backoff: `max_retries` retries of `delay_ns` each —
     /// the NVM read-fault controller's shape.
     pub const fn constant(max_retries: u32, delay_ns: f64) -> Self {
@@ -165,7 +153,7 @@ impl RetryPolicy {
             return clamped;
         }
         let mut state = token.value() ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let unit = (splitmix(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+        let unit = (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
         clamped * (1.0 - self.jitter + 2.0 * self.jitter * unit)
     }
 
@@ -223,18 +211,21 @@ mod tests {
 
     #[test]
     fn tokens_compose_purely() {
-        let a = RetryToken::new(7).mix_str("gcc").mix(3);
-        let b = RetryToken::new(7).mix_str("gcc").mix(3);
-        assert_eq!(a, b);
-        assert_ne!(a, RetryToken::new(7).mix_str("gcc").mix(4));
-        assert_ne!(a, RetryToken::new(8).mix_str("gcc").mix(3));
+        let a = RetryToken::new(7).mix_str("gcc");
+        assert_eq!(a, RetryToken::new(7).mix_str("gcc"));
+        assert_ne!(a, RetryToken::new(7).mix_str("mcf"));
+        assert_ne!(a, RetryToken::new(8).mix_str("gcc"));
     }
 
     #[test]
-    fn none_never_waits() {
-        let p = RetryPolicy::none();
-        assert_eq!(p.max_retries, 0);
-        assert!(p.schedule(RetryToken::new(1)).is_empty());
-        assert_eq!(p.worst_case_total_ns(), 0.0);
+    fn splitmix_is_deterministic_and_spreads() {
+        let mut a = 7u64;
+        let mut b = 7u64;
+        let xs: Vec<u64> = (0..8).map(|_| splitmix64(&mut a)).collect();
+        let ys: Vec<u64> = (0..8).map(|_| splitmix64(&mut b)).collect();
+        assert_eq!(xs, ys);
+        let mut sorted = xs.clone();
+        sorted.dedup();
+        assert_eq!(sorted.len(), xs.len(), "stream repeated immediately");
     }
 }

@@ -1,233 +1,11 @@
-//! Statistics primitives used by every simulator component.
-//!
-//! Components report results through three simple types: [`Counter`]
-//! (monotonic event counts), [`Histogram`] (power-of-two bucketed latency
-//! distributions) and [`RunningMean`] (streaming mean/min/max). All are
-//! `serde`-serializable so the benchmark harness can dump raw results.
+//! Summary statistics for the experiment harness: the
+//! [`geometric_mean`] every figure normalises with, and the
+//! [`Throughput`] / [`ShardedThroughput`] accumulators that report
+//! simulation speed.
 
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
-
-/// A monotonically increasing event counter.
-///
-/// # Example
-///
-/// ```
-/// use plp_events::stats::Counter;
-///
-/// let mut persists = Counter::new();
-/// persists.inc();
-/// persists.add(2);
-/// assert_eq!(persists.get(), 3);
-/// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Increments by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increments by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    #[inline]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-
-    /// This counter per thousand units of `denom` (e.g. persists per
-    /// kilo-instruction). Returns 0.0 when `denom` is zero.
-    pub fn per_kilo(self, denom: u64) -> f64 {
-        if denom == 0 {
-            0.0
-        } else {
-            self.0 as f64 * 1000.0 / denom as f64
-        }
-    }
-}
-
-/// A histogram with power-of-two buckets, suitable for latency
-/// distributions spanning several orders of magnitude.
-///
-/// Bucket `i` counts samples in `[2^i, 2^(i+1))`; bucket 0 also holds
-/// zero-valued samples.
-///
-/// # Example
-///
-/// ```
-/// use plp_events::stats::Histogram;
-///
-/// let mut h = Histogram::new();
-/// h.record(5);
-/// h.record(6);
-/// h.record(100);
-/// assert_eq!(h.count(), 3);
-/// assert!((h.mean() - 37.0).abs() < 1e-9);
-/// ```
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u128,
-    min: u64,
-    max: u64,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: Vec::new(),
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        let idx = if value == 0 {
-            0
-        } else {
-            (63 - value.leading_zeros()) as usize
-        };
-        if idx >= self.buckets.len() {
-            self.buckets.resize(idx + 1, 0);
-        }
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += value as u128;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of all samples; 0.0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Smallest sample; `None` if empty.
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample; `None` if empty.
-    pub fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Per-bucket counts; bucket `i` covers `[2^i, 2^(i+1))`.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// An approximate quantile (bucket upper bound containing it).
-    ///
-    /// `q` is clamped to `[0, 1]`. Returns `None` if empty.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(1u64 << (i + 1));
-            }
-        }
-        Some(self.max)
-    }
-}
-
-/// A streaming mean with min/max, for real-valued series.
-///
-/// # Example
-///
-/// ```
-/// use plp_events::stats::RunningMean;
-///
-/// let mut m = RunningMean::new();
-/// m.push(1.0);
-/// m.push(3.0);
-/// assert!((m.mean() - 2.0).abs() < 1e-12);
-/// assert_eq!(m.count(), 2);
-/// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RunningMean {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningMean {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        RunningMean {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Mean of all observations; 0.0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Smallest observation; `None` if empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation; `None` if empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-}
 
 /// Geometric mean of a slice of strictly positive values, the standard
 /// summary for normalized execution times (used by every figure in the
@@ -303,18 +81,6 @@ impl Throughput {
         self.runs
     }
 
-    /// Total simulated cycles across all recorded runs.
-    pub fn sim_cycles(&self) -> u64 {
-        self.sim_cycles
-    }
-
-    /// Total host wall-clock across all recorded runs. For per-worker
-    /// accumulators this is *CPU-side* time: merged across N busy
-    /// workers it can exceed the elapsed wall-clock by up to N×.
-    pub fn wall(&self) -> std::time::Duration {
-        std::time::Duration::from_nanos(self.wall_nanos)
-    }
-
     /// Simulated cycles per host second (0.0 before any time accrues).
     pub fn cycles_per_sec(&self) -> f64 {
         if self.wall_nanos == 0 {
@@ -352,7 +118,7 @@ impl Throughput {
 /// t.record(0, 1_000, Duration::from_millis(1));
 /// let shards: Vec<u32> = t.shards().map(|(s, _)| s).collect();
 /// assert_eq!(shards, [0, 1]); // deterministic key order
-/// assert_eq!(t.merged().sim_cycles(), 3_000);
+/// assert_eq!(t.merged().runs(), 2);
 /// ```
 #[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardedThroughput {
@@ -373,21 +139,9 @@ impl ShardedThroughput {
             .record(sim_cycles, wall);
     }
 
-    /// Folds another sharded accumulator in, shard by shard.
-    pub fn merge(&mut self, other: &ShardedThroughput) {
-        for (&shard, t) in &other.per_shard {
-            self.per_shard.entry(shard).or_default().merge(*t);
-        }
-    }
-
     /// Per-shard accumulators in ascending shard-id order.
     pub fn shards(&self) -> impl Iterator<Item = (u32, &Throughput)> {
         self.per_shard.iter().map(|(&s, t)| (s, t))
-    }
-
-    /// Number of shards with at least one recorded run.
-    pub fn shard_count(&self) -> usize {
-        self.per_shard.len()
     }
 
     /// The merged total across every shard.
@@ -403,57 +157,6 @@ impl ShardedThroughput {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        assert!((c.per_kilo(1000) - 10.0).abs() < 1e-12);
-        assert_eq!(c.per_kilo(0), 0.0);
-    }
-
-    #[test]
-    fn histogram_bucketing() {
-        let mut h = Histogram::new();
-        h.record(0);
-        h.record(1);
-        h.record(2);
-        h.record(3);
-        h.record(4);
-        // 0 and 1 land in bucket 0; 2 and 3 in bucket 1; 4 in bucket 2.
-        assert_eq!(h.buckets(), &[2, 2, 1]);
-        assert_eq!(h.min(), Some(0));
-        assert_eq!(h.max(), Some(4));
-        assert_eq!(h.count(), 5);
-    }
-
-    #[test]
-    fn histogram_mean_and_quantile() {
-        let mut h = Histogram::new();
-        for v in [10u64, 20, 30, 40] {
-            h.record(v);
-        }
-        assert!((h.mean() - 25.0).abs() < 1e-12);
-        // Median falls in the bucket covering 16..32 -> upper bound 32.
-        assert_eq!(h.quantile(0.5), Some(32));
-        assert!(h.quantile(1.0).is_some());
-        assert_eq!(Histogram::new().quantile(0.5), None);
-    }
-
-    #[test]
-    fn running_mean_tracks_extremes() {
-        let mut m = RunningMean::new();
-        assert_eq!(m.mean(), 0.0);
-        assert_eq!(m.min(), None);
-        for v in [2.0, 8.0, 5.0] {
-            m.push(v);
-        }
-        assert!((m.mean() - 5.0).abs() < 1e-12);
-        assert_eq!(m.min(), Some(2.0));
-        assert_eq!(m.max(), Some(8.0));
-    }
 
     #[test]
     fn geometric_mean_edge_cases() {
@@ -474,8 +177,6 @@ mod tests {
         b.record(0, Duration::from_secs(2));
         a.merge(b);
         assert_eq!(a.runs(), 3);
-        assert_eq!(a.sim_cycles(), 2000);
-        assert_eq!(a.wall(), Duration::from_secs(4));
         assert!((a.cycles_per_sec() - 500.0).abs() < 1e-9);
         assert!((a.runs_per_sec() - 0.75).abs() < 1e-12);
         assert_eq!(Throughput::new().cycles_per_sec(), 0.0);
@@ -488,16 +189,11 @@ mod tests {
         t.record(3, 300, Duration::from_millis(3));
         t.record(1, 100, Duration::from_millis(1));
         t.record(1, 100, Duration::from_millis(1));
-        let mut u = ShardedThroughput::new();
-        u.record(0, 50, Duration::from_millis(5));
-        u.record(3, 300, Duration::from_millis(3));
-        t.merge(&u);
+        t.record(0, 50, Duration::from_millis(5));
         let shards: Vec<(u32, u64)> = t.shards().map(|(s, tp)| (s, tp.runs())).collect();
-        assert_eq!(shards, [(0, 1), (1, 2), (3, 2)]);
-        assert_eq!(t.shard_count(), 3);
+        assert_eq!(shards, [(0, 1), (1, 2), (3, 1)]);
         let merged = t.merged();
-        assert_eq!(merged.runs(), 5);
-        assert_eq!(merged.sim_cycles(), 850);
-        assert_eq!(merged.wall(), Duration::from_millis(13));
+        assert_eq!(merged.runs(), 4);
+        assert!((merged.cycles_per_sec() - 55_000.0).abs() < 1e-6);
     }
 }

@@ -52,28 +52,10 @@ impl Cycle {
         Cycle(self.0.max(other.0))
     }
 
-    /// Returns the earlier of two times.
-    #[inline]
-    pub fn min(self, other: Cycle) -> Cycle {
-        Cycle(self.0.min(other.0))
-    }
-
     /// Subtracts, clamping at zero instead of underflowing.
     #[inline]
     pub fn saturating_sub(self, other: Cycle) -> Cycle {
         Cycle(self.0.saturating_sub(other.0))
-    }
-
-    /// Adds, clamping at [`Cycle::MAX`] instead of overflowing.
-    #[inline]
-    pub fn saturating_add(self, other: Cycle) -> Cycle {
-        Cycle(self.0.saturating_add(other.0))
-    }
-
-    /// Multiplies a duration by an integer factor.
-    #[inline]
-    pub fn scaled(self, factor: u64) -> Cycle {
-        Cycle(self.0 * factor)
     }
 }
 
@@ -159,19 +141,9 @@ impl Freq {
         Freq { hz }
     }
 
-    /// Creates a frequency from megahertz.
-    pub fn mhz(mhz: f64) -> Self {
-        Freq::hz(mhz * 1.0e6)
-    }
-
     /// Creates a frequency from gigahertz.
     pub fn ghz(ghz: f64) -> Self {
         Freq::hz(ghz * 1.0e9)
-    }
-
-    /// Returns the frequency in hertz.
-    pub fn as_hz(self) -> f64 {
-        self.hz
     }
 
     /// Converts a duration in nanoseconds to clock cycles at this
@@ -187,11 +159,6 @@ impl Freq {
             exact.ceil()
         };
         Cycle::new(cycles as u64)
-    }
-
-    /// Converts a cycle count at this frequency to nanoseconds.
-    pub fn ns_for_cycles(self, cycles: Cycle) -> f64 {
-        cycles.get() as f64 / self.hz * 1.0e9
     }
 }
 
@@ -216,10 +183,7 @@ mod tests {
         assert_eq!((a + b).get(), 14);
         assert_eq!((a - b).get(), 6);
         assert_eq!(a.max(b), a);
-        assert_eq!(a.min(b), b);
         assert_eq!(b.saturating_sub(a), Cycle::ZERO);
-        assert_eq!(Cycle::MAX.saturating_add(a), Cycle::MAX);
-        assert_eq!(b.scaled(3).get(), 12);
     }
 
     #[test]
@@ -250,16 +214,13 @@ mod tests {
         assert_eq!(f.cycles_for_ns(12.5).get(), 50);
         // 12.6 ns must round *up* to 51 cycles.
         assert_eq!(f.cycles_for_ns(12.6).get(), 51);
-        let ns = f.ns_for_cycles(Cycle::new(600));
-        assert!((ns - 150.0).abs() < 1e-9);
     }
 
     #[test]
-    fn freq_display_and_accessors() {
+    fn freq_display() {
         assert_eq!(Freq::ghz(4.0).to_string(), "4.00GHz");
-        assert_eq!(Freq::mhz(1200.0).to_string(), "1.20GHz");
-        assert_eq!(Freq::mhz(800.0).to_string(), "800MHz");
-        assert!((Freq::mhz(1200.0).as_hz() - 1.2e9).abs() < 1.0);
+        assert_eq!(Freq::hz(1.2e9).to_string(), "1.20GHz");
+        assert_eq!(Freq::hz(8.0e8).to_string(), "800MHz");
     }
 
     #[test]

@@ -1,103 +1,9 @@
-//! Property-based tests for the simulation kernel.
+//! Property-based tests for the base statistics.
 
-use plp_events::stats::{geometric_mean, Histogram, RunningMean};
-use plp_events::{BoundedQueue, BusyResource, Cycle, EventQueue, PipelinedUnit};
+use plp_events::stats::geometric_mean;
 use proptest::prelude::*;
 
 proptest! {
-    /// Events always pop in non-decreasing time order, FIFO on ties —
-    /// the determinism guarantee the whole simulator rests on.
-    #[test]
-    fn event_queue_total_order(times in prop::collection::vec(0u64..1_000, 1..300)) {
-        let mut q = EventQueue::new();
-        for (i, t) in times.iter().enumerate() {
-            q.push(Cycle::new(*t), i);
-        }
-        let mut last: Option<(Cycle, usize)> = None;
-        while let Some((t, id)) = q.pop() {
-            if let Some((lt, lid)) = last {
-                prop_assert!(t > lt || (t == lt && id > lid),
-                    "order violated: ({lt},{lid}) then ({t},{id})");
-            }
-            last = Some((t, id));
-        }
-    }
-
-    /// A busy resource serves every request exactly once, never
-    /// overlapping: total busy time equals the sum of service times
-    /// and completions are strictly increasing for positive services.
-    #[test]
-    fn busy_resource_conserves_time(reqs in prop::collection::vec((0u64..10_000, 1u64..500), 1..100)) {
-        let mut r = BusyResource::new();
-        let mut last = Cycle::ZERO;
-        let mut total = 0u64;
-        for (now, service) in &reqs {
-            let done = r.reserve(Cycle::new(*now), Cycle::new(*service));
-            prop_assert!(done > last);
-            prop_assert!(done.get() >= now + service);
-            last = done;
-            total += service;
-        }
-        prop_assert_eq!(r.busy_cycles().get(), total);
-        prop_assert_eq!(r.served(), reqs.len() as u64);
-    }
-
-    /// A pipelined unit with initiation interval 1 completes
-    /// monotonically-issued operations exactly `latency` after their
-    /// issue slot, and never issues two in the same cycle.
-    #[test]
-    fn pipelined_unit_slots_unique(arrivals in prop::collection::vec(0u64..5_000, 1..200)) {
-        let mut sorted = arrivals.clone();
-        sorted.sort();
-        let mut u = PipelinedUnit::new(Cycle::new(40), Cycle::new(1));
-        let mut seen = std::collections::HashSet::new();
-        for a in sorted {
-            let done = u.issue(Cycle::new(a));
-            let slot = done.get() - 40;
-            prop_assert!(slot >= a);
-            prop_assert!(seen.insert(slot), "two issues in cycle {slot}");
-        }
-    }
-
-    /// A bounded queue never exceeds capacity and conserves items:
-    /// pushes = pops + still-resident + rejected handbacks.
-    #[test]
-    fn bounded_queue_conserves_items(
-        ops in prop::collection::vec(any::<bool>(), 1..300),
-        cap in 1usize..16,
-    ) {
-        let mut q: BoundedQueue<usize> = BoundedQueue::new(cap);
-        let (mut pushed, mut popped, mut rejected) = (0u64, 0u64, 0u64);
-        for (i, push) in ops.iter().enumerate() {
-            if *push {
-                match q.try_push(Cycle::new(i as u64), i) {
-                    Ok(()) => pushed += 1,
-                    Err(_) => rejected += 1,
-                }
-            } else if q.pop(Cycle::new(i as u64)).is_some() {
-                popped += 1;
-            }
-            prop_assert!(q.len() <= cap);
-        }
-        prop_assert_eq!(pushed, popped + q.len() as u64);
-        prop_assert_eq!(q.rejected(), rejected);
-    }
-
-    /// Histogram mean equals the arithmetic mean of its samples.
-    #[test]
-    fn histogram_mean_exact(samples in prop::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut h = Histogram::new();
-        let mut m = RunningMean::new();
-        for s in &samples {
-            h.record(*s);
-            m.push(*s as f64);
-        }
-        prop_assert!((h.mean() - m.mean()).abs() < 1e-6);
-        prop_assert_eq!(h.count(), samples.len() as u64);
-        prop_assert_eq!(h.min(), samples.iter().min().copied());
-        prop_assert_eq!(h.max(), samples.iter().max().copied());
-    }
-
     /// Geometric mean is scale-equivariant: gm(k·xs) = k·gm(xs).
     #[test]
     fn gmean_scale_equivariant(

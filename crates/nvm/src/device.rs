@@ -4,7 +4,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use plp_events::addr::BlockAddr;
-use plp_events::Cycle;
+use plp_events::{splitmix64, Cycle};
 use serde::{Deserialize, Serialize};
 
 use crate::{NvmConfig, NvmError};
@@ -33,21 +33,12 @@ pub struct NvmStats {
     pub read_failures: u64,
 }
 
-/// One splitmix64 step — the device's replayable fault stream.
-fn splitmix_next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Draws a fault with probability `p` from the stream.
 fn fault_roll(state: &mut u64, p: f64) -> bool {
     if p <= 0.0 {
         return false;
     }
-    let unit = (splitmix_next(state) >> 11) as f64 / (1u64 << 53) as f64;
+    let unit = (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64;
     unit < p
 }
 
@@ -338,16 +329,6 @@ impl NvmDevice {
         self.pending_writes.insert(addr, done);
         done
     }
-
-    /// The earliest cycle at which every issued command has completed —
-    /// the device-drained condition used at simulation end and at
-    /// crash points (ADR flushes the queues on power failure).
-    pub fn drained_at(&self) -> Cycle {
-        self.banks
-            .iter()
-            .map(|b| Cycle::new(b.latest_end))
-            .fold(Cycle::ZERO, Cycle::max)
-    }
 }
 
 #[cfg(test)]
@@ -450,15 +431,6 @@ mod tests {
         assert_eq!(worst, Cycle::new(600));
         // The 17th block wraps to bank 0 and waits.
         assert_eq!(d.write(Cycle::ZERO, BlockAddr::new(16)), Cycle::new(1200));
-    }
-
-    #[test]
-    fn drained_at_tracks_latest() {
-        let mut d = dev();
-        let t = d.write(Cycle::ZERO, BlockAddr::new(0));
-        assert_eq!(d.drained_at(), t);
-        let t2 = d.write(Cycle::ZERO, BlockAddr::new(5000));
-        assert_eq!(d.drained_at(), t.max(t2));
     }
 
     #[test]
@@ -614,8 +586,8 @@ mod tests {
             for _ in 0..4_200 {
                 // ~1600 cycles a call: a 2M-cycle horizon holds ~1250
                 // reservations, just past the trim threshold.
-                now += splitmix_next(&mut rng) % 3_200;
-                let draw = splitmix_next(&mut rng);
+                now += splitmix64(&mut rng) % 3_200;
+                let draw = splitmix64(&mut rng);
                 // Reads book at the present clock; writes are booked
                 // ahead of it, as the engine books gated persists.
                 let (at, len) = if draw.is_multiple_of(8) {

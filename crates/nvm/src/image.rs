@@ -1,17 +1,13 @@
 //! File-backed persistent device images.
 //!
-//! The in-memory [`crate::Medium`] dies with the process that owns it,
-//! which is exactly the property the real-process crash harness needs
-//! to *remove*: a simulation that is SIGKILLed must leave behind a
-//! device image the parent can reopen and recover. This module is the
-//! durable half of that seam — an append-only, write-through file
-//! format mirroring the persist stream.
+//! A simulation that is SIGKILLed must leave behind a device image
+//! the parent can reopen and recover; in-memory state dies with the
+//! process. This module is that durable image — an append-only,
+//! write-through file format mirroring the persist stream.
 //!
 //! The crash model is **process death**, not power loss: once
 //! `write(2)` has returned, the bytes live in the kernel page cache
-//! and survive a SIGKILL of the writer, so the writer needs no fsync
-//! on the hot path ([`ImageWriter::sync`] exists for callers that also
-//! want the power-loss guarantee).
+//! and survive a SIGKILL of the writer, so the writer never fsyncs.
 //!
 //! # Layout
 //!
@@ -45,7 +41,7 @@
 
 use std::fs::File;
 use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::NvmError;
 
@@ -61,8 +57,9 @@ pub const IMAGE_SCHEME_MAX: usize = 23;
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
-/// FNV-1a 64 over `bytes` — the same hash the bench cache keys use, so
-/// image checksums stay dependency-free and deterministic.
+/// FNV-1a 64 over `bytes`: the image frame checksums here, and the
+/// run cache's content addresses and checksums in the bench harness.
+/// Dependency-free and deterministic.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = FNV_BASIS;
     for &b in bytes {
@@ -200,7 +197,6 @@ pub fn decode_frame(bytes: &[u8]) -> Option<(u8, &[u8], usize)> {
 #[derive(Debug)]
 pub struct ImageWriter {
     file: File,
-    path: PathBuf,
 }
 
 impl ImageWriter {
@@ -209,10 +205,7 @@ impl ImageWriter {
         let mut file = File::create(path).map_err(|_| NvmError::ImageIo { op: "create" })?;
         file.write_all(&header.encode())
             .map_err(|_| NvmError::ImageIo { op: "write" })?;
-        Ok(ImageWriter {
-            file,
-            path: path.to_path_buf(),
-        })
+        Ok(ImageWriter { file })
     }
 
     /// Appends one complete frame.
@@ -233,20 +226,6 @@ impl ImageWriter {
         self.file
             .write_all(&frame[..keep])
             .map_err(|_| NvmError::ImageIo { op: "write" })
-    }
-
-    /// Flushes file contents to stable storage (`fdatasync`). Not
-    /// needed for the SIGKILL crash model; offered for callers that
-    /// also want the image to survive power loss.
-    pub fn sync(&mut self) -> Result<(), NvmError> {
-        self.file
-            .sync_data()
-            .map_err(|_| NvmError::ImageIo { op: "sync" })
-    }
-
-    /// Path of the backing file.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -338,7 +317,7 @@ mod tests {
         }
     }
 
-    fn temp_path(name: &str) -> PathBuf {
+    fn temp_path(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("plp_image_{}_{name}.img", std::process::id()))
     }
 

@@ -6,23 +6,18 @@
 //!   parameters (tRCD/tXAW/tBURST/tWR/tRFC/tCL = 55/50/5/150/5/12.5 ns),
 //!   64-entry read and 128-entry write queues with admission
 //!   back-pressure, completions expressed in CPU cycles at 4 GHz;
-//! * [`Medium`] — *contents*: a sparse functional store so the
-//!   crash-recovery machinery can snapshot exactly what was durable.
+//! * [`image`] — *contents*: the append-only, write-through device
+//!   image file a crashed run leaves behind for recovery to reopen.
 //!
 //! # Example
 //!
 //! ```
 //! use plp_events::{addr::BlockAddr, Cycle};
-//! use plp_nvm::{Medium, NvmConfig, NvmDevice};
+//! use plp_nvm::{NvmConfig, NvmDevice};
 //!
 //! let mut timing = NvmDevice::new(NvmConfig::paper_default());
-//! let mut contents: Medium<u64> = Medium::new();
-//!
-//! let addr = BlockAddr::new(42);
-//! let durable_at = timing.write(Cycle::ZERO, addr);
-//! contents.write(addr, 7);
+//! let durable_at = timing.write(Cycle::ZERO, BlockAddr::new(42));
 //! assert!(durable_at > Cycle::ZERO);
-//! assert_eq!(contents.read(addr), 7);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -30,10 +25,8 @@
 
 mod device;
 pub mod image;
-mod medium;
 mod timing;
 
 pub use device::{NvmDevice, NvmStats};
 pub use image::{read_image, ImageContents, ImageHeader, ImageRecord, ImageWriter};
-pub use medium::Medium;
 pub use timing::{Interleave, NvmConfig, NvmError, NvmTiming, ReadFaultConfig};

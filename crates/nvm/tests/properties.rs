@@ -4,7 +4,7 @@
 
 use plp_events::addr::BlockAddr;
 use plp_events::Cycle;
-use plp_nvm::{Interleave, Medium, NvmConfig, NvmDevice};
+use plp_nvm::{Interleave, NvmConfig, NvmDevice};
 use proptest::prelude::*;
 
 fn arb_ops() -> impl Strategy<Value = Vec<(u64, u64, bool)>> {
@@ -77,19 +77,5 @@ proptest! {
         }
         let s = d.stats();
         prop_assert_eq!(s.writes + s.writes_combined, sorted.len() as u64);
-    }
-
-    /// The functional medium is exactly last-writer-wins.
-    #[test]
-    fn medium_last_writer_wins(ops in prop::collection::vec((0u64..64, any::<u32>()), 1..200)) {
-        let mut m: Medium<u32> = Medium::new();
-        let mut model = std::collections::HashMap::new();
-        for (addr, v) in &ops {
-            m.write(BlockAddr::new(*addr), *v);
-            model.insert(*addr, *v);
-        }
-        for (addr, v) in model {
-            prop_assert_eq!(m.read(BlockAddr::new(addr)), v);
-        }
     }
 }

@@ -86,11 +86,6 @@ impl Trace {
         }
     }
 
-    /// The events in program order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
     /// Iterates over events in program order.
     pub fn iter(&self) -> std::slice::Iter<'_, TraceEvent> {
         self.events.iter()
@@ -197,6 +192,5 @@ mod tests {
         })]);
         assert_eq!(t.iter().count(), 1);
         assert_eq!((&t).into_iter().count(), 1);
-        assert_eq!(t.events().len(), 1);
     }
 }

@@ -61,11 +61,6 @@ impl TraceGenerator {
         }
     }
 
-    /// The profile driving this generator.
-    pub fn profile(&self) -> &WorkloadProfile {
-        &self.profile
-    }
-
     /// Generates a trace of approximately `instructions` instructions.
     ///
     /// # Panics

@@ -10,10 +10,11 @@
 //!   the unsharded path has always used; higher streams get a
 //!   splitmix64-mixed seed so their address/gap sequences are
 //!   decorrelated.
-//! * [`stream_block_offset`] places each stream in a disjoint window of
-//!   the physical address space, [`STREAM_PAGE_STRIDE`] pages apart, so
-//!   clients never alias each other's pages. Stream 0's offset is zero:
-//!   its addresses are untouched.
+//! * [`rebase_with`] places each stream in a disjoint window of the
+//!   physical address space, [`STREAM_PAGE_STRIDE`] (or a
+//!   [`fitted_stride`]) pages apart, so clients never alias each
+//!   other's pages. Stream 0's offset is zero: its addresses are
+//!   untouched.
 //!
 //! The offsets are applied at dispatch time by the sharded coordinator
 //! (not baked into the generated trace), so all streams of a run share
@@ -57,13 +58,6 @@ pub fn stream_seed(run_seed: u64, stream: u32) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The block-index offset of `stream`'s address window (zero for
-/// stream 0).
-#[inline]
-pub const fn stream_block_offset(stream: u32) -> u64 {
-    stream as u64 * STREAM_PAGE_STRIDE * BLOCKS_PER_PAGE as u64
-}
-
 /// The per-stream page stride that fits `streams` windows inside a
 /// topology's global integrity coverage of `covered_pages` pages
 /// (per-shard BMT leaf count × shard count), capped at the default
@@ -95,26 +89,22 @@ pub const fn fitted_stride(streams: u32, covered_pages: u64) -> u64 {
     }
 }
 
-/// Rebases a stream-local address into the stream's global window.
+/// Rebases a stream-local address into the stream's global window,
+/// `stride_pages` pages per stream (see [`fitted_stride`]). Stream 0
+/// is untouched for any stride.
 ///
 /// # Example
 ///
 /// ```
 /// use plp_events::addr::BlockAddr;
-/// use plp_trace::multi::{rebase, STREAM_PAGE_STRIDE};
+/// use plp_trace::multi::{rebase_with, STREAM_PAGE_STRIDE};
 ///
 /// let a = BlockAddr::new(100);
-/// assert_eq!(rebase(a, 0), a);
-/// assert_eq!(rebase(a, 2).page().index(), a.page().index() + 2 * STREAM_PAGE_STRIDE);
-/// assert_eq!(rebase(a, 2).slot_in_page(), a.slot_in_page());
+/// assert_eq!(rebase_with(a, 0, STREAM_PAGE_STRIDE), a);
+/// let r = rebase_with(a, 2, STREAM_PAGE_STRIDE);
+/// assert_eq!(r.page().index(), a.page().index() + 2 * STREAM_PAGE_STRIDE);
+/// assert_eq!(r.slot_in_page(), a.slot_in_page());
 /// ```
-#[inline]
-pub const fn rebase(addr: BlockAddr, stream: u32) -> BlockAddr {
-    rebase_with(addr, stream, STREAM_PAGE_STRIDE)
-}
-
-/// [`rebase`] with an explicit page stride (see [`fitted_stride`]).
-/// Stream 0 is untouched for any stride.
 #[inline]
 pub const fn rebase_with(addr: BlockAddr, stream: u32, stride_pages: u64) -> BlockAddr {
     BlockAddr::new(addr.index() + stream as u64 * stride_pages * BLOCKS_PER_PAGE as u64)
@@ -156,8 +146,12 @@ mod tests {
         // the next stream's window.
         let top = STACK_BASE_PAGE + STACK_PAGES;
         assert!(top < STREAM_PAGE_STRIDE);
-        let end0 = rebase(BlockAddr::new(top * BLOCKS_PER_PAGE as u64), 0);
-        let start1 = rebase(BlockAddr::new(0), 1);
+        let end0 = rebase_with(
+            BlockAddr::new(top * BLOCKS_PER_PAGE as u64),
+            0,
+            STREAM_PAGE_STRIDE,
+        );
+        let start1 = rebase_with(BlockAddr::new(0), 1, STREAM_PAGE_STRIDE);
         assert!(end0.index() < start1.index());
     }
 
@@ -187,7 +181,7 @@ mod tests {
     fn rebase_preserves_page_slot() {
         let a = BlockAddr::new(5 * BLOCKS_PER_PAGE as u64 + 17);
         for stream in 0..4 {
-            let r = rebase(a, stream);
+            let r = rebase_with(a, stream, STREAM_PAGE_STRIDE);
             assert_eq!(r.slot_in_page(), a.slot_in_page());
             assert_eq!(
                 r.page().index(),

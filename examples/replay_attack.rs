@@ -12,7 +12,7 @@
 //! cargo run --release --example replay_attack
 //! ```
 
-use plp::core::{run_with_crash, RecoveryChecker, SystemConfig, UpdateScheme};
+use plp::core::{run_with_crash, RecoveryChecker, RecoveryManager, SystemConfig, UpdateScheme};
 use plp::trace::{spec, TraceGenerator};
 
 fn main() {
@@ -76,15 +76,13 @@ fn main() {
          storage, updated in persist order (Invariant 2) — stops replay."
     );
 
-    // And the crash-recovery cost model for this image:
-    let cost = checker.recovery_cost(&image, &expected);
+    // And what recovering this image costs under the scheme's rebuild
+    // strategy:
+    let outcome = RecoveryManager::for_config(&cfg).recover(&image, &report.records, &expected);
     println!();
     println!(
-        "recovery pass for this image: {} counter blocks, {} tree hashes,\n\
-         {} MAC checks (~{} cycles at a 40-cycle hash unit)",
-        cost.counter_blocks,
-        cost.hash_computations,
-        cost.mac_verifications,
-        cost.estimated_cycles(40)
+        "recovery pass for this image: ~{} cycles ({})",
+        outcome.recovery_cycles,
+        outcome.verdict()
     );
 }

@@ -7,6 +7,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --workspace
+# The benchmark package lives outside the workspace but imports its
+# public API; building it here catches a removed item it still uses.
+# --locked also fails on any change that would rewrite its lockfile.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 

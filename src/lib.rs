@@ -6,7 +6,8 @@
 //!
 //! This facade crate re-exports the whole stack:
 //!
-//! * [`events`] — deterministic discrete-event kernel;
+//! * [`events`] — time, addresses, the seeded retry policy and
+//!   `splitmix64`, throughput and geometric-mean statistics;
 //! * [`crypto`] — counter-mode encryption, split counters, stateful MACs;
 //! * [`bmt`] — Bonsai Merkle Tree geometry, labelling, LCA and the
 //!   functional integrity tree;

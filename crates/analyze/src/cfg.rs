@@ -2,7 +2,7 @@
 //!
 //! Each function body becomes a graph of basic blocks holding *atoms*
 //! — statement-level units carrying the extracted expression facts
-//! (calls, casts, assignments, definitions). Edges are typed:
+//! (calls, assignments, closures, `?`). Edges are typed:
 //!
 //! * [`EdgeKind::Normal`] — ordinary fallthrough/branch.
 //! * [`EdgeKind::Back`] — loop body end back to the loop header.
@@ -14,8 +14,8 @@
 //! The split lets analyses choose a loop stance: *optimistic* passes
 //! (the persist-order obligations, where every real walk visits at
 //! least one level) drop `ZeroTrip` edges and keep `LoopBypass`, so a
-//! loop body is assumed to execute at least once; *pessimistic* passes
-//! (reaching definitions) keep every edge.
+//! loop body is assumed to execute at least once; a *pessimistic*
+//! stance keeps every edge, so a zero-trip loop is a real path.
 //!
 //! Every token of the function body is owned by exactly one block
 //! (atoms record their token ranges; purely structural tokens —
@@ -64,25 +64,11 @@ pub struct Atom<'a> {
     pub kind: AtomKind,
     /// Primary expression (init/cond/value/expression), if any.
     pub expr: Option<&'a ExprInfo>,
-    /// Variable this atom defines: `let` bindings (with annotation),
-    /// `for` patterns, and local (non-`self`) assignments.
-    pub def: Option<AtomDef<'a>>,
     /// 1-based source line.
     pub line: u32,
     /// Token ranges this atom owns (statement span minus child
     /// blocks), half-open.
     pub own: Vec<(usize, usize)>,
-}
-
-/// A definition made by an atom.
-#[derive(Debug, Clone)]
-pub struct AtomDef<'a> {
-    /// Bound variable name.
-    pub name: &'a str,
-    /// Declared type annotation, if present.
-    pub ty: Option<&'a str>,
-    /// Initializer expression; `None` means unknown value.
-    pub init: Option<&'a ExprInfo>,
 }
 
 /// A basic block: atoms plus typed edges.
@@ -208,12 +194,7 @@ impl<'a> Builder<'a> {
 
     fn stmt(&mut self, s: &'a Stmt, cur: BlockId) -> BlockId {
         match &s.kind {
-            StmtKind::Let {
-                name,
-                ty,
-                init,
-                else_block,
-            } => {
+            StmtKind::Let { init, else_block } => {
                 let children: Vec<(usize, usize)> =
                     else_block.iter().map(|b| b.span).collect();
                 self.push(
@@ -221,11 +202,6 @@ impl<'a> Builder<'a> {
                     Atom {
                         kind: AtomKind::Plain,
                         expr: init.as_ref(),
-                        def: name.as_deref().map(|n| AtomDef {
-                            name: n,
-                            ty: ty.as_deref(),
-                            init: init.as_ref(),
-                        }),
                         line: s.line,
                         own: subtract(s.span, &children),
                     },
@@ -252,15 +228,6 @@ impl<'a> Builder<'a> {
                     Atom {
                         kind: AtomKind::Plain,
                         expr: Some(expr),
-                        def: expr
-                            .assign
-                            .as_ref()
-                            .filter(|a| a.root != "self" && a.field.is_none())
-                            .map(|a| AtomDef {
-                                name: &a.root,
-                                ty: None,
-                                init: None,
-                            }),
                         line: s.line,
                         own: vec![s.span],
                     },
@@ -283,7 +250,6 @@ impl<'a> Builder<'a> {
                     Atom {
                         kind: AtomKind::Cond,
                         expr: Some(cond),
-                        def: None,
                         line: s.line,
                         own: subtract(s.span, &children),
                     },
@@ -313,7 +279,6 @@ impl<'a> Builder<'a> {
                     Atom {
                         kind: AtomKind::Cond,
                         expr: Some(scrut),
-                        def: None,
                         line: s.line,
                         own: subtract(s.span, &children),
                     },
@@ -333,12 +298,7 @@ impl<'a> Builder<'a> {
                 }
                 join
             }
-            StmtKind::Loop {
-                kind,
-                header,
-                pat,
-                body,
-            } => {
+            StmtKind::Loop { kind, header, body } => {
                 let hdr = self.new_block();
                 self.edge(cur, hdr, EdgeKind::Normal);
                 self.push(
@@ -346,11 +306,6 @@ impl<'a> Builder<'a> {
                     Atom {
                         kind: AtomKind::LoopHeader,
                         expr: header.as_ref(),
-                        def: pat.as_deref().map(|n| AtomDef {
-                            name: n,
-                            ty: None,
-                            init: None,
-                        }),
                         line: s.line,
                         own: subtract(s.span, &[body.span]),
                     },
@@ -382,7 +337,6 @@ impl<'a> Builder<'a> {
                     Atom {
                         kind: AtomKind::Return,
                         expr: value.as_ref(),
-                        def: None,
                         line: s.line,
                         own: vec![s.span],
                     },
@@ -396,7 +350,6 @@ impl<'a> Builder<'a> {
                     Atom {
                         kind: AtomKind::Break,
                         expr: None,
-                        def: None,
                         line: s.line,
                         own: vec![s.span],
                     },
@@ -411,7 +364,6 @@ impl<'a> Builder<'a> {
                     Atom {
                         kind: AtomKind::Continue,
                         expr: None,
-                        def: None,
                         line: s.line,
                         own: vec![s.span],
                     },
@@ -427,7 +379,6 @@ impl<'a> Builder<'a> {
                     Atom {
                         kind: AtomKind::Plain,
                         expr: None,
-                        def: None,
                         line: s.line,
                         own: vec![s.span],
                     },

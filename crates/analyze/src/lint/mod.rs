@@ -228,13 +228,13 @@ mod tests {
         let report = lint_file(
             "crates/core/src/x.rs",
             concat!(
-                "// lint: allow(no-panic-lib) demo\n",
-                "fn f() { a.unwrap(); }\n",
-                "fn g() { b.unwrap(); }\n",
+                "// lint: allow(no-node-hashmap) demo\n",
+                "fn f(a: HashMap<NodeLabel, u64>) {}\n",
+                "fn g(b: HashMap<NodeLabel, u64>) {}\n",
             ),
         );
         let t = totals(&[report]);
-        assert_eq!(t.per_rule[rules::NO_PANIC_LIB], (2, 1));
+        assert_eq!(t.per_rule[rules::NO_NODE_HASHMAP], (2, 1));
         assert_eq!(t.violations.len(), 1);
         assert_eq!(t.allow_directives, 1);
     }
@@ -243,7 +243,7 @@ mod tests {
     fn analysis_json_is_well_formed_and_stable() {
         let t = totals(&[lint_file(
             "crates/core/src/x.rs",
-            "fn f() { a.unwrap(); }\n",
+            "fn f(a: HashMap<NodeLabel, u64>) {}\n",
         )]);
         let a = analysis_json(&t);
         let b = analysis_json(&t);
@@ -251,9 +251,9 @@ mod tests {
         assert!(a.contains("\"schema\": 2"));
         assert!(a.contains("\"files_scanned\": 1"));
         assert!(a.contains("\"functions_analyzed\": 1"));
-        assert!(a.contains("\"no-panic-lib\": {\"hits\": 1, \"allowed\": 0, \"violations\": 1}"));
-        assert!(a.contains("\"code\": \"PLP-L001\""));
-        assert!(a.contains("\"snippet\": \".unwrap\""));
+        assert!(a.contains("\"no-node-hashmap\": {\"hits\": 1, \"allowed\": 0, \"violations\": 1}"));
+        assert!(a.contains("\"code\": \"PLP-L005\""));
+        assert!(a.contains("\"snippet\": \"Map<NodeLabel\""));
         // Balanced braces/brackets — a cheap well-formedness check
         // given there is no JSON parser in the dependency set.
         assert_eq!(a.matches('{').count(), a.matches('}').count());
@@ -284,11 +284,11 @@ mod tests {
         let r = lint_file(
             "crates/core/src/x.rs",
             concat!(
-                "// lint: allow(no-panic-lib) real suppression\n",
-                "fn f() { a.unwrap(); }\n",
-                "// lint: allow(no-panic-lib) nothing here anymore\n",
+                "// lint: allow(no-node-hashmap) real suppression\n",
+                "fn f(a: HashMap<NodeLabel, u64>) {}\n",
+                "// lint: allow(no-node-hashmap) nothing here anymore\n",
                 "fn g() { clean(); }\n",
-                "// lint: allow(no-such-rule) typo\n",
+                "// lint: allow(no-panic-lib) a retired rule, clippy's now\n",
                 "fn h() {}\n",
             ),
         );

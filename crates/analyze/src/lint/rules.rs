@@ -1,29 +1,28 @@
-//! The eight workspace lint rules.
+//! The seven workspace lint rules: the domain rules clippy cannot
+//! express.
 //!
-//! Each rule is a pattern over the lexed [`SourceModel`] (comments and
-//! literals already blanked, test regions marked). Rules fire only
-//! outside test code, and every hit can be excused in the source with
-//! a reasoned `// lint: allow(<rule>) <why>` directive — a directive
-//! without a reason is itself a finding ([`ALLOW_REASON`]).
+//! The lexical rules here are patterns over the [`SourceModel`]
+//! (comments and literals already blanked, test regions marked); the
+//! semantic ones ([`ENGINE_CONTRACT`], [`FAILPOINT_COVERAGE`], the
+//! shard-escape half of [`NO_CROSS_SHARD_STATE`], [`UNUSED_ALLOW`])
+//! run in [`crate::passes`].
+//! Rules fire only outside test code, and every hit can be excused in
+//! the source with a reasoned `// lint: allow(<rule>) <why>` directive
+//! — a directive without a reason is itself a finding
+//! ([`ALLOW_REASON`]).
+//!
+//! The generic source rules are clippy's job: the panic family and
+//! `exit` in library code, narrowing casts in plp-core and plp-bmt,
+//! wall-clock reads and `Child::kill` (see the root `clippy.toml`).
 
 use super::scan::{parse_allows, SourceModel};
 
 /// Stable rule identifier (the name used in allow directives).
 pub type RuleId = &'static str;
 
-/// Library code must not panic: `.unwrap()`, `.expect(…)` and
-/// `panic!` belong in tests and binaries, not in the simulator —
-/// errors surface as `ConfigError`/`NvmError` values instead.
-pub const NO_PANIC_LIB: RuleId = "no-panic-lib";
-/// Address/geometry arithmetic in `plp-core`/`plp-bmt` must not use
-/// bare `as` narrowing; use `try_from`/`try_into` or justify the cast.
-pub const NARROWING_CAST: RuleId = "narrowing-cast";
 /// `match`es over an update scheme must stay exhaustive — a `_ =>`
 /// arm silently absorbs the next scheme someone adds.
 pub const SCHEME_MATCH_WILDCARD: RuleId = "scheme-match-wildcard";
-/// Simulation code must be deterministic: no wall clocks and no
-/// OS-seeded RNGs outside explicitly seeded constructors.
-pub const NONDETERMINISM: RuleId = "nondeterminism";
 /// Library retry loops must go through the shared `plp_core::retry`
 /// policy instead of hand-rolling attempt counting and backoff: a
 /// loop header that mentions retrying without mentioning a policy is
@@ -34,15 +33,6 @@ pub const NO_BARE_RETRY_LOOP: RuleId = "no-bare-retry-loop";
 /// hot path the dense arena replaced. Tests (golden oracles) are
 /// exempt, as is any hit with a reasoned allow directive.
 pub const NO_NODE_HASHMAP: RuleId = "no-node-hashmap";
-/// Process-lifecycle manipulation is the crash harness's exclusive
-/// domain: `libc::kill` and `Child::kill` (`.kill()`) are banned
-/// everywhere except the harness modules (the crash harness, its
-/// binary, and the process-isolation module, which SIGKILLs its own
-/// rlimit-fenced children), and `process::exit` is additionally
-/// banned in *library* code — a library that exits hijacks its host
-/// process (binaries keep using it for exit codes). The SIGKILL
-/// protocol must stay auditable in a small, named set of files.
-pub const NO_RAW_PROCESS_KILL: RuleId = "no-raw-process-kill";
 /// Per-shard simulation state is the sharded coordinator's exclusive
 /// domain: the stepping API (`step_store`/`step_load`) and the seal
 /// plumbing (`enable_seal_log`/`drain_seals_into`/
@@ -71,14 +61,10 @@ pub const UNUSED_ALLOW: RuleId = "unused-allow";
 pub const ALLOW_REASON: RuleId = "allow-reason";
 
 /// All real rules, in reporting order ([`ALLOW_REASON`] is meta).
-pub const RULES: [RuleId; 11] = [
-    NO_PANIC_LIB,
-    NARROWING_CAST,
+pub const RULES: [RuleId; 7] = [
     SCHEME_MATCH_WILDCARD,
-    NONDETERMINISM,
     NO_BARE_RETRY_LOOP,
     NO_NODE_HASHMAP,
-    NO_RAW_PROCESS_KILL,
     NO_CROSS_SHARD_STATE,
     ENGINE_CONTRACT,
     FAILPOINT_COVERAGE,
@@ -90,14 +76,10 @@ pub const RULES: [RuleId; 11] = [
 /// scanner-produced rules and the meta rule.
 pub fn code_for(rule: RuleId) -> &'static str {
     match rule {
-        NO_PANIC_LIB => "PLP-L001",
         SCHEME_MATCH_WILDCARD => "PLP-L002",
-        NONDETERMINISM => "PLP-L003",
         NO_BARE_RETRY_LOOP => "PLP-L004",
         NO_NODE_HASHMAP => "PLP-L005",
-        NO_RAW_PROCESS_KILL => "PLP-L006",
         NO_CROSS_SHARD_STATE => "PLP-L007",
-        NARROWING_CAST => "PLP-C001",
         ENGINE_CONTRACT => "PLP-E000",
         FAILPOINT_COVERAGE => "PLP-F001",
         UNUSED_ALLOW => "PLP-A002",
@@ -142,9 +124,6 @@ pub struct FileScope {
     /// In `plp-core` or `plp-bmt`, the crates doing address and
     /// geometry math.
     pub address_math: bool,
-    /// The crash-harness module or its binary — the only code allowed
-    /// to SIGKILL processes ([`NO_RAW_PROCESS_KILL`]).
-    pub harness: bool,
     /// The sharded coordinator or the per-shard stepping API's
     /// definition site — the only code allowed to touch per-shard
     /// state directly ([`NO_CROSS_SHARD_STATE`]).
@@ -171,9 +150,6 @@ impl FileScope {
         let library = path.contains("/src/") && !path.contains("/src/bin/");
         let address_math = library
             && (path.starts_with("crates/core/") || path.starts_with("crates/bmt/"));
-        let harness = path.starts_with("crates/bench/src/crash")
-            || path.starts_with("crates/bench/src/bin/crash_harness")
-            || path == "crates/bench/src/isolate.rs";
         let coordinator = path == "crates/core/src/shard.rs"
             || path == "crates/core/src/system.rs";
         let engine = path.starts_with("crates/core/src/engine/");
@@ -183,7 +159,6 @@ impl FileScope {
         FileScope {
             library,
             address_math,
-            harness,
             coordinator,
             engine,
             mutant_factory,
@@ -229,25 +204,9 @@ pub fn run(path: &str, model: &SourceModel, scope: FileScope) -> Vec<Finding> {
         }
         let code = line.code.as_str();
 
-        if scope.library {
-            for pat in [".unwrap()", ".expect(", "panic!(", "unimplemented!(", "todo!("] {
-                for _ in code.matches(pat) {
-                    push(NO_PANIC_LIB, idx, pat.trim_end_matches(['(', ')']));
-                }
-            }
-        }
         if scope.address_math {
-            // Narrowing casts are the semantic pass's job now
-            // (`passes::narrowing`, PLP-C001) — it proves most casts
-            // safe from declared types and reaching definitions
-            // instead of flagging every `as` textually.
             for hit in node_map_types(code) {
                 push(NO_NODE_HASHMAP, idx, &hit);
-            }
-        }
-        for pat in ["SystemTime", "Instant::now", "thread_rng", "from_entropy"] {
-            if code.contains(pat) {
-                push(NONDETERMINISM, idx, pat);
             }
         }
         if scope.library && is_bare_retry_loop(code) {
@@ -257,18 +216,6 @@ pub fn run(path: &str, model: &SourceModel, scope: FileScope) -> Vec<Finding> {
             for pat in SHARD_STATE_API {
                 for _ in code.matches(pat) {
                     push(NO_CROSS_SHARD_STATE, idx, pat.trim_end_matches('('));
-                }
-            }
-        }
-        if !scope.harness {
-            for pat in ["libc::kill", ".kill()"] {
-                for _ in code.matches(pat) {
-                    push(NO_RAW_PROCESS_KILL, idx, pat);
-                }
-            }
-            if scope.library {
-                for _ in code.matches("process::exit(") {
-                    push(NO_RAW_PROCESS_KILL, idx, "process::exit");
                 }
             }
         }
@@ -342,10 +289,6 @@ fn node_map_types(code: &str) -> Vec<String> {
     out
 }
 
-/// The integer types an `as` cast may silently truncate to — shared
-/// with the semantic narrowing pass.
-pub const NARROW: [&str; 8] = ["u8", "u16", "u32", "i8", "i16", "i32", "usize", "isize"];
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,7 +296,6 @@ mod tests {
     const LIB: FileScope = FileScope {
         library: true,
         address_math: true,
-        harness: false,
         coordinator: false,
         engine: false,
         mutant_factory: false,
@@ -363,44 +305,6 @@ mod tests {
 
     fn hits(src: &str, scope: FileScope) -> Vec<Finding> {
         run("crates/core/src/x.rs", &SourceModel::parse(src), scope)
-    }
-
-    #[test]
-    fn panics_flagged_in_library_not_tests() {
-        let src = concat!(
-            "fn f() { x.unwrap(); y.expect(\"m\"); panic!(\"no\"); }\n",
-            "#[cfg(test)]\n",
-            "mod tests {\n",
-            "    #[test] fn t() { z.unwrap(); }\n",
-            "}\n",
-        );
-        let f = hits(src, LIB);
-        let panics: Vec<_> = f.iter().filter(|f| f.rule == NO_PANIC_LIB).collect();
-        assert_eq!(panics.len(), 3);
-        assert!(panics.iter().all(|f| f.line == 1));
-    }
-
-    #[test]
-    fn binaries_are_exempt_from_no_panic() {
-        let scope = FileScope::classify("crates/bench/src/bin/all.rs");
-        assert!(!scope.library);
-        let f = run(
-            "crates/bench/src/bin/all.rs",
-            &SourceModel::parse("fn main() { x.unwrap(); }\n"),
-            scope,
-        );
-        assert!(f.iter().all(|f| f.rule != NO_PANIC_LIB));
-    }
-
-    #[test]
-    fn narrowing_is_no_longer_lexical() {
-        // `as u32` on its own no longer fires here: the semantic pass
-        // (`passes::narrowing`) owns PLP-C001 with value-range proofs.
-        let src = "let x = big as u32; let z = n as usize;\n";
-        let f = hits(src, LIB);
-        assert!(f.iter().all(|f| f.rule != NARROWING_CAST));
-        let other = FileScope::classify("crates/trace/src/lib.rs");
-        assert!(!other.address_math);
     }
 
     #[test]
@@ -448,12 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn nondeterminism_sources_are_flagged() {
-        let f = hits("let t = SystemTime::now(); let r = thread_rng();\n", LIB);
-        assert_eq!(f.iter().filter(|f| f.rule == NONDETERMINISM).count(), 2);
-    }
-
-    #[test]
     fn node_label_maps_are_flagged_in_address_crates() {
         let src = concat!(
             "nodes: HashMap<NodeLabel, NodeValue>,\n",
@@ -492,15 +390,15 @@ mod tests {
     #[test]
     fn reasoned_allows_mark_findings_allowed() {
         let src = concat!(
-            "// lint: allow(no-panic-lib) poisoned mutex means a worker already panicked\n",
-            "let g = m.lock().unwrap();\n",
-            "let h = n.lock().unwrap();\n",
+            "// lint: allow(no-node-hashmap) a sparse golden oracle, off the hot path\n",
+            "nodes: HashMap<NodeLabel, NodeValue>,\n",
+            "dirty: HashMap<NodeLabel, Cycle>,\n",
         );
         let f = hits(src, LIB);
-        let unwraps: Vec<_> = f.iter().filter(|f| f.rule == NO_PANIC_LIB).collect();
-        assert_eq!(unwraps.len(), 2);
-        assert!(unwraps[0].allowed);
-        assert!(!unwraps[1].allowed);
+        let maps: Vec<_> = f.iter().filter(|f| f.rule == NO_NODE_HASHMAP).collect();
+        assert_eq!(maps.len(), 2);
+        assert!(maps[0].allowed);
+        assert!(!maps[1].allowed);
     }
 
     #[test]
@@ -535,50 +433,6 @@ mod tests {
             scope,
         );
         assert!(f.iter().all(|f| f.rule != NO_BARE_RETRY_LOOP));
-    }
-
-    #[test]
-    fn raw_process_kills_are_flagged_outside_the_harness() {
-        // Library code: exit and both kill spellings all fire.
-        let src = "fn f(c: &mut Child) { std::process::exit(1); libc::kill(pid, 9); c.kill(); }\n";
-        let f = hits(src, LIB);
-        let kills: Vec<_> = f
-            .iter()
-            .filter(|f| f.rule == NO_RAW_PROCESS_KILL)
-            .collect();
-        assert_eq!(kills.len(), 3, "{kills:?}");
-
-        // A non-harness binary: exit is the normal exit-code path,
-        // but killing processes is still the harness's domain.
-        let scope = FileScope::classify("crates/bench/src/bin/all.rs");
-        assert!(!scope.harness);
-        let f = run(
-            "crates/bench/src/bin/all.rs",
-            &SourceModel::parse(src),
-            scope,
-        );
-        assert_eq!(
-            f.iter().filter(|f| f.rule == NO_RAW_PROCESS_KILL).count(),
-            2
-        );
-    }
-
-    #[test]
-    fn harness_files_may_kill() {
-        for path in [
-            "crates/bench/src/crash.rs",
-            "crates/bench/src/bin/crash_harness.rs",
-            "crates/bench/src/isolate.rs",
-        ] {
-            let scope = FileScope::classify(path);
-            assert!(scope.harness, "{path} must classify as harness");
-            let f = run(
-                path,
-                &SourceModel::parse("let _ = child.kill(); std::process::exit(1);\n"),
-                scope,
-            );
-            assert!(f.iter().all(|f| f.rule != NO_RAW_PROCESS_KILL));
-        }
     }
 
     #[test]
@@ -625,10 +479,9 @@ mod tests {
 
     #[test]
     fn reasonless_allow_is_a_finding() {
-        let f = hits("// lint: allow(no-panic-lib)\nx.unwrap();\n", LIB);
+        let src = "// lint: allow(no-node-hashmap)\nnodes: HashMap<NodeLabel, u64>,\n";
+        let f = hits(src, LIB);
         assert!(f.iter().any(|f| f.rule == ALLOW_REASON));
-        assert!(f
-            .iter()
-            .any(|f| f.rule == NO_PANIC_LIB && !f.allowed));
+        assert!(f.iter().any(|f| f.rule == NO_NODE_HASHMAP && !f.allowed));
     }
 }

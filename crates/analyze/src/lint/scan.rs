@@ -1,18 +1,20 @@
-//! Lexical source model the lint rules run over.
+//! Line-oriented source model the lexical rules run over.
 //!
-//! A full parser would be overkill for four rules, but raw text is too
-//! little: `.unwrap()` inside a string literal or a doc comment is not
-//! a panic site. The scanner walks each file once with a small state
-//! machine that blanks out comment and literal bodies (preserving
-//! line structure), captures comment text for `// lint: allow(...)`
-//! directives, and tracks brace depth to know which lines sit inside
+//! Raw text is too little for the rules: `step_store(` inside a string
+//! literal or a doc comment is not a call. The model is built from the
+//! one token lexer ([`crate::syntax::lex`]): each line's code is its
+//! tokens re-placed at their columns with every literal left blank,
+//! comment text rides alongside for `// lint: allow(...)` directives,
+//! and brace depth over that code marks the lines inside
 //! `#[cfg(test)]` / `#[test]` regions, where the rules do not apply.
+
+use crate::syntax::{lex, TokenKind, TokenStream};
 
 /// One source line, post-lex.
 #[derive(Debug, Clone, Default)]
 pub struct Line {
-    /// The line with comments and literal bodies replaced by spaces —
-    /// what the rules pattern-match against.
+    /// The line with comments and literals replaced by spaces — what
+    /// the rules pattern-match against.
     pub code: String,
     /// Concatenated comment text on the line (no `//` markers).
     pub comment: String,
@@ -76,205 +78,80 @@ impl SourceModel {
         })
     }
 
-    /// Lexes a file.
+    /// Lexes a file and builds its line model.
     pub fn parse(text: &str) -> Self {
-        Lexer::default().run(text)
+        Self::from_tokens(text, &lex(text))
     }
-}
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Code,
-    /// Inside `"…"`.
-    Str,
-    /// Inside `r##"…"##` with this many hashes.
-    RawStr(u32),
-    /// Inside `/* … */`, which nests in Rust.
-    Block(u32),
-}
+    /// Builds the line model of `text` from its token stream.
+    pub fn from_tokens(text: &str, ts: &TokenStream) -> Self {
+        use TokenKind::{Byte, ByteStr, Char, RawStr, Str};
+        let mut code: Vec<Vec<char>> = text.lines().map(|l| vec![' '; l.chars().count()]).collect();
+        for t in &ts.tokens {
+            // Literals stay blank; every other token sits on one line.
+            let literal = matches!(t.kind, Str | RawStr | ByteStr | Char | Byte);
+            let Some(row) = code.get_mut(t.line as usize - 1).filter(|_| !literal) else {
+                continue;
+            };
+            let cells = row.iter_mut().skip(t.col as usize - 1);
+            for (cell, c) in cells.zip(t.text(text).chars()) {
+                *cell = c;
+            }
+        }
+        let mut comments = vec![String::new(); code.len()];
+        for c in &ts.comments {
+            // A block comment keeps its line breaks: piece k sits on
+            // the comment's k-th line.
+            let slots = comments.iter_mut().skip(c.line as usize - 1);
+            for (slot, piece) in slots.zip(c.text.split('\n')) {
+                slot.push_str(piece.trim());
+                slot.push(' ');
+            }
+        }
 
-#[derive(Default)]
-struct Lexer {
-    mode: Option<Mode>,
-    depth: u32,
-    /// Depths at which a test region opened; non-empty = in test code.
-    test_stack: Vec<u32>,
-    /// A `#[cfg(test)]` / `#[test]` was seen and its item's `{` is
-    /// still ahead.
-    pending_test: bool,
-}
-
-impl Lexer {
-    fn run(mut self, text: &str) -> SourceModel {
-        self.mode = Some(Mode::Code);
         let mut model = SourceModel::default();
-        for raw in text.lines() {
-            let line = self.lex_line(raw);
-            model.allow_directives += parse_allows(&line.comment).len();
-            model.lines.push(line);
+        let mut depth = 0u32;
+        // Depths at which a test region opened; non-empty = in test code.
+        let mut test_stack: Vec<u32> = Vec::new();
+        // A `#[cfg(test)]` / `#[test]` was seen and its item's `{` is
+        // still ahead.
+        let mut pending_test = false;
+        for (cells, comment) in code.into_iter().zip(comments) {
+            let code: String = cells.into_iter().collect();
+            let in_test = !test_stack.is_empty();
+            for c in code.chars() {
+                match c {
+                    '{' => {
+                        if pending_test {
+                            test_stack.push(depth);
+                            pending_test = false;
+                        }
+                        depth += 1;
+                    }
+                    '}' => {
+                        depth = depth.saturating_sub(1);
+                        if test_stack.last() == Some(&depth) {
+                            test_stack.pop();
+                        }
+                    }
+                    // `#[cfg(test)] use …;` — attribute consumed by a
+                    // braceless item.
+                    ';' => pending_test = false,
+                    _ => {}
+                }
+            }
+            if code.contains("#[cfg(test)]") || code.contains("#[test]") {
+                pending_test = true;
+            }
+            model.allow_directives += parse_allows(&comment).len();
+            model.lines.push(Line {
+                code,
+                comment,
+                in_test,
+            });
         }
         model
     }
-
-    fn lex_line(&mut self, raw: &str) -> Line {
-        let b: Vec<char> = raw.chars().collect();
-        let mut code = String::with_capacity(raw.len());
-        let mut comment = String::new();
-        let in_test = !self.test_stack.is_empty();
-        let mut i = 0;
-        while i < b.len() {
-            let c = b[i];
-            match self.mode.unwrap_or(Mode::Code) {
-                Mode::Code => {
-                    if c == '/' && b.get(i + 1) == Some(&'/') {
-                        // Line comment (incl. doc comments): capture
-                        // the text and stop lexing code on this line.
-                        let text: String = b[i + 2..].iter().collect();
-                        comment.push_str(text.trim_start_matches(['/', '!']).trim());
-                        comment.push(' ');
-                        break;
-                    } else if c == '/' && b.get(i + 1) == Some(&'*') {
-                        self.mode = Some(Mode::Block(1));
-                        code.push_str("  ");
-                        i += 2;
-                        continue;
-                    } else if c == '"' {
-                        self.mode = Some(Mode::Str);
-                        code.push('"');
-                    } else if (c == 'r' || c == 'b')
-                        && (i == 0 || (!b[i - 1].is_alphanumeric() && b[i - 1] != '_'))
-                    {
-                        // Possible raw-string head: r"…", r#"…"#, br"…".
-                        if let Some((skip, hashes)) = raw_string_head(&b[i..]) {
-                            self.mode = Some(Mode::RawStr(hashes));
-                            for _ in 0..skip {
-                                code.push(' ');
-                            }
-                            i += skip;
-                            continue;
-                        }
-                        code.push(c);
-                    } else if c == '\'' {
-                        // Char literal vs lifetime: a literal closes
-                        // with a quote one or two chars ahead (or is
-                        // an escape); a lifetime never closes.
-                        if b.get(i + 1) == Some(&'\\') {
-                            let close = b[i + 2..].iter().position(|&x| x == '\'');
-                            let end = close.map(|p| i + 3 + p).unwrap_or(b.len());
-                            for _ in i..end.min(b.len()) {
-                                code.push(' ');
-                            }
-                            i = end;
-                            continue;
-                        } else if b.get(i + 2) == Some(&'\'') {
-                            code.push_str("   ");
-                            i += 3;
-                            continue;
-                        }
-                        code.push('\'');
-                    } else {
-                        if c == '{' {
-                            if self.pending_test {
-                                self.test_stack.push(self.depth);
-                                self.pending_test = false;
-                            }
-                            self.depth += 1;
-                        } else if c == '}' {
-                            self.depth = self.depth.saturating_sub(1);
-                            if self.test_stack.last() == Some(&self.depth) {
-                                self.test_stack.pop();
-                            }
-                        } else if c == ';' && self.pending_test {
-                            // `#[cfg(test)] use …;` — attribute
-                            // consumed by a braceless item.
-                            self.pending_test = false;
-                        }
-                        code.push(c);
-                    }
-                }
-                Mode::Str => {
-                    if c == '\\' {
-                        code.push_str("  ");
-                        i += 2;
-                        continue;
-                    }
-                    if c == '"' {
-                        self.mode = Some(Mode::Code);
-                        code.push('"');
-                    } else {
-                        code.push(' ');
-                    }
-                }
-                Mode::RawStr(hashes) => {
-                    if c == '"' && closes_raw(&b[i + 1..], hashes) {
-                        for _ in 0..=hashes {
-                            code.push(' ');
-                        }
-                        i += 1 + hashes as usize;
-                        self.mode = Some(Mode::Code);
-                        continue;
-                    }
-                    code.push(' ');
-                }
-                Mode::Block(depth) => {
-                    if c == '*' && b.get(i + 1) == Some(&'/') {
-                        self.mode = if depth == 1 {
-                            Some(Mode::Code)
-                        } else {
-                            Some(Mode::Block(depth - 1))
-                        };
-                        code.push_str("  ");
-                        i += 2;
-                        continue;
-                    } else if c == '/' && b.get(i + 1) == Some(&'*') {
-                        self.mode = Some(Mode::Block(depth + 1));
-                        code.push_str("  ");
-                        i += 2;
-                        continue;
-                    }
-                    comment.push(c);
-                    code.push(' ');
-                }
-            }
-            i += 1;
-        }
-        if matches!(self.mode, Some(Mode::Block(_))) {
-            comment.push(' ');
-        }
-        if code.contains("#[cfg(test)]") || code.contains("#[test]") {
-            self.pending_test = true;
-        }
-        Line {
-            code,
-            comment,
-            in_test,
-        }
-    }
-
-}
-
-/// If `b` starts a raw (byte) string head `r"`/`r#"`/`br##"`…, its
-/// `(length, hash_count)`.
-fn raw_string_head(b: &[char]) -> Option<(usize, u32)> {
-    let mut i = 0;
-    if b.get(i) == Some(&'b') {
-        i += 1;
-    }
-    if b.get(i) != Some(&'r') {
-        return None;
-    }
-    i += 1;
-    let mut hashes = 0;
-    while b.get(i) == Some(&'#') {
-        hashes += 1;
-        i += 1;
-    }
-    (b.get(i) == Some(&'"')).then_some((i + 1, hashes))
-}
-
-/// Whether the chars after a `"` close a raw string with `hashes` `#`s.
-fn closes_raw(after: &[char], hashes: u32) -> bool {
-    (0..hashes as usize).all(|k| after.get(k) == Some(&'#'))
 }
 
 #[cfg(test)]

@@ -21,12 +21,11 @@
 //! rather than silently trust unknown code.
 //!
 //! Each pass lives in its own submodule and reports [`Finding`]s with
-//! stable diagnostic codes (`PLP-E…`, `PLP-F…`, `PLP-S…`, `PLP-C…`,
-//! `PLP-A…`); the rule ids tie into the existing allow machinery.
+//! stable diagnostic codes (`PLP-E…`, `PLP-F…`, `PLP-S…`, `PLP-A…`);
+//! the rule ids tie into the existing allow machinery.
 
 pub mod engine_contract;
 pub mod failpoint_cover;
-pub mod narrowing;
 pub mod shard_escape;
 pub mod unused_allow;
 
@@ -77,7 +76,7 @@ impl Universe {
         for (path, text) in inputs {
             let tokens = syntax::lex(&text);
             let parsed = syntax::parse(&text, &tokens);
-            let model = SourceModel::parse(&text);
+            let model = SourceModel::from_tokens(&text, &tokens);
             let scope = FileScope::classify(&path);
             files.push(FileUnit {
                 path,
@@ -122,12 +121,6 @@ impl Universe {
         u.crosses = vec![false; u.fns.len()];
         u.fixpoint();
         u
-    }
-
-    /// The function behind a global id.
-    pub fn function(&self, gid: usize) -> &Function {
-        let (fi, xi) = self.fns[gid];
-        &self.files[fi].parsed.functions[xi]
     }
 
     /// Whether the line (1-based) sits in a test region of `file`.
@@ -223,21 +216,6 @@ impl Universe {
         }
         let c = self.resolve(call, caller_owner);
         !c.is_empty() && c.iter().all(|&g| self.crosses[g])
-    }
-
-    /// Return type of the unique resolution of a call, if any.
-    pub fn call_ret_ty(&self, call: &Call, caller_owner: Option<&str>) -> Option<&str> {
-        let c = self.resolve(call, caller_owner);
-        let mut ret: Option<&str> = None;
-        for &g in &c {
-            let r = self.function(g).ret_ty.as_deref()?;
-            match ret {
-                None => ret = Some(r),
-                Some(prev) if prev == r => {}
-                Some(_) => return None,
-            }
-        }
-        ret
     }
 
     /// Owners of functions with any of the given names — used to
@@ -407,7 +385,6 @@ pub fn run_semantic(u: &Universe, file: usize) -> Vec<Finding> {
     engine_contract::run(u, file, &mut out);
     failpoint_cover::run(u, file, &mut out);
     shard_escape::run(u, file, &mut out);
-    narrowing::run(u, file, &mut out);
     out.sort_by(|a, b| (a.line, a.col, a.code).cmp(&(b.line, b.col, b.code)));
     out
 }

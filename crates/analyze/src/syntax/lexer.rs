@@ -1,13 +1,13 @@
-//! Span-carrying token lexer for the analysis pipeline.
+//! Span-carrying token lexer: the one lexer of the analysis pipeline.
 //!
-//! The line-oriented [`crate::lint::scan`] model is enough for the
-//! lexical rules, but the parser, CFG builder and dataflow passes need
-//! a real token stream: every token with its byte span, line and
-//! column, literals classified (including raw strings with any number
-//! of hashes, byte and byte-raw strings, char/byte literals with
-//! escapes), comments captured separately, and common multi-character
-//! operators fused so `->`, `=>`, `::` and the compound assignments
-//! are single tokens.
+//! The parser, the CFG builder and the dataflow passes consume its
+//! token stream, and the line model the lexical rules match against
+//! ([`crate::lint::scan`]) is rebuilt from it. Every token carries its
+//! byte span, line and column; literals are classified (including raw
+//! strings with any number of hashes, byte and byte-raw strings,
+//! char/byte literals with escapes), comments are captured separately,
+//! and common multi-character operators are fused so `->`, `=>`, `::`
+//! and the compound assignments are single tokens.
 //!
 //! The lexer never fails: unknown bytes become one-character punct
 //! tokens and unterminated literals run to end of input, so the parser
@@ -20,7 +20,7 @@ pub enum TokenKind {
     Ident,
     /// `'a`-style lifetime (not a char literal).
     Lifetime,
-    /// Integer literal; [`Token::int_value`] parses it.
+    /// Integer literal (radix prefixes and type suffixes included).
     Int,
     /// Float literal.
     Float,
@@ -63,7 +63,9 @@ impl Token {
 /// A comment, captured out of band (tokens skip comments entirely).
 #[derive(Debug, Clone)]
 pub struct Comment {
-    /// Comment text without the `//` / `/* */` markers.
+    /// Comment text without the `//` / `/* */` markers. A block
+    /// comment keeps its line breaks, so its text line `k` sits on
+    /// source line `line + k`.
     pub text: String,
     /// 1-based line the comment starts on.
     pub line: u32,
@@ -219,7 +221,7 @@ impl Lexer<'_> {
             .get(start..end)
             .unwrap_or("")
             .trim_start_matches(['*', '!'])
-            .trim()
+            .trim_matches([' ', '\t'])
             .to_string();
         self.out.comments.push(Comment {
             text,
@@ -484,44 +486,6 @@ fn utf8_width(b: u8) -> usize {
     }
 }
 
-/// Parses an integer literal's value (handles `0x`/`0o`/`0b`,
-/// underscores and type suffixes); `None` on overflow.
-pub fn int_value(text: &str) -> Option<u128> {
-    let t = text.trim();
-    let (radix, digits) = if let Some(d) = t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
-        (16, d)
-    } else if let Some(d) = t.strip_prefix("0o").or_else(|| t.strip_prefix("0O")) {
-        (8, d)
-    } else if let Some(d) = t.strip_prefix("0b").or_else(|| t.strip_prefix("0B")) {
-        (2, d)
-    } else {
-        (10, t)
-    };
-    let mut value: u128 = 0;
-    let mut any = false;
-    for c in digits.chars() {
-        if c == '_' {
-            continue;
-        }
-        let Some(d) = c.to_digit(radix) else {
-            // Start of a type suffix ends the digits.
-            break;
-        };
-        any = true;
-        value = value.checked_mul(radix as u128)?.checked_add(d as u128)?;
-    }
-    any.then_some(value)
-}
-
-/// The type suffix of an integer literal (`4u32` → `u32`), if any.
-pub fn int_suffix(text: &str) -> Option<&str> {
-    [
-        "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
-    ]
-    .into_iter()
-    .find(|s| text.ends_with(s))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -613,16 +577,6 @@ mod tests {
         // The generic close lexes as two single `>`s.
         assert!(toks.iter().filter(|(_, t)| t == ">").count() >= 2);
         assert!(toks.iter().any(|(_, t)| t == ">>="));
-    }
-
-    #[test]
-    fn int_values_parse() {
-        assert_eq!(int_value("42"), Some(42));
-        assert_eq!(int_value("0xFF"), Some(255));
-        assert_eq!(int_value("1_000u64"), Some(1000));
-        assert_eq!(int_value("0b101"), Some(5));
-        assert_eq!(int_suffix("4u32"), Some("u32"));
-        assert_eq!(int_suffix("4"), None);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! (functions with their impl owner, parameter and return types,
 //! struct field types, `let`/`if`/`match`/loops/`return`/`break`/
 //! `continue`/`?`) and treats everything else as opaque expression
-//! text from which it still extracts calls, casts and assignments.
+//! text from which it still extracts calls and assignments.
 //! Unknown constructs degrade to opaque statements instead of errors,
 //! so a parse always succeeds and the passes stay conservative.
 
@@ -16,6 +16,6 @@ pub mod parse;
 
 pub use lexer::{lex, Comment, Token, TokenKind, TokenStream};
 pub use parse::{
-    parse, Arm, Assign, Block, Call, Cast, ExprInfo, Function, LoopKind, Param, ParsedFile, Stmt,
-    StmtKind, StructDef,
+    parse, Arm, Assign, Block, Call, ExprInfo, Function, LoopKind, Param, ParsedFile, Stmt, StmtKind,
+    StructDef,
 };

@@ -3,8 +3,8 @@
 //! Produces just enough structure for control-flow graphs and the
 //! semantic passes: functions (with impl/trait owner, typed params,
 //! return type, and a statement-level body), struct definitions with
-//! field types, and per-expression extraction of calls, casts,
-//! assignments, closures and `?`. Anything the grammar subset does not
+//! field types, and per-expression extraction of calls, assignments,
+//! closures and `?`. Anything the grammar subset does not
 //! cover becomes an opaque statement — the parser never fails.
 //!
 //! Token spans are threaded through everything: each statement records
@@ -96,12 +96,8 @@ pub enum LoopKind {
 /// Statement kinds the CFG builder understands.
 #[derive(Debug, Clone)]
 pub enum StmtKind {
-    /// `let [mut] name[: ty] [= init] [else { … }];`
+    /// `let pat[: ty] [= init] [else { … }];`
     Let {
-        /// Binding name for simple patterns.
-        name: Option<String>,
-        /// Normalized type annotation, if present.
-        ty: Option<String>,
         /// Initializer expression.
         init: Option<ExprInfo>,
         /// `let … else` divergent block.
@@ -134,9 +130,6 @@ pub enum StmtKind {
         kind: LoopKind,
         /// Loop header expression (`while` cond, `for` iterator).
         header: Option<ExprInfo>,
-        /// `for` pattern binding when it is a simple name — recorded
-        /// so reaching-definitions treats it as an unknown-value def.
-        pat: Option<String>,
         /// Body.
         body: Block,
     },
@@ -179,8 +172,6 @@ pub struct ExprInfo {
     pub line: u32,
     /// Function/method calls, in order.
     pub calls: Vec<Call>,
-    /// `as` casts, in order.
-    pub casts: Vec<Cast>,
     /// Top-level assignment target, if this expression is one.
     pub assign: Option<Assign>,
     /// Whether a `?` operator occurs outside any closure.
@@ -207,19 +198,6 @@ pub struct Call {
     pub col: u32,
     /// Whether the call site is inside a closure literal.
     pub in_closure: bool,
-}
-
-/// An `as` cast site.
-#[derive(Debug, Clone)]
-pub struct Cast {
-    /// Token range of the cast operand (primary expression).
-    pub op_span: (usize, usize),
-    /// Target type text (`usize`, `u32`, …).
-    pub target: String,
-    /// 1-based line.
-    pub line: u32,
-    /// 1-based column of the operand start.
-    pub col: u32,
 }
 
 /// A top-level assignment inside an expression statement.
@@ -881,17 +859,6 @@ impl Parser<'_> {
             }
             j += 1;
         }
-        // Pattern name: `let [mut] ident …`.
-        let mut p = i + 1;
-        if self.text(p) == "mut" {
-            p += 1;
-        }
-        let pat_end = eq.unwrap_or(semi);
-        let name = (self.kind(p) == Some(TokenKind::Ident)
-            && (self.text(p + 1) == ":" || p + 1 == pat_end))
-            .then(|| self.text(p).to_string());
-        let ty = (self.text(p + 1) == ":" && name.is_some())
-            .then(|| self.normalize(p + 2, pat_end));
         let init_end = else_open.map(|o| o - 1).unwrap_or(semi);
         let init = eq
             .filter(|&e| e + 1 < init_end)
@@ -902,12 +869,7 @@ impl Parser<'_> {
         });
         let end = (semi + 1).min(limit);
         out.push(Stmt {
-            kind: StmtKind::Let {
-                name,
-                ty,
-                init,
-                else_block,
-            },
+            kind: StmtKind::Let { init, else_block },
             line,
             span: (start_raw, end),
         });
@@ -1052,7 +1014,6 @@ impl Parser<'_> {
             });
             return limit;
         };
-        let mut pat = None;
         let header = match kind {
             LoopKind::Infinite => None,
             LoopKind::While => (open > i + 1).then(|| self.expr(i + 1, open)),
@@ -1065,32 +1026,21 @@ impl Parser<'_> {
                         break;
                     }
                 }
-                let mut p = i + 1;
-                if self.text(p) == "mut" {
-                    p += 1;
-                }
-                pat = (self.kind(p) == Some(TokenKind::Ident) && self.text(p + 1) == "in")
-                    .then(|| self.text(p).to_string());
                 (open > lo).then(|| self.expr(lo, open))
             }
         };
         let close = self.matching(open, limit);
         let body = self.block(open, close);
         out.push(Stmt {
-            kind: StmtKind::Loop {
-                kind,
-                header,
-                pat,
-                body,
-            },
+            kind: StmtKind::Loop { kind, header, body },
             line,
             span: (start_raw, close + 1),
         });
         close + 1
     }
 
-    /// Scans `[lo, hi)` as an opaque expression, extracting calls,
-    /// casts, the top-level assignment, closures and `?`.
+    /// Scans `[lo, hi)` as an opaque expression, extracting calls, the
+    /// top-level assignment, closures and `?`.
     fn expr(&mut self, lo: usize, hi: usize) -> ExprInfo {
         let hi = hi.min(self.toks.len());
         let mut info = ExprInfo {
@@ -1124,17 +1074,6 @@ impl Parser<'_> {
                     });
                 }
                 "?" if !in_closure(j, &info.closures) => info.has_question = true,
-                "as" if self.kind(j) == Some(TokenKind::Ident) => {
-                    if self.kind(j + 1) == Some(TokenKind::Ident) && j + 1 < hi {
-                        let op_lo = self.cast_operand_start(lo, j);
-                        info.casts.push(Cast {
-                            op_span: (op_lo, j),
-                            target: self.text(j + 1).to_string(),
-                            line: self.line(j),
-                            col: self.toks.get(op_lo).map(|t| t.col).unwrap_or(1),
-                        });
-                    }
-                }
                 _ => {
                     if self.kind(j) == Some(TokenKind::Ident)
                         && self.text(j + 1) == "("
@@ -1204,60 +1143,6 @@ impl Parser<'_> {
             };
             out.push((start, end.min(hi)));
             j = end.max(j + 1);
-        }
-    }
-
-    /// Start of the primary expression that a cast at `as_idx`
-    /// applies to: walks back over field/path chains, literals and
-    /// matched groups, stopping at operators (casts bind tighter).
-    fn cast_operand_start(&self, lo: usize, as_idx: usize) -> usize {
-        let mut j = as_idx; // exclusive upper walker
-        loop {
-            if j == lo {
-                return lo;
-            }
-            let p = j - 1;
-            let t = self.text(p);
-            let k = self.kind(p);
-            if t == ")" || t == "]" {
-                // Walk back to the matching opener.
-                let (open, close) = if t == ")" { ("(", ")") } else { ("[", "]") };
-                let mut depth = 0i32;
-                let mut m = p;
-                loop {
-                    let mt = self.text(m);
-                    if mt == close {
-                        depth += 1;
-                    } else if mt == open {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    if m == lo {
-                        break;
-                    }
-                    m -= 1;
-                }
-                j = m;
-                continue;
-            }
-            match k {
-                Some(TokenKind::Ident) if t != "as" && !FLOW_KEYWORDS.contains(&t) => {
-                    j = p;
-                    // Keep absorbing a `.`/`::` chain to the left.
-                    if j > lo {
-                        let q = self.text(j - 1);
-                        if q == "." || q == "::" {
-                            j -= 1;
-                            continue;
-                        }
-                    }
-                    return j;
-                }
-                Some(TokenKind::Int | TokenKind::Float) => return p,
-                _ => return j,
-            }
         }
     }
 
@@ -1369,11 +1254,9 @@ mod tests {
         let p = parse_src(src);
         let body = p.functions[0].body.as_ref().unwrap();
         assert_eq!(body.stmts.len(), 2);
-        let StmtKind::Let { name, ty, init, .. } = &body.stmts[0].kind else {
+        let StmtKind::Let { init, .. } = &body.stmts[0].kind else {
             panic!("expected let");
         };
-        assert_eq!(name.as_deref(), Some("v"));
-        assert_eq!(ty.as_deref(), Some("Vec<u8>"));
         assert_eq!(init.as_ref().unwrap().calls[0].name, "make_vec");
         let StmtKind::Expr { expr } = &body.stmts[1].kind else {
             panic!("expected expr");
@@ -1423,23 +1306,6 @@ mod tests {
             panic!("expected expr");
         };
         assert!(expr.has_question);
-    }
-
-    #[test]
-    fn casts_with_operand_spans() {
-        let src = "fn f(level: u32) { let a = (self.level(node) - 1) as usize; let b = level as usize; }";
-        let p = parse_src(src);
-        let body = p.functions[0].body.as_ref().unwrap();
-        let StmtKind::Let { init, .. } = &body.stmts[0].kind else {
-            panic!()
-        };
-        let cast = &init.as_ref().unwrap().casts[0];
-        assert_eq!(cast.target, "usize");
-        let StmtKind::Let { init, .. } = &body.stmts[1].kind else {
-            panic!()
-        };
-        let cast = &init.as_ref().unwrap().casts[0];
-        assert_eq!(cast.op_span.1 - cast.op_span.0, 1);
     }
 
     #[test]

@@ -38,7 +38,7 @@ fn every_semantic_code_has_a_fire_fixture() {
     }
     for want in [
         "PLP-E001", "PLP-E002", "PLP-E003", "PLP-F001", "PLP-S002", "PLP-S003", "PLP-S004",
-        "PLP-C001", "PLP-A002", "PLP-A003", "PLP-L001",
+        "PLP-A002", "PLP-A003", "PLP-L002", "PLP-L004", "PLP-L005", "PLP-L007",
     ] {
         assert!(codes.contains(want), "no fire fixture exercises {want}");
     }

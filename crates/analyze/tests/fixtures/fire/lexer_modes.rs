@@ -1,9 +1,9 @@
 //@ path: crates/core/src/fx_lexer.rs
 //! Lexer-mode mutant: a real violation after a gauntlet of tricky
-//! literals still fires — proving the scanner resynchronizes after
-//! raw strings, byte strings, escapes, and nested block comments.
+//! literals still fires — proving the one token lexer resynchronizes
+//! after raw strings, byte strings, escapes, and nested block comments.
 
-pub fn tricky(x: Option<u64>) -> u64 {
+pub fn tricky(label: NodeLabel) -> u64 {
     let s = "/* not a comment */ \" // also not";
     let r = r#"raw "quoted" text"#;
     let b = b"byte \"string\"";
@@ -11,5 +11,6 @@ pub fn tricky(x: Option<u64>) -> u64 {
     let n = '\n';
     /* block /* nested */ still closed here */
     let _ = (s, r, b, c, n);
-    x.unwrap() //~ ERROR no-panic-lib PLP-L001
+    let nodes: HashMap<NodeLabel, u64> = HashMap::new(); //~ ERROR no-node-hashmap PLP-L005
+    nodes.get(&label).copied().unwrap_or(0)
 }

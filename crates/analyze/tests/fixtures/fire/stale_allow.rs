@@ -2,7 +2,7 @@
 //! A002/A003 mutants: an allow directive suppressing nothing, and
 //! one naming a rule that does not exist.
 
-// lint: allow(no-panic-lib) nothing panics below anymore //~ ERROR unused-allow PLP-A002
+// lint: allow(no-node-hashmap) nothing keyed by label below anymore //~ ERROR unused-allow PLP-A002
 pub fn calm() -> u64 {
     7
 }

@@ -127,7 +127,10 @@ const CAL_ITERS: u64 = 1 << 22;
 /// iteration. Pure CPU with no memory traffic: machine load slows it
 /// and the simulator alike, so their ratio is load-invariant.
 fn calibration_ns_per_iter() -> f64 {
-    // lint: allow(nondeterminism) host wall-clock is the measurand
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host wall-clock is the measurand"
+    )]
     let started = Instant::now();
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
     for i in 0..CAL_ITERS {
@@ -168,7 +171,10 @@ fn scheme_cost(scheme: UpdateScheme, o: &Options) -> SchemeCost {
     for _ in 0..o.reps {
         let cal_before = calibration_ns_per_iter();
         let sim = setup.simulation();
-        // lint: allow(nondeterminism) host wall-clock is the measurand
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "host wall-clock is the measurand"
+        )]
         let started = Instant::now();
         let _report = sim.run(&trace);
         let elapsed = started.elapsed().as_nanos() as f64;

@@ -154,7 +154,10 @@ fn main() {
         let setup = sharded(UpdateScheme::O3, streams, shards, s.seed);
         let traces = stream_traces(streams, s.seed, mutant_instr);
         let refs: Vec<&Trace> = traces.iter().collect();
-        // lint: allow(nondeterminism) wall-clock feeds the throughput file, never a simulation
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock feeds the throughput file, never a simulation"
+        )]
         let started = Instant::now();
         let report = setup.run(&refs);
         throughput.record(shards, report.total_cycles.get(), started.elapsed());

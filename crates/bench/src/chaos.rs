@@ -272,10 +272,11 @@ fn entry_bytes(path: &Path, key: &str) -> Vec<u8> {
 pub fn inject(fire: &[ChaosClass], stall: std::time::Duration) {
     for class in fire {
         match class {
-            ChaosClass::WorkerPanic => {
-                // lint: allow(no-panic-lib) the whole point: an injected panic the supervisor must contain
-                panic!("chaos: injected worker panic")
-            }
+            #[expect(
+                clippy::panic,
+                reason = "the whole point: an injected panic the supervisor must contain"
+            )]
+            ChaosClass::WorkerPanic => panic!("chaos: injected worker panic"),
             ChaosClass::WorkerStall => std::thread::sleep(stall),
             _ => {}
         }

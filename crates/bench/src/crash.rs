@@ -439,6 +439,10 @@ fn watch_child(exe: &Path, spec: &ChildSpec, done: &str, watchdog: Duration) -> 
         let _ = std::fs::write(pf, format!("{}\n", child.id()));
     }
     let Some(stdout) = child.stdout.take() else {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the crash harness kills its own child"
+        )]
         let _ = child.kill();
         let _ = child.wait();
         if let Some(pf) = &pid_file {
@@ -463,12 +467,20 @@ fn watch_child(exe: &Path, spec: &ChildSpec, done: &str, watchdog: Duration) -> 
             Ok(line) if line.starts_with(PARK_MARKER) => {
                 // The whole point: a real, unblockable SIGKILL while
                 // the child is parked mid-persist.
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the crash harness kills its own child"
+                )]
                 let _ = child.kill();
                 break ChildEnd::Parked(line);
             }
             Ok(line) if line.starts_with(done) => break ChildEnd::Done,
             Ok(_) => continue,
             Err(_) => {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the crash harness kills its own child"
+                )]
                 let _ = child.kill();
                 break ChildEnd::TimedOut;
             }

@@ -121,6 +121,10 @@ pub fn apply_self_limits(limits: &ResourceLimits) -> Result<(), String> {
 /// [`AttemptOutcome::OomKilled`]; without a limit the reservation may
 /// succeed untouched (overcommit), in which case the child exits
 /// without a report frame instead of dirtying terabytes.
+#[expect(
+    clippy::exit,
+    reason = "the bomb runs only in a re-exec'd child, which must end without a report frame"
+)]
 pub fn allocation_bomb() -> ! {
     // black_box keeps the allocation observable: without it the
     // optimizer elides the untouched vec and the child exits 0.
@@ -249,6 +253,10 @@ pub fn run_attempt(
         Err(e) => return failed(format!("spawn failed: {e}")),
     };
     let (Some(mut stdout), Some(mut stderr)) = (child.stdout.take(), child.stderr.take()) else {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "process isolation kills its own child"
+        )]
         let _ = child.kill();
         let _ = child.wait();
         return failed("child pipes were not captured".to_string());
@@ -272,6 +280,10 @@ pub fn run_attempt(
             buf
         });
     let (Ok(out_reader), Ok(err_reader)) = (out_reader, err_reader) else {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "process isolation kills its own child"
+        )]
         let _ = child.kill();
         let _ = child.wait();
         return failed("could not spawn pipe reader".to_string());
@@ -281,6 +293,10 @@ pub fn run_attempt(
         Err(_) => {
             // The whole point of isolation: a real, unblockable
             // SIGKILL, not an abandoned thread.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "process isolation kills its own child"
+            )]
             let _ = child.kill();
             (Vec::new(), true)
         }

@@ -9,6 +9,9 @@
 //! machinery: run settings, the matrix and cache, table formatting and
 //! geometric means.
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unimplemented, clippy::todo, clippy::exit)]
+
 pub mod cache;
 pub mod chaos;
 pub mod crash;

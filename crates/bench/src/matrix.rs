@@ -101,9 +101,12 @@ impl ResultSet {
     /// Panics if the matrix never executed this request — an
     /// experiment spec whose `render` asks for a run its `requests`
     /// didn't declare.
+    #[expect(
+        clippy::panic,
+        reason = "documented panic contract for a spec authoring bug"
+    )]
     pub fn get(&self, request: &RunRequest) -> &RunReport {
         self.reports.get(&request.key()).unwrap_or_else(|| {
-            // lint: allow(no-panic-lib) documented panic contract for a spec authoring bug
             panic!(
                 "run matrix has no result for {}/{} (spec render/requests mismatch)",
                 request.bench, request.config.scheme
@@ -271,7 +274,10 @@ pub fn execute_supervised(
     sup: &SupervisorOptions,
 ) -> (ResultSet, MatrixStats, DegradationReport) {
     let opts = &sup.matrix;
-    // lint: allow(nondeterminism) wall-clock feeds MatrixStats on stderr, never a simulation
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock feeds MatrixStats on stderr, never a simulation"
+    )]
     let started = Instant::now();
 
     // Deduplicate, preserving first-seen order.
@@ -314,7 +320,10 @@ pub fn execute_supervised(
             let idx = next.fetch_add(1, Ordering::Relaxed);
             let Some(req) = unique.get(idx) else { break };
             let key = &keys[idx];
-            // lint: allow(nondeterminism) wall-clock feeds throughput stats, never a simulation
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-clock feeds throughput stats, never a simulation"
+            )]
             let run_started = Instant::now();
             let faults = plan.as_ref().map_or(&[][..], |p| p.for_key(key));
             let (run, log) = supervisor::supervise(key, sup, faults, |fire| match &sup.isolation {

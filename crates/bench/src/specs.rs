@@ -353,8 +353,11 @@ fn table5_render(results: &ResultSet, s: RunSettings) -> String {
     let n = spec::all_benchmarks().len() as f64;
     let [full_cfg, wb_cfg, sp_cfg, o3_cfg] = table5_configs();
     for profile in spec::all_benchmarks() {
+        #[expect(
+            clippy::expect_used,
+            reason = "the reference table covers every registered benchmark"
+        )]
         let (p_full, p_wb, p_sp, p_o3) =
-            // lint: allow(no-panic-lib) the reference table covers every registered benchmark
             spec::table5_reference(&profile.name).expect("known benchmark");
         let full = results.report(&profile.name, &full_cfg, s).persist_ppki();
         let wb_report = results.report(&profile.name, &wb_cfg, s);
@@ -583,7 +586,10 @@ fn summary_render(results: &ResultSet, s: RunSettings) -> String {
             .zip(&base)
             .map(|(r, b)| r.normalized_to(b))
             .collect();
-        // lint: allow(no-panic-lib) cycle counts are positive, so normalized times are too
+        #[expect(
+            clippy::expect_used,
+            reason = "cycle counts are positive, so normalized times are too"
+        )]
         let g = geometric_mean(&values).expect("positive normalized times");
         gmeans.push((scheme, g, runs));
     }
@@ -601,11 +607,14 @@ fn summary_render(results: &ResultSet, s: RunSettings) -> String {
     }
     out.push('\n');
 
+    #[expect(
+        clippy::panic,
+        reason = "gmeans covers every persisting scheme by construction"
+    )]
     let by_scheme = |want: UpdateScheme| {
         gmeans
             .iter()
             .find(|(s, ..)| *s == want)
-            // lint: allow(no-panic-lib) gmeans covers every persisting scheme by construction
             .unwrap_or_else(|| panic!("gmean missing for {}", want.name()))
     };
     let sp = by_scheme(UpdateScheme::Sp);
@@ -781,7 +790,10 @@ fn table1_render(_results: &ResultSet, settings: RunSettings) -> String {
     let mut out = String::new();
     let mut cfg = SystemConfig::for_scheme(UpdateScheme::Sp);
     cfg.record_persists = true;
-    // lint: allow(no-panic-lib) static registry lookup of a benchmark this file names
+    #[expect(
+        clippy::expect_used,
+        reason = "static registry lookup of a benchmark this file names"
+    )]
     let profile = spec::benchmark("milc").expect("known benchmark");
     let trace = TraceGenerator::new(profile.clone(), settings.seed).generate(settings.instructions);
     let (report, _, _) = run_with_crash(&cfg, profile.base_ipc, &trace, None);
@@ -842,7 +854,10 @@ fn table2_render(_results: &ResultSet, settings: RunSettings) -> String {
     let mut out = String::new();
     let mut cfg = SystemConfig::for_scheme(UpdateScheme::Sp);
     cfg.record_persists = true;
-    // lint: allow(no-panic-lib) static registry lookup of a benchmark this file names
+    #[expect(
+        clippy::expect_used,
+        reason = "static registry lookup of a benchmark this file names"
+    )]
     let profile = spec::benchmark("milc").expect("known benchmark");
     let trace = TraceGenerator::new(profile.clone(), settings.seed).generate(settings.instructions);
     let (report, _, _) = run_with_crash(&cfg, profile.base_ipc, &trace, None);

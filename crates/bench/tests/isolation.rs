@@ -222,6 +222,10 @@ fn warm_chaos_sweep_caches_every_run_but_the_quarantined() {
 #[test]
 fn oom_child_degrades_to_oom_killed_without_hanging_the_sweep() {
     let _guard = SWEEP_LOCK.lock().unwrap();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test bounds the sweep's wall-clock time"
+    )]
     let started = Instant::now();
     let output = run_all(&[
         "--no-cache",

@@ -35,7 +35,10 @@ impl BmtGeometry {
     pub fn new(arity: u64, levels: u32) -> Self {
         match Self::try_new(arity, levels) {
             Some(geometry) => geometry,
-            // lint: allow(no-panic-lib) documented constructor validation of a static configuration
+            #[expect(
+                clippy::panic,
+                reason = "documented constructor validation of a static configuration"
+            )]
             None => panic!("no tree has arity {arity} and {levels} levels"),
         }
     }
@@ -96,8 +99,11 @@ impl BmtGeometry {
     /// [`BmtGeometry::arity`] as a container length. Arities large
     /// enough to truncate on a 32-bit target are rejected by
     /// [`BmtGeometry::new`]'s node-count overflow check long before.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "arity is validated small by the constructor"
+    )]
     pub fn arity_usize(&self) -> usize {
-        // lint: allow(narrowing-cast) arity is validated small by the constructor
         self.arity as usize
     }
 

@@ -26,8 +26,11 @@ pub type NodeValue = u64;
 
 /// A `u64` arena index as a container index. The arena length is the
 /// geometry's node count, which [`BmtGeometry::new`] validated fits.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "arena indices are node labels, validated to fit by the geometry constructor"
+)]
 fn arena_slot(raw: u64) -> usize {
-    // lint: allow(narrowing-cast) arena indices are node labels, validated to fit by the geometry constructor
     raw as usize
 }
 

@@ -27,6 +27,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unimplemented, clippy::todo, clippy::exit)]
 
 #[allow(clippy::module_inception)]
 mod cache;

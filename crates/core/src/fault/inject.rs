@@ -335,7 +335,10 @@ impl FaultInjector {
                 }
                 // Flips stay inside the encodable bit space (major word
                 // or a minor's low 7 bits), so the block still decodes.
-                // lint: allow(no-panic-lib) flip targets only valid counter bits by construction
+                #[expect(
+                    clippy::expect_used,
+                    reason = "flip targets only valid counter bits by construction"
+                )]
                 let flipped = CounterBlock::from_bytes(&bytes).expect("valid flips decode");
                 image.counters.insert(page, flipped);
                 Some(FaultSpec::BitFlip {
@@ -392,8 +395,11 @@ fn splitmix_below_opt(state: &mut u64, bound: usize) -> Option<usize> {
 }
 
 /// A uniformly-chosen index below `len`; callers guarantee `len > 0`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the draw is below len, which itself fits in a usize"
+)]
 fn pick_index(state: &mut u64, len: usize) -> usize {
-    // lint: allow(narrowing-cast) the draw is below len, which itself fits in a usize
     splitmix_below(state, len as u64) as usize
 }
 

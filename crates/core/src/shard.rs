@@ -47,7 +47,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::engine::level_slot;
 use crate::sanitizer::{SanitizerMode, SanitizerSummary, Violation, ViolationKind, NO_FIELD};
-use crate::system::SealEvent;
+use crate::system::{clock_cycle, SealEvent};
 use crate::{EpochId, RunReport, SchemeContract, SimSetup, Simulation, UpdateScheme};
 
 /// How a run is sharded: `streams` independent clients persisting into
@@ -461,7 +461,10 @@ impl ShardedSetup {
     pub fn run_generated(&self, instructions: u64) -> RunReport {
         let profile = match self.setup.profile() {
             Some(p) => p.clone(),
-            // lint: allow(no-panic-lib) documented panic contract for profile-less setups
+            #[expect(
+                clippy::panic,
+                reason = "documented panic contract for profile-less setups"
+            )]
             None => panic!("ShardedSetup::run_generated needs a profile-bound setup"),
         };
         let traces: Vec<Trace> = (0..self.topology.streams)
@@ -543,7 +546,7 @@ impl ShardedSetup {
             let Some(ev) = iters[level_slot(s)].next() else {
                 break;
             };
-            let now = Cycle::new(arrival as u64);
+            let now = clock_cycle(arrival);
             match ev.op {
                 Op::Load { addr } => {
                     let (shard, local) = map.localize(multi::rebase_with(addr, s, stride));

@@ -138,11 +138,14 @@ impl SimSetup {
     ///
     /// Panics if the setup was not built with
     /// [`SimSetup::for_profile`].
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic contract for profile-less setups"
+    )]
     pub fn generate_trace(&self, instructions: u64) -> Trace {
         let profile = self
             .profile
             .as_ref()
-            // lint: allow(no-panic-lib) documented panic contract for profile-less setups
             .expect("SimSetup::generate_trace needs a profile-bound setup");
         plp_trace::TraceGenerator::new(profile.clone(), self.seed).generate(instructions)
     }
@@ -298,6 +301,18 @@ pub struct Simulation {
 pub(crate) struct SealEvent {
     pub(crate) epoch: EpochId,
     pub(crate) completion: Option<Cycle>,
+}
+
+/// The cycle a core clock reading falls in: the `f64` clock truncated
+/// toward zero, as every dispatch and seal timestamp is taken.
+#[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "core clocks are non-negative and below 2^64 cycles; truncating toward zero is intended"
+)]
+pub(crate) fn clock_cycle(clock: f64) -> Cycle {
+    Cycle::new(clock as u64)
 }
 
 /// What one dispatched store did to its shard: the updated core clock
@@ -870,7 +885,7 @@ impl Simulation {
             }
             self.epoch_stores += 1;
             if self.epoch_stores >= self.config.epoch_size {
-                let stall = self.seal_epoch(Cycle::new(clock as u64));
+                let stall = self.seal_epoch(clock_cycle(clock));
                 clock = clock.max(stall.get() as f64);
             }
         } else {
@@ -906,7 +921,7 @@ impl Simulation {
         if self.config.scheme.is_epoch_based()
             && (!self.epoch_set.is_empty() || self.epoch_stores > 0)
         {
-            let stall = self.seal_epoch(Cycle::new(clock as u64));
+            let stall = self.seal_epoch(clock_cycle(clock));
             clock = clock.max(stall.get() as f64);
         }
         clock
@@ -918,7 +933,7 @@ impl Simulation {
     /// an unsharded run; the shard's routed share under the sharded
     /// coordinator).
     pub(crate) fn finish(mut self, instructions: u64, clock: f64) -> (RunReport, FinishedSim) {
-        let total = Cycle::new(clock.ceil() as u64)
+        let total = clock_cycle(clock.ceil())
             .max(self.last_completion)
             .max(self.engine.drained_at());
 
@@ -977,7 +992,7 @@ impl Simulation {
 
         for ev in trace {
             clock += (ev.gap_instructions as f64 + 1.0) * cpi;
-            let now = Cycle::new(clock as u64);
+            let now = clock_cycle(clock);
             match ev.op {
                 Op::Load { addr } => self.step_load(addr, now),
                 Op::Store { addr, stack } => {
@@ -1031,7 +1046,10 @@ pub fn run_benchmark(
 ) -> RunReport {
     match SimSetup::for_profile(config.clone(), profile, seed) {
         Ok(setup) => setup.run_generated(instructions),
-        // lint: allow(no-panic-lib) documented panic contract for invalid configurations
+        #[expect(
+            clippy::panic,
+            reason = "documented panic contract for invalid configurations"
+        )]
         Err(e) => panic!("invalid system configuration: {e}"),
     }
 }
@@ -1063,7 +1081,10 @@ pub fn run_with_crash(
     );
     let setup = match SimSetup::with_base_ipc(config.clone(), base_ipc) {
         Ok(setup) => setup,
-        // lint: allow(no-panic-lib) documented panic contract for invalid configurations
+        #[expect(
+            clippy::panic,
+            reason = "documented panic contract for invalid configurations"
+        )]
         Err(e) => panic!("invalid system configuration: {e}"),
     };
     let report = setup.run(trace);

@@ -183,8 +183,8 @@ impl CounterBlock {
     /// Returns an error if any minor counter has its top bit set (not a
     /// valid 7-bit value).
     pub fn from_bytes(bytes: &[u8; 8 + BLOCKS_PER_PAGE]) -> Result<Self, InvalidCounterBlock> {
-        // lint: allow(no-panic-lib) an 8-byte slice of a fixed-size array always converts
-        let major = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
+        let (words, _) = bytes.as_chunks::<8>();
+        let major = u64::from_le_bytes(words[0]);
         let mut minors = [0u8; BLOCKS_PER_PAGE];
         minors.copy_from_slice(&bytes[8..]);
         if minors.iter().any(|&m| m > MINOR_MAX) {
@@ -198,9 +198,8 @@ impl CounterBlock {
     pub fn content_words(&self) -> [u64; 1 + BLOCKS_PER_PAGE / 8] {
         let mut words = [0u64; 1 + BLOCKS_PER_PAGE / 8];
         words[0] = self.major;
-        for (i, chunk) in self.minors.chunks_exact(8).enumerate() {
-            // lint: allow(no-panic-lib) chunks_exact(8) yields 8-byte chunks by definition
-            words[1 + i] = u64::from_le_bytes(chunk.try_into().expect("8 minors"));
+        for (i, chunk) in self.minors.as_chunks::<8>().0.iter().enumerate() {
+            words[1 + i] = u64::from_le_bytes(*chunk);
         }
         words
     }

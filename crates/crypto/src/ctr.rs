@@ -70,16 +70,15 @@ impl DataBlock {
 
     /// The first 8 bytes as a little-endian word.
     pub fn as_u64(&self) -> u64 {
-        // lint: allow(no-panic-lib) an 8-byte slice of a fixed-size array always converts
-        u64::from_le_bytes(self.bytes[..8].try_into().expect("8 bytes"))
+        let (words, _) = self.bytes.as_chunks::<8>();
+        u64::from_le_bytes(words[0])
     }
 
     /// The block content as eight 64-bit words for hashing.
     pub fn words(&self) -> [u64; CACHE_BLOCK_SIZE / 8] {
         let mut words = [0u64; CACHE_BLOCK_SIZE / 8];
-        for (i, chunk) in self.bytes.chunks_exact(8).enumerate() {
-            // lint: allow(no-panic-lib) chunks_exact(8) yields 8-byte chunks by definition
-            words[i] = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
+        for (i, chunk) in self.bytes.as_chunks::<8>().0.iter().enumerate() {
+            words[i] = u64::from_le_bytes(*chunk);
         }
         words
     }

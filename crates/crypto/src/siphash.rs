@@ -47,15 +47,12 @@ impl SipKey {
     /// Hashes a byte slice to a 64-bit tag with SipHash-2-4.
     pub fn hash_bytes(self, data: &[u8]) -> u64 {
         let mut state = SipState::new(self);
-        let mut chunks = data.chunks_exact(8);
-        for chunk in &mut chunks {
-            // lint: allow(no-panic-lib) chunks_exact(8) yields 8-byte chunks by definition
-            let m = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-            state.compress(m);
+        let (chunks, rem) = data.as_chunks::<8>();
+        for chunk in chunks {
+            state.compress(u64::from_le_bytes(*chunk));
         }
         // Final block: remaining bytes plus the length in the top byte,
         // as the SipHash specification requires.
-        let rem = chunks.remainder();
         let mut last = [0u8; 8];
         last[..rem.len()].copy_from_slice(rem);
         last[7] = data.len() as u8;

@@ -191,7 +191,10 @@ impl NvmDevice {
     pub fn new(config: NvmConfig) -> Self {
         match Self::try_new(config) {
             Ok(device) => device,
-            // lint: allow(no-panic-lib) documented panic contract; try_new is the fallible path
+            #[expect(
+                clippy::panic,
+                reason = "documented panic contract; try_new is the fallible path"
+            )]
             Err(e) => panic!("invalid NVM configuration: {e}"),
         }
     }

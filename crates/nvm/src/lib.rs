@@ -22,6 +22,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unimplemented, clippy::todo, clippy::exit)]
 
 mod device;
 pub mod image;

@@ -46,24 +46,27 @@ impl TraceStore {
     /// same trace).
     pub fn get(&self, profile: &WorkloadProfile, instructions: u64, seed: u64) -> Arc<Trace> {
         let key = (profile.name.clone(), instructions, seed);
-        // lint: allow(no-panic-lib) a poisoned lock means another thread already panicked
+        #[expect(
+            clippy::unwrap_used,
+            reason = "a poisoned lock means another thread already panicked"
+        )]
         if let Some(t) = self.traces.lock().unwrap().get(&key) {
             return Arc::clone(t);
         }
         let generated = Arc::new(TraceGenerator::new(profile.clone(), seed).generate(instructions));
-        Arc::clone(
-            self.traces
-                .lock()
-                // lint: allow(no-panic-lib) a poisoned lock means another thread already panicked
-                .unwrap()
-                .entry(key)
-                .or_insert(generated),
-        )
+        #[expect(
+            clippy::unwrap_used,
+            reason = "a poisoned lock means another thread already panicked"
+        )]
+        Arc::clone(self.traces.lock().unwrap().entry(key).or_insert(generated))
     }
 
     /// How many distinct traces the store holds.
     pub fn len(&self) -> usize {
-        // lint: allow(no-panic-lib) a poisoned lock means another thread already panicked
+        #[expect(
+            clippy::unwrap_used,
+            reason = "a poisoned lock means another thread already panicked"
+        )]
         self.traces.lock().unwrap().len()
     }
 

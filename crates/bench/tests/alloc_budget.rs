@@ -1,6 +1,8 @@
-//! Allocation-regression pin: the arena-backed persist hot path must
-//! be heap-allocation-free in steady state, so the PR-5 optimization
-//! can't silently rot back into per-persist `Vec`s.
+//! Allocation-regression pin: the persist hot path must be
+//! heap-allocation-free in steady state — the arena-backed tree, every
+//! ordered engine's scheduling, the NVM device's bank schedule and
+//! write-combining map, and the counter-mode and MAC engines — so none
+//! of them can silently rot back into per-persist `Vec`s or map nodes.
 //!
 //! A counting global allocator wraps `System`; each phase warms its
 //! subject (first-touch growth — map resizes, `VecDeque` reservations,
@@ -18,8 +20,9 @@ use plp_core::engine::{
     UpdateRequest,
 };
 use plp_core::meta::MetadataCaches;
-use plp_crypto::{CounterBlock, SipKey};
-use plp_events::Cycle;
+use plp_crypto::{CounterBlock, CounterValue, CtrEngine, DataBlock, MacEngine, SipKey};
+use plp_events::addr::BlockAddr;
+use plp_events::{splitmix64, Cycle};
 use plp_nvm::{NvmConfig, NvmDevice};
 
 /// `System`, with every allocation and reallocation counted.
@@ -198,4 +201,44 @@ fn steady_state_persist_path_is_allocation_free() {
     drive_co(&mut h, &mut co, WARM_ROUNDS);
     let n = count_allocs(|| drive_co(&mut h, &mut co, MEASURED_ROUNDS));
     assert_eq!(n, 0, "coalescing persist allocated {n} times in steady state");
+
+    // ---- Phase 3: the NVM device and the crypto engines. ----------
+    // The engine phases above run with ideal metadata and barely touch
+    // the device's banks. Here reads book at the present clock and
+    // writes ahead of it, ~1600 cycles apart per bank, so every bank
+    // holds more than the 1024-reservation trim threshold of a
+    // 2M-cycle window: the warm-up grows each schedule to its peak, and
+    // the measured burst books and trims against a full one.
+    let mut nvm = NvmDevice::new(NvmConfig::paper_default());
+    let (mut rng, mut now) = (7u64, 0u64);
+    let mut drive_nvm = |nvm: &mut NvmDevice, commands: u64| {
+        for i in 0..commands {
+            now += 100;
+            let draw = splitmix64(&mut rng);
+            let addr = BlockAddr::new(i * 7 % 8192);
+            if draw.is_multiple_of(4) {
+                let _ = nvm.read(Cycle::new(now), addr);
+            } else {
+                let _ = nvm.write(Cycle::new(now + (draw >> 32) % 20_000), addr);
+            }
+        }
+    };
+    drive_nvm(&mut nvm, 60_000);
+    let n = count_allocs(|| drive_nvm(&mut nvm, 60_000));
+    assert_eq!(n, 0, "NVM device allocated {n} times in steady state");
+
+    let (ctr, mac) = (
+        CtrEngine::new(SipKey::new(3, 5)),
+        MacEngine::new(SipKey::new(3, 5)),
+    );
+    let mut block = DataBlock::from_u64(1);
+    let n = count_allocs(|| {
+        for i in 0..4_096u64 {
+            let (addr, counter) = (BlockAddr::new(i), CounterValue::new(i, (i % 128) as u8));
+            block = ctr.encrypt(block, addr, counter);
+            let tag = mac.compute(&block, addr, counter);
+            block = DataBlock::from_u64(block.as_u64() ^ tag.raw());
+        }
+    });
+    assert_eq!(n, 0, "CTR + MAC allocated {n} times in steady state");
 }

@@ -51,7 +51,6 @@ pub mod engine;
 mod error;
 pub mod failpoint;
 pub mod fault;
-mod fastmap;
 pub mod meta;
 mod recovery;
 mod report;

@@ -429,7 +429,7 @@ impl Sanitizer {
 /// the default SipHash hasher on the simulator's hot path; node labels
 /// are already well-mixed `u64`s, so the shared Fibonacci-multiply
 /// hasher suffices and keeps the sanitizer's overhead in budget.
-type LabelMap = crate::fastmap::FastMap<u64, (EpochId, Cycle)>;
+type LabelMap = plp_events::FastMap<u64, (EpochId, Cycle)>;
 
 /// 1-based tree level → vector index, `None` when out of range.
 fn level_index(level: u32, levels: u32) -> Option<usize> {

@@ -15,12 +15,11 @@ use plp_bmt::{BonsaiTree, NodeLabel};
 use plp_cache::{Hierarchy, HitLevel, WriteMode};
 use plp_crypto::{CounterBlock, CtrEngine, DataBlock, MacEngine, MacTag};
 use plp_events::addr::BlockAddr;
-use plp_events::Cycle;
+use plp_events::{Cycle, FastMap};
 use plp_nvm::{NvmDevice, NvmError};
 use plp_trace::{Op, Trace, WorkloadProfile};
 
 use crate::engine::{EngineCtx, EngineStats, UpdateEngine, UpdateRequest};
-use crate::fastmap::FastMap;
 use crate::meta::{counter_block_addr, mac_block_addr, MetadataCaches};
 use crate::crash::DurableSink;
 use crate::failpoint::{Failpoint, FailpointRegistry, FiredFailpoint};

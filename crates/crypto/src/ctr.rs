@@ -116,13 +116,13 @@ impl CtrEngine {
         }
     }
 
+    /// Pad word `i` is `hash_words(&[addr, counter, i])`; the seed is
+    /// absorbed once and shared by all eight words.
     fn pad(&self, addr: BlockAddr, counter: CounterValue) -> [u8; CACHE_BLOCK_SIZE] {
+        let seed = self.key.prefix(&[addr.index(), counter.as_word()]);
         let mut pad = [0u8; CACHE_BLOCK_SIZE];
         for (i, chunk) in pad.chunks_exact_mut(8).enumerate() {
-            let word = self
-                .key
-                .hash_words(&[addr.index(), counter.as_word(), i as u64]);
-            chunk.copy_from_slice(&word.to_le_bytes());
+            chunk.copy_from_slice(&seed.hash_tail(&[i as u64]).to_le_bytes());
         }
         pad
     }
@@ -203,6 +203,31 @@ mod tests {
         assert_eq!(b.words()[1], 0);
         assert_eq!(DataBlock::default(), DataBlock::zeroed());
         assert_eq!(DataBlock::from_fill(1).as_bytes(), &[1u8; 64]);
+    }
+
+    #[test]
+    fn ciphertext_matches_golden_vector() {
+        // Captured from the per-word `hash_words(&[addr, counter, i])`
+        // pad; any change to the keystream moves these words.
+        let bytes: [u8; CACHE_BLOCK_SIZE] = std::array::from_fn(|i| i as u8);
+        let cipher = engine().encrypt(
+            DataBlock::from_bytes(bytes),
+            BlockAddr::new(0x1234_5678),
+            CounterValue::new(7, 42),
+        );
+        assert_eq!(
+            cipher.words(),
+            [
+                0x9ba0_73e1_4cf6_6832,
+                0xada1_9764_26a9_4678,
+                0xc391_311a_7a04_1191,
+                0xbd32_5aa4_ed6b_64a6,
+                0x2840_b76a_0d72_8e5a,
+                0x04a3_07a9_bae1_0ce1,
+                0x2e14_d0d6_7ac6_4a92,
+                0xeade_b3fb_e513_51d5,
+            ]
+        );
     }
 
     #[test]

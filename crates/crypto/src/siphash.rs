@@ -62,13 +62,46 @@ impl SipKey {
 
     /// Hashes a slice of 64-bit words (a fast path for fixed-layout
     /// inputs like `(address, counter, index)` tuples).
+    #[inline]
     pub fn hash_words(self, words: &[u64]) -> u64 {
+        self.prefix(words).hash_tail(&[])
+    }
+
+    /// Absorbs `words` once, so that several inputs starting with them
+    /// (the counter-mode pad's `(address, counter)` seed) hash without
+    /// re-absorbing the shared part.
+    #[inline]
+    pub(crate) fn prefix(self, words: &[u64]) -> SipPrefix {
         let mut state = SipState::new(self);
         for &w in words {
             state.compress(w);
         }
+        SipPrefix {
+            state,
+            len: words.len(),
+        }
+    }
+}
+
+/// A SipHash-2-4 state that has absorbed a word prefix:
+/// `key.prefix(a).hash_tail(b)` equals `key.hash_words(a ++ b)`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SipPrefix {
+    state: SipState,
+    /// Words absorbed so far.
+    len: usize,
+}
+
+impl SipPrefix {
+    /// Absorbs `tail` and finishes the hash of the whole input.
+    #[inline]
+    pub(crate) fn hash_tail(self, tail: &[u64]) -> u64 {
+        let mut state = self.state;
+        for &w in tail {
+            state.compress(w);
+        }
         // Length block, mirroring the byte variant.
-        state.compress((words.len() as u64) << 56);
+        state.compress(((self.len + tail.len()) as u64) << 56);
         state.finalize()
     }
 }
@@ -196,6 +229,24 @@ mod tests {
         let k = ref_key();
         assert_ne!(k.hash_words(&[0]), k.hash_words(&[0, 0]));
         assert_ne!(k.hash_words(&[1, 2]), k.hash_words(&[2, 1]));
+    }
+
+    #[test]
+    fn prefix_then_tail_equals_hash_words() {
+        let k = ref_key();
+        let mut rng = 0x5eed;
+        for len in 0..=10 {
+            let words: Vec<u64> = (0..len).map(|_| plp_events::splitmix64(&mut rng)).collect();
+            let whole = k.hash_words(&words);
+            for split in 0..=len {
+                let (head, tail) = words.split_at(split);
+                assert_eq!(
+                    k.prefix(head).hash_tail(tail),
+                    whole,
+                    "len {len}, split {split}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!   [`splitmix64`], the deterministic stream behind it and behind
 //!   every fault draw;
 //! * [`stats`] — harness throughput accumulators and the geometric
-//!   mean every figure summarises with.
+//!   mean every figure summarises with;
+//! * [`FastMap`] — a `HashMap` with a one-multiply Fibonacci hasher,
+//!   the one hasher for the integer-keyed maps on the persist path.
 //!
 //! Timing itself lives with the component it models: the WPQ in
 //! `plp-core`, banked PCM timing in `plp-nvm`. Everything here is
@@ -21,9 +23,11 @@
 #![warn(clippy::unimplemented, clippy::todo, clippy::exit)]
 
 pub mod addr;
+mod fastmap;
 pub mod retry;
 pub mod stats;
 mod time;
 
+pub use fastmap::FastMap;
 pub use retry::splitmix64;
 pub use time::{Cycle, Freq};

@@ -1,10 +1,10 @@
 //! The bank/row timing model of the NVM device.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use plp_events::addr::BlockAddr;
-use plp_events::{splitmix64, Cycle};
+use plp_events::{splitmix64, Cycle, FastMap};
 use serde::{Deserialize, Serialize};
 
 use crate::{NvmConfig, NvmError};
@@ -58,8 +58,9 @@ const TRIM_HORIZON: u64 = 2_000_000;
 /// also gives reads natural priority over queued future writes.
 #[derive(Debug, Clone, Default)]
 struct Bank {
-    /// start -> end of each reservation, non-overlapping.
-    reservations: std::collections::BTreeMap<u64, u64>,
+    /// `(start, end)` of each reservation, sorted by start. They do not
+    /// overlap, so their ends ascend too.
+    reservations: VecDeque<(u64, u64)>,
     /// Chronologically last access's row (row-buffer state).
     open_row: Option<u64>,
     /// End of the chronologically last reservation.
@@ -70,39 +71,41 @@ impl Bank {
     /// Books `len` busy cycles at the earliest gap at or after `now`;
     /// returns the start time.
     fn reserve(&mut self, now: u64, len: u64) -> u64 {
-        // A zero-length booking at an existing start would overwrite
-        // that reservation and free a busy bank; NvmConfig::validate
-        // rejects every timing that converts to zero cycles.
+        // A zero-length booking would be an empty reservation that
+        // models no bank time; NvmConfig::validate rejects every timing
+        // that converts to zero cycles.
         debug_assert!(len > 0, "zero-length bank reservation");
+        let r = &mut self.reservations;
+        // Bookings land at or near the tail, so scan back from it to
+        // the first reservation that starts at or before `now`: `r[..i]`
+        // start at or before `now`, `r[i..]` after it.
+        let mut i = r.len();
+        while i > 0 && r[i - 1].0 > now {
+            i -= 1;
+        }
         let mut candidate = now;
         // A reservation already covering `candidate` pushes it to its
-        // end.
-        if let Some((_, &e)) = self.reservations.range(..=candidate).next_back() {
-            if e > candidate {
-                candidate = e;
-            }
+        // end, before which no later reservation starts.
+        if i > 0 {
+            candidate = candidate.max(r[i - 1].1);
         }
         // Walk later reservations until a large-enough gap appears.
-        for (&s, &e) in self.reservations.range(candidate..) {
+        while let Some(&(s, e)) = r.get(i) {
             if s >= candidate + len {
                 break;
             }
             candidate = candidate.max(e);
+            i += 1;
         }
-        self.reservations.insert(candidate, candidate + len);
+        r.insert(i, (candidate, candidate + len));
         // Bounded memory: drop reservations far behind the schedule
-        // frontier (no future request plausibly lands there). The
-        // reservations do not overlap and are keyed by start, so their
-        // ends ascend with their keys: every stale one (`end <
-        // horizon`) precedes every kept one, and popping the stale
-        // prefix leaves exactly the map a full scan would.
-        if self.reservations.len() > TRIM_THRESHOLD {
+        // frontier (no future request plausibly lands there). The ends
+        // ascend, so every stale one (`end < horizon`) precedes every
+        // kept one and the trim pops a prefix.
+        if r.len() > TRIM_THRESHOLD {
             let horizon = self.latest_end.saturating_sub(TRIM_HORIZON);
-            while let Some(first) = self.reservations.first_entry() {
-                if *first.get() >= horizon {
-                    break;
-                }
-                first.remove();
+            while r.front().is_some_and(|&(_, e)| e < horizon) {
+                r.pop_front();
             }
         }
         candidate
@@ -175,7 +178,7 @@ pub struct NvmDevice {
     reads: OutstandingSet,
     writes: OutstandingSet,
     /// Pending (not yet durable) writes, for write combining.
-    pending_writes: std::collections::HashMap<BlockAddr, Cycle>,
+    pending_writes: FastMap<BlockAddr, Cycle>,
     /// Splitmix64 state of the transient-read-fault stream.
     fault_rng: u64,
     stats: NvmStats,
@@ -210,7 +213,7 @@ impl NvmDevice {
             banks: vec![Bank::default(); config.banks],
             reads: OutstandingSet::new(config.read_queue),
             writes: OutstandingSet::new(config.write_queue),
-            pending_writes: std::collections::HashMap::new(),
+            pending_writes: FastMap::default(),
             fault_rng: config.read_fault.seed ^ 0x4E56_4D5F_4641_554C,
             config,
             stats: NvmStats::default(),
@@ -336,6 +339,8 @@ impl NvmDevice {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn dev() -> NvmDevice {
@@ -556,35 +561,80 @@ mod tests {
         assert_eq!(s.writes, 2);
     }
 
-    /// `Bank::reserve` with the trim done by a `retain` scan of the
-    /// whole map on every call past the threshold: the reference the
-    /// stale-prefix trim must match.
-    fn reserve_by_scan(bank: &mut Bank, now: u64, len: u64) -> u64 {
-        let mut candidate = now;
-        if let Some((_, &e)) = bank.reservations.range(..=candidate).next_back() {
-            if e > candidate {
-                candidate = e;
+    /// The bank schedule as the `BTreeMap` from start to end that the
+    /// sorted ring replaced.
+    #[derive(Debug, Default)]
+    struct MapBank {
+        reservations: std::collections::BTreeMap<u64, u64>,
+        latest_end: u64,
+    }
+
+    impl MapBank {
+        /// Books the earliest gap at or after `now` with two range
+        /// descents of the map.
+        fn book(&mut self, now: u64, len: u64) -> u64 {
+            let mut candidate = now;
+            if let Some((_, &e)) = self.reservations.range(..=candidate).next_back() {
+                if e > candidate {
+                    candidate = e;
+                }
             }
-        }
-        for (&s, &e) in bank.reservations.range(candidate..) {
-            if s >= candidate + len {
-                break;
+            for (&s, &e) in self.reservations.range(candidate..) {
+                if s >= candidate + len {
+                    break;
+                }
+                candidate = candidate.max(e);
             }
-            candidate = candidate.max(e);
+            self.reservations.insert(candidate, candidate + len);
+            candidate
         }
-        bank.reservations.insert(candidate, candidate + len);
-        if bank.reservations.len() > TRIM_THRESHOLD {
-            let horizon = bank.latest_end.saturating_sub(TRIM_HORIZON);
-            bank.reservations.retain(|_, &mut e| e >= horizon);
+
+        /// The map schedule's `reserve`, stale-prefix trim included: the
+        /// reference the ring must match call for call.
+        fn reserve(&mut self, now: u64, len: u64) -> u64 {
+            let start = self.book(now, len);
+            if self.reservations.len() > TRIM_THRESHOLD {
+                let horizon = self.latest_end.saturating_sub(TRIM_HORIZON);
+                while let Some(first) = self.reservations.first_entry() {
+                    if *first.get() >= horizon {
+                        break;
+                    }
+                    first.remove();
+                }
+            }
+            start
         }
-        candidate
+
+        /// `reserve` with the trim done by a `retain` scan of the whole
+        /// map on every call past the threshold: the full-scan oracle.
+        fn reserve_by_scan(&mut self, now: u64, len: u64) -> u64 {
+            let start = self.book(now, len);
+            if self.reservations.len() > TRIM_THRESHOLD {
+                let horizon = self.latest_end.saturating_sub(TRIM_HORIZON);
+                self.reservations.retain(|_, &mut e| e >= horizon);
+            }
+            start
+        }
+    }
+
+    /// Advances a bank's frontier exactly as `read`/`write` do.
+    fn advance(latest_end: &mut u64, start: u64, len: u64) {
+        *latest_end = (*latest_end).max(start + len);
+    }
+
+    /// Whether the ring and the map hold the same reservations.
+    fn same_schedule(ring: &Bank, map: &MapBank) -> bool {
+        ring.reservations
+            .iter()
+            .copied()
+            .eq(map.reservations.iter().map(|(&s, &e)| (s, e)))
     }
 
     #[test]
     fn prefix_trim_matches_full_scan_oracle() {
         for seed in [1u64, 2] {
             let mut rng = seed;
-            let (mut fast, mut oracle) = (Bank::default(), Bank::default());
+            let (mut fast, mut oracle) = (Bank::default(), MapBank::default());
             let (mut now, mut writes, mut removed, mut peak) = (0u64, 0u64, 0usize, 0usize);
             for _ in 0..4_200 {
                 // ~1600 cycles a call: a 2M-cycle horizon holds ~1250
@@ -601,23 +651,13 @@ mod tests {
                 };
                 let before = fast.reservations.len();
                 let start = fast.reserve(at, len);
-                assert_eq!(start, reserve_by_scan(&mut oracle, at, len), "seed {seed}");
-                // Advance the frontier exactly as `read`/`write` do.
-                for bank in [&mut fast, &mut oracle] {
-                    if start + len >= bank.latest_end {
-                        bank.latest_end = start + len;
-                    }
-                }
-                // The same map, whose starts and ends strictly ascend.
-                assert_eq!(
-                    fast.reservations.len(),
-                    oracle.reservations.len(),
-                    "seed {seed}"
-                );
+                assert_eq!(start, oracle.reserve_by_scan(at, len), "seed {seed}");
+                advance(&mut fast.latest_end, start, len);
+                advance(&mut oracle.latest_end, start, len);
+                // The same schedule, whose starts and ends strictly ascend.
+                assert!(same_schedule(&fast, &oracle), "seed {seed}");
                 let mut prev: Option<(u64, u64)> = None;
-                for (entry, expected) in fast.reservations.iter().zip(&oracle.reservations) {
-                    assert_eq!(entry, expected, "seed {seed}");
-                    let (&s, &e) = entry;
+                for &(s, e) in &fast.reservations {
                     assert!(s < e, "seed {seed}: empty reservation at {s}");
                     if let Some((ps, pe)) = prev {
                         assert!(ps < s && pe < e, "seed {seed}: {ps}..{pe} then {s}..{e}");
@@ -634,6 +674,74 @@ mod tests {
             assert!(peak > TRIM_THRESHOLD, "seed {seed}: peak {peak}");
             assert!(fast.latest_end > 2 * TRIM_HORIZON, "seed {seed}");
             assert!(removed > 1_000, "seed {seed}: {removed} trimmed");
+        }
+    }
+
+    /// One booking of a differential stream: `(kind, gap, ahead,
+    /// behind, short)`.
+    type Booking = (u8, u64, u64, usize, bool);
+
+    fn arb_stream() -> impl Strategy<Value = Vec<Booking>> {
+        // ~1400 cycles a booking on average: long enough streams fill
+        // a 2M-cycle horizon with more than the 1024-entry threshold.
+        prop::collection::vec(
+            (0u8..8, 0u64..3_200, 0u64..20_000, 0usize..65, any::<bool>()),
+            3_000..4_000,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// The ring books every stream exactly as the `BTreeMap`
+        /// schedule did: the same start on every call, and afterwards
+        /// the same reservations.
+        #[test]
+        fn ring_matches_map_schedule(stream in arb_stream()) {
+            let (mut ring, mut map) = (Bank::default(), MapBank::default());
+            let (mut now, mut popped, mut peak, mut deepest) = (0u64, 0usize, 0usize, 0usize);
+            for (kind, gap, ahead, behind, short) in stream {
+                let tail = ring.reservations.len().checked_sub(1 + behind);
+                let (at, len) = match kind {
+                    // A read at the present clock.
+                    0 => {
+                        now += gap;
+                        (now, if short { 70 } else { 290 })
+                    }
+                    // Back to back: no time passes, and the booking
+                    // starts where the last reservation ends.
+                    1 => (ring.reservations.back().map_or(now, |&(_, e)| e), 600),
+                    // Aimed `behind` entries behind the tail: at the
+                    // start of that reservation, or so as to end
+                    // exactly where it starts.
+                    2 | 3 => {
+                        now += gap;
+                        let fit = if kind == 3 { 600 } else { 0 };
+                        (tail.map_or(now, |i| ring.reservations[i].0.saturating_sub(fit)), 600)
+                    }
+                    // A write booked ahead of the clock, as the engine
+                    // books gated persists.
+                    _ => {
+                        now += gap;
+                        (now + ahead, 600)
+                    }
+                };
+                let before = ring.reservations.len();
+                let start = ring.reserve(at, len);
+                prop_assert_eq!(start, map.reserve(at, len));
+                advance(&mut ring.latest_end, start, len);
+                advance(&mut map.latest_end, start, len);
+                prop_assert!(same_schedule(&ring, &map), "diverged after {at}+{len}");
+                let landed = ring.reservations.partition_point(|&(s, _)| s <= start);
+                deepest = deepest.max(ring.reservations.len() - landed);
+                popped += before + 1 - ring.reservations.len();
+                peak = peak.max(ring.reservations.len());
+            }
+            // The stream crossed the entry threshold and the cycle
+            // horizon, and some booking landed deep behind the tail.
+            prop_assert!(peak > TRIM_THRESHOLD, "peak {peak}");
+            prop_assert!(popped > 0, "nothing trimmed");
+            prop_assert!(deepest >= 48, "deepest landing {deepest} behind the tail");
         }
     }
 }

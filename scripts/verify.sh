@@ -95,7 +95,8 @@ rm -rf "$chaos_out" "$chaos_dir"
 #      with byte-identical stdout (supervisor recovery is
 #      topology-blind).
 # The shard_sweep binary additionally mutation-tests the new sanitizer
-# rules and records per-shard throughput under results/.
+# rules and records per-shard throughput under the throwaway
+# directory's results/.
 unit_out=$(mktemp)
 shard_out=$(mktemp)
 shard_chaos_out=$(mktemp)
@@ -114,7 +115,10 @@ cmp "$clean_out" "$unit_out" || {
 cmp "$shard_out" "$shard_chaos_out" || {
   echo "verify: sharded chaos sweep stdout diverged from the clean sharded run"; exit 1
 }
-./target/release/shard_sweep 6000 7 > /dev/null || {
+# shard_sweep writes its throughput table under results/ relative to
+# its working directory: run it from the throwaway directory so the
+# committed results/shard_sweep_throughput.txt stays as it is.
+(cd "$shard_dir" && "$repo_root/target/release/shard_sweep" 6000 7 > /dev/null) || {
   echo "verify: shard_sweep (scaling table + cross-shard mutation checks) failed"; exit 1
 }
 rm -rf "$clean_out" "$unit_out" "$shard_out" "$shard_chaos_out" "$shard_dir"
@@ -198,22 +202,26 @@ cmp "$paper_dir/cold.txt" "$paper_joined" || {
 }
 rm -rf "$paper_dir"
 
-# Perf gate: the hotpath microbench writes BENCH_hotpath.json and
-# fails on a >10% per-scheme regression of the load-normalized
-# relative cost (host ns per simulated instruction divided by a
-# pure-CPU calibration workload timed around the same sample) against
-# the committed baseline. Raw ns and wall-clock fields are informational — they
-# track machine load — only relative_cost gates. The committed
-# baseline is an envelope: per-scheme max of several fresh runs,
-# inflated 1.15x, so ambient contention cannot trip the gate while a
-# real hot-path regression (e.g. reverting the BMT arena to a map,
-# ~2x) still does. Refresh it by running
+# Perf gate: the hotpath microbench fails on a >10% per-scheme
+# regression of the load-normalized relative cost (host ns per
+# simulated instruction divided by a pure-CPU calibration workload
+# timed around the same sample) against the committed baseline. Raw ns
+# and wall-clock fields are informational — they track machine load —
+# only relative_cost gates. The committed baseline is an envelope:
+# per-scheme max of ten fresh runs, inflated 1.15x, so ambient
+# contention cannot trip the gate while a real hot-path regression
+# (e.g. reverting the BMT arena to a map, ~2x) still does. Refresh it
+# by running
 #   target/release/hotpath --out /tmp/hp_N.json
-# a few times and committing the per-scheme max * 1.15.
-./target/release/hotpath --out BENCH_hotpath.json \
+# ten times and committing the per-scheme max * 1.15, and one of the
+# runs as BENCH_hotpath.json. The gate's own report goes to a temp
+# file, so a verify run leaves both committed files as they are.
+hotpath_json=$(mktemp)
+./target/release/hotpath --out "$hotpath_json" \
   --check results/BENCH_hotpath_baseline.json || {
   echo "verify: hotpath perf gate failed"; exit 1
 }
+rm -f "$hotpath_json"
 
 # Recovery-axis gate: the runtime-vs-recovery Pareto sweep crashes
 # every scheme at enumerated cut points across three tree heights and

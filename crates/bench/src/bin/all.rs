@@ -45,8 +45,8 @@ use std::io::Write;
 use std::time::Duration;
 
 use plp_bench::{
-    all_specs, isolate, matrix, specs, ChaosOptions, IsolateOptions, MatrixOptions, ResourceLimits,
-    RunSettings, SupervisorOptions,
+    all_specs, cache, isolate, matrix, specs, ChaosOptions, IsolateOptions, MatrixOptions,
+    ResourceLimits, RunSettings, SupervisorOptions,
 };
 use plp_core::ShardTopology;
 
@@ -135,8 +135,10 @@ fn run_one_main(args: &[String]) -> ! {
     };
     match matrix::run_single(&request) {
         Ok(report) => {
-            let frame = isolate::encode_report(&key, &report);
-            if std::io::stdout().write_all(&frame).is_err() {
+            if std::io::stdout()
+                .write_all(&cache::encode(&key, &report))
+                .is_err()
+            {
                 std::process::exit(isolate::EXIT_RUN_FAILED);
             }
             std::process::exit(0);

@@ -6,8 +6,14 @@
 //! ```text
 //! plp_sim --bench gcc --scheme coalescing --instructions 1000000 \
 //!         --epoch 64 --wpq 32 --mac 40 --seed 7 --scope nonstack
+//! plp_sim --bench milc --instructions 20000 --save-trace milc.plpt
+//! plp_sim --bench milc --load-trace milc.plpt
 //! plp_sim --list
 //! ```
+//!
+//! A loaded trace replaces the generated one, so `--instructions` and
+//! `--seed` do not apply to it: the header line names the trace file
+//! and its own instruction count.
 
 use plp_core::{ProtectionScope, SystemConfig, UpdateScheme};
 use plp_events::Cycle;
@@ -35,7 +41,7 @@ fn usage() -> ! {
         "usage: plp_sim [--bench NAME] [--scheme NAME] [--instructions N] [--seed N]\n\
         \x20              [--epoch N] [--wpq N] [--ett N] [--mac CYCLES] [--llc MB]\n\
         \x20              [--mdc KB] [--scope nonstack|full] [--ideal-mdc] [--no-baseline]\n\
-        \x20              [--sanitizer off|check]\n\
+        \x20              [--sanitizer off|check] [--save-trace FILE] [--load-trace FILE]\n\
         \x20      plp_sim --list\n\
         \n\
         schemes: {}",
@@ -161,12 +167,15 @@ fn main() {
             std::process::exit(2);
         });
     let report = setup.run(&trace);
+    let source = match &args.load_trace {
+        Some(path) => format!("trace {path}"),
+        None => format!("seed {}", args.seed),
+    };
     println!(
-        "{} / {} / {} instructions (seed {})",
+        "{} / {} / {} instructions ({source})",
         profile.name,
         args.scheme.name(),
-        args.instructions,
-        args.seed
+        trace.total_instructions()
     );
     println!("  {report}");
     println!(

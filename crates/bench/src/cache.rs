@@ -4,38 +4,46 @@
 //! (benchmark, configuration, instruction count, seed — see
 //! [`crate::RunRequest::key`]), so it can be stored on disk and reused
 //! by any later invocation with the same key. Files live under
-//! `results/cache/<fnv1a64(key)>.run` in a line-oriented
-//! `field value…` text format (the vendored serde stack is offline
-//! stubs, so the codec is hand-rolled and versioned by
-//! [`CACHE_FORMAT`], which is folded into every key: bumping it — or
-//! changing `SystemConfig`'s shape, which changes the key's `Debug`
-//! rendering — invalidates all previous entries).
+//! `results/cache/<fnv1a64(key)>.run`, and each holds exactly one
+//! `plp_events::frame` frame, `[tag u8][len u32][payload][fnv u64]`.
+//! The tag is the format version, 4; the payload is the
+//! key, then every report field as a little-endian `u64` in
+//! declaration order, with the sanitizer mode and each violation's
+//! kind and scheme written as their stable names (a `u32` byte length,
+//! then UTF-8). The same bytes are what an isolated matrix child writes
+//! to its parent (`crate::isolate`). [`CACHE_FORMAT`] is folded into
+//! every key: bumping it — or changing `SystemConfig`'s shape, which
+//! changes the key's `Debug` rendering — invalidates all previous
+//! entries.
 //!
-//! Robustness: the full key is stored in the file and verified on
-//! load, and the whole entry carries an FNV-1a content checksum, so a
-//! hash collision, a truncated write, or a flipped bit degrades to a
-//! quarantined entry ([`load_checked`]) and a regeneration — never a
-//! wrong result and never a harness abort. Rejected entries are moved
-//! to `<cache>/quarantine/` so operators can inspect what corrupted
-//! them. Only reports without per-persist records are cached
+//! Robustness: the full key is stored in the entry and verified on
+//! load, and the frame checksum covers every byte, so a hash collision,
+//! a truncated write, or a flipped bit degrades to a quarantined entry
+//! ([`load_checked`]) and a regeneration — never a wrong result and
+//! never a harness abort. Rejected entries are moved to
+//! `<cache>/quarantine/` so operators can inspect what corrupted them.
+//! Only reports without per-persist records are cached
 //! (`record_persists` runs are memory-heavy and used by crash analyses
 //! that need the records anyway).
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use plp_cache::CacheStats;
-use plp_core::sanitizer::{SanitizerMode, Violation, ViolationKind};
+use plp_core::engine::EngineStats;
+use plp_core::meta::MetadataStats;
+use plp_core::sanitizer::{SanitizerMode, SanitizerSummary, Violation, ViolationKind};
 use plp_core::{EpochId, RunReport, UpdateScheme};
+use plp_events::frame::{decode_frame, encode_frame, fnv1a, put_str, FrameError, Reader};
 use plp_events::Cycle;
-use plp_nvm::image::fnv1a;
 use plp_nvm::NvmStats;
 
-/// Cache format version; part of every content address. v3 added the
-/// trailing content checksum (value corruption inside a numeric field
-/// re-parses cleanly, so stored-key verification alone cannot catch
-/// it).
-pub const CACHE_FORMAT: &str = "plp-run-cache v3";
+/// Cache format version; part of every content address, so entries of
+/// another version are never even probed.
+pub const CACHE_FORMAT: &str = "plp-run-cache v4";
+
+/// Frame tag of an entry: the version number of [`CACHE_FORMAT`]. An
+/// intact frame under another tag is [`CacheFault::Version`].
+const ENTRY_TAG: u8 = 4;
 
 /// The file a key's report is stored in, named by the key's 64-bit
 /// FNV-1a — the content address.
@@ -43,111 +51,110 @@ pub fn cache_path(dir: &Path, key: &str) -> PathBuf {
     dir.join(format!("{:016x}.run", fnv1a(key.as_bytes())))
 }
 
-fn encode_cache_stats(out: &mut String, name: &str, s: &CacheStats) {
-    let _ = writeln!(
-        out,
-        "{name} {} {} {} {}",
-        s.hits, s.misses, s.evictions, s.dirty_evictions
-    );
+fn put_u64s(out: &mut Vec<u8>, words: &[u64]) {
+    for w in words {
+        out.extend_from_slice(&w.to_le_bytes());
+    }
 }
 
-/// Serializes `report` for `key`.
+/// Serializes `report` for `key` as one frame.
 ///
 /// # Panics
 ///
 /// Panics if the report carries per-persist records — callers must
 /// only cache record-free runs.
-pub fn encode(key: &str, report: &RunReport) -> String {
+pub fn encode(key: &str, report: &RunReport) -> Vec<u8> {
     assert!(
         report.records.is_empty(),
         "runs with persist records are not cacheable"
     );
-    let mut out = String::new();
-    let _ = writeln!(out, "{CACHE_FORMAT}");
-    let _ = writeln!(out, "key {key}");
-    let _ = writeln!(out, "total_cycles {}", report.total_cycles.get());
-    let _ = writeln!(out, "instructions {}", report.instructions);
-    let _ = writeln!(out, "persists {}", report.persists);
-    let _ = writeln!(out, "writebacks {}", report.writebacks);
-    let _ = writeln!(out, "epochs {}", report.epochs);
-    let _ = writeln!(
-        out,
-        "engine {} {} {}",
-        report.engine.node_updates, report.engine.bmt_fetches, report.engine.persists
+    let r = report;
+    let mut p = Vec::with_capacity(key.len() + 512);
+    put_str(&mut p, key);
+    put_u64s(
+        &mut p,
+        &[
+            r.total_cycles.get(),
+            r.instructions,
+            r.persists,
+            r.writebacks,
+            r.epochs,
+            r.engine.node_updates,
+            r.engine.bmt_fetches,
+            r.engine.persists,
+            r.coalesced_saved_updates,
+            r.page_overflows,
+            r.overflow_blocks,
+            r.wpq_stall_cycles,
+            r.wpq_peak as u64,
+        ],
     );
-    let _ = writeln!(
-        out,
-        "coalesced_saved_updates {}",
-        report.coalesced_saved_updates
-    );
-    let _ = writeln!(out, "page_overflows {}", report.page_overflows);
-    let _ = writeln!(out, "overflow_blocks {}", report.overflow_blocks);
-    let _ = writeln!(out, "wpq_stall_cycles {}", report.wpq_stall_cycles);
-    let _ = writeln!(out, "wpq_peak {}", report.wpq_peak);
-    encode_cache_stats(&mut out, "metadata.counter", &report.metadata.counter);
-    encode_cache_stats(&mut out, "metadata.mac", &report.metadata.mac);
-    encode_cache_stats(&mut out, "metadata.bmt", &report.metadata.bmt);
-    for (i, c) in report.data_caches.iter().enumerate() {
-        encode_cache_stats(&mut out, &format!("data_caches.{i}"), c);
+    let m = &r.metadata;
+    for c in [&m.counter, &m.mac, &m.bmt]
+        .into_iter()
+        .chain(&r.data_caches)
+    {
+        put_u64s(&mut p, &[c.hits, c.misses, c.evictions, c.dirty_evictions]);
     }
-    let n = &report.nvm;
-    let _ = writeln!(
-        out,
-        "nvm {} {} {} {} {} {} {} {}",
-        n.reads,
-        n.writes,
-        n.writes_combined,
-        n.row_hits,
-        n.row_misses,
-        n.queue_stall_cycles,
-        n.read_retries,
-        n.read_failures
+    let n = &r.nvm;
+    put_u64s(
+        &mut p,
+        &[
+            n.reads,
+            n.writes,
+            n.writes_combined,
+            n.row_hits,
+            n.row_misses,
+            n.queue_stall_cycles,
+        ],
     );
-    let s = &report.sanitizer;
-    let _ = writeln!(
-        out,
-        "sanitizer {} {} {} {} {} {}",
-        s.mode.name(),
-        s.checked_persists,
-        s.checked_node_updates,
-        s.checked_epochs,
-        s.dropped_violations,
-        s.violations.len()
+    let s = &r.sanitizer;
+    put_str(&mut p, s.mode.name());
+    put_u64s(
+        &mut p,
+        &[
+            s.checked_persists,
+            s.checked_node_updates,
+            s.checked_epochs,
+            s.dropped_violations,
+            s.violations.len() as u64,
+        ],
     );
     for v in &s.violations {
-        let _ = writeln!(
-            out,
-            "violation {} {} {} {} {} {} {} {}",
-            v.kind.name(),
-            v.scheme.name(),
-            v.cycle.get(),
-            v.epoch.0,
-            v.persist,
-            v.level,
-            v.node,
-            v.addr
+        put_str(&mut p, v.kind.name());
+        put_str(&mut p, v.scheme.name());
+        put_u64s(
+            &mut p,
+            &[
+                v.cycle.get(),
+                v.epoch.0,
+                v.persist,
+                u64::from(v.level),
+                v.node,
+                v.addr,
+            ],
         );
     }
-    let _ = writeln!(out, "checksum {:016x}", fnv1a(out.as_bytes()));
-    out.push_str("end\n");
-    out
+    encode_frame(ENTRY_TAG, &p)
 }
 
 /// Why a cache entry was rejected by [`decode_checked`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheFault {
-    /// The file's format line is not [`CACHE_FORMAT`].
+    /// The entry is an intact frame of another format version (its
+    /// tag is not this version's).
     Version,
     /// The stored key is not the requested key (hash collision or a
     /// file renamed into the wrong address).
     KeyMismatch,
-    /// The content checksum does not cover the bytes on disk — a
-    /// flipped bit or a partially overwritten entry.
+    /// The frame checksum does not cover the bytes on disk — a flipped
+    /// bit or a partially overwritten entry.
     ChecksumMismatch,
-    /// The entry ends before its `end` terminator — a torn write or a
-    /// short read.
+    /// The entry ends before its frame does — a torn write or a short
+    /// read.
     Truncated,
-    /// The entry is structurally unparseable.
+    /// The frame is intact but its payload is not a report, or bytes
+    /// follow the frame.
     Malformed,
 }
 
@@ -163,69 +170,12 @@ impl std::fmt::Display for CacheFault {
     }
 }
 
-struct Parser<'a> {
-    lines: std::str::Lines<'a>,
-}
-
-impl<'a> Parser<'a> {
-    /// Next line's fields after asserting its leading tag.
-    fn fields(&mut self, tag: &str) -> Option<Vec<&'a str>> {
-        let line = self.lines.next()?;
-        let rest = line.strip_prefix(tag)?.strip_prefix(' ')?;
-        Some(rest.split(' ').collect())
-    }
-
-    fn u64_field(&mut self, tag: &str) -> Option<u64> {
-        match self.fields(tag)?.as_slice() {
-            [v] => v.parse().ok(),
-            _ => None,
-        }
-    }
-
-    fn cache_stats(&mut self, tag: &str) -> Option<CacheStats> {
-        let f = self.fields(tag)?;
-        let v: Vec<u64> = f.iter().map(|s| s.parse().ok()).collect::<Option<_>>()?;
-        match v.as_slice() {
-            [hits, misses, evictions, dirty] => Some(CacheStats {
-                hits: *hits,
-                misses: *misses,
-                evictions: *evictions,
-                dirty_evictions: *dirty,
-            }),
-            _ => None,
-        }
-    }
-}
-
 /// Deserializes a report, verifying format version and stored key.
 /// Any mismatch — truncation, corruption, version skew, hash
 /// collision — returns `None` (a cache miss). See [`decode_checked`]
 /// for the verdict-bearing form the supervised harness uses.
-pub fn decode(key: &str, text: &str) -> Option<RunReport> {
-    decode_checked(key, text).ok()
-}
-
-/// Verifies the entry's integrity envelope: it must terminate with
-/// `checksum <fnv1a64-of-preceding-bytes>` + `end`, and the checksum
-/// must match what is on disk.
-fn verify_checksum(text: &str) -> Result<(), CacheFault> {
-    let without_end = text
-        .strip_suffix("end\n")
-        .or_else(|| text.strip_suffix("end"))
-        .ok_or(CacheFault::Truncated)?;
-    let idx = without_end
-        .rfind("\nchecksum ")
-        .ok_or(CacheFault::Truncated)?;
-    let body = &without_end[..idx + 1];
-    let stored = without_end[idx + 1..]
-        .strip_prefix("checksum ")
-        .map(str::trim_end)
-        .and_then(|h| u64::from_str_radix(h, 16).ok())
-        .ok_or(CacheFault::Malformed)?;
-    if fnv1a(body.as_bytes()) != stored {
-        return Err(CacheFault::ChecksumMismatch);
-    }
-    Ok(())
+pub fn decode(key: &str, bytes: &[u8]) -> Option<RunReport> {
+    decode_checked(key, bytes).ok()
 }
 
 /// [`decode`], but reporting *why* an entry was rejected so the run
@@ -235,111 +185,92 @@ fn verify_checksum(text: &str) -> Result<(), CacheFault> {
 /// # Errors
 ///
 /// Returns the [`CacheFault`] describing the first integrity check the
-/// entry failed.
-pub fn decode_checked(key: &str, text: &str) -> Result<RunReport, CacheFault> {
-    let mut p = Parser {
-        lines: text.lines(),
-    };
-    if p.lines.next().ok_or(CacheFault::Truncated)? != CACHE_FORMAT {
+/// entry failed: the frame (truncation, checksum), its tag, trailing
+/// bytes, the stored key, then the payload's shape.
+pub fn decode_checked(key: &str, bytes: &[u8]) -> Result<RunReport, CacheFault> {
+    let (tag, payload, used) = decode_frame(bytes).map_err(|e| match e {
+        FrameError::Truncated => CacheFault::Truncated,
+        FrameError::Checksum => CacheFault::ChecksumMismatch,
+    })?;
+    if tag != ENTRY_TAG {
         return Err(CacheFault::Version);
     }
-    verify_checksum(text)?;
-    let stored_key = p
-        .lines
-        .next()
-        .and_then(|l| l.strip_prefix("key "))
-        .ok_or(CacheFault::Malformed)?;
-    if stored_key != key {
+    if used != bytes.len() {
+        return Err(CacheFault::Malformed);
+    }
+    let mut r = Reader::new(payload);
+    if r.str().ok_or(CacheFault::Malformed)? != key {
         return Err(CacheFault::KeyMismatch);
     }
-    parse_body(&mut p).ok_or(CacheFault::Malformed)
+    parse_body(&mut r)
+        .filter(|_| r.is_empty())
+        .ok_or(CacheFault::Malformed)
 }
 
-/// Parses everything after the format and key lines. Returns `None`
-/// on any structural mismatch (the caller has already checksummed the
-/// bytes, so a failure here is a codec bug or a forged entry).
-fn parse_body(p: &mut Parser<'_>) -> Option<RunReport> {
+fn cache_stats(r: &mut Reader<'_>) -> Option<CacheStats> {
+    Some(CacheStats {
+        hits: r.u64()?,
+        misses: r.u64()?,
+        evictions: r.u64()?,
+        dirty_evictions: r.u64()?,
+    })
+}
+
+/// Reads every report field after the key, in [`encode`]'s order.
+/// Returns `None` on any structural mismatch (the frame checksum has
+/// already passed, so a failure here is a codec bug or a forged entry).
+fn parse_body(r: &mut Reader<'_>) -> Option<RunReport> {
     let mut report = RunReport {
-        total_cycles: Cycle::new(p.u64_field("total_cycles")?),
-        instructions: p.u64_field("instructions")?,
-        persists: p.u64_field("persists")?,
-        writebacks: p.u64_field("writebacks")?,
-        epochs: p.u64_field("epochs")?,
-        ..RunReport::default()
-    };
-    match p.fields("engine")?.as_slice() {
-        [a, b, c] => {
-            report.engine.node_updates = a.parse().ok()?;
-            report.engine.bmt_fetches = b.parse().ok()?;
-            report.engine.persists = c.parse().ok()?;
-        }
-        _ => return None,
-    }
-    report.coalesced_saved_updates = p.u64_field("coalesced_saved_updates")?;
-    report.page_overflows = p.u64_field("page_overflows")?;
-    report.overflow_blocks = p.u64_field("overflow_blocks")?;
-    report.wpq_stall_cycles = p.u64_field("wpq_stall_cycles")?;
-    report.wpq_peak = p.u64_field("wpq_peak")? as usize;
-    report.metadata.counter = p.cache_stats("metadata.counter")?;
-    report.metadata.mac = p.cache_stats("metadata.mac")?;
-    report.metadata.bmt = p.cache_stats("metadata.bmt")?;
-    for i in 0..3 {
-        report.data_caches[i] = p.cache_stats(&format!("data_caches.{i}"))?;
-    }
-    let f = p.fields("nvm")?;
-    let v: Vec<u64> = f.iter().map(|s| s.parse().ok()).collect::<Option<_>>()?;
-    report.nvm = match v.as_slice() {
-        [reads, writes, combined, row_hits, row_misses, stall, retries, failures] => NvmStats {
-            reads: *reads,
-            writes: *writes,
-            writes_combined: *combined,
-            row_hits: *row_hits,
-            row_misses: *row_misses,
-            queue_stall_cycles: *stall,
-            read_retries: *retries,
-            read_failures: *failures,
+        total_cycles: Cycle::new(r.u64()?),
+        instructions: r.u64()?,
+        persists: r.u64()?,
+        writebacks: r.u64()?,
+        epochs: r.u64()?,
+        engine: EngineStats {
+            node_updates: r.u64()?,
+            bmt_fetches: r.u64()?,
+            persists: r.u64()?,
         },
-        _ => return None,
+        coalesced_saved_updates: r.u64()?,
+        page_overflows: r.u64()?,
+        overflow_blocks: r.u64()?,
+        wpq_stall_cycles: r.u64()?,
+        wpq_peak: usize::try_from(r.u64()?).ok()?,
+        metadata: MetadataStats {
+            counter: cache_stats(r)?,
+            mac: cache_stats(r)?,
+            bmt: cache_stats(r)?,
+        },
+        data_caches: [cache_stats(r)?, cache_stats(r)?, cache_stats(r)?],
+        nvm: NvmStats {
+            reads: r.u64()?,
+            writes: r.u64()?,
+            writes_combined: r.u64()?,
+            row_hits: r.u64()?,
+            row_misses: r.u64()?,
+            queue_stall_cycles: r.u64()?,
+        },
+        sanitizer: SanitizerSummary {
+            mode: SanitizerMode::parse(r.str()?)?,
+            checked_persists: r.u64()?,
+            checked_node_updates: r.u64()?,
+            checked_epochs: r.u64()?,
+            dropped_violations: r.u64()?,
+            violations: Vec::new(),
+        },
+        records: Vec::new(),
     };
-    let s = p.fields("sanitizer")?;
-    let [mode, counters @ ..] = s.as_slice() else {
-        return None;
-    };
-    report.sanitizer.mode = SanitizerMode::parse(mode)?;
-    let c: Vec<u64> = counters
-        .iter()
-        .map(|s| s.parse().ok())
-        .collect::<Option<_>>()?;
-    let [persists, node_updates, sealed_epochs, dropped, n_violations] = c.as_slice() else {
-        return None;
-    };
-    report.sanitizer.checked_persists = *persists;
-    report.sanitizer.checked_node_updates = *node_updates;
-    report.sanitizer.checked_epochs = *sealed_epochs;
-    report.sanitizer.dropped_violations = *dropped;
-    for _ in 0..*n_violations {
-        let f = p.fields("violation")?;
-        let [kind, scheme, rest @ ..] = f.as_slice() else {
-            return None;
-        };
-        let v: Vec<u64> = rest.iter().map(|s| s.parse().ok()).collect::<Option<_>>()?;
-        let [cycle, epoch, persist, level, node, addr] = v.as_slice() else {
-            return None;
-        };
+    for _ in 0..r.u64()? {
         report.sanitizer.violations.push(Violation {
-            kind: ViolationKind::parse(kind)?,
-            scheme: UpdateScheme::parse(scheme)?,
-            cycle: Cycle::new(*cycle),
-            epoch: EpochId(*epoch),
-            persist: *persist,
-            level: u32::try_from(*level).ok()?,
-            node: *node,
-            addr: *addr,
+            kind: ViolationKind::parse(r.str()?)?,
+            scheme: UpdateScheme::parse(r.str()?)?,
+            cycle: Cycle::new(r.u64()?),
+            epoch: EpochId(r.u64()?),
+            persist: r.u64()?,
+            level: u32::try_from(r.u64()?).ok()?,
+            node: r.u64()?,
+            addr: r.u64()?,
         });
-    }
-    let _ = p.fields("checksum")?;
-    if p.lines.next()? != "end" {
-        return None;
     }
     Some(report)
 }
@@ -397,8 +328,8 @@ pub enum CacheOutcome {
 /// never to a trusted-but-wrong report and never to an abort.
 pub fn load_checked(dir: &Path, key: &str) -> CacheOutcome {
     let path = cache_path(dir, key);
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
+    let bytes = match std::fs::read(&path) {
+        Ok(bytes) => bytes,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return CacheOutcome::Miss,
         Err(e) => {
             let moved_to = quarantine_entry(dir, &path);
@@ -408,7 +339,7 @@ pub fn load_checked(dir: &Path, key: &str) -> CacheOutcome {
             };
         }
     };
-    match decode_checked(key, &text) {
+    match decode_checked(key, &bytes) {
         Ok(report) => CacheOutcome::Hit(Box::new(report)),
         Err(fault) => {
             let moved_to = quarantine_entry(dir, &path);
@@ -457,6 +388,7 @@ pub fn store(dir: &Path, key: &str, report: &RunReport) {
 mod tests {
     use super::*;
     use plp_core::{run_benchmark, SystemConfig, UpdateScheme};
+    use plp_events::splitmix64;
     use plp_trace::spec;
 
     fn sample() -> (String, RunReport) {
@@ -466,15 +398,9 @@ mod tests {
         (format!("{CACHE_FORMAT}|demo|{:?}", cfg), report)
     }
 
-    #[test]
-    fn roundtrip_is_lossless() {
-        let (key, report) = sample();
-        let text = encode(&key, &report);
-        assert_eq!(decode(&key, &text), Some(report));
-    }
-
-    #[test]
-    fn sanitizer_violations_roundtrip() {
+    /// A sample report carrying a sanitizer violation, so every payload
+    /// field — the violation list included — is on the wire.
+    fn sample_with_violation() -> (String, RunReport) {
         let (key, mut report) = sample();
         report.sanitizer.dropped_violations = 2;
         report.sanitizer.violations.push(Violation {
@@ -487,36 +413,58 @@ mod tests {
             node: 17,
             addr: 0x40,
         });
-        let text = encode(&key, &report);
-        assert_eq!(decode(&key, &text), Some(report));
+        (key, report)
+    }
+
+    /// The entry's payload, re-framed under `tag` after `edit`.
+    fn reframe(bytes: &[u8], tag: u8, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let (_, payload, _) = decode_frame(bytes).unwrap();
+        let mut payload = payload.to_vec();
+        edit(&mut payload);
+        encode_frame(tag, &payload)
+    }
+
+    #[test]
+    fn roundtrip_is_lossless() {
+        let (key, report) = sample();
+        let bytes = encode(&key, &report);
+        assert_eq!(decode(&key, &bytes), Some(report));
+    }
+
+    #[test]
+    fn sanitizer_violations_roundtrip() {
+        let (key, report) = sample_with_violation();
+        let bytes = encode(&key, &report);
+        assert_eq!(decode(&key, &bytes), Some(report));
     }
 
     #[test]
     fn wrong_key_and_corruption_are_misses() {
         let (key, report) = sample();
-        let text = encode(&key, &report);
-        assert_eq!(decode("other key", &text), None);
-        // Truncations at any line boundary must degrade to a miss.
-        let lines: Vec<&str> = text.lines().collect();
-        for keep in 0..lines.len() {
-            let truncated = lines[..keep].join("\n");
-            assert_eq!(decode(&key, &truncated), None, "kept {keep} lines");
+        let bytes = encode(&key, &report);
+        assert_eq!(decode("other key", &bytes), None);
+        // A cut at any byte must degrade to a miss.
+        for keep in 0..bytes.len() {
+            assert_eq!(decode(&key, &bytes[..keep]), None, "kept {keep} bytes");
         }
-        assert_eq!(decode(&key, &text.replace("persists", "persits")), None);
+        // So must a payload that is one field short, even re-framed
+        // with a valid checksum.
+        let short = reframe(&bytes, ENTRY_TAG, |p| p.truncate(p.len() - 8));
+        assert_eq!(decode_checked(&key, &short), Err(CacheFault::Malformed));
     }
 
     #[test]
     fn value_bit_flips_fail_the_checksum() {
         let (key, report) = sample();
-        let text = encode(&key, &report);
-        // Corrupt a numeric field *in a way that still parses*: this is
-        // exactly what stored-key verification alone cannot catch.
-        let flipped = text.replacen(
-            &format!("instructions {}", report.instructions),
-            &format!("instructions {}", report.instructions + 1),
-            1,
-        );
-        assert_ne!(text, flipped, "corruption must actually change the text");
+        let bytes = encode(&key, &report);
+        // Corrupt a numeric field into another well-formed value: the
+        // payload still parses, so only the checksum can catch it.
+        // `instructions` follows the tag, the length, the key and
+        // `total_cycles`.
+        let at = 5 + 4 + key.len() + 8;
+        let mut flipped = bytes.clone();
+        flipped[at..at + 8].copy_from_slice(&(report.instructions + 1).to_le_bytes());
+        assert_ne!(bytes, flipped, "corruption must actually change the bytes");
         assert_eq!(
             decode_checked(&key, &flipped),
             Err(CacheFault::ChecksumMismatch)
@@ -527,18 +475,94 @@ mod tests {
     #[test]
     fn decode_checked_reports_the_failure_class() {
         let (key, report) = sample();
-        let text = encode(&key, &report);
-        assert_eq!(decode_checked(&key, &text), Ok(report));
+        let bytes = encode(&key, &report);
+        assert_eq!(decode_checked(&key, &bytes), Ok(report));
         assert_eq!(
-            decode_checked("other key", &text),
+            decode_checked("other key", &bytes),
             Err(CacheFault::KeyMismatch)
         );
-        assert_eq!(
-            decode_checked(&key, &text.replace(CACHE_FORMAT, "plp-run-cache v2")),
-            Err(CacheFault::Version)
-        );
-        let truncated = &text[..text.len() / 2];
+        assert!(CACHE_FORMAT.ends_with(&format!(" v{ENTRY_TAG}")));
+        let older = reframe(&bytes, ENTRY_TAG - 1, |_| {});
+        assert_eq!(decode_checked(&key, &older), Err(CacheFault::Version));
+        let truncated = &bytes[..bytes.len() / 2];
         assert_eq!(decode_checked(&key, truncated), Err(CacheFault::Truncated));
+        let mut flipped = bytes.clone();
+        flipped[bytes.len() / 2] ^= 0x01;
+        assert_eq!(
+            decode_checked(&key, &flipped),
+            Err(CacheFault::ChecksumMismatch)
+        );
+        let mut trailing = bytes;
+        trailing.push(0);
+        assert_eq!(decode_checked(&key, &trailing), Err(CacheFault::Malformed));
+        // The v3 text format is not a frame at all.
+        let text = format!("plp-run-cache v3\nkey {key}\n");
+        assert_eq!(
+            decode_checked(&key, text.as_bytes()),
+            Err(CacheFault::Truncated)
+        );
+    }
+
+    /// Every strict prefix of an entry is a truncation, and every
+    /// one-bit flip is refused — the checksum covers the tag, the
+    /// length and the payload, so no flip yields another report.
+    #[test]
+    fn every_cut_and_every_bit_flip_is_refused() {
+        let (key, report) = sample_with_violation();
+        let bytes = encode(&key, &report);
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                decode_checked(&key, &bytes[..cut]),
+                Err(CacheFault::Truncated),
+                "cut at {cut}"
+            );
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let fault = decode_checked(&key, &flipped).unwrap_err();
+            assert!(
+                matches!(fault, CacheFault::Truncated | CacheFault::ChecksumMismatch),
+                "flip of bit {bit}: {fault:?}"
+            );
+        }
+    }
+
+    /// Arbitrary bytes are refused, and arbitrary payloads behind a
+    /// valid frame and the right key either are refused as malformed
+    /// or decode to exactly the report their bytes spell — never a
+    /// panic, never a wrong value. Inputs are drawn from a fixed
+    /// splitmix64 stream, so the cases replay exactly.
+    #[test]
+    fn arbitrary_bytes_and_payloads_are_refused() {
+        let (key, report) = sample_with_violation();
+        let valid = encode(&key, &report);
+        let (_, valid_payload, _) = decode_frame(&valid).unwrap();
+        let mut rng = 0x5EED_CAC4_E000_0004;
+        let mut draw =
+            |n: usize| -> Vec<u8> { (0..n).map(|_| splitmix64(&mut rng) as u8).collect() };
+        let faithful = |entry: &[u8], case: usize| match decode_checked(&key, entry) {
+            Ok(decoded) => assert_eq!(encode(&key, &decoded), entry, "case {case}"),
+            Err(fault) => assert_eq!(fault, CacheFault::Malformed, "case {case}"),
+        };
+        for case in 0..512usize {
+            let junk = draw(case);
+            assert!(decode_checked(&key, &junk).is_err(), "case {case}");
+
+            // The right key, then junk: a payload that gets past the
+            // key check and into the field parser.
+            let mut payload = Vec::new();
+            put_str(&mut payload, &key);
+            payload.extend_from_slice(&junk);
+            faithful(&encode_frame(ENTRY_TAG, &payload), case);
+
+            // A valid payload cut anywhere and finished with junk: the
+            // parser fails inside the report, or past its end.
+            let keep = case * valid_payload.len() / 512;
+            let mut payload = valid_payload[..keep].to_vec();
+            payload.extend_from_slice(&junk[..junk.len().min(64)]);
+            faithful(&encode_frame(ENTRY_TAG, &payload), case);
+        }
     }
 
     #[test]
@@ -550,8 +574,8 @@ mod tests {
         let path = cache_path(&dir, &key);
 
         // Truncate the stored entry mid-file (a torn write).
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &text[..text.len() / 3]).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
 
         let CacheOutcome::Quarantined { reason, moved_to } = load_checked(&dir, &key) else {
             panic!("corrupt entry must quarantine, not hit or miss");

@@ -262,7 +262,7 @@ impl ChaosPlan {
 fn entry_bytes(path: &Path, key: &str) -> Vec<u8> {
     match std::fs::read(path) {
         Ok(bytes) if !bytes.is_empty() => bytes,
-        _ => cache::encode(key, &RunReport::default()).into_bytes(),
+        _ => cache::encode(key, &RunReport::default()),
     }
 }
 

@@ -9,10 +9,10 @@
 //! the background; an isolated one is killed. Every attempt re-execs
 //! the harness binary as `<exe> --run-one <key> …`; the child applies
 //! rlimits to itself ([`apply_self_limits`]), runs exactly one
-//! simulation, and returns its [`RunReport`] over stdout as a single
-//! length-prefixed, FNV-checksummed frame (the `plp_nvm::image` frame
-//! codec carrying the run-cache text codec — both already versioned and
-//! corruption-checked). Watchdog trips become real SIGKILLs; panics
+//! simulation, and returns its `RunReport` over stdout as exactly the
+//! bytes of its run-cache entry: one checksummed, versioned frame
+//! ([`cache::encode`]) that the parent checks with
+//! [`cache::decode_checked`]. Watchdog trips become real SIGKILLs; panics
 //! become nonzero exits; a child that outgrows its address-space limit
 //! dies to the allocator's abort and is reported as
 //! [`RunVerdict::OomKilled`](crate::RunVerdict::OomKilled) instead of
@@ -30,17 +30,9 @@ use std::process::{Command, Stdio};
 use std::sync::mpsc;
 use std::time::Duration;
 
-use plp_core::RunReport;
-use plp_nvm::image::{decode_frame, encode_frame};
-
 use crate::cache;
 use crate::chaos::ChaosClass;
 use crate::supervisor::{AttemptOutcome, RunError};
-
-/// Frame tag for a `RunReport` crossing the child→parent pipe. Outside
-/// the device-image tag space (1–12) by a wide margin, so a frame file
-/// and a pipe frame can never be confused for one another.
-pub const TAG_RUN_REPORT: u8 = 32;
 
 /// Exit code a child uses for a request key it cannot reconstruct.
 pub const EXIT_UNKNOWN_KEY: i32 = 4;
@@ -130,35 +122,6 @@ pub fn allocation_bomb() -> ! {
     // optimizer elides the untouched vec and the child exits 0.
     let v = std::hint::black_box(vec![0u8; 1 << 44]);
     std::process::exit(i32::from(v[0]));
-}
-
-/// Encodes a completed report as the one frame a child writes to
-/// stdout: the versioned, checksummed run-cache text inside a
-/// checksummed image frame.
-pub fn encode_report(key: &str, report: &RunReport) -> Vec<u8> {
-    encode_frame(TAG_RUN_REPORT, cache::encode(key, report).as_bytes())
-}
-
-/// Decodes a child's stdout back into its report, verifying both
-/// integrity envelopes (frame checksum, then cache-codec checksum and
-/// stored key).
-///
-/// # Errors
-///
-/// Returns a description of the first integrity check the bytes
-/// failed — the parent records it as an IPC corruption.
-pub fn decode_report(key: &str, bytes: &[u8]) -> Result<RunReport, String> {
-    let (tag, payload, used) =
-        decode_frame(bytes).ok_or_else(|| "frame truncated or checksum mismatch".to_string())?;
-    if tag != TAG_RUN_REPORT {
-        return Err(format!("unexpected frame tag {tag}"));
-    }
-    if used != bytes.len() {
-        return Err(format!("{} trailing bytes after report frame", bytes.len() - used));
-    }
-    let text =
-        std::str::from_utf8(payload).map_err(|_| "report payload is not UTF-8".to_string())?;
-    cache::decode_checked(key, text).map_err(|fault| format!("report payload rejected: {fault}"))
 }
 
 /// How isolated children are launched.
@@ -326,9 +289,9 @@ pub fn run_attempt(
         }
     }
     match status.code() {
-        Some(0) => match decode_report(key, &stdout_bytes) {
+        Some(0) => match cache::decode_checked(key, &stdout_bytes) {
             Ok(report) => AttemptOutcome::Report(Box::new(report)),
-            Err(e) => AttemptOutcome::IpcCorrupt(e),
+            Err(fault) => AttemptOutcome::IpcCorrupt(fault.to_string()),
         },
         Some(101) => AttemptOutcome::Panicked(panic_message_from_stderr(&stderr_bytes)),
         Some(code) => {
@@ -351,37 +314,47 @@ fn failed(message: String) -> AttemptOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheFault;
     use crate::matrix::MatrixOptions;
     use crate::supervisor::{supervise, RunVerdict, SupervisorOptions};
     use plp_core::retry::RetryPolicy;
 
-    fn report_frame_roundtrip_key() -> (String, RunReport) {
-        (
-            format!("{}|isolate-test", cache::CACHE_FORMAT),
-            RunReport::default(),
-        )
-    }
-
     #[test]
     fn report_frame_round_trips_and_rejects_corruption() {
-        let (key, report) = report_frame_roundtrip_key();
-        let bytes = encode_report(&key, &report);
-        assert_eq!(decode_report(&key, &bytes).unwrap(), report);
+        // What a child writes and what the parent accepts: the run's
+        // cache entry, checked by the cache decoder.
+        let key = format!("{}|isolate-test", cache::CACHE_FORMAT);
+        let report = plp_core::RunReport::default();
+        let bytes = cache::encode(&key, &report);
+        assert_eq!(cache::decode_checked(&key, &bytes), Ok(report));
         // Truncations at every prefix fail closed.
         for cut in 0..bytes.len() {
-            assert!(decode_report(&key, &bytes[..cut]).is_err(), "cut {cut}");
+            assert_eq!(
+                cache::decode_checked(&key, &bytes[..cut]),
+                Err(CacheFault::Truncated),
+                "cut {cut}"
+            );
         }
         // A flipped payload byte fails the frame checksum.
         let mut flipped = bytes.clone();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x40;
-        assert!(decode_report(&key, &flipped).is_err());
-        // The wrong key fails the cache codec's stored-key check.
-        assert!(decode_report("some other key", &bytes).is_err());
+        assert_eq!(
+            cache::decode_checked(&key, &flipped),
+            Err(CacheFault::ChecksumMismatch)
+        );
+        // The wrong key fails the stored-key check.
+        assert_eq!(
+            cache::decode_checked("some other key", &bytes),
+            Err(CacheFault::KeyMismatch)
+        );
         // Trailing garbage after a valid frame is rejected too.
         let mut trailing = bytes;
         trailing.push(0);
-        assert!(decode_report(&key, &trailing).is_err());
+        assert_eq!(
+            cache::decode_checked(&key, &trailing),
+            Err(CacheFault::Malformed)
+        );
     }
 
     #[test]

@@ -172,8 +172,8 @@ fn corrupt_cache_entries_quarantine_and_regenerate_mid_matrix() {
     // Corrupt one entry: truncate the stored file mid-body.
     let victim = &reqs[5];
     let path = plp_bench::cache::cache_path(&dir, &victim.key());
-    let text = std::fs::read_to_string(&path).expect("entry exists after warm run");
-    std::fs::write(&path, &text[..text.len() / 2]).unwrap();
+    let bytes = std::fs::read(&path).expect("entry exists after warm run");
+    std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
 
     // Re-run: the corrupt entry is quarantined and regenerated; every
     // other run is a clean cache hit.

@@ -225,8 +225,6 @@ pub struct SystemConfig {
     /// Capacity of each metadata cache (counter/MAC/BMT) in bytes
     /// (default 128 KB; §VII sweeps 32–256 KB).
     pub metadata_cache_bytes: usize,
-    /// L1/L2/L3 hit latencies in cycles (defaults 2/20/30).
-    pub cache_latencies: [Cycle; 3],
     /// BMT shape (default 8-ary, 9 levels — the paper's stated
     /// update-path length for 8 GB).
     pub bmt: BmtGeometry,
@@ -263,7 +261,6 @@ impl Default for SystemConfig {
             ett_entries: 2,
             llc_bytes: 4 << 20,
             metadata_cache_bytes: 128 << 10,
-            cache_latencies: [Cycle::new(2), Cycle::new(20), Cycle::new(30)],
             bmt: BmtGeometry::new(8, 9),
             triad_persisted_levels: 3,
             nvm: NvmConfig::paper_default(),

@@ -33,6 +33,7 @@ use std::path::Path;
 use plp_bmt::{BmtGeometry, NodeValue};
 use plp_crypto::{CounterBlock, DataBlock, MacTag, SipKey};
 use plp_events::addr::{BlockAddr, BLOCKS_PER_PAGE};
+use plp_events::frame::Reader;
 use plp_nvm::image::{read_image, ImageHeader, ImageWriter};
 use plp_nvm::NvmError;
 
@@ -346,22 +347,76 @@ pub struct ReplayedImage {
     pub quarantined: BTreeSet<BlockAddr>,
 }
 
-fn le_u64(p: &[u8], off: usize) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&p[off..off + 8]);
-    u64::from_le_bytes(b)
+/// One intact frame's payload, read field by field. A payload of the
+/// wrong size for its tag — a read past its end, or bytes left over —
+/// is [`ReplayError::BadFrame`].
+struct Payload<'a> {
+    r: Reader<'a>,
+    tag: u8,
+    len: usize,
 }
 
-fn le_cipher(p: &[u8], off: usize) -> DataBlock {
-    let mut b = [0u8; 64];
-    b.copy_from_slice(&p[off..off + 64]);
-    DataBlock::from_bytes(b)
+impl<'a> Payload<'a> {
+    fn new(tag: u8, bytes: &'a [u8]) -> Self {
+        Payload {
+            r: Reader::new(bytes),
+            tag,
+            len: bytes.len(),
+        }
+    }
+
+    fn bad(&self) -> ReplayError {
+        ReplayError::BadFrame {
+            tag: self.tag,
+            len: self.len,
+        }
+    }
+
+    fn u64(&mut self) -> Result<u64, ReplayError> {
+        self.r.u64().ok_or_else(|| self.bad())
+    }
+
+    fn addr(&mut self) -> Result<BlockAddr, ReplayError> {
+        self.u64().map(BlockAddr::new)
+    }
+
+    fn mac(&mut self) -> Result<MacTag, ReplayError> {
+        self.u64().map(MacTag::from_raw)
+    }
+
+    fn cipher(&mut self) -> Result<DataBlock, ReplayError> {
+        let bytes = self.r.array().ok_or_else(|| self.bad())?;
+        Ok(DataBlock::from_bytes(bytes))
+    }
+
+    /// A counter block's wire bytes. Callers validate them with
+    /// [`counter_block`] after [`Payload::end`], so a payload of the
+    /// wrong size is `BadFrame` before it can be `BadCounters`.
+    fn counters(&mut self) -> Result<[u8; COUNTERS_BYTES], ReplayError> {
+        self.r.array().ok_or_else(|| self.bad())
+    }
+
+    /// Reads the rest as a list of `u64`s.
+    fn u64s(&mut self) -> Result<Vec<u64>, ReplayError> {
+        let mut out = Vec::with_capacity(self.r.remaining() / 8);
+        while !self.r.is_empty() {
+            out.push(self.u64()?);
+        }
+        Ok(out)
+    }
+
+    /// Checks that every byte was read.
+    fn end(&self) -> Result<(), ReplayError> {
+        if self.r.is_empty() {
+            Ok(())
+        } else {
+            Err(self.bad())
+        }
+    }
 }
 
-fn le_counters(p: &[u8], off: usize) -> Result<CounterBlock, ReplayError> {
-    let mut b = [0u8; COUNTERS_BYTES];
-    b.copy_from_slice(&p[off..off + COUNTERS_BYTES]);
-    CounterBlock::from_bytes(&b).map_err(|_| ReplayError::BadCounters)
+fn counter_block(wire: &[u8; COUNTERS_BYTES]) -> Result<CounterBlock, ReplayError> {
+    CounterBlock::from_bytes(wire).map_err(|_| ReplayError::BadCounters)
 }
 
 /// Rebuilds the durable [`PersistImage`] a killed process left in
@@ -390,131 +445,84 @@ pub fn replay_image(path: &Path, key: SipKey) -> Result<ReplayedImage, ReplayErr
     let mut quarantined: BTreeSet<BlockAddr> = BTreeSet::new();
 
     for rec in &contents.records {
-        let p = rec.payload.as_slice();
-        let bad = || ReplayError::BadFrame {
-            tag: rec.tag,
-            len: p.len(),
-        };
+        let mut p = Payload::new(rec.tag, &rec.payload);
         match rec.tag {
             TAG_TUPLE => {
-                if p.len() != 40 + 64 + COUNTERS_BYTES {
-                    return Err(bad());
-                }
-                let id = le_u64(p, 0);
-                let addr = BlockAddr::new(le_u64(p, 8));
-                let page = le_u64(p, 16);
-                image.root = le_u64(p, 24);
-                image.macs.insert(addr, MacTag::from_raw(le_u64(p, 32)));
-                image.data.insert(addr, le_cipher(p, 40));
-                image.counters.insert(page, le_counters(p, 104)?);
+                let (id, addr, page, root) = (p.u64()?, p.addr()?, p.u64()?, p.u64()?);
+                let (mac, cipher, counters) = (p.mac()?, p.cipher()?, p.counters()?);
+                p.end()?;
+                image.root = root;
+                image.macs.insert(addr, mac);
+                image.data.insert(addr, cipher);
+                image.counters.insert(page, counter_block(&counters)?);
                 complete_ids.insert(id);
             }
             TAG_TRIAD => {
-                if p.len() != 24 + 64 + COUNTERS_BYTES {
-                    return Err(bad());
-                }
-                let id = le_u64(p, 0);
-                let addr = BlockAddr::new(le_u64(p, 8));
-                let page = le_u64(p, 16);
-                image.data.insert(addr, le_cipher(p, 24));
-                image.counters.insert(page, le_counters(p, 88)?);
+                let (id, addr, page, cipher, counters) =
+                    (p.u64()?, p.addr()?, p.u64()?, p.cipher()?, p.counters()?);
+                p.end()?;
+                image.data.insert(addr, cipher);
+                image.counters.insert(page, counter_block(&counters)?);
                 *components.entry(id).or_insert(0) |= 3;
             }
             TAG_DATA => {
-                if p.len() != 16 + 64 {
-                    return Err(bad());
-                }
-                let id = le_u64(p, 0);
-                image.data.insert(BlockAddr::new(le_u64(p, 8)), le_cipher(p, 16));
+                let (id, addr, cipher) = (p.u64()?, p.addr()?, p.cipher()?);
+                p.end()?;
+                image.data.insert(addr, cipher);
                 *components.entry(id).or_insert(0) |= 1;
             }
             TAG_COUNTER => {
-                if p.len() != 16 + COUNTERS_BYTES {
-                    return Err(bad());
-                }
-                let id = le_u64(p, 0);
-                image.counters.insert(le_u64(p, 8), le_counters(p, 16)?);
+                let (id, page, counters) = (p.u64()?, p.u64()?, p.counters()?);
+                p.end()?;
+                image.counters.insert(page, counter_block(&counters)?);
                 *components.entry(id).or_insert(0) |= 2;
             }
             TAG_MAC => {
-                if p.len() != 24 {
-                    return Err(bad());
-                }
-                let id = le_u64(p, 0);
-                image
-                    .macs
-                    .insert(BlockAddr::new(le_u64(p, 8)), MacTag::from_raw(le_u64(p, 16)));
+                let (id, addr, mac) = (p.u64()?, p.addr()?, p.mac()?);
+                p.end()?;
+                image.macs.insert(addr, mac);
                 *components.entry(id).or_insert(0) |= 4;
             }
             TAG_ROOT => {
-                if p.len() != 16 {
-                    return Err(bad());
-                }
-                let id = le_u64(p, 0);
-                image.root = le_u64(p, 8);
+                let (id, root) = (p.u64()?, p.u64()?);
+                p.end()?;
+                image.root = root;
                 *components.entry(id).or_insert(0) |= 8;
             }
             TAG_SEAL => {
-                if p.len() != 16 {
-                    return Err(bad());
-                }
-                image.root = le_u64(p, 8);
+                let (_epoch, root) = (p.u64()?, p.u64()?);
+                p.end()?;
+                image.root = root;
                 seals += 1;
             }
             TAG_OVERFLOW => {
-                if p.len() != 24 + 64 {
-                    return Err(bad());
-                }
-                let id = le_u64(p, 0);
-                let addr = BlockAddr::new(le_u64(p, 8));
-                image.macs.insert(addr, MacTag::from_raw(le_u64(p, 16)));
-                image.data.insert(addr, le_cipher(p, 24));
+                let (id, addr, mac, cipher) = (p.u64()?, p.addr()?, p.mac()?, p.cipher()?);
+                p.end()?;
+                image.macs.insert(addr, mac);
+                image.data.insert(addr, cipher);
                 complete_ids.insert(id);
             }
             TAG_REC_BLOCK => {
-                if p.len() != 16 + 64 {
-                    return Err(bad());
-                }
-                let addr = BlockAddr::new(le_u64(p, 0));
-                image.macs.insert(addr, MacTag::from_raw(le_u64(p, 8)));
-                image.data.insert(addr, le_cipher(p, 16));
+                let (addr, mac, cipher) = (p.addr()?, p.mac()?, p.cipher()?);
+                p.end()?;
+                image.macs.insert(addr, mac);
+                image.data.insert(addr, cipher);
             }
             TAG_REC_COUNTER => {
-                if p.len() != 8 + COUNTERS_BYTES {
-                    return Err(bad());
-                }
-                image.counters.insert(le_u64(p, 0), le_counters(p, 8)?);
+                let (page, counters) = (p.u64()?, p.counters()?);
+                p.end()?;
+                image.counters.insert(page, counter_block(&counters)?);
             }
-            TAG_REC_IDS => {
-                if p.len() % 8 != 0 {
-                    return Err(bad());
-                }
-                for off in (0..p.len()).step_by(8) {
-                    complete_ids.insert(le_u64(p, off));
-                }
-            }
-            TAG_REC_QUARANTINE => {
-                if p.len() % 8 != 0 {
-                    return Err(bad());
-                }
-                for off in (0..p.len()).step_by(8) {
-                    quarantined.insert(BlockAddr::new(le_u64(p, off)));
-                }
-            }
+            TAG_REC_IDS => complete_ids.extend(p.u64s()?),
+            TAG_REC_QUARANTINE => quarantined.extend(p.u64s()?.into_iter().map(BlockAddr::new)),
             TAG_ROOT_COMMIT => {
-                if p.len() != 16 {
-                    return Err(bad());
-                }
-                image.root = le_u64(p, 0);
-                seals = le_u64(p, 8);
+                let (root, sealed) = (p.u64()?, p.u64()?);
+                p.end()?;
+                image.root = root;
+                seals = sealed;
                 recovered = true;
             }
-            tag => {
-                return Err(ReplayError::BadFrame {
-                    tag,
-                    len: p.len(),
-                })
-            }
+            _ => return Err(p.bad()),
         }
     }
     let mut partial_ids = BTreeSet::new();
@@ -681,7 +689,9 @@ mod tests {
     use std::path::PathBuf;
 
     use plp_events::Cycle;
+    use plp_nvm::image::IMAGE_HEADER_BYTES;
     use plp_trace::spec;
+    use proptest::prelude::*;
 
     use super::*;
     use crate::failpoint::{Failpoint, FailpointPlan, FailpointRegistry};
@@ -944,7 +954,7 @@ mod tests {
         // Observe mode runs on past the armed hit; keep only the frames
         // that were durable when a killed child would have died there.
         let contents = plp_nvm::read_image(&path).unwrap();
-        let id_of = |r: &plp_nvm::ImageRecord| le_u64(&r.payload, 0);
+        let id_of = |r: &plp_nvm::ImageRecord| Reader::new(&r.payload).u64().unwrap();
         let kill = contents
             .records
             .iter()
@@ -1144,5 +1154,220 @@ mod tests {
             }
         );
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The payload size `replay_image` accepts for `tag`; the two list
+    /// tags take any multiple of eight, here three entries.
+    fn payload_len(tag: u8) -> Option<usize> {
+        Some(match tag {
+            TAG_TUPLE => 40 + 64 + COUNTERS_BYTES,
+            TAG_TRIAD => 24 + 64 + COUNTERS_BYTES,
+            TAG_DATA | TAG_REC_BLOCK => 16 + 64,
+            TAG_COUNTER => 16 + COUNTERS_BYTES,
+            TAG_MAC => 24,
+            TAG_ROOT | TAG_SEAL | TAG_ROOT_COMMIT => 16,
+            TAG_OVERFLOW => 24 + 64,
+            TAG_REC_COUNTER => 8 + COUNTERS_BYTES,
+            TAG_REC_IDS | TAG_REC_QUARANTINE => 24,
+            _ => return None,
+        })
+    }
+
+    /// Tags whose payload ends in a counter block.
+    fn carries_counters(tag: u8) -> bool {
+        matches!(tag, TAG_TUPLE | TAG_TRIAD | TAG_COUNTER | TAG_REC_COUNTER)
+    }
+
+    /// The error `replay_image` owes one intact frame, if any: a size
+    /// its tag does not take, then an invalid counter block.
+    fn frame_fault(tag: u8, payload: &[u8]) -> Option<ReplayError> {
+        let size_ok = match tag {
+            TAG_REC_IDS | TAG_REC_QUARANTINE => payload.len().is_multiple_of(8),
+            _ => payload_len(tag) == Some(payload.len()),
+        };
+        if !size_ok {
+            return Some(ReplayError::BadFrame {
+                tag,
+                len: payload.len(),
+            });
+        }
+        let wire: &[u8; COUNTERS_BYTES] = payload[payload.len().saturating_sub(COUNTERS_BYTES)..]
+            .try_into()
+            .ok()?;
+        (carries_counters(tag) && CounterBlock::from_bytes(wire).is_err())
+            .then_some(ReplayError::BadCounters)
+    }
+
+    fn sp_header(config: &SystemConfig) -> ImageHeader {
+        ImageHeader {
+            arity: config.bmt.arity(),
+            levels: config.bmt.levels(),
+            seed: 7,
+            scheme: "sp".to_string(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Behind a valid header, intact frames with any tag and any
+        /// payload, then any torn tail, replay to an image exactly when
+        /// every frame is well formed, and otherwise to the typed error
+        /// of the first frame at fault — never a panic. Half the
+        /// payloads have their tag's size, and some of those a valid
+        /// counter block, so the fuzz reaches every field reader and
+        /// the counter validation, not just the size check.
+        #[test]
+        fn replay_refuses_arbitrary_frames_with_typed_errors(
+            frames in prop::collection::vec(
+                (
+                    0u8..16,
+                    any::<bool>(),
+                    any::<bool>(),
+                    0usize..200,
+                    prop::collection::vec(any::<u8>(), 200..201),
+                ),
+                0..8,
+            ),
+            tail in prop::collection::vec(any::<u8>(), 0..32),
+        ) {
+            let config = SystemConfig::for_scheme(UpdateScheme::Sp);
+            let path = temp_image("fuzz-frames");
+            let mut written = Vec::new();
+            {
+                let mut w = ImageWriter::create(&path, &sp_header(&config)).unwrap();
+                for (tag, exact, valid_counters, len, bytes) in &frames {
+                    let mut payload = bytes.clone();
+                    payload.truncate(if *exact { payload_len(*tag).unwrap_or(*len) } else { *len });
+                    if *exact && *valid_counters && carries_counters(*tag) {
+                        let at = payload.len() - COUNTERS_BYTES;
+                        payload[at..].copy_from_slice(&CounterBlock::default().to_bytes());
+                    }
+                    w.append(*tag, &payload).unwrap();
+                    written.push((*tag, payload));
+                }
+            }
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes.extend_from_slice(&tail);
+            std::fs::write(&path, &bytes).unwrap();
+            let outcome = replay_image(&path, config.key);
+            std::fs::remove_file(&path).unwrap();
+            let owed = written.iter().find_map(|(tag, payload)| frame_fault(*tag, payload));
+            match (outcome, owed) {
+                (Ok(replayed), None) => {
+                    prop_assert_eq!(replayed.frames, frames.len());
+                    prop_assert_eq!(replayed.torn_tail_bytes, tail.len() as u64);
+                }
+                (Err(got), Some(owed)) => prop_assert_eq!(got, owed),
+                (got, owed) => prop_assert!(false, "replay gave {:?}, owed {:?}", got.err(), owed),
+            }
+        }
+    }
+
+    /// Every cut of a valid image — one frame of each persist-path tag,
+    /// and its canonical recovered form with every recovery tag —
+    /// replays to exactly the image its wholly-written frames give, and
+    /// every one-bit flip in the frames drops the flipped frame and all
+    /// after it: a torn tail, never an error, never a wrong value.
+    #[test]
+    fn replay_of_every_cut_and_bit_flip_is_an_intact_prefix() {
+        let config = SystemConfig::for_scheme(UpdateScheme::Unordered);
+        let key = config.key;
+        let raw = temp_image("fuzz-raw");
+        {
+            let mut sink = DurableSink::create(&raw, &config, 7).unwrap();
+            let cipher = DataBlock::from_u64(42);
+            let mut counters = CounterBlock::default();
+            counters.bump(3);
+            let (addr, mac) = (BlockAddr::new(67), MacTag::from_raw(0xAB));
+            sink.tuple(&TupleFrame {
+                id: 1,
+                addr,
+                page: 1,
+                cipher: &cipher,
+                counters: &counters,
+                mac,
+                root: 0xCD,
+            });
+            let triad = TriadFrame {
+                id: 2,
+                addr: BlockAddr::new(68),
+                page: 1,
+                cipher: &cipher,
+                counters: &counters,
+            };
+            sink.triad(&triad);
+            sink.data(3, addr, &cipher);
+            sink.counter(3, 1, &counters);
+            sink.mac_tag(3, addr, mac);
+            sink.root(3, 0xEF);
+            sink.seal(1, 0xEF);
+            sink.overflow(4, BlockAddr::new(69), &cipher, mac);
+            assert_eq!(sink.error(), None);
+        }
+        // The recovered form: a ghost expectation forces a quarantine
+        // frame next to the counter, block, id and commit frames.
+        let recovered = temp_image("fuzz-recovered");
+        std::fs::copy(&raw, &recovered).unwrap();
+        let mut expected = ObserverExpectation::from_complete_ids(&[], &BTreeSet::new());
+        expected
+            .plaintexts
+            .insert(BlockAddr::new(u64::MAX - 1), Default::default());
+        let manager = crate::RecoveryManager::for_config(&config);
+        recover_image(&recovered, key, &manager, &[], &expected, None).unwrap();
+
+        for path in [raw, recovered] {
+            let bytes = std::fs::read(&path).unwrap();
+            let contents = read_image(&path).unwrap();
+            // The file offset each frame ends at, and the replay of the
+            // image holding only the first k frames, for every k.
+            let mut ends = Vec::new();
+            let mut prefixes = Vec::new();
+            let mut at = IMAGE_HEADER_BYTES;
+            for k in 0..=contents.records.len() {
+                {
+                    let mut w = ImageWriter::create(&path, &contents.header).unwrap();
+                    for r in &contents.records[..k] {
+                        w.append(r.tag, &r.payload).unwrap();
+                    }
+                }
+                let r = replay_image(&path, key).unwrap();
+                prefixes.push((r.image, r.complete_ids, r.partial_ids, r.seals, r.recovered));
+                if let Some(rec) = contents.records.get(k) {
+                    at += 13 + rec.payload.len();
+                    ends.push(at);
+                }
+            }
+            assert_eq!(at, bytes.len());
+            let tags: BTreeSet<u8> = contents.records.iter().map(|r| r.tag).collect();
+            assert!(tags.len() >= 5, "{tags:?}");
+            let check = |damaged: &[u8], intact: usize, what: &str| {
+                std::fs::write(&path, damaged).unwrap();
+                let r = replay_image(&path, key).unwrap();
+                let start = if intact == 0 {
+                    IMAGE_HEADER_BYTES
+                } else {
+                    ends[intact - 1]
+                };
+                assert_eq!(r.frames, intact, "{what}");
+                assert_eq!(r.torn_tail_bytes, (damaged.len() - start) as u64, "{what}");
+                let got = (r.image, r.complete_ids, r.partial_ids, r.seals, r.recovered);
+                assert!(
+                    got == prefixes[intact],
+                    "{what}: replay differs from the intact prefix"
+                );
+            };
+            for cut in IMAGE_HEADER_BYTES..=bytes.len() {
+                let intact = ends.iter().filter(|&&end| end <= cut).count();
+                check(&bytes[..cut], intact, &format!("cut at {cut}"));
+            }
+            for bit in IMAGE_HEADER_BYTES * 8..bytes.len() * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let intact = ends.iter().filter(|&&end| end <= bit / 8).count();
+                check(&flipped, intact, &format!("flip of bit {bit}"));
+            }
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 }

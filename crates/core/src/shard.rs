@@ -739,8 +739,6 @@ fn merge_into(acc: &mut RunReport, r: RunReport) {
     acc.nvm.row_hits += r.nvm.row_hits;
     acc.nvm.row_misses += r.nvm.row_misses;
     acc.nvm.queue_stall_cycles += r.nvm.queue_stall_cycles;
-    acc.nvm.read_retries += r.nvm.read_retries;
-    acc.nvm.read_failures += r.nvm.read_failures;
     acc.sanitizer.merge(&r.sanitizer);
     acc.records.extend(r.records);
 }

@@ -11,7 +11,10 @@
 //! * [`stats`] — harness throughput accumulators and the geometric
 //!   mean every figure summarises with;
 //! * [`FastMap`] — a `HashMap` with a one-multiply Fibonacci hasher,
-//!   the one hasher for the integer-keyed maps on the persist path.
+//!   the one hasher for the integer-keyed maps on the persist path;
+//! * [`frame`] — the one checksummed byte envelope (FNV-1a 64) that
+//!   device images, run-cache entries and trace files are made of, and
+//!   the bounds-checked payload [`frame::Reader`] every decoder uses.
 //!
 //! Timing itself lives with the component it models: the WPQ in
 //! `plp-core`, banked PCM timing in `plp-nvm`. Everything here is
@@ -24,6 +27,7 @@
 
 pub mod addr;
 mod fastmap;
+pub mod frame;
 pub mod retry;
 pub mod stats;
 mod time;

@@ -4,7 +4,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use plp_events::addr::BlockAddr;
-use plp_events::{splitmix64, Cycle, FastMap};
+use plp_events::{Cycle, FastMap};
 use serde::{Deserialize, Serialize};
 
 use crate::{NvmConfig, NvmError};
@@ -25,21 +25,6 @@ pub struct NvmStats {
     pub row_misses: u64,
     /// Cycles accesses spent waiting for a full read/write queue.
     pub queue_stall_cycles: u64,
-    /// Read attempts that transiently faulted and were retried (see
-    /// [`crate::ReadFaultConfig`]).
-    pub read_retries: u64,
-    /// Reads whose retry budget was exhausted: the device delivered
-    /// unreliable data and upstream integrity checks must catch it.
-    pub read_failures: u64,
-}
-
-/// Draws a fault with probability `p` from the stream.
-fn fault_roll(state: &mut u64, p: f64) -> bool {
-    if p <= 0.0 {
-        return false;
-    }
-    let unit = (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64;
-    unit < p
 }
 
 /// Reservations a bank keeps before it starts trimming stale ones.
@@ -179,8 +164,6 @@ pub struct NvmDevice {
     writes: OutstandingSet,
     /// Pending (not yet durable) writes, for write combining.
     pending_writes: FastMap<BlockAddr, Cycle>,
-    /// Splitmix64 state of the transient-read-fault stream.
-    fault_rng: u64,
     stats: NvmStats,
 }
 
@@ -214,7 +197,6 @@ impl NvmDevice {
             reads: OutstandingSet::new(config.read_queue),
             writes: OutstandingSet::new(config.write_queue),
             pending_writes: FastMap::default(),
-            fault_rng: config.read_fault.seed ^ 0x4E56_4D5F_4641_554C,
             config,
             stats: NvmStats::default(),
         })
@@ -265,34 +247,7 @@ impl NvmDevice {
                 .read_row_miss_cycles(self.config.cpu_freq)
         };
         let start = bank.reserve(admitted.get(), latency.get());
-        let mut done = Cycle::new(start) + latency;
-        // Transient read faults: each attempt fails independently; the
-        // controller backs off through the shared retry policy and
-        // re-reads (the row is open by then) until it succeeds or the
-        // retry budget runs out.
-        let fault = &self.config.read_fault;
-        if fault.is_enabled() {
-            let p = fault.fault_probability;
-            let policy = fault.retry_policy();
-            let token = plp_events::retry::RetryToken::new(fault.seed);
-            let retry_latency = self.config.timing.read_row_hit_cycles(self.config.cpu_freq);
-            let mut failed = fault_roll(&mut self.fault_rng, p);
-            let mut attempt = 0;
-            while failed && attempt < policy.max_retries {
-                attempt += 1;
-                self.stats.read_retries += 1;
-                let backoff = self
-                    .config
-                    .cpu_freq
-                    .cycles_for_ns(policy.delay_ns(token, attempt));
-                let retry_start = bank.reserve((done + backoff).get(), retry_latency.get());
-                done = Cycle::new(retry_start) + retry_latency;
-                failed = fault_roll(&mut self.fault_rng, p);
-            }
-            if failed {
-                self.stats.read_failures += 1;
-            }
-        }
+        let done = Cycle::new(start) + latency;
         if done.get() >= bank.latest_end {
             bank.latest_end = done.get();
             bank.open_row = Some(row);
@@ -339,6 +294,7 @@ impl NvmDevice {
 
 #[cfg(test)]
 mod tests {
+    use plp_events::splitmix64;
     use proptest::prelude::*;
 
     use super::*;
@@ -456,14 +412,6 @@ mod tests {
             NvmDevice::try_new(zero_queue).unwrap_err(),
             NvmError::ZeroQueue { queue: "read" }
         ));
-        let bad_prob = NvmConfig {
-            read_fault: crate::ReadFaultConfig::with_probability(1.5, 0),
-            ..NvmConfig::paper_default()
-        };
-        assert!(matches!(
-            NvmDevice::try_new(bad_prob).unwrap_err(),
-            NvmError::BadFaultProbability { .. }
-        ));
         assert!(NvmDevice::try_new(NvmConfig::paper_default()).is_ok());
     }
 
@@ -474,80 +422,6 @@ mod tests {
             banks: 0,
             ..NvmConfig::paper_default()
         });
-    }
-
-    #[test]
-    fn read_faults_retry_with_backoff() {
-        let mut faulty = NvmDevice::new(NvmConfig {
-            read_fault: crate::ReadFaultConfig {
-                fault_probability: 1.0,
-                max_retries: 3,
-                retry_backoff_ns: 100.0,
-                seed: 42,
-            },
-            ..NvmConfig::paper_default()
-        });
-        let mut clean = NvmDevice::new(NvmConfig::paper_default());
-        let slow = faulty.read(Cycle::ZERO, BlockAddr::new(0));
-        let fast = clean.read(Cycle::ZERO, BlockAddr::new(0));
-        // Every attempt fails: the full retry budget is spent and the
-        // read still counts as a device failure.
-        assert_eq!(faulty.stats().read_retries, 3);
-        assert_eq!(faulty.stats().read_failures, 1);
-        // Each retry costs at least the back-off plus a re-read.
-        assert!(slow >= fast + Cycle::new(3 * (400 + 70)), "{slow} vs {fast}");
-    }
-
-    #[test]
-    fn retry_backoff_timing_is_pinned_to_pre_policy_behaviour() {
-        // Regression pin for the plp_core::retry unification: the
-        // device used ad-hoc constants (a flat retry_backoff_ns wait
-        // per retry); the shared RetryPolicy::constant must reproduce
-        // that schedule cycle-for-cycle. With every attempt failing:
-        // initial row-miss read completes at 290; each of the 3 retries
-        // waits 100 ns (400 cycles at 4 GHz) then re-reads the open row
-        // (70 cycles): 290 + 3 * (400 + 70) = 1700.
-        let mut faulty = NvmDevice::new(NvmConfig {
-            read_fault: crate::ReadFaultConfig {
-                fault_probability: 1.0,
-                max_retries: 3,
-                retry_backoff_ns: 100.0,
-                seed: 42,
-            },
-            ..NvmConfig::paper_default()
-        });
-        let done = faulty.read(Cycle::ZERO, BlockAddr::new(0));
-        assert_eq!(done.get(), 1700);
-        // And the derived policy itself is the flat legacy schedule.
-        let policy = faulty.config().read_fault.retry_policy();
-        let token = plp_events::retry::RetryToken::new(42);
-        assert_eq!(policy.schedule(token), vec![100.0, 100.0, 100.0]);
-    }
-
-    #[test]
-    fn read_fault_stream_is_replayable() {
-        let config = NvmConfig {
-            read_fault: crate::ReadFaultConfig::with_probability(0.3, 7),
-            ..NvmConfig::paper_default()
-        };
-        let mut a = NvmDevice::new(config);
-        let mut b = NvmDevice::new(config);
-        for i in 0..200 {
-            let t1 = a.read(Cycle::new(i * 10), BlockAddr::new(i % 40));
-            let t2 = b.read(Cycle::new(i * 10), BlockAddr::new(i % 40));
-            assert_eq!(t1, t2);
-        }
-        assert_eq!(a.stats(), b.stats());
-        assert!(a.stats().read_retries > 0, "p=0.3 over 200 reads must retry");
-    }
-
-    #[test]
-    fn disabled_fault_model_changes_nothing() {
-        let mut d = dev();
-        let t = d.read(Cycle::ZERO, BlockAddr::new(0));
-        assert_eq!(t.get(), 290);
-        assert_eq!(d.stats().read_retries, 0);
-        assert_eq!(d.stats().read_failures, 0);
     }
 
     #[test]

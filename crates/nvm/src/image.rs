@@ -28,10 +28,11 @@
 //! | 33     | 23   | scheme name, zero-padded |
 //! | 56     | 8    | FNV-1a 64 checksum of bytes 0..56 |
 //!
-//! Each frame is `[tag u8][len u32][payload][fnv u64]` where the
-//! checksum covers the tag, the length bytes, and the payload. Frame
-//! payloads are opaque here — `plp_core` defines the tags for tuple
-//! components, root seals, and epoch seals.
+//! Each frame is a `plp_events::frame` frame,
+//! `[tag u8][len u32][payload][fnv u64]`, where the checksum covers the
+//! tag, the length bytes, and the payload. Frame payloads are opaque
+//! here — `plp_core` defines the tags for tuple components, root seals,
+//! and epoch seals.
 //!
 //! Readers tolerate a torn *tail* (a frame cut short or failing its
 //! checksum, i.e. the write the kill landed on): everything from the
@@ -43,6 +44,8 @@ use std::fs::File;
 use std::io::{Read, Write};
 use std::path::Path;
 
+use plp_events::frame::{decode_frame, encode_frame, fnv1a, Reader};
+
 use crate::NvmError;
 
 /// Magic bytes opening every image file.
@@ -53,21 +56,6 @@ pub const IMAGE_VERSION: u32 = 1;
 pub const IMAGE_HEADER_BYTES: usize = 64;
 /// Longest scheme name the header can carry.
 pub const IMAGE_SCHEME_MAX: usize = 23;
-
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// FNV-1a 64 over `bytes`: the image frame checksums here, and the
-/// run cache's content addresses and checksums in the bench harness.
-/// Dependency-free and deterministic.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_BASIS;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Identity of an image: which run produced it, against which geometry.
 ///
@@ -110,82 +98,39 @@ impl ImageHeader {
     /// Decodes a header from its on-disk form, validating magic,
     /// version, checksum, and the scheme-name field.
     pub fn decode(bytes: &[u8; IMAGE_HEADER_BYTES]) -> Result<Self, NvmError> {
-        if bytes[0..8] != IMAGE_MAGIC {
+        let mut r = Reader::new(bytes);
+        let corrupt = NvmError::ImageHeaderCorrupt;
+        if r.array() != Some(IMAGE_MAGIC) {
             return Err(NvmError::ImageBadMagic);
         }
-        let version = read_u32(bytes, 8);
+        let version = r.u32().ok_or(corrupt)?;
         if version != IMAGE_VERSION {
             return Err(NvmError::ImageBadVersion { version });
         }
-        let sum = read_u64(bytes, 56);
-        if sum != fnv1a(&bytes[..56]) {
-            return Err(NvmError::ImageHeaderCorrupt);
-        }
-        let scheme_len = bytes[32] as usize;
-        if scheme_len > IMAGE_SCHEME_MAX {
-            return Err(NvmError::ImageHeaderCorrupt);
-        }
-        let scheme = match std::str::from_utf8(&bytes[33..33 + scheme_len]) {
-            Ok(s) => s.to_string(),
-            Err(_) => return Err(NvmError::ImageHeaderCorrupt),
+        let (Some(levels), Some(arity), Some(seed), Some(name_len), Some(name), Some(sum)) = (
+            r.u32(),
+            r.u64(),
+            r.u64(),
+            r.u8(),
+            r.array::<IMAGE_SCHEME_MAX>(),
+            r.u64(),
+        ) else {
+            return Err(corrupt);
         };
+        if sum != fnv1a(&bytes[..56]) {
+            return Err(corrupt);
+        }
+        let scheme = name
+            .get(..usize::from(name_len))
+            .and_then(|n| std::str::from_utf8(n).ok())
+            .ok_or(corrupt)?;
         Ok(ImageHeader {
-            arity: read_u64(bytes, 16),
-            levels: read_u32(bytes, 12),
-            seed: read_u64(bytes, 24),
-            scheme,
+            arity,
+            levels,
+            seed,
+            scheme: scheme.to_string(),
         })
     }
-}
-
-fn read_u32(bytes: &[u8], off: usize) -> u32 {
-    let mut b = [0u8; 4];
-    b.copy_from_slice(&bytes[off..off + 4]);
-    u32::from_le_bytes(b)
-}
-
-fn read_u64(bytes: &[u8], off: usize) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&bytes[off..off + 8]);
-    u64::from_le_bytes(b)
-}
-
-/// Encodes one complete frame: `[tag][len u32][payload][fnv u64]`.
-///
-/// Public because the frame format doubles as the supervisor's IPC
-/// envelope: an isolated matrix child returns its `RunReport` over a
-/// pipe as exactly one of these frames, so corruption detection on
-/// the wire reuses the medium's checksum discipline.
-pub fn encode_frame(tag: u8, payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(13 + payload.len());
-    frame.push(tag);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(payload);
-    let sum = fnv1a(&frame);
-    frame.extend_from_slice(&sum.to_le_bytes());
-    frame
-}
-
-/// Decodes one frame from the front of `bytes`.
-///
-/// Returns `(tag, payload, frame_len)` when the leading frame is
-/// intact, `None` when it is truncated or fails its checksum — the
-/// same acceptance rule [`read_image`] applies per frame, exposed for
-/// pipe readers that receive frames outside an image file.
-pub fn decode_frame(bytes: &[u8]) -> Option<(u8, &[u8], usize)> {
-    if bytes.len() < 13 {
-        return None;
-    }
-    let len = read_u32(bytes, 1) as usize;
-    let end = 13usize.checked_add(len)?;
-    if bytes.len() < end {
-        return None;
-    }
-    let body = &bytes[..5 + len];
-    if read_u64(bytes, 5 + len) != fnv1a(body) {
-        return None;
-    }
-    Some((bytes[0], &bytes[5..5 + len], end))
 }
 
 /// Write-through appender for a device image.
@@ -262,51 +207,33 @@ pub fn read_image(path: &Path) -> Result<ImageContents, NvmError> {
     let mut bytes = Vec::new();
     file.read_to_end(&mut bytes)
         .map_err(|_| NvmError::ImageIo { op: "read" })?;
-    if bytes.len() < IMAGE_HEADER_BYTES {
+    let Some(head) = Reader::new(&bytes).array() else {
         return Err(NvmError::ImageHeaderTruncated {
             len: bytes.len() as u64,
         });
-    }
-    let mut head = [0u8; IMAGE_HEADER_BYTES];
-    head.copy_from_slice(&bytes[..IMAGE_HEADER_BYTES]);
+    };
     let header = ImageHeader::decode(&head)?;
 
     let mut records = Vec::new();
-    let mut off = IMAGE_HEADER_BYTES;
-    let total = bytes.len();
-    while off < total {
-        // Frame = tag(1) + len(4) + payload + checksum(8).
-        if total - off < 13 {
-            break;
-        }
-        let len = read_u32(&bytes, off + 1) as usize;
-        let Some(end) = off.checked_add(13 + len) else {
-            break;
-        };
-        if end > total {
-            break;
-        }
-        let body = &bytes[off..off + 5 + len];
-        let sum = read_u64(&bytes, off + 5 + len);
-        if sum != fnv1a(body) {
-            break;
-        }
+    let mut rest = &bytes[IMAGE_HEADER_BYTES..];
+    while let Ok((tag, payload, used)) = decode_frame(rest) {
         records.push(ImageRecord {
-            tag: bytes[off],
-            payload: bytes[off + 5..off + 5 + len].to_vec(),
+            tag,
+            payload: payload.to_vec(),
         });
-        off = end;
+        rest = &rest[used..];
     }
     Ok(ImageContents {
         header,
         records,
-        torn_tail_bytes: (total - off) as u64,
+        torn_tail_bytes: rest.len() as u64,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use plp_events::frame::FrameError;
 
     fn header() -> ImageHeader {
         ImageHeader {
@@ -323,14 +250,19 @@ mod tests {
 
     #[test]
     fn frame_codec_round_trips_and_rejects_corruption() {
+        // The frames an image is made of: what `append` writes,
+        // `decode_frame` returns whole; a cut frame is truncated and a
+        // flipped payload bit fails the checksum.
         let frame = encode_frame(9, b"hello");
         let (tag, payload, used) = decode_frame(&frame).expect("intact frame decodes");
         assert_eq!((tag, payload, used), (9, &b"hello"[..], frame.len()));
-        // Truncation and bit flips both read as "no frame".
-        assert_eq!(decode_frame(&frame[..frame.len() - 1]), None);
+        assert_eq!(
+            decode_frame(&frame[..frame.len() - 1]),
+            Err(FrameError::Truncated)
+        );
         let mut flipped = frame.clone();
         flipped[7] ^= 0x10;
-        assert_eq!(decode_frame(&flipped), None);
+        assert_eq!(decode_frame(&flipped), Err(FrameError::Checksum));
     }
 
     #[test]

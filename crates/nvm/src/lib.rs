@@ -31,4 +31,4 @@ mod timing;
 
 pub use device::{NvmDevice, NvmStats};
 pub use image::{read_image, ImageContents, ImageHeader, ImageRecord, ImageWriter};
-pub use timing::{Interleave, NvmConfig, NvmError, NvmTiming, ReadFaultConfig};
+pub use timing::{Interleave, NvmConfig, NvmError, NvmTiming};

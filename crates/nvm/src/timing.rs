@@ -85,74 +85,6 @@ pub enum Interleave {
     RowLevel,
 }
 
-/// Deterministic transient-read-fault model: each read attempt fails
-/// independently with `fault_probability`; the controller retries up to
-/// `max_retries` times, paying `retry_backoff_ns` plus a re-read per
-/// retry. Reads that exhaust the budget are counted as unrecovered
-/// device read failures ([`crate::NvmStats::read_failures`]) — the
-/// media returned ECC-flagged garbage and upstream integrity checks
-/// must catch it.
-///
-/// The fault stream is a pure function of `seed` and the read order, so
-/// runs are replayable.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ReadFaultConfig {
-    /// Per-attempt failure probability in `[0, 1]`. Zero disables the
-    /// model entirely (the default).
-    pub fault_probability: f64,
-    /// Retry budget after the initial failed attempt.
-    pub max_retries: u32,
-    /// Controller back-off before each retry, in nanoseconds.
-    pub retry_backoff_ns: f64,
-    /// Seed of the fault stream.
-    pub seed: u64,
-}
-
-impl ReadFaultConfig {
-    /// The model switched off: no read ever faults.
-    pub fn disabled() -> Self {
-        ReadFaultConfig {
-            fault_probability: 0.0,
-            max_retries: 0,
-            retry_backoff_ns: 0.0,
-            seed: 0,
-        }
-    }
-
-    /// A fault model with the given per-attempt probability, three
-    /// retries and a 100 ns back-off.
-    pub fn with_probability(probability: f64, seed: u64) -> Self {
-        ReadFaultConfig {
-            fault_probability: probability,
-            max_retries: 3,
-            retry_backoff_ns: 100.0,
-            seed,
-        }
-    }
-
-    /// Whether any read can fault under this configuration.
-    pub fn is_enabled(&self) -> bool {
-        self.fault_probability > 0.0
-    }
-
-    /// The controller's backoff as the shared workspace policy
-    /// (`plp_core::retry`): a constant, jitter-free schedule of
-    /// `max_retries` waits of `retry_backoff_ns` each. Keeping the
-    /// configuration surface as two plain numbers and deriving the
-    /// policy here means the device and the harness retry through one
-    /// implementation without changing this struct's (cache-keyed)
-    /// shape.
-    pub fn retry_policy(&self) -> plp_events::retry::RetryPolicy {
-        plp_events::retry::RetryPolicy::constant(self.max_retries, self.retry_backoff_ns)
-    }
-}
-
-impl Default for ReadFaultConfig {
-    fn default() -> Self {
-        ReadFaultConfig::disabled()
-    }
-}
-
 /// Overall device configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NvmConfig {
@@ -172,8 +104,6 @@ pub struct NvmConfig {
     pub cpu_freq: Freq,
     /// Address-to-bank mapping.
     pub interleave: Interleave,
-    /// Transient-read-fault injection (disabled by default).
-    pub read_fault: ReadFaultConfig,
 }
 
 impl NvmConfig {
@@ -189,7 +119,6 @@ impl NvmConfig {
             timing: NvmTiming::paper_default(),
             cpu_freq: Freq::ghz(4.0),
             interleave: Interleave::BlockLevel,
-            read_fault: ReadFaultConfig::disabled(),
         }
     }
 
@@ -218,10 +147,6 @@ impl NvmConfig {
             return Err(NvmError::BadCapacity {
                 capacity_bytes: self.capacity_bytes,
             });
-        }
-        let p = self.read_fault.fault_probability;
-        if !(0.0..=1.0).contains(&p) || p.is_nan() {
-            return Err(NvmError::BadFaultProbability { probability: p });
         }
         // Every command books its latency on a bank; a zero-cycle
         // booking (zero, negative or NaN ns) would hold no slot.
@@ -258,11 +183,6 @@ pub enum NvmError {
     BadCapacity {
         /// The rejected capacity.
         capacity_bytes: u64,
-    },
-    /// Fault probabilities live in `[0, 1]`.
-    BadFaultProbability {
-        /// The rejected probability.
-        probability: f64,
     },
     /// A command latency converts to zero CPU cycles.
     ZeroLatency {
@@ -304,9 +224,6 @@ impl std::fmt::Display for NvmError {
             ),
             NvmError::BadCapacity { capacity_bytes } => {
                 write!(f, "NVM capacity {capacity_bytes} is below one row")
-            }
-            NvmError::BadFaultProbability { probability } => {
-                write!(f, "read-fault probability {probability} outside [0, 1]")
             }
             NvmError::ZeroLatency { latency } => {
                 write!(f, "NVM {latency} latency is zero CPU cycles")

@@ -1,39 +1,73 @@
-//! A compact binary on-disk format for traces.
+//! The on-disk trace format: one checksummed frame.
 //!
 //! Traces are deterministic given `(profile, seed)`, but persisting
 //! them lets experiments be re-run byte-identically across versions of
 //! the generator, exchanged between machines, or produced by external
 //! tools (e.g. a real PIN/Valgrind pipeline feeding this simulator).
 //!
-//! Format (all little-endian):
+//! A trace file is exactly one `plp_events::frame` frame,
+//! `[tag u8][len u32][payload][fnv u64]`, with tag [`TRACE_TAG`] and
+//! the events back to back as its payload (all little-endian):
 //!
 //! ```text
-//! magic   "PLPT"            4 bytes
-//! version u32               currently 1
-//! count   u64               number of events
-//! events  count × { gap: u32, kind: u8, addr: u64 }
+//! events  n × { gap: u32, kind: u8, addr: u64 }   13 bytes each
 //! ```
 //!
-//! `kind` is 0 = load, 1 = heap store, 2 = stack store.
+//! `kind` is 0 = load, 1 = heap store, 2 = stack store. The frame's
+//! checksum covers every event, so a cut or corrupted file is refused
+//! whole with a typed [`TraceError`], never half-loaded.
 
-use std::io::{self, Read, Write};
+use std::io;
+use std::path::Path;
 
 use plp_events::addr::BlockAddr;
+use plp_events::frame::{decode_frame, encode_frame, FrameError, Reader, MAX_PAYLOAD};
 
 use crate::{Op, Trace, TraceEvent};
 
-const MAGIC: &[u8; 4] = b"PLPT";
-const VERSION: u32 = 1;
+/// Frame tag of a trace file: the format's version. Version 1 was an
+/// unchecksummed `PLPT` magic/version stream.
+pub const TRACE_TAG: u8 = 2;
+
+/// Encoded size of one event.
+const EVENT_BYTES: usize = 13;
 
 const KIND_LOAD: u8 = 0;
 const KIND_STORE: u8 = 1;
 const KIND_STACK_STORE: u8 = 2;
 
-/// Serializes a trace.
+/// Why bytes are not a trace file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TraceError {
+    /// The bytes are not one intact frame: cut short, or failing the
+    /// checksum.
+    Frame(FrameError),
+    /// An intact frame of another format or version (its tag).
+    WrongTag(u8),
+    /// The payload is not whole events of known kinds, or bytes follow
+    /// the frame.
+    Malformed,
+}
+
+impl std::fmt::Display for TraceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TraceError::Frame(e) => write!(f, "not a PLP trace file ({e})"),
+            TraceError::WrongTag(tag) => write!(f, "unsupported trace frame tag {tag}"),
+            TraceError::Malformed => write!(f, "malformed trace payload"),
+        }
+    }
+}
+
+impl std::error::Error for TraceError {}
+
+/// Serializes a trace as one frame.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Propagates any I/O error from `w`. A `&mut Vec<u8>` never fails.
+/// Panics if the events do not fit one frame's `u32` length field
+/// (about 330 million events); [`save_trace`] reports that as an error
+/// instead.
 ///
 /// # Example
 ///
@@ -41,73 +75,46 @@ const KIND_STACK_STORE: u8 = 2;
 /// use plp_trace::{codec, spec, TraceGenerator};
 ///
 /// let trace = TraceGenerator::new(spec::benchmark("milc").unwrap(), 1).generate(1_000);
-/// let mut bytes = Vec::new();
-/// codec::write_trace(&trace, &mut bytes)?;
-/// assert_eq!(codec::read_trace(&bytes[..])?, trace);
-/// # Ok::<(), std::io::Error>(())
+/// let bytes = codec::encode_trace(&trace);
+/// assert_eq!(codec::decode_trace(&bytes), Ok(trace));
 /// ```
-pub fn write_trace<W: Write>(trace: &Trace, mut w: W) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&(trace.op_count() as u64).to_le_bytes())?;
+pub fn encode_trace(trace: &Trace) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(trace.op_count() * EVENT_BYTES);
     for ev in trace {
-        w.write_all(&ev.gap_instructions.to_le_bytes())?;
         let (kind, addr) = match ev.op {
             Op::Load { addr } => (KIND_LOAD, addr),
             Op::Store { addr, stack: false } => (KIND_STORE, addr),
             Op::Store { addr, stack: true } => (KIND_STACK_STORE, addr),
         };
-        w.write_all(&[kind])?;
-        w.write_all(&addr.index().to_le_bytes())?;
+        payload.extend_from_slice(&ev.gap_instructions.to_le_bytes());
+        payload.push(kind);
+        payload.extend_from_slice(&addr.index().to_le_bytes());
     }
-    Ok(())
+    encode_frame(TRACE_TAG, &payload)
 }
 
-/// Deserializes a trace written by [`write_trace`].
+/// Deserializes a trace written by [`encode_trace`].
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` on a bad magic, unsupported version or
-/// unknown event kind, and `UnexpectedEof` on truncation.
-pub fn read_trace<R: Read>(mut r: R) -> io::Result<Trace> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not a PLP trace file (bad magic)",
-        ));
+/// Returns the [`TraceError`] for the first check the bytes fail.
+pub fn decode_trace(bytes: &[u8]) -> Result<Trace, TraceError> {
+    let (tag, payload, used) = decode_frame(bytes).map_err(TraceError::Frame)?;
+    if tag != TRACE_TAG {
+        return Err(TraceError::WrongTag(tag));
     }
-    let mut buf4 = [0u8; 4];
-    r.read_exact(&mut buf4)?;
-    let version = u32::from_le_bytes(buf4);
-    if version != VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unsupported trace version {version}"),
-        ));
+    if used != bytes.len() || !payload.len().is_multiple_of(EVENT_BYTES) {
+        return Err(TraceError::Malformed);
     }
-    let mut buf8 = [0u8; 8];
-    r.read_exact(&mut buf8)?;
-    let count = u64::from_le_bytes(buf8);
-    let mut events = Vec::with_capacity(count.min(1 << 24) as usize);
-    for _ in 0..count {
-        r.read_exact(&mut buf4)?;
-        let gap_instructions = u32::from_le_bytes(buf4);
-        let mut kind = [0u8; 1];
-        r.read_exact(&mut kind)?;
-        r.read_exact(&mut buf8)?;
-        let addr = BlockAddr::new(u64::from_le_bytes(buf8));
-        let op = match kind[0] {
+    let mut r = Reader::new(payload);
+    let mut events = Vec::with_capacity(payload.len() / EVENT_BYTES);
+    while let (Some(gap_instructions), Some(kind), Some(addr)) = (r.u32(), r.u8(), r.u64()) {
+        let addr = BlockAddr::new(addr);
+        let op = match kind {
             KIND_LOAD => Op::Load { addr },
             KIND_STORE => Op::Store { addr, stack: false },
             KIND_STACK_STORE => Op::Store { addr, stack: true },
-            k => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unknown event kind {k}"),
-                ))
-            }
+            _ => return Err(TraceError::Malformed),
         };
         events.push(TraceEvent {
             gap_instructions,
@@ -121,20 +128,26 @@ pub fn read_trace<R: Read>(mut r: R) -> io::Result<Trace> {
 ///
 /// # Errors
 ///
-/// Propagates file-creation and write errors.
-pub fn save_trace(trace: &Trace, path: impl AsRef<std::path::Path>) -> io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    write_trace(trace, io::BufWriter::new(file))
+/// Propagates file-creation and write errors, and refuses a trace too
+/// long for one frame with `InvalidInput`.
+pub fn save_trace(trace: &Trace, path: impl AsRef<Path>) -> io::Result<()> {
+    if trace.op_count() > MAX_PAYLOAD / EVENT_BYTES {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "trace too long for one frame",
+        ));
+    }
+    std::fs::write(path, encode_trace(trace))
 }
 
 /// Reads a trace from a file path.
 ///
 /// # Errors
 ///
-/// Propagates file-open and decode errors.
-pub fn load_trace(path: impl AsRef<std::path::Path>) -> io::Result<Trace> {
-    let file = std::fs::File::open(path)?;
-    read_trace(io::BufReader::new(file))
+/// Propagates file-read errors; bytes that are not a trace file are
+/// `InvalidData` carrying the [`TraceError`].
+pub fn load_trace(path: impl AsRef<Path>) -> io::Result<Trace> {
+    decode_trace(&std::fs::read(path)?).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]
@@ -146,12 +159,18 @@ mod tests {
         TraceGenerator::new(spec::benchmark("gcc").unwrap(), 11).generate(5_000)
     }
 
+    /// One event's 13 bytes, as `encode_trace` lays them out.
+    fn event(gap: u32, kind: u8, addr: u64) -> Vec<u8> {
+        let mut bytes = gap.to_le_bytes().to_vec();
+        bytes.push(kind);
+        bytes.extend_from_slice(&addr.to_le_bytes());
+        bytes
+    }
+
     #[test]
     fn round_trip_preserves_everything() {
         let trace = sample();
-        let mut bytes = Vec::new();
-        write_trace(&trace, &mut bytes).unwrap();
-        let back = read_trace(&bytes[..]).unwrap();
+        let back = decode_trace(&encode_trace(&trace)).unwrap();
         assert_eq!(back, trace);
         assert_eq!(back.total_instructions(), trace.total_instructions());
     }
@@ -159,48 +178,49 @@ mod tests {
     #[test]
     fn empty_trace_round_trips() {
         let trace = Trace::new(Vec::new());
-        let mut bytes = Vec::new();
-        write_trace(&trace, &mut bytes).unwrap();
-        assert_eq!(read_trace(&bytes[..]).unwrap(), trace);
+        assert_eq!(decode_trace(&encode_trace(&trace)), Ok(trace));
     }
 
     #[test]
     fn rejects_bad_magic() {
-        let err = read_trace(&b"NOPE\x01\x00\x00\x00"[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // An empty version-1 file (`PLPT`, version 1, zero events) is
+        // not a frame: its "length" runs far past its 16 bytes.
+        let mut bytes = b"PLPT".to_vec();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(
+            decode_trace(&bytes),
+            Err(TraceError::Frame(FrameError::Truncated))
+        );
     }
 
     #[test]
     fn rejects_wrong_version() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"PLPT");
-        bytes.extend_from_slice(&99u32.to_le_bytes());
-        bytes.extend_from_slice(&0u64.to_le_bytes());
-        let err = read_trace(&bytes[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // An intact frame under another tag: another format or version.
+        let bytes = encode_frame(99, &event(1, KIND_LOAD, 0));
+        assert_eq!(decode_trace(&bytes), Err(TraceError::WrongTag(99)));
     }
 
     #[test]
     fn rejects_truncation() {
-        let trace = sample();
-        let mut bytes = Vec::new();
-        write_trace(&trace, &mut bytes).unwrap();
+        let mut bytes = encode_trace(&sample());
         bytes.truncate(bytes.len() - 3);
-        let err = read_trace(&bytes[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(
+            decode_trace(&bytes),
+            Err(TraceError::Frame(FrameError::Truncated))
+        );
     }
 
     #[test]
     fn rejects_unknown_kind() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"PLPT");
-        bytes.extend_from_slice(&VERSION.to_le_bytes());
-        bytes.extend_from_slice(&1u64.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.push(77); // bogus kind
-        bytes.extend_from_slice(&0u64.to_le_bytes());
-        let err = read_trace(&bytes[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let bytes = encode_frame(TRACE_TAG, &event(0, 77, 0));
+        assert_eq!(decode_trace(&bytes), Err(TraceError::Malformed));
+        // So is a payload of a partial event, and bytes past the frame.
+        let bytes = encode_frame(TRACE_TAG, &event(0, KIND_LOAD, 0)[..12]);
+        assert_eq!(decode_trace(&bytes), Err(TraceError::Malformed));
+        let mut bytes = encode_trace(&sample());
+        bytes.push(0);
+        assert_eq!(decode_trace(&bytes), Err(TraceError::Malformed));
     }
 
     #[test]
@@ -211,6 +231,12 @@ mod tests {
         let path = dir.join("t.plpt");
         save_trace(&trace, &path).unwrap();
         assert_eq!(load_trace(&path).unwrap(), trace);
+        // A damaged file is refused as invalid data, never half-loaded.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[20] ^= 0x04;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = load_trace(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,7 +1,10 @@
-//! Property-based tests for trace generation and the codec.
+//! Property-based tests for trace generation and the codec, including
+//! a fuzz of the trace decoder.
 
-use plp_trace::{codec, Op, Trace, TraceEvent, TraceGenerator, WorkloadProfile};
 use plp_events::addr::BlockAddr;
+use plp_events::frame::{encode_frame, FrameError};
+use plp_trace::codec::{self, TraceError};
+use plp_trace::{Op, Trace, TraceEvent, TraceGenerator, WorkloadProfile};
 use proptest::prelude::*;
 
 fn arb_profile() -> impl Strategy<Value = WorkloadProfile> {
@@ -23,9 +26,18 @@ fn arb_profile() -> impl Strategy<Value = WorkloadProfile> {
 }
 
 fn arb_trace() -> impl Strategy<Value = Trace> {
+    arb_trace_of(0..300)
+}
+
+/// Short enough to flip every bit of its encoding.
+fn arb_short_trace() -> impl Strategy<Value = Trace> {
+    arb_trace_of(0..24)
+}
+
+fn arb_trace_of(events: std::ops::Range<usize>) -> impl Strategy<Value = Trace> {
     prop::collection::vec(
         (0u32..10_000, 0u64..u64::MAX / 64, 0u8..3),
-        0..300,
+        events,
     )
     .prop_map(|evs| {
         Trace::new(
@@ -48,9 +60,51 @@ proptest! {
     /// generated ones).
     #[test]
     fn codec_round_trip(trace in arb_trace()) {
-        let mut bytes = Vec::new();
-        codec::write_trace(&trace, &mut bytes).unwrap();
-        prop_assert_eq!(codec::read_trace(&bytes[..]).unwrap(), trace);
+        let bytes = codec::encode_trace(&trace);
+        prop_assert_eq!(codec::decode_trace(&bytes), Ok(trace));
+    }
+
+    /// Arbitrary bytes are never a trace: the decoder refuses them
+    /// with a typed error instead of panicking.
+    #[test]
+    fn decoder_refuses_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
+        prop_assert!(codec::decode_trace(&bytes).is_err());
+    }
+
+    /// An arbitrary payload inside an intact trace frame either is
+    /// refused as malformed or decodes to the trace its bytes spell,
+    /// which re-encodes to the same file.
+    #[test]
+    fn decoder_is_faithful_on_arbitrary_payloads(
+        payload in prop::collection::vec(any::<u8>(), 0..512),
+    ) {
+        let bytes = encode_frame(codec::TRACE_TAG, &payload);
+        match codec::decode_trace(&bytes) {
+            Ok(trace) => prop_assert_eq!(codec::encode_trace(&trace), bytes),
+            Err(e) => prop_assert_eq!(e, TraceError::Malformed),
+        }
+    }
+
+    /// Every strict prefix of a trace file is truncated, and every
+    /// one-bit flip is refused: the checksum covers every event.
+    #[test]
+    fn decoder_refuses_every_cut_and_bit_flip(trace in arb_short_trace()) {
+        let bytes = codec::encode_trace(&trace);
+        for cut in 0..bytes.len() {
+            prop_assert_eq!(
+                codec::decode_trace(&bytes[..cut]),
+                Err(TraceError::Frame(FrameError::Truncated))
+            );
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            prop_assert!(
+                matches!(codec::decode_trace(&flipped), Err(TraceError::Frame(_))),
+                "flip of bit {} was not refused by the frame",
+                bit
+            );
+        }
     }
 
     /// Generation hits the requested store rates for any profile.

@@ -173,6 +173,23 @@ rm -f "$id_img"
   echo "verify: file-backed child stdout diverged from the in-memory run"; exit 1
 }
 
+# Trace-format gate: a trace saved by plp_sim and loaded back must drive
+# the same simulation. The indented report lines of the two runs must
+# be identical (the header line names the trace file instead of the
+# seed, so it differs by design). Nothing else runs the trace codec end
+# to end; its decoder is fuzzed in crates/trace/tests/properties.rs.
+trace_dir=$(mktemp -d)
+./target/release/plp_sim --bench milc --instructions 20000 --no-baseline \
+  --save-trace "$trace_dir/milc.plpt" > "$trace_dir/saved.txt"
+./target/release/plp_sim --bench milc --instructions 20000 --no-baseline \
+  --load-trace "$trace_dir/milc.plpt" > "$trace_dir/loaded.txt"
+grep '^  ' "$trace_dir/saved.txt" > "$trace_dir/saved.report" || true
+grep '^  ' "$trace_dir/loaded.txt" > "$trace_dir/loaded.report" || true
+[ -s "$trace_dir/saved.report" ] && cmp "$trace_dir/saved.report" "$trace_dir/loaded.report" || {
+  echo "verify: a loaded trace did not reproduce the report of the run that saved it"; exit 1
+}
+rm -rf "$trace_dir"
+
 # Paper-length artefact gate: every registered artefact at the paper's
 # 400k instructions must stay byte-identical to its committed
 # results/ID.txt. The other byte-identity gates run 6k-20k

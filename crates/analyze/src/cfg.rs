@@ -195,8 +195,7 @@ impl<'a> Builder<'a> {
     fn stmt(&mut self, s: &'a Stmt, cur: BlockId) -> BlockId {
         match &s.kind {
             StmtKind::Let { init, else_block } => {
-                let children: Vec<(usize, usize)> =
-                    else_block.iter().map(|b| b.span).collect();
+                let children: Vec<(usize, usize)> = else_block.iter().map(|b| b.span).collect();
                 self.push(
                     cur,
                     Atom {
@@ -424,7 +423,10 @@ mod tests {
         let cfg = cfg_of("fn f() { a(); b(); }");
         // entry (with both atoms) + exit, plus nothing else.
         assert_eq!(cfg.blocks[cfg.entry].atoms.len(), 2);
-        assert_eq!(cfg.blocks[cfg.entry].succs, vec![(cfg.exit, EdgeKind::Normal)]);
+        assert_eq!(
+            cfg.blocks[cfg.entry].succs,
+            vec![(cfg.exit, EdgeKind::Normal)]
+        );
     }
 
     #[test]

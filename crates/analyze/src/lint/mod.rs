@@ -80,7 +80,10 @@ pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
             let path = entry?.path();
             if path.is_dir() {
                 let skip = path.file_name().is_some_and(|n| n == "target")
-                    || path.to_string_lossy().replace('\\', "/").ends_with("tests/fixtures");
+                    || path
+                        .to_string_lossy()
+                        .replace('\\', "/")
+                        .ends_with("tests/fixtures");
                 if skip {
                     continue;
                 }

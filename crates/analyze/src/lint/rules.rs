@@ -148,10 +148,9 @@ impl FileScope {
     /// Classifies a repo-relative path.
     pub fn classify(path: &str) -> Self {
         let library = path.contains("/src/") && !path.contains("/src/bin/");
-        let address_math = library
-            && (path.starts_with("crates/core/") || path.starts_with("crates/bmt/"));
-        let coordinator = path == "crates/core/src/shard.rs"
-            || path == "crates/core/src/system.rs";
+        let address_math =
+            library && (path.starts_with("crates/core/") || path.starts_with("crates/bmt/"));
+        let coordinator = path == "crates/core/src/shard.rs" || path == "crates/core/src/system.rs";
         let engine = path.starts_with("crates/core/src/engine/");
         let mutant_factory = path == "crates/core/src/engine/mutant.rs";
         let persist_driver = path == "crates/core/src/system.rs";
@@ -195,7 +194,11 @@ pub fn run(path: &str, model: &SourceModel, scope: FileScope) -> Vec<Finding> {
     for (idx, line) in model.lines.iter().enumerate() {
         for d in parse_allows(&line.comment) {
             if !d.has_reason {
-                push(ALLOW_REASON, idx, &format!("lint: allow({}) without a reason", d.rule));
+                push(
+                    ALLOW_REASON,
+                    idx,
+                    &format!("lint: allow({}) without a reason", d.rule),
+                );
             }
         }
         if line.in_test {
@@ -416,10 +419,7 @@ mod tests {
             "}\n",
         );
         let f = hits(src, LIB);
-        let bare: Vec<_> = f
-            .iter()
-            .filter(|f| f.rule == NO_BARE_RETRY_LOOP)
-            .collect();
+        let bare: Vec<_> = f.iter().filter(|f| f.rule == NO_BARE_RETRY_LOOP).collect();
         assert_eq!(bare.len(), 1, "{bare:?}");
         assert_eq!(bare[0].line, 1);
     }

@@ -229,6 +229,9 @@ mod tests {
         ));
         assert_eq!(m.allow_directives, 1);
         assert!(m.allows(1, "no-panic-lib"), "line under the directive");
-        assert!(!m.allows(2, "no-panic-lib"), "two lines down is not covered");
+        assert!(
+            !m.allows(2, "no-panic-lib"),
+            "two lines down is not covered"
+        );
     }
 }

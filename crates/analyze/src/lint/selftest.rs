@@ -134,7 +134,10 @@ pub fn run_corpus(dir: &Path) -> std::io::Result<SelfTest> {
                 {
                     Some(p) if p != declared => units.push((p.to_string(), aux_text)),
                     Some(_) => {
-                        miss(&mut local, format!("aux {name} declares the fixture's own path"));
+                        miss(
+                            &mut local,
+                            format!("aux {name} declares the fixture's own path"),
+                        );
                         aux_ok = false;
                     }
                     None => {
@@ -151,7 +154,10 @@ pub fn run_corpus(dir: &Path) -> std::io::Result<SelfTest> {
 
         let reports = lint_units(units);
         let Some(report) = reports.iter().find(|r| r.path == declared) else {
-            miss(&mut local, format!("no report produced for declared path {declared}"));
+            miss(
+                &mut local,
+                format!("no report produced for declared path {declared}"),
+            );
             finish(&mut st, &rel, local);
             continue;
         };
@@ -167,19 +173,25 @@ pub fn run_corpus(dir: &Path) -> std::io::Result<SelfTest> {
                 Some(i) => {
                     expects.remove(i);
                 }
-                None => miss(&mut local, format!(
-                    "unexpected finding at line {}: [{}/{}] {}",
-                    f.line, f.rule, f.code, f.snippet
-                )),
+                None => miss(
+                    &mut local,
+                    format!(
+                        "unexpected finding at line {}: [{}/{}] {}",
+                        f.line, f.rule, f.code, f.snippet
+                    ),
+                ),
             }
         }
         for e in expects {
-            miss(&mut local, format!(
-                "expected [{}{}] at line {} did not fire",
-                e.rule,
-                e.code.map(|c| format!("/{c}")).unwrap_or_default(),
-                e.line
-            ));
+            miss(
+                &mut local,
+                format!(
+                    "expected [{}{}] at line {} did not fire",
+                    e.rule,
+                    e.code.map(|c| format!("/{c}")).unwrap_or_default(),
+                    e.line
+                ),
+            );
         }
         finish(&mut st, &rel, local);
     }

@@ -88,11 +88,7 @@ pub fn run(u: &Universe, file: usize, out: &mut Vec<Finding>) {
             if k == EdgeKind::ZeroTrip || !outs[p] {
                 continue;
             }
-            let line = cfg.blocks[p]
-                .atoms
-                .last()
-                .map(|a| a.line)
-                .unwrap_or(f.line);
+            let line = cfg.blocks[p].atoms.last().map(|a| a.line).unwrap_or(f.line);
             if !flagged.contains(&line) {
                 flagged.push(line);
                 emit(
@@ -125,9 +121,7 @@ pub fn run(u: &Universe, file: usize, out: &mut Vec<Finding>) {
                     stack.push(t);
                 }
             }
-            let obligated = body
-                .iter()
-                .any(|&b| cfg.blocks[b].atoms.iter().any(&notes));
+            let obligated = body.iter().any(|&b| cfg.blocks[b].atoms.iter().any(&notes));
             if !obligated {
                 continue;
             }

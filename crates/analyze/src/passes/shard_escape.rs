@@ -126,10 +126,7 @@ pub fn run(u: &Universe, file: usize, out: &mut Vec<Finding>) {
                 StmtKind::Expr { expr } if i == last => Some(expr),
                 // Stored into engine/coordinator state.
                 StmtKind::Expr { expr }
-                    if expr
-                        .assign
-                        .as_ref()
-                        .is_some_and(|a| a.root == "self") =>
+                    if expr.assign.as_ref().is_some_and(|a| a.root == "self") =>
                 {
                     Some(expr)
                 }

@@ -52,9 +52,9 @@ pub fn run(u: &Universe, file: usize, findings: &[Finding], out: &mut Vec<Findin
                 );
                 continue;
             }
-            let used = findings.iter().any(|f| {
-                f.rule == dir.rule && (f.line == d + 1 || f.line == d + 2)
-            });
+            let used = findings
+                .iter()
+                .any(|f| f.rule == dir.rule && (f.line == d + 1 || f.line == d + 2));
             if !used {
                 emit(
                     u,

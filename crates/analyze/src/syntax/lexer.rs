@@ -443,7 +443,10 @@ impl Lexer<'_> {
 
     fn ident(&mut self, start: usize, line: u32, col: u32) {
         // Raw identifiers: `r#match`.
-        if self.peek(0) == Some(b'r') && self.peek(1) == Some(b'#') && self.peek(2).is_some_and(is_ident_start) {
+        if self.peek(0) == Some(b'r')
+            && self.peek(1) == Some(b'#')
+            && self.peek(2).is_some_and(is_ident_start)
+        {
             self.bump();
             self.bump();
         }
@@ -516,10 +519,14 @@ mod tests {
         let src = "let a = b\"bytes\"; let c = br#\"raw \" bytes\"#; let d = b'x'; e()";
         let toks = kinds(src);
         assert_eq!(
-            toks.iter().filter(|(k, _)| *k == TokenKind::ByteStr).count(),
+            toks.iter()
+                .filter(|(k, _)| *k == TokenKind::ByteStr)
+                .count(),
             2
         );
-        assert!(toks.iter().any(|(k, t)| *k == TokenKind::Byte && t == "b'x'"));
+        assert!(toks
+            .iter()
+            .any(|(k, t)| *k == TokenKind::Byte && t == "b'x'"));
         assert!(toks.iter().any(|(_, t)| t == "e"));
     }
 
@@ -567,7 +574,9 @@ mod tests {
         assert!(toks
             .iter()
             .any(|(k, t)| *k == TokenKind::Float && t == "1.5e3"));
-        assert!(toks.iter().any(|(k, t)| *k == TokenKind::Int && t == "0b1010"));
+        assert!(toks
+            .iter()
+            .any(|(k, t)| *k == TokenKind::Int && t == "0b1010"));
     }
 
     #[test]

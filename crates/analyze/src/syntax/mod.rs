@@ -16,6 +16,6 @@ pub mod parse;
 
 pub use lexer::{lex, Comment, Token, TokenKind, TokenStream};
 pub use parse::{
-    parse, Arm, Assign, Block, Call, ExprInfo, Function, LoopKind, Param, ParsedFile, Stmt, StmtKind,
-    StructDef,
+    parse, Arm, Assign, Block, Call, ExprInfo, Function, LoopKind, Param, ParsedFile, Stmt,
+    StmtKind, StructDef,
 };

@@ -709,8 +709,7 @@ impl Parser<'_> {
             "loop" | "while" | "for" => self.loop_stmt(start_raw, i, limit, out),
             "return" => {
                 let semi = self.find_at_depth0(i + 1, limit, ";").unwrap_or(limit);
-                let value =
-                    (semi > i + 1).then(|| self.expr(i + 1, semi));
+                let value = (semi > i + 1).then(|| self.expr(i + 1, semi));
                 let end = (semi + 1).min(limit);
                 out.push(Stmt {
                     kind: StmtKind::Return { value },
@@ -811,13 +810,7 @@ impl Parser<'_> {
 
     /// `let` statement with optional annotation, initializer and
     /// `else` block.
-    fn let_stmt(
-        &mut self,
-        start_raw: usize,
-        i: usize,
-        limit: usize,
-        out: &mut Vec<Stmt>,
-    ) -> usize {
+    fn let_stmt(&mut self, start_raw: usize, i: usize, limit: usize, out: &mut Vec<Stmt>) -> usize {
         let line = self.line(i);
         // Find the top-level `=` (angle-aware so `let x: Vec<u8> =`
         // does not trip on generics) and the statement-ending `;`.
@@ -963,9 +956,7 @@ impl Parser<'_> {
                 // Expression arm: parse as one statement terminated at
                 // the arm-separating comma, so `return`/`continue`
                 // arms still shape the CFG.
-                let arm_end = self
-                    .find_at_depth0(body_start, close, ",")
-                    .unwrap_or(close);
+                let arm_end = self.find_at_depth0(body_start, close, ",").unwrap_or(close);
                 let mut stmts = Vec::new();
                 let mut k = body_start;
                 while k < arm_end {
@@ -1107,8 +1098,10 @@ impl Parser<'_> {
             let opens = (t == "|"
                 && (j == lo || {
                     let p = self.text(j - 1);
-                    matches!(p, "(" | "," | "=" | "=>" | "{" | ";" | "return" | "&&" | "||")
-                        || p == "move"
+                    matches!(
+                        p,
+                        "(" | "," | "=" | "=>" | "{" | ";" | "return" | "&&" | "||"
+                    ) || p == "move"
                 }))
                 || (t == "move" && self.text(j + 1) == "|");
             if !opens {
@@ -1238,7 +1231,8 @@ mod tests {
 
     #[test]
     fn struct_fields_with_generics() {
-        let src = "pub struct OooEngine { pub inner: Box<OooCore>, map: BTreeMap<u64, u64>, level: u32 }";
+        let src =
+            "pub struct OooEngine { pub inner: Box<OooCore>, map: BTreeMap<u64, u64>, level: u32 }";
         let p = parse_src(src);
         assert_eq!(p.structs.len(), 1);
         let s = &p.structs[0];
@@ -1288,7 +1282,10 @@ mod tests {
             panic!("expected match");
         };
         assert_eq!(arms.len(), 3);
-        assert!(matches!(arms[0].body.stmts[0].kind, StmtKind::Return { .. }));
+        assert!(matches!(
+            arms[0].body.stmts[0].kind,
+            StmtKind::Return { .. }
+        ));
         assert_eq!(arms[2].pat, "_");
     }
 
@@ -1343,7 +1340,10 @@ mod tests {
         };
         let init = init.as_ref().unwrap();
         assert_eq!(init.closures.len(), 1);
-        assert!(init.calls.iter().any(|c| c.name == "step_store" && c.in_closure));
+        assert!(init
+            .calls
+            .iter()
+            .any(|c| c.name == "step_store" && c.in_closure));
     }
 
     #[test]
@@ -1387,7 +1387,8 @@ mod tests {
 
     #[test]
     fn recovery_on_unknown_constructs() {
-        let src = "macro_rules! m { () => {} } fn f() { weird! { tokens }; ok(); } union U { a: u8 }";
+        let src =
+            "macro_rules! m { () => {} } fn f() { weird! { tokens }; ok(); } union U { a: u8 }";
         let p = parse_src(src);
         assert_eq!(p.functions.len(), 1);
         let body = p.functions[0].body.as_ref().unwrap();

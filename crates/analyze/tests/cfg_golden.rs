@@ -26,11 +26,7 @@ fn render(src: &str) -> String {
             .iter()
             .map(|a| format!("{:?}@{}", a.kind, a.line))
             .collect();
-        let succs: Vec<String> = b
-            .succs
-            .iter()
-            .map(|(t, k)| format!("b{t}:{k:?}"))
-            .collect();
+        let succs: Vec<String> = b.succs.iter().map(|(t, k)| format!("b{t}:{k:?}")).collect();
         out.push_str(&format!(
             "b{i}[{}] -> {}\n",
             atoms.join(","),
@@ -49,11 +45,11 @@ fn render(src: &str) -> String {
 #[test]
 fn golden_early_return() {
     let got = render(concat!(
-        "fn f(x: u64) -> u64 {\n",     // 1
-        "    if x == 0 {\n",           // 2
-        "        return 1;\n",         // 3
-        "    }\n",                     // 4
-        "    x + 1\n",                 // 5
+        "fn f(x: u64) -> u64 {\n", // 1
+        "    if x == 0 {\n",       // 2
+        "        return 1;\n",     // 3
+        "    }\n",                 // 4
+        "    x + 1\n",             // 5
         "}\n",
     ));
     println!("GOLDEN early_return:\n{got}");
@@ -63,15 +59,15 @@ fn golden_early_return() {
 #[test]
 fn golden_conditional_loop_with_continue() {
     let got = render(concat!(
-        "fn f(n: u64) -> u64 {\n",     // 1
-        "    let mut acc = 0;\n",      // 2
-        "    for i in 0..n {\n",       // 3
-        "        if i == 3 {\n",       // 4
-        "            continue;\n",     // 5
-        "        }\n",                 // 6
-        "        acc += i;\n",         // 7
-        "    }\n",                     // 8
-        "    acc\n",                   // 9
+        "fn f(n: u64) -> u64 {\n", // 1
+        "    let mut acc = 0;\n",  // 2
+        "    for i in 0..n {\n",   // 3
+        "        if i == 3 {\n",   // 4
+        "            continue;\n", // 5
+        "        }\n",             // 6
+        "        acc += i;\n",     // 7
+        "    }\n",                 // 8
+        "    acc\n",               // 9
         "}\n",
     ));
     println!("GOLDEN loop_continue:\n{got}");
@@ -81,12 +77,12 @@ fn golden_conditional_loop_with_continue() {
 #[test]
 fn golden_match_arms() {
     let got = render(concat!(
-        "fn f(x: u64) -> u64 {\n",     // 1
-        "    match x {\n",             // 2
-        "        0 => 1,\n",           // 3
-        "        1 => 2,\n",           // 4
-        "        _ => 3,\n",           // 5
-        "    }\n",                     // 6
+        "fn f(x: u64) -> u64 {\n", // 1
+        "    match x {\n",         // 2
+        "        0 => 1,\n",       // 3
+        "        1 => 2,\n",       // 4
+        "        _ => 3,\n",       // 5
+        "    }\n",                 // 6
         "}\n",
     ));
     println!("GOLDEN match_arms:\n{got}");
@@ -149,10 +145,7 @@ fn insta_like(got: &str, name: &str) {
 /// Structural tokens an atom never owns: block delimiters, arm
 /// arrows, and the control keywords the builder models as edges.
 fn structural(text: &str) -> bool {
-    matches!(
-        text,
-        "{" | "}" | "=>" | "," | "else" | "unsafe" | ";"
-    )
+    matches!(text, "{" | "}" | "=>" | "," | "else" | "unsafe" | ";")
 }
 
 #[test]
@@ -266,11 +259,18 @@ fn gen_block(rng: &mut Rng, depth: u32, in_loop: bool, out: &mut String, indent:
     for _ in 0..n {
         let pick = rng.below(if depth == 0 { 3 } else { 8 });
         match pick {
-            0 => out.push_str(&format!("{pad}let v{} = x + {};\n", rng.below(9), rng.below(99))),
+            0 => out.push_str(&format!(
+                "{pad}let v{} = x + {};\n",
+                rng.below(9),
+                rng.below(99)
+            )),
             1 => out.push_str(&format!("{pad}acc += {};\n", rng.below(99))),
             2 => {
                 if in_loop && rng.below(2) == 0 {
-                    out.push_str(&format!("{pad}{};\n", ["continue", "break"][rng.below(2) as usize]));
+                    out.push_str(&format!(
+                        "{pad}{};\n",
+                        ["continue", "break"][rng.below(2) as usize]
+                    ));
                 } else {
                     out.push_str(&format!("{pad}return acc + {};\n", rng.below(9)));
                 }
@@ -347,7 +347,10 @@ fn generated_programs_build_sound_cfgs() {
         let always = |_: &cfg::Atom<'_>| true;
         if !g.blocks[g.entry].atoms.is_empty() {
             let t2 = plp_analyze::dataflow::must_hit_from(&g, &always, true);
-            assert!(t2[g.entry], "case {case}: must-hit missed a generating entry");
+            assert!(
+                t2[g.entry],
+                "case {case}: must-hit missed a generating entry"
+            );
         }
     }
 }

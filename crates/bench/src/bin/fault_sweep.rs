@@ -153,10 +153,7 @@ fn main() {
         println!();
     }
 
-    println!(
-        "overall: {}",
-        if all_pass { "PASS" } else { "FAIL" }
-    );
+    println!("overall: {}", if all_pass { "PASS" } else { "FAIL" });
     if !all_pass {
         std::process::exit(1);
     }

@@ -255,7 +255,10 @@ fn render_json(o: &Options, costs: &[SchemeCost], sweep: &SweepTiming) -> String
             .iter()
             .filter_map(|c| Some((c.scheme.name(), format!("{:.1}", c.ns_per_persist?)))),
     ));
-    out.push_str(&format!("  \"sweep_unique_runs\": {},\n", sweep.unique_runs));
+    out.push_str(&format!(
+        "  \"sweep_unique_runs\": {},\n",
+        sweep.unique_runs
+    ));
     out.push_str(&format!(
         "  \"cold_sweep_ms\": {:.1},\n",
         sweep.cold.as_secs_f64() * 1e3
@@ -348,7 +351,10 @@ fn main() {
         let baseline = match std::fs::read_to_string(baseline_path) {
             Ok(b) => b,
             Err(e) => {
-                eprintln!("hotpath: cannot read baseline {}: {e}", baseline_path.display());
+                eprintln!(
+                    "hotpath: cannot read baseline {}: {e}",
+                    baseline_path.display()
+                );
                 std::process::exit(2);
             }
         };
@@ -363,6 +369,9 @@ fn main() {
             }
             std::process::exit(1);
         }
-        eprintln!("hotpath: perf gate passed against {}", baseline_path.display());
+        eprintln!(
+            "hotpath: perf gate passed against {}",
+            baseline_path.display()
+        );
     }
 }

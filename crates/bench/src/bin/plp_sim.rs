@@ -45,9 +45,7 @@ fn usage() -> ! {
         \x20      plp_sim --list\n\
         \n\
         schemes: {}",
-        UpdateScheme::all_extended()
-            .map(|s| s.name())
-            .join(", ")
+        UpdateScheme::all_extended().map(|s| s.name()).join(", ")
     );
     std::process::exit(2)
 }
@@ -78,14 +76,14 @@ fn parse_args() -> Args {
                     );
                 }
                 println!();
-                println!("schemes: {}", UpdateScheme::all_extended().map(|s| s.name()).join(", "));
+                println!(
+                    "schemes: {}",
+                    UpdateScheme::all_extended().map(|s| s.name()).join(", ")
+                );
                 std::process::exit(0);
             }
             "--bench" => args.bench = value(&mut it),
-            "--scheme" => {
-                args.scheme =
-                    parse_scheme(&value(&mut it)).unwrap_or_else(|| usage())
-            }
+            "--scheme" => args.scheme = parse_scheme(&value(&mut it)).unwrap_or_else(|| usage()),
             "--instructions" => {
                 args.instructions = value(&mut it).parse().unwrap_or_else(|_| usage())
             }
@@ -93,12 +91,8 @@ fn parse_args() -> Args {
             "--epoch" => {
                 args.config.epoch_size = value(&mut it).parse().unwrap_or_else(|_| usage())
             }
-            "--wpq" => {
-                args.config.wpq_entries = value(&mut it).parse().unwrap_or_else(|_| usage())
-            }
-            "--ett" => {
-                args.config.ett_entries = value(&mut it).parse().unwrap_or_else(|_| usage())
-            }
+            "--wpq" => args.config.wpq_entries = value(&mut it).parse().unwrap_or_else(|_| usage()),
+            "--ett" => args.config.ett_entries = value(&mut it).parse().unwrap_or_else(|_| usage()),
             "--mac" => {
                 args.config.mac_latency =
                     Cycle::new(value(&mut it).parse().unwrap_or_else(|_| usage()))
@@ -119,10 +113,8 @@ fn parse_args() -> Args {
                 }
             }
             "--sanitizer" => {
-                args.config.sanitizer = plp_core::sanitizer::SanitizerMode::parse(
-                    &value(&mut it),
-                )
-                .unwrap_or_else(|| usage())
+                args.config.sanitizer = plp_core::sanitizer::SanitizerMode::parse(&value(&mut it))
+                    .unwrap_or_else(|| usage())
             }
             "--ideal-mdc" => args.config.ideal_metadata = true,
             "--no-baseline" => args.baseline = false,
@@ -151,8 +143,9 @@ fn main() {
             eprintln!("failed to load trace {path}: {e}");
             std::process::exit(1);
         }),
-        None => plp_trace::TraceGenerator::new(profile.clone(), args.seed)
-            .generate(args.instructions),
+        None => {
+            plp_trace::TraceGenerator::new(profile.clone(), args.seed).generate(args.instructions)
+        }
     };
     if let Some(path) = &args.save_trace {
         if let Err(e) = plp_trace::codec::save_trace(&trace, path) {

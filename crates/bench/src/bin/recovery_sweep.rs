@@ -145,7 +145,10 @@ struct ParetoRow {
 }
 
 fn temp_image(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("plp-recovery-sweep-{name}-{}.img", std::process::id()))
+    std::env::temp_dir().join(format!(
+        "plp-recovery-sweep-{name}-{}.img",
+        std::process::id()
+    ))
 }
 
 fn config_for(scheme: UpdateScheme, levels: u32) -> SystemConfig {
@@ -227,9 +230,7 @@ fn render_table(o: &Options, rows: &[ParetoRow]) -> String {
     out.push_str(&format!(
         "-- runtime: execution time at {RUNTIME_LEVELS} levels normalized to secure_WB\n"
     ));
-    out.push_str(
-        "-- recovery: worst-cut modeled cycles to resume service, per BMT height\n",
-    );
+    out.push_str("-- recovery: worst-cut modeled cycles to resume service, per BMT height\n");
     out.push_str(&format!(
         "{:<11} {:>8} {:>9}",
         "scheme", "strategy", "runtime"
@@ -256,7 +257,10 @@ fn render_table(o: &Options, rows: &[ParetoRow]) -> String {
             // Pareto-optimal at the largest height: no other scheme is
             // at least as good on both axes and better on one.
             !rows.iter().any(|other| {
-                let (ro, rr) = (other.runtime_overhead, *other.recovery_cycles.last().unwrap());
+                let (ro, rr) = (
+                    other.runtime_overhead,
+                    *other.recovery_cycles.last().unwrap(),
+                );
                 let (so, sr) = (r.runtime_overhead, *r.recovery_cycles.last().unwrap());
                 ro <= so && rr <= sr && (ro < so || rr < sr)
             })
@@ -357,8 +361,8 @@ fn main() {
     let wb_cycles = runtime_cycles(UpdateScheme::SecureWb, RUNTIME_LEVELS, &o);
     let mut rows = Vec::new();
     for scheme in SCHEMES {
-        let runtime_overhead = runtime_cycles(scheme, RUNTIME_LEVELS, &o) as f64
-            / wb_cycles.max(1) as f64;
+        let runtime_overhead =
+            runtime_cycles(scheme, RUNTIME_LEVELS, &o) as f64 / wb_cycles.max(1) as f64;
         let recovery_cycles: Vec<u64> = LEVELS
             .iter()
             .map(|&levels| worst_recovery_cycles(scheme, levels, &o))

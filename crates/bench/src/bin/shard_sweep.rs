@@ -21,8 +21,7 @@ use std::time::Instant;
 
 use plp_bench::{matrix, shard_spec, MatrixOptions, RunSettings};
 use plp_core::{
-    ShardMutation, ShardTopology, ShardedSetup, SimSetup, SystemConfig, UpdateScheme,
-    ViolationKind,
+    ShardMutation, ShardTopology, ShardedSetup, SimSetup, SystemConfig, UpdateScheme, ViolationKind,
 };
 use plp_events::stats::ShardedThroughput;
 use plp_trace::{multi, spec, Trace, TraceGenerator};
@@ -43,8 +42,7 @@ fn stream_traces(streams: u32, seed: u64, instructions: u64) -> Vec<Trace> {
     let profile = spec::benchmark("gcc").expect("gcc profile");
     (0..streams)
         .map(|s| {
-            TraceGenerator::new(profile.clone(), multi::stream_seed(seed, s))
-                .generate(instructions)
+            TraceGenerator::new(profile.clone(), multi::stream_seed(seed, s)).generate(instructions)
         })
         .collect()
 }
@@ -177,8 +175,14 @@ fn main() {
     ));
     let path = std::path::Path::new("results").join("shard_sweep_throughput.txt");
     match std::fs::create_dir_all("results").and_then(|_| std::fs::write(&path, &out)) {
-        Ok(()) => eprintln!("[plp-bench] shard_sweep: throughput written to {}", path.display()),
-        Err(e) => eprintln!("[plp-bench] shard_sweep: could not write {}: {e}", path.display()),
+        Ok(()) => eprintln!(
+            "[plp-bench] shard_sweep: throughput written to {}",
+            path.display()
+        ),
+        Err(e) => eprintln!(
+            "[plp-bench] shard_sweep: could not write {}: {e}",
+            path.display()
+        ),
     }
 
     if failed {

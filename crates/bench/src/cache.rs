@@ -596,7 +596,10 @@ mod tests {
 
         // A second quarantine of the same address gets a fresh name.
         std::fs::write(&path, "garbage").unwrap();
-        let CacheOutcome::Quarantined { moved_to: second, .. } = load_checked(&dir, &key) else {
+        let CacheOutcome::Quarantined {
+            moved_to: second, ..
+        } = load_checked(&dir, &key)
+        else {
             panic!("second corruption must quarantine too");
         };
         assert_ne!(second.as_ref(), Some(&moved_to));

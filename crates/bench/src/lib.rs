@@ -26,7 +26,7 @@ pub use chaos::{ChaosOptions, ChaosPlan};
 pub use crash::{ChildSpec, HarnessOptions, HarnessReport};
 pub use isolate::{IsolateOptions, ResourceLimits};
 pub use matrix::{
-    execute, execute_supervised, default_cache_dir, time_sweep, MatrixOptions, MatrixStats,
+    default_cache_dir, execute, execute_supervised, time_sweep, MatrixOptions, MatrixStats,
     ResultSet, RunRequest, SweepTiming,
 };
 pub use specs::{all_specs, shard_spec, ExperimentSpec};

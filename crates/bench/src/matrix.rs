@@ -21,8 +21,8 @@ use plp_trace::{multi, spec, Trace, TraceStore};
 use crate::cache;
 use crate::chaos::{self, ChaosPlan};
 use crate::isolate;
-use crate::supervisor::{self, RunError, RunLog, RunVerdict, SupervisedRun, SupervisorOptions};
 use crate::supervisor::DegradationReport;
+use crate::supervisor::{self, RunError, RunLog, RunVerdict, SupervisedRun, SupervisorOptions};
 use crate::RunSettings;
 
 /// One simulation the harness wants: a benchmark trace under a
@@ -409,8 +409,8 @@ pub fn run_single(req: &RunRequest) -> Result<RunReport, RunError> {
 /// name or an invalid configuration — which the supervisor records as
 /// a [`RunVerdict::Rejected`] instead of panicking the worker.
 fn run_request(req: &RunRequest, traces: &TraceStore) -> Result<RunReport, RunError> {
-    let profile = spec::benchmark(&req.bench)
-        .ok_or_else(|| RunError::UnknownBenchmark(req.bench.clone()))?;
+    let profile =
+        spec::benchmark(&req.bench).ok_or_else(|| RunError::UnknownBenchmark(req.bench.clone()))?;
     let setup = SimSetup::for_profile(req.config.clone(), &profile, req.seed)
         .map_err(RunError::InvalidConfig)?;
     if req.topology.is_unit() {
@@ -467,11 +467,7 @@ mod tests {
         let mut reqs = Vec::new();
         for scheme in UpdateScheme::all() {
             for bench in ["gcc", "milc", "astar"] {
-                reqs.push(RunRequest::new(
-                    bench,
-                    SystemConfig::for_scheme(scheme),
-                    s,
-                ));
+                reqs.push(RunRequest::new(bench, SystemConfig::for_scheme(scheme), s));
             }
         }
         let (serial, _) = execute(&reqs, &MatrixOptions::serial());
@@ -505,10 +501,6 @@ mod tests {
     #[should_panic(expected = "no result")]
     fn missing_result_is_loud() {
         let results = ResultSet::default();
-        let _ = results.report(
-            "gcc",
-            &SystemConfig::for_scheme(UpdateScheme::Sp),
-            tiny(),
-        );
+        let _ = results.report("gcc", &SystemConfig::for_scheme(UpdateScheme::Sp), tiny());
     }
 }

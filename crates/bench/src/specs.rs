@@ -744,7 +744,10 @@ fn ablation_render(results: &ResultSet, s: RunSettings) -> String {
     );
     out.push('\n');
 
-    let _ = writeln!(out, "D4 ETT entries (concurrent epochs), coalescing scheme:");
+    let _ = writeln!(
+        out,
+        "D4 ETT entries (concurrent epochs), coalescing scheme:"
+    );
     for ett in ABLATION_ETTS {
         let (n, _) = norm(&ett_cfg(ett));
         let _ = writeln!(out, "   ett={ett}: {n:.3}x");
@@ -832,7 +835,11 @@ fn table1_render(_results: &ResultSet, settings: RunSettings) -> String {
             "{:<12} {:>6} {:>6} {:>6}   {}",
             format!("{component:?}"),
             if rec.bmt_failure { "FAIL" } else { "ok" },
-            if rec.mac_failures.is_empty() { "ok" } else { "FAIL" },
+            if rec.mac_failures.is_empty() {
+                "ok"
+            } else {
+                "FAIL"
+            },
             if rec.plaintext_failures.is_empty() {
                 "ok"
             } else {
@@ -917,7 +924,11 @@ fn table2_render(_results: &ResultSet, settings: RunSettings) -> String {
             "{:<12} {:>6} {:>6} {:>6}   {}",
             format!("{component:?}"),
             if rec.bmt_failure { "FAIL" } else { "ok" },
-            if rec.mac_failures.is_empty() { "ok" } else { "FAIL" },
+            if rec.mac_failures.is_empty() {
+                "ok"
+            } else {
+                "FAIL"
+            },
             if rec.plaintext_failures.is_empty() {
                 "ok"
             } else {
@@ -1046,10 +1057,8 @@ fn shard_render(results: &ResultSet, s: RunSettings) -> String {
                     .iter()
                     .map(|bench| {
                         let r = results.get(&req(bench, cfg(scheme), s).with_topology(topology));
-                        let base =
-                            results.get(&req(bench, cfg(scheme), s).with_topology(
-                                ShardTopology::unit(),
-                            ));
+                        let base = results
+                            .get(&req(bench, cfg(scheme), s).with_topology(ShardTopology::unit()));
                         total_persists += r.persists;
                         // Per-instruction cycles, so an N-stream point
                         // is compared per unit of work, not raw wall.
@@ -1072,7 +1081,10 @@ fn shard_render(results: &ResultSet, s: RunSettings) -> String {
     );
     out.push_str(&table.render());
     out.push('\n');
-    let _ = writeln!(out, "-- persists folded into the root-of-roots per topology");
+    let _ = writeln!(
+        out,
+        "-- persists folded into the root-of-roots per topology"
+    );
     for (topology, p) in persists {
         let _ = writeln!(out, "{:<11} {p:>9}", topology.to_string());
     }
@@ -1371,11 +1383,12 @@ mod tests {
             seed: 1,
         };
         let reqs = spec.runs_needed(s);
-        assert_eq!(reqs.len(), SHARD_POINTS.len() * SHARD_SCHEMES.len() * SHARD_BENCHES.len());
+        assert_eq!(
+            reqs.len(),
+            SHARD_POINTS.len() * SHARD_SCHEMES.len() * SHARD_BENCHES.len()
+        );
         assert!(reqs.iter().any(|r| r.topology.is_unit()));
-        assert!(reqs
-            .iter()
-            .any(|r| r.topology == ShardTopology::new(8, 8)));
+        assert!(reqs.iter().any(|r| r.topology == ShardTopology::new(8, 8)));
         for r in &reqs {
             assert!(!r.config.record_persists);
         }

@@ -394,7 +394,9 @@ impl DegradationReport {
         for (key, log) in &self.entries {
             out.push_str(&format!("[plp-bench]   {} {key}\n", log.verdict.name()));
             if let Some(reason) = &log.quarantine {
-                out.push_str(&format!("[plp-bench]     cache entry quarantined: {reason}\n"));
+                out.push_str(&format!(
+                    "[plp-bench]     cache entry quarantined: {reason}\n"
+                ));
             }
             for failure in &log.failures {
                 out.push_str(&format!("[plp-bench]     {failure}\n"));
@@ -829,7 +831,11 @@ mod tests {
         assert_eq!(report.counts().timed_out, 1);
         assert!(!report.fully_recovered());
         let keys: Vec<&String> = report.entries().map(|(k, _)| k).collect();
-        assert_eq!(keys, ["b", "c"], "entries are key-ordered, clean runs elided");
+        assert_eq!(
+            keys,
+            ["b", "c"],
+            "entries are key-ordered, clean runs elided"
+        );
         let rendered = report.render();
         assert!(rendered.contains("3 runs"));
         assert!(rendered.contains("chaos-fault worker-panic@0 b"));
@@ -839,7 +845,10 @@ mod tests {
     #[test]
     fn degradation_report_groups_by_topology() {
         let mut report = DegradationReport::new(Vec::new());
-        report.record("plp-run-cache v3|bench=gcc|instr=1|seed=7|Cfg", RunLog::clean());
+        report.record(
+            "plp-run-cache v3|bench=gcc|instr=1|seed=7|Cfg",
+            RunLog::clean(),
+        );
         report.record(
             "plp-run-cache v3|bench=gcc|instr=1|seed=7|Cfg|streams=4|shards=2",
             RunLog::clean(),
@@ -860,7 +869,9 @@ mod tests {
         assert_eq!(groups[1].1.ok, 1);
         assert_eq!(groups[1].1.retried, 1);
         // Mixed-topology reports render a per-group line.
-        assert!(report.render().contains("topology 4x2: 1 ok, 1 recovered, 0 lost"));
+        assert!(report
+            .render()
+            .contains("topology 4x2: 1 ok, 1 recovered, 0 lost"));
     }
 
     #[test]

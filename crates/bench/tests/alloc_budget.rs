@@ -1,8 +1,9 @@
 //! Allocation-regression pin: the persist hot path must be
-//! heap-allocation-free in steady state — the arena-backed tree, every
-//! ordered engine's scheduling, the NVM device's bank schedule and
-//! write-combining map, and the counter-mode and MAC engines — so none
-//! of them can silently rot back into per-persist `Vec`s or map nodes.
+//! heap-allocation-free in steady state — the arena-backed tree's
+//! updates and commits, every ordered engine's scheduling, the NVM
+//! device's bank schedule and write-combining map, and the counter-mode
+//! and MAC engines — so none of them can silently rot back into
+//! per-persist `Vec`s or map nodes.
 //!
 //! A counting global allocator wraps `System`; each phase warms its
 //! subject (first-touch growth — map resizes, `VecDeque` reservations,
@@ -100,6 +101,9 @@ const PAGES: u64 = 256;
 #[test]
 fn steady_state_persist_path_is_allocation_free() {
     // ---- Phase 1: the arena-backed tree itself. -------------------
+    // An update queues its ancestors and a root read commits them. A
+    // read after every eighth update puts both in the burst, so a
+    // commit that re-allocated its per-level queues fails here too.
     let geometry = BmtGeometry::new(8, 9);
     let mut tree = BonsaiTree::new(geometry, SipKey::new(7, 11));
     let mut counters = CounterBlock::default();
@@ -107,17 +111,22 @@ fn steady_state_persist_path_is_allocation_free() {
         for r in 0..rounds {
             for page in 0..PAGES {
                 counters.bump((page as usize + r as usize) % 64);
-                let _ = tree.update_leaf(page * 37 % 4096, counters);
+                tree.update_leaf(page * 37 % 4096, counters);
+                if page % 8 == 7 {
+                    std::hint::black_box(tree.root());
+                }
             }
         }
     };
     touch(&mut tree, &mut counters, WARM_ROUNDS);
     let tree_allocs = count_allocs(|| touch(&mut tree, &mut counters, MEASURED_ROUNDS));
     assert_eq!(
-        tree_allocs, 0,
-        "BonsaiTree::update_leaf allocated {tree_allocs} times over \
-         {} warmed updates — the arena hot path must be allocation-free",
-        MEASURED_ROUNDS * PAGES
+        tree_allocs,
+        0,
+        "BonsaiTree::update_leaf and its commits allocated {tree_allocs} times over \
+         {} warmed updates and {} root reads — the tree hot path must be allocation-free",
+        MEASURED_ROUNDS * PAGES,
+        MEASURED_ROUNDS * PAGES / 8
     );
 
     // ---- Phase 2: every engine's persist scheduling. --------------
@@ -143,7 +152,10 @@ fn steady_state_persist_path_is_allocation_free() {
     };
     drive_seq(&mut h, &mut seq, WARM_ROUNDS);
     let n = count_allocs(|| drive_seq(&mut h, &mut seq, MEASURED_ROUNDS));
-    assert_eq!(n, 0, "sequential persist allocated {n} times in steady state");
+    assert_eq!(
+        n, 0,
+        "sequential persist allocated {n} times in steady state"
+    );
 
     let mut h = Harness::new();
     let mut pipe = PipelinedEngine::new(Cycle::new(40), 9, 64);
@@ -162,7 +174,10 @@ fn steady_state_persist_path_is_allocation_free() {
     };
     drive_pipe(&mut h, &mut pipe, WARM_ROUNDS);
     let n = count_allocs(|| drive_pipe(&mut h, &mut pipe, MEASURED_ROUNDS));
-    assert_eq!(n, 0, "pipelined persist allocated {n} times in steady state");
+    assert_eq!(
+        n, 0,
+        "pipelined persist allocated {n} times in steady state"
+    );
 
     let mut h = Harness::new();
     let mut o3 = OooEngine::new(Cycle::new(40), 9, 2);
@@ -200,7 +215,10 @@ fn steady_state_persist_path_is_allocation_free() {
     };
     drive_co(&mut h, &mut co, WARM_ROUNDS);
     let n = count_allocs(|| drive_co(&mut h, &mut co, MEASURED_ROUNDS));
-    assert_eq!(n, 0, "coalescing persist allocated {n} times in steady state");
+    assert_eq!(
+        n, 0,
+        "coalescing persist allocated {n} times in steady state"
+    );
 
     // ---- Phase 3: the NVM device and the crypto engines. ----------
     // The engine phases above run with ideal metadata and barely touch

@@ -71,5 +71,8 @@ fn cache_keys_isolate_settings() {
     b.seed = 2;
     let keys_a: std::collections::HashSet<String> =
         spec.runs_needed(a).iter().map(|r| r.key()).collect();
-    assert!(spec.runs_needed(b).iter().all(|r| !keys_a.contains(&r.key())));
+    assert!(spec
+        .runs_needed(b)
+        .iter()
+        .all(|r| !keys_a.contains(&r.key())));
 }

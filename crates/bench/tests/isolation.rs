@@ -121,8 +121,22 @@ fn isolated_sweep_stdout_is_byte_identical_to_in_process() {
 #[test]
 fn isolated_chaos_report_is_deterministic_across_thread_counts() {
     let _guard = SWEEP_LOCK.lock().unwrap();
-    let two = run_all(&["--no-cache", "--isolate", "--chaos", "0xC0FFEE", "--threads", "2"]);
-    let four = run_all(&["--no-cache", "--isolate", "--chaos", "0xC0FFEE", "--threads", "4"]);
+    let two = run_all(&[
+        "--no-cache",
+        "--isolate",
+        "--chaos",
+        "0xC0FFEE",
+        "--threads",
+        "2",
+    ]);
+    let four = run_all(&[
+        "--no-cache",
+        "--isolate",
+        "--chaos",
+        "0xC0FFEE",
+        "--threads",
+        "4",
+    ]);
     assert_eq!(
         two.status.code(),
         four.status.code(),
@@ -227,12 +241,7 @@ fn oom_child_degrades_to_oom_killed_without_hanging_the_sweep() {
         reason = "the test bounds the sweep's wall-clock time"
     )]
     let started = Instant::now();
-    let output = run_all(&[
-        "--no-cache",
-        "--isolate",
-        "--test-oom-key",
-        "bench=gcc|",
-    ]);
+    let output = run_all(&["--no-cache", "--isolate", "--test-oom-key", "bench=gcc|"]);
     let elapsed = started.elapsed();
     assert_eq!(
         output.status.code(),

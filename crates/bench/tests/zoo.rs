@@ -39,8 +39,11 @@ fn zoo_artefact_renders_identically_under_chaos() {
     let spec = specs::find("zoo").expect("zoo is registered");
     let reqs = spec.runs_needed(s);
     assert!(
-        reqs.iter().any(|r| r.config.scheme == UpdateScheme::TriadNvm)
-            && reqs.iter().any(|r| r.config.scheme == UpdateScheme::Phoenix),
+        reqs.iter()
+            .any(|r| r.config.scheme == UpdateScheme::TriadNvm)
+            && reqs
+                .iter()
+                .any(|r| r.config.scheme == UpdateScheme::Phoenix),
         "the zoo artefact must run both new schemes"
     );
 

@@ -61,10 +61,7 @@ impl BmtGeometry {
     pub fn child(&self, node: NodeLabel, i: u64) -> NodeLabel {
         assert!(i < self.arity(), "child index {i} out of arity");
         let child = NodeLabel(node.raw() * self.arity() + 1 + i);
-        assert!(
-            self.level(child) <= self.levels(),
-            "child below leaf level"
-        );
+        assert!(self.level(child) <= self.levels(), "child below leaf level");
         child
     }
 
@@ -320,7 +317,11 @@ mod tests {
             let leaf = g.leaf(page);
             let mut node = leaf;
             for level in (1..=g.levels()).rev() {
-                assert_eq!(g.ancestor_at_level(leaf, level), node, "page {page} level {level}");
+                assert_eq!(
+                    g.ancestor_at_level(leaf, level),
+                    node,
+                    "page {page} level {level}"
+                );
                 if let Some(p) = g.parent(node) {
                     node = p;
                 }

@@ -11,6 +11,15 @@
 //! arena's zeroed pages stay untouched (and physically unmapped, via
 //! the allocator's zeroed-page path) until a node is first written.
 //!
+//! Internal nodes are committed lazily. A node's value depends only on
+//! its children, so only its last recomputation before a read matters
+//! (the coalescing argument of the paper's §IV-B). An update hashes
+//! its leaf and queues the leaf's ancestors as *dirty*; the next read
+//! of node state *commits*: it hashes every queued node once, deepest
+//! level first, so each sees its children's final values. Every read
+//! commits first, so no caller observes a value an eager walk would
+//! not have produced.
+//!
 //! This is the *functional* half of the BMT: it answers "what is the
 //! root after these counter updates" and "is this tree internally
 //! consistent". The *timing* half (who updates which node when, and in
@@ -34,38 +43,55 @@ fn arena_slot(raw: u64) -> usize {
     raw as usize
 }
 
-/// Dense, level-major node storage: one value slot per node label plus
-/// an occupancy bitmap. Unoccupied slots read as the level default —
+/// Dense, level-major node storage in one zeroed allocation: a value
+/// slot per node label, then an occupancy bitmap and a dirty bitmap of
+/// one bit per node each. Unoccupied slots read as the level default —
 /// the lazy-default semantics the old map-backed store provided, kept
-/// without the per-node hash-and-probe.
+/// without the per-node hash-and-probe. A dirty node is an internal
+/// node whose stored value predates an update below it.
+///
+/// One allocation, not three: glibc serves a zeroed request from a
+/// fresh mapping only above its dynamic mmap threshold, which rises to
+/// the size of each freed mapping up to 32 MB. A separate 2.4 MB bitmap
+/// of a 9-level tree therefore came from the heap once the first tree
+/// was dropped and was cleared with `memset` for every tree after it;
+/// inside the 158 MB slab it is untouched zero pages like the values.
 #[derive(Clone, Serialize, Deserialize)]
 struct NodeArena {
-    /// One slot per node, indexed by `NodeLabel::raw`.
-    values: Vec<NodeValue>,
-    /// One bit per node: whether `values[i]` holds an explicit value.
-    occupied: Vec<u64>,
+    /// `nodes` value slots indexed by `NodeLabel::raw`, then `words`
+    /// occupancy words, then `words` dirty words.
+    slab: Vec<u64>,
+    /// Number of nodes: the value slots, and the first occupancy word.
+    nodes: usize,
+    /// Words per bitmap.
+    words: usize,
     /// Number of set occupancy bits.
     populated: usize,
 }
 
 impl NodeArena {
     fn new(node_count: u64) -> Self {
-        let len = arena_slot(node_count);
+        let nodes = arena_slot(node_count);
+        let words = nodes.div_ceil(64);
         NodeArena {
             // `vec![0; n]` takes the allocator's zeroed-page path, so
             // the arena costs address space, not resident memory,
             // until nodes are actually written.
-            values: vec![0; len],
-            occupied: vec![0; len.div_ceil(64)],
+            slab: vec![0; nodes + 2 * words],
+            nodes,
+            words,
             populated: 0,
         }
     }
 
+    // Value slots are indexed through `slab[..nodes]`, so a label
+    // outside the tree panics instead of reaching into the bitmaps.
+
     #[inline]
     fn get(&self, label: NodeLabel) -> Option<NodeValue> {
         let i = arena_slot(label.raw());
-        if self.occupied[i >> 6] & (1u64 << (i & 63)) != 0 {
-            Some(self.values[i])
+        if self.slab[self.nodes + (i >> 6)] & (1u64 << (i & 63)) != 0 {
+            Some(self.slab[..self.nodes][i])
         } else {
             None
         }
@@ -74,24 +100,46 @@ impl NodeArena {
     #[inline]
     fn set(&mut self, label: NodeLabel, value: NodeValue) {
         let i = arena_slot(label.raw());
-        let (word, bit) = (i >> 6, 1u64 << (i & 63));
-        if self.occupied[word] & bit == 0 {
-            self.occupied[word] |= bit;
+        self.slab[..self.nodes][i] = value;
+        let (word, bit) = (self.nodes + (i >> 6), 1u64 << (i & 63));
+        if self.slab[word] & bit == 0 {
+            self.slab[word] |= bit;
             self.populated += 1;
         }
-        self.values[i] = value;
+    }
+
+    /// Sets `label`'s dirty bit; returns whether it was clear.
+    #[inline]
+    fn mark_dirty(&mut self, label: NodeLabel) -> bool {
+        let i = arena_slot(label.raw());
+        let (word, bit) = (self.nodes + self.words + (i >> 6), 1u64 << (i & 63));
+        let clean = self.slab[word] & bit == 0;
+        self.slab[word] |= bit;
+        clean
+    }
+
+    #[inline]
+    fn clear_dirty(&mut self, label: NodeLabel) {
+        let i = arena_slot(label.raw());
+        self.slab[self.nodes + self.words + (i >> 6)] &= !(1u64 << (i & 63));
+    }
+
+    /// The occupancy bitmap.
+    fn occupied(&self) -> &[u64] {
+        &self.slab[self.nodes..self.nodes + self.words]
     }
 
     /// Number of occupied labels below `cutoff`: a popcount over the
     /// bitmap prefix, `cutoff / 64` whole words and one partial word.
     fn populated_below(&self, cutoff: u64) -> usize {
+        let occupied = self.occupied();
         let end = arena_slot(cutoff);
         let (words, bits) = (end >> 6, end & 63);
         let partial = match bits {
             0 => 0,
-            _ => self.occupied[words] & ((1u64 << bits) - 1),
+            _ => occupied[words] & ((1u64 << bits) - 1),
         };
-        let ones: u64 = self.occupied[..words]
+        let ones: u64 = occupied[..words]
             .iter()
             .chain([&partial])
             .map(|w| u64::from(w.count_ones()))
@@ -103,7 +151,7 @@ impl NodeArena {
     /// Occupied labels in descending raw order — deepest level first,
     /// which is the order the consistency check wants.
     fn labels_deepest_first(&self) -> impl Iterator<Item = NodeLabel> + '_ {
-        self.occupied
+        self.occupied()
             .iter()
             .enumerate()
             .rev()
@@ -121,14 +169,39 @@ impl std::fmt::Debug for NodeArena {
     /// Compact: a 19M-slot arena must not dump into debug output.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NodeArena")
-            .field("slots", &self.values.len())
+            .field("slots", &self.nodes)
             .field("populated", &self.populated)
             .finish()
     }
 }
 
+/// The dirty internal nodes queued for the next commit, one list per
+/// 1-based level (index `level - 1`; the leaf level's stays empty).
+///
+/// A label is queued exactly when its dirty bit is set. The set is
+/// closed upward — a dirty node's ancestors are dirty — because marking
+/// walks a whole leaf-to-root path and stops only at a node already
+/// queued, whose own ancestors were queued with it. So the root is
+/// queued exactly when anything is. A commit drains the lists, keeping
+/// their capacity, so a warmed tree commits without allocating.
+#[derive(Clone, Serialize, Deserialize)]
+struct Queued(Vec<Vec<NodeLabel>>);
+
+impl std::fmt::Debug for Queued {
+    /// Compact: a long queue must not dump into debug output.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let queued: usize = self.0.iter().map(Vec::len).sum();
+        write!(f, "Queued({queued})")
+    }
+}
+
 /// A keyed Bonsai Merkle Tree over counter blocks, stored in a dense
-/// level-major arena with lazy per-level defaults.
+/// level-major arena with lazy per-level defaults and a lazy commit of
+/// internal nodes.
+///
+/// Reads of node state take `&mut self` because they commit first;
+/// [`BonsaiTree::committed_root`] is the `&self` read for a holder that
+/// knows nothing is pending.
 ///
 /// # Example
 ///
@@ -142,9 +215,11 @@ impl std::fmt::Debug for NodeArena {
 ///
 /// let mut cb = CounterBlock::new();
 /// cb.bump(0);
-/// let root_after = tree.update_leaf(5, &cb);
-/// assert_eq!(root_after, tree.root());
-/// assert_ne!(tree.root(), root_before);
+/// tree.update_leaf(5, &cb); // hashes the leaf, queues its ancestors
+/// assert_eq!(tree.committed_root(), None);
+/// let root_after = tree.root(); // commits, then reads
+/// assert_ne!(root_after, root_before);
+/// assert_eq!(tree.committed_root(), Some(root_after));
 ///
 /// // The explicit update path, for callers that want the labels:
 /// let mut path = Vec::new();
@@ -156,6 +231,8 @@ pub struct BonsaiTree {
     geometry: BmtGeometry,
     key: SipKey,
     store: NodeArena,
+    /// The arena's dirty nodes, by level.
+    queued: Queued,
     /// Default node value per 1-based level (index `level - 1`).
     defaults: Vec<NodeValue>,
     /// Reusable arity-sized buffer for gathering a node's children
@@ -172,6 +249,7 @@ impl BonsaiTree {
             geometry,
             key,
             store: NodeArena::new(geometry.node_count()),
+            queued: Queued(vec![Vec::new(); geometry.levels_usize()]),
             defaults: Self::level_defaults(geometry, key),
             child_scratch: vec![0; geometry.arity_usize()],
         }
@@ -199,7 +277,9 @@ impl BonsaiTree {
 
     /// Rebuilds a tree from a set of persisted counter blocks — the
     /// crash-recovery path ("recovering from a crash requires
-    /// recomputing the BMT root", §III).
+    /// recomputing the BMT root", §III). The tree comes back committed:
+    /// each populated internal node hashed once, however many leaves
+    /// share it.
     pub fn from_counters<'a>(
         geometry: BmtGeometry,
         master_key: SipKey,
@@ -209,6 +289,7 @@ impl BonsaiTree {
         for (page, cb) in counters {
             tree.update_leaf(page, cb);
         }
+        tree.commit();
         tree
     }
 
@@ -217,21 +298,36 @@ impl BonsaiTree {
         self.geometry
     }
 
-    /// The current root value.
-    pub fn root(&self) -> NodeValue {
+    /// The current root value. Commits first.
+    pub fn root(&mut self) -> NodeValue {
         self.node_value(NodeLabel::ROOT)
     }
 
-    /// The value of any node (stored or default).
-    pub fn node_value(&self, label: NodeLabel) -> NodeValue {
+    /// The root, or `None` while updates await a commit — the `&self`
+    /// read, for a holder that knows the tree is committed (a fresh
+    /// tree, or one a `&mut` read has just committed).
+    pub fn committed_root(&self) -> Option<NodeValue> {
+        self.is_committed().then(|| self.value(NodeLabel::ROOT))
+    }
+
+    /// The value of any node (stored or default). Commits first.
+    pub fn node_value(&mut self, label: NodeLabel) -> NodeValue {
+        self.commit();
+        self.value(label)
+    }
+
+    /// The stored-or-default value of `label` as the arena holds it,
+    /// without committing: exact only for a committed tree.
+    fn value(&self, label: NodeLabel) -> NodeValue {
         match self.store.get(label) {
             Some(v) => v,
             None => self.defaults[self.geometry.level_index(label)],
         }
     }
 
-    /// Number of explicitly stored (non-default) nodes.
-    pub fn populated_nodes(&self) -> usize {
+    /// Number of explicitly stored (non-default) nodes. Commits first.
+    pub fn populated_nodes(&mut self) -> usize {
+        self.commit();
         self.store.populated
     }
 
@@ -239,7 +335,7 @@ impl BonsaiTree {
     /// `floor` (1-based; levels `1..floor`) — the slice a scheme that
     /// durably persists levels `floor..=levels` must rebuild after a
     /// crash. `floor == 1` means the whole tree is durable: nothing to
-    /// rebuild.
+    /// rebuild. Commits first.
     ///
     /// Breadth-first labels are contiguous by level, so levels
     /// `1..floor` are exactly the labels below
@@ -250,7 +346,8 @@ impl BonsaiTree {
     /// # Panics
     ///
     /// Panics if `floor` is 0 or exceeds the tree's level count.
-    pub fn populated_nodes_above(&self, floor: u32) -> usize {
+    pub fn populated_nodes_above(&mut self, floor: u32) -> usize {
+        self.commit();
         self.store
             .populated_below(self.geometry.level_offset(floor))
     }
@@ -265,59 +362,74 @@ impl BonsaiTree {
 
     fn recompute_internal(&self, label: NodeLabel) -> NodeValue {
         let children: Vec<NodeValue> = (0..self.geometry.arity())
-            .map(|i| self.node_value(self.geometry.child(label, i)))
+            .map(|i| self.value(self.geometry.child(label, i)))
             .collect();
         Self::internal_value_with(self.key, &children)
     }
 
-    /// Applies a counter-block update at `page`, recomputing the leaf
-    /// and every ancestor up to the root, and returns the new root
-    /// value. Allocation-free: children gather into the tree's own
-    /// scratch buffer and ancestors come from index arithmetic (the
-    /// children of node `n` are the contiguous labels
-    /// `n·arity+1 ..= n·arity+arity`).
+    /// Applies a counter-block update at `page`: hashes and stores the
+    /// leaf, then queues its ancestors for the next commit, stopping at
+    /// the first one already queued (the rest of the path is queued
+    /// with it). Allocation-free once the per-level queues have grown.
     ///
     /// # Panics
     ///
     /// Panics if `page` is outside the tree's coverage.
-    pub fn update_leaf(&mut self, page: u64, cb: &CounterBlock) -> NodeValue {
+    pub fn update_leaf(&mut self, page: u64, cb: &CounterBlock) {
         let leaf = self.geometry.leaf(page);
-        let leaf_val = Self::leaf_value_with(self.key, cb);
+        self.store.set(leaf, Self::leaf_value_with(self.key, cb));
+        for (ancestor, level) in self.geometry.walk_up(leaf).skip(1) {
+            if !self.store.mark_dirty(ancestor) {
+                break;
+            }
+            self.queued.0[self.geometry.level_slot(level)].push(ancestor);
+        }
+    }
+
+    /// Whether nothing is queued: the root is clean.
+    fn is_committed(&self) -> bool {
+        self.queued.0[0].is_empty()
+    }
+
+    /// Hashes every queued node once, deepest level first, so each
+    /// reads its children's final values — the values an eager walk
+    /// would have left. Allocation-free: children gather into the
+    /// tree's own scratch buffer (the children of node `n` are the
+    /// contiguous labels `n·arity+1 ..= n·arity+arity`) and the queues
+    /// keep their capacity.
+    fn commit(&mut self) {
+        if self.is_committed() {
+            return;
+        }
         let BonsaiTree {
             geometry,
             key,
             store,
+            queued,
             defaults,
             child_scratch,
         } = self;
-        store.set(leaf, leaf_val);
         let arity = geometry.arity();
-        let mut cur = leaf.raw();
-        let mut val = leaf_val;
-        // The leaf sits at level `levels`; each parent is one shallower.
-        let mut child_level = geometry.levels();
-        while cur != 0 {
-            let parent = (cur - 1) / arity;
-            let first_child = parent * arity + 1;
-            let child_default = defaults[geometry.level_slot(child_level)];
-            for (i, slot) in child_scratch.iter_mut().enumerate() {
-                *slot = store
-                    .get(NodeLabel::new(first_child + i as u64))
-                    .unwrap_or(child_default);
+        for level in (1..geometry.levels()).rev() {
+            let child_default = defaults[geometry.level_slot(level + 1)];
+            for label in queued.0[geometry.level_slot(level)].drain(..) {
+                let first_child = label.raw() * arity + 1;
+                for (i, slot) in child_scratch.iter_mut().enumerate() {
+                    *slot = store
+                        .get(NodeLabel::new(first_child + i as u64))
+                        .unwrap_or(child_default);
+                }
+                store.set(label, Self::internal_value_with(*key, child_scratch));
+                store.clear_dirty(label);
             }
-            val = Self::internal_value_with(*key, child_scratch);
-            store.set(NodeLabel::new(parent), val);
-            cur = parent;
-            child_level -= 1;
         }
-        val
     }
 
-    /// Like [`BonsaiTree::update_leaf`], but also records the update
-    /// path as `(label, new_value)` pairs ordered leaf-first into
-    /// `path` (cleared first) — exactly the per-level work the timing
-    /// engines schedule (one MAC computation per entry). Returns the
-    /// new root value.
+    /// Like [`BonsaiTree::update_leaf`], but also commits and records
+    /// the update path as `(label, new_value)` pairs ordered leaf-first
+    /// into `path` (cleared first) — exactly the per-level work the
+    /// timing engines schedule (one MAC computation per entry). Returns
+    /// the new root value.
     ///
     /// # Panics
     ///
@@ -328,30 +440,32 @@ impl BonsaiTree {
         cb: &CounterBlock,
         path: &mut Vec<(NodeLabel, NodeValue)>,
     ) -> NodeValue {
-        let root = self.update_leaf(page, cb);
+        self.update_leaf(page, cb);
+        self.commit();
         path.clear();
-        let mut node = self.geometry.leaf(page);
-        loop {
-            path.push((node, self.node_value(node)));
-            match self.geometry.parent(node) {
-                Some(p) => node = p,
-                None => break,
-            }
-        }
-        root
+        let leaf = self.geometry.leaf(page);
+        path.extend(
+            self.geometry
+                .walk_up(leaf)
+                .map(|(node, _)| (node, self.value(node))),
+        );
+        self.value(NodeLabel::ROOT)
     }
 
     /// Overwrites a single node value without updating ancestors.
+    /// Commits first, so no queued recomputation can later overwrite
+    /// the value written here.
     ///
     /// This models *partial* persistence (a crash between tuple
     /// persists) and active tampering; the integrity checks exist to
     /// catch exactly the states this method can create.
     pub fn set_node(&mut self, label: NodeLabel, value: NodeValue) {
+        self.commit();
         self.store.set(label, value);
     }
 
     /// Checks that every stored internal node equals the hash of its
-    /// children.
+    /// children. Commits first.
     ///
     /// Walks the whole occupancy bitmap, `node_count / 64` words
     /// whatever the population: 19.2M words (153 MB) for an 8-ary,
@@ -361,7 +475,8 @@ impl BonsaiTree {
     /// # Errors
     ///
     /// Returns the lowest-level inconsistent node.
-    pub fn verify_consistent(&self) -> Result<(), IntegrityError> {
+    pub fn verify_consistent(&mut self) -> Result<(), IntegrityError> {
+        self.commit();
         // The arena iterates occupied labels in descending raw order —
         // deepest levels first — so the error points at the lowest
         // inconsistency (most useful for diagnosing ordering bugs).
@@ -369,7 +484,7 @@ impl BonsaiTree {
             if self.geometry.level(label) >= self.geometry.levels() {
                 continue;
             }
-            if self.recompute_internal(label) != self.node_value(label) {
+            if self.recompute_internal(label) != self.value(label) {
                 return Err(IntegrityError { node: label });
             }
         }
@@ -381,11 +496,11 @@ impl BonsaiTree {
     /// the recovery-time check against the persistently-stored on-chip
     /// root.
     pub fn verify_counters_against_root<'a>(
-        &self,
+        &mut self,
         counters: impl IntoIterator<Item = (u64, &'a CounterBlock)>,
         master_key: SipKey,
     ) -> Result<(), IntegrityError> {
-        let rebuilt = BonsaiTree::from_counters(self.geometry, master_key, counters);
+        let mut rebuilt = BonsaiTree::from_counters(self.geometry, master_key, counters);
         if rebuilt.root() == self.root() {
             Ok(())
         } else {
@@ -430,7 +545,7 @@ mod tests {
 
     #[test]
     fn fresh_tree_is_consistent_and_sparse() {
-        let t = tree();
+        let mut t = tree();
         assert_eq!(t.populated_nodes(), 0);
         assert!(t.verify_consistent().is_ok());
         // Root of an all-default tree equals the level-1 default.
@@ -527,7 +642,8 @@ mod tests {
         let g = t.geometry();
         let leaf = g.leaf(7);
         let victim = g.parent(leaf).unwrap();
-        t.set_node(victim, t.node_value(victim) ^ 1);
+        let value = t.node_value(victim);
+        t.set_node(victim, value ^ 1);
         let err = t.verify_consistent().unwrap_err();
         // The *parent* of the tampered node is the one whose hash no
         // longer matches its children... unless the tampered node itself
@@ -539,7 +655,7 @@ mod tests {
     fn stale_leaf_detected() {
         // Persisting the counter but not the root (Table I row 1): the
         // stored tree has the old root while counters moved on.
-        let t = tree();
+        let mut t = tree();
         let cb = bumped(&[0]);
         let err = t
             .verify_counters_against_root([(0u64, &cb)], SipKey::new(77, 88))
@@ -555,7 +671,7 @@ mod tests {
         let cb2 = bumped(&[63]);
         t.update_leaf(2, &cb1);
         t.update_leaf(500, &cb2);
-        let rebuilt = BonsaiTree::from_counters(
+        let mut rebuilt = BonsaiTree::from_counters(
             t.geometry(),
             SipKey::new(77, 88),
             [(2u64, &cb1), (500u64, &cb2)],
@@ -607,10 +723,51 @@ mod tests {
     }
 
     #[test]
+    fn updates_queue_each_ancestor_once_until_a_read() {
+        let mut t = tree();
+        let fresh = t.committed_root();
+        assert_eq!(
+            fresh,
+            Some(BonsaiTree::fresh_root(t.geometry(), SipKey::new(77, 88)))
+        );
+        // Pages 0 and 1 share their level-3 parent: the second update
+        // finds it queued and stops there, so the path is queued once.
+        t.update_leaf(0, &bumped(&[0]));
+        t.update_leaf(1, &bumped(&[1]));
+        let queued: Vec<usize> = t.queued.0.iter().map(Vec::len).collect();
+        assert_eq!(queued, [1, 1, 1, 0]);
+        assert_eq!(t.committed_root(), None, "a read before the commit");
+        // Page 511 shares only the root: two more nodes, root not again.
+        t.update_leaf(511, &bumped(&[2]));
+        let queued: Vec<usize> = t.queued.0.iter().map(Vec::len).collect();
+        assert_eq!(queued, [1, 2, 2, 0]);
+        let root = t.root();
+        assert!(t.is_committed());
+        let dirty = &t.store.slab[t.store.nodes + t.store.words..];
+        assert!(dirty.iter().all(|w| *w == 0), "a commit clears every bit");
+        assert_eq!(t.committed_root(), Some(root));
+        assert_ne!(Some(root), fresh);
+    }
+
+    #[test]
+    #[should_panic]
+    fn set_node_outside_the_tree_panics() {
+        // The first label past the tree indexes the occupancy bitmap in
+        // the arena's slab; it must not be written as a value.
+        let mut t = tree();
+        let outside = NodeLabel::new(t.geometry().node_count());
+        t.set_node(outside, 1);
+    }
+
+    #[test]
     fn debug_output_is_compact() {
         let t = tree();
         let dbg = format!("{t:?}");
-        assert!(dbg.len() < 500, "debug dump leaked the arena: {} bytes", dbg.len());
+        assert!(
+            dbg.len() < 500,
+            "debug dump leaked the arena: {} bytes",
+            dbg.len()
+        );
         assert!(dbg.contains("populated"));
     }
 }

@@ -88,8 +88,8 @@ proptest! {
             order2.swap(i, j);
         }
 
-        let t1 = BonsaiTree::from_counters(g, key(), order1.iter().map(|(p, c)| (*p, c)));
-        let t2 = BonsaiTree::from_counters(g, key(), order2.iter().map(|(p, c)| (*p, c)));
+        let mut t1 = BonsaiTree::from_counters(g, key(), order1.iter().map(|(p, c)| (*p, c)));
+        let mut t2 = BonsaiTree::from_counters(g, key(), order2.iter().map(|(p, c)| (*p, c)));
         prop_assert_eq!(t1.root(), t2.root());
     }
 
@@ -131,7 +131,8 @@ proptest! {
         let path = g.update_path(g.leaf(victim_page));
         let internal = path[1 + (tamper_choice as usize % (path.len() - 1))
             .min(path.len() - 2)];
-        tree.set_node(internal, tree.node_value(internal) ^ 0xdead);
+        let value = tree.node_value(internal);
+        tree.set_node(internal, value ^ 0xdead);
         prop_assert!(tree.verify_consistent().is_err());
     }
 }

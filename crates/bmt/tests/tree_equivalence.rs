@@ -1,15 +1,18 @@
-//! Golden-model equivalence: the arena-backed `BonsaiTree` against the
-//! original map-backed implementation.
+//! Golden-model equivalence: the arena-backed, lazily committed
+//! `BonsaiTree` against the original map-backed eager implementation.
 //!
 //! `GoldenTree` below is a frozen copy of the pre-arena tree: a
 //! `HashMap<NodeLabel, NodeValue>` node store with per-level lazy
-//! defaults, recomputing each ancestor by collecting its children into
-//! a fresh `Vec`. It is deliberately naive — its job is to be obviously
-//! correct, not fast. Every test drives both trees through the same
-//! sequence of operations (updates, tampering, crash-and-rebuild) and
-//! asserts the stores are indistinguishable: same root, same value for
-//! *every* label in the tree, same populated-node count (in total and
-//! above every recovery floor), same consistency verdicts.
+//! defaults, recomputing every ancestor on every update by collecting
+//! its children into a fresh `Vec`. It is deliberately naive — its job
+//! is to be obviously correct, not fast. Every test drives both trees
+//! through the same sequence of operations (updates, reads, tampering,
+//! crash-and-rebuild) and asserts the stores are indistinguishable:
+//! same root, same value for *every* label in the tree, same
+//! populated-node count (in total and above every recovery floor),
+//! same consistency verdicts. Reads interleave with updates and
+//! tampers, so each commit point is compared, not only the final
+//! state.
 
 use std::collections::HashMap;
 
@@ -128,7 +131,7 @@ impl GoldenTree {
 
 /// Assert the two trees agree on the populated count, in total and
 /// above every recovery floor `1..=levels`.
-fn assert_populated_equal(golden: &GoldenTree, arena: &BonsaiTree, g: BmtGeometry) {
+fn assert_populated_equal(golden: &GoldenTree, arena: &mut BonsaiTree, g: BmtGeometry) {
     assert_eq!(
         golden.populated_nodes(),
         arena.populated_nodes(),
@@ -145,7 +148,7 @@ fn assert_populated_equal(golden: &GoldenTree, arena: &BonsaiTree, g: BmtGeometr
 
 /// Assert the two stores are indistinguishable from the outside:
 /// root, populated counts, and the value of every single label.
-fn assert_stores_equal(golden: &GoldenTree, arena: &BonsaiTree, g: BmtGeometry) {
+fn assert_stores_equal(golden: &GoldenTree, arena: &mut BonsaiTree, g: BmtGeometry) {
     assert_eq!(golden.root(), arena.root(), "roots diverged");
     assert_populated_equal(golden, arena, g);
     for raw in 0..g.node_count() {
@@ -191,7 +194,7 @@ proptest! {
             prop_assert_eq!(&golden_path, &arena_path);
             prop_assert_eq!(root, golden.root());
         }
-        assert_stores_equal(&golden, &arena, g);
+        assert_stores_equal(&golden, &mut arena, g);
         prop_assert!(golden.verify_consistent());
         prop_assert!(arena.verify_consistent().is_ok());
     }
@@ -218,8 +221,8 @@ proptest! {
             .map(|(_, p)| (*p, &counters[p]))
             .collect();
         let golden = GoldenTree::from_counters(g, key(), surviving.iter().copied());
-        let arena = BonsaiTree::from_counters(g, key(), surviving.iter().copied());
-        assert_stores_equal(&golden, &arena, g);
+        let mut arena = BonsaiTree::from_counters(g, key(), surviving.iter().copied());
+        assert_stores_equal(&golden, &mut arena, g);
 
         // The recovery-time root check agrees on the full set too.
         let full_ok = arena
@@ -254,9 +257,109 @@ proptest! {
             golden.set_node(label, v);
             arena.set_node(label, v);
         }
-        assert_stores_equal(&golden, &arena, g);
+        assert_stores_equal(&golden, &mut arena, g);
         prop_assert_eq!(golden.verify_consistent(), arena.verify_consistent().is_ok());
     }
+
+    /// Random interleavings of updates, every kind of read and tampers,
+    /// each read compared with the eager golden tree at that point.
+    /// Half the tampers hit an ancestor of the last updated leaf, which
+    /// is still queued unless a read has committed it since.
+    #[test]
+    fn interleaved_reads_and_tampers_agree(
+        g in arb_geometry(),
+        ops in prop::collection::vec((0u8..12, any::<u64>(), any::<u64>()), 1..48),
+    ) {
+        let mut golden = GoldenTree::new(g, key());
+        let mut arena = BonsaiTree::new(g, key());
+        let mut counters: HashMap<u64, CounterBlock> = HashMap::new();
+        let mut last_leaf = g.leaf(0);
+        for (kind, a, b) in ops {
+            let label = NodeLabel::new(a % g.node_count());
+            match kind {
+                0..=4 => {
+                    let page = a % g.leaf_count();
+                    let cb = counters.entry(page).or_default();
+                    cb.bump((b % 64) as usize);
+                    golden.update_leaf(page, cb);
+                    arena.update_leaf(page, cb);
+                    last_leaf = g.leaf(page);
+                }
+                5 => prop_assert_eq!(arena.root(), golden.root()),
+                6 => prop_assert_eq!(arena.node_value(label), golden.node_value(label)),
+                7 => prop_assert_eq!(arena.populated_nodes(), golden.populated_nodes()),
+                8 => {
+                    let floor = 1 + (b % u64::from(g.levels())) as u32;
+                    prop_assert_eq!(
+                        arena.populated_nodes_above(floor),
+                        golden.populated_nodes_above(floor)
+                    );
+                }
+                9 => {
+                    let victim = if b % 2 == 0 {
+                        label
+                    } else {
+                        g.ancestor_at_level(last_leaf, 1 + (a % u64::from(g.levels())) as u32)
+                    };
+                    // The tampered value comes from the golden tree: an
+                    // arena read here would commit before `set_node`
+                    // and hide whether `set_node` commits by itself.
+                    let value = golden.node_value(victim) ^ (b | 1);
+                    golden.set_node(victim, value);
+                    arena.set_node(victim, value);
+                }
+                10 => prop_assert_eq!(
+                    arena.verify_consistent().is_ok(),
+                    golden.verify_consistent()
+                ),
+                _ => {
+                    if let Some(root) = arena.committed_root() {
+                        prop_assert_eq!(root, golden.root());
+                    }
+                }
+            }
+        }
+        assert_stores_equal(&golden, &mut arena, g);
+    }
+}
+
+/// Update a leaf, tamper with an ancestor still queued by that update,
+/// then read: the tamper survives the commit the read triggers, as it
+/// does in the eager tree, because `set_node` commits before it writes.
+/// A second update beside the tampered node then carries the tampered
+/// value into the root.
+#[test]
+fn tamper_of_a_queued_ancestor_survives_the_commit() {
+    let g = BmtGeometry::new(4, 4);
+    let mut golden = GoldenTree::new(g, key());
+    let mut arena = BonsaiTree::new(g, key());
+    let mut cb = CounterBlock::new();
+    cb.bump(1);
+    golden.update_leaf(0, &cb);
+    arena.update_leaf(0, &cb);
+    let victim = g.parent(g.leaf(0)).unwrap();
+    let value = golden.node_value(victim) ^ 0x5a5a;
+    golden.set_node(victim, value);
+    arena.set_node(victim, value);
+    assert_eq!(arena.root(), golden.root());
+    assert_eq!(
+        arena.node_value(victim),
+        value,
+        "the tamper was overwritten"
+    );
+    assert!(!golden.verify_consistent());
+    assert!(arena.verify_consistent().is_err());
+
+    // Page `arity` sits under the victim's next sibling, so its update
+    // recomputes the victim's parent from the tampered value.
+    golden.update_leaf(g.arity(), &cb);
+    arena.update_leaf(g.arity(), &cb);
+    assert_eq!(
+        g.parent(g.leaf(g.arity())),
+        Some(NodeLabel::new(victim.raw() + 1))
+    );
+    assert_eq!(arena.root(), golden.root());
+    assert_stores_equal(&golden, &mut arena, g);
 }
 
 /// The paper-default geometry is too big for the exhaustive sweep, so
@@ -274,7 +377,7 @@ fn paper_default_geometry_roots_agree() {
         arena.update_leaf(page, &cb);
     }
     assert_eq!(golden.root(), arena.root());
-    assert_populated_equal(&golden, &arena, g);
+    assert_populated_equal(&golden, &mut arena, g);
     assert!(arena.verify_consistent().is_ok());
 }
 
@@ -298,7 +401,7 @@ fn tall_tree_floor_cuts_inside_a_bitmap_word() {
         arena.update_leaf(page, &cb);
     }
     assert_eq!(golden.root(), arena.root());
-    assert_populated_equal(&golden, &arena, g);
+    assert_populated_equal(&golden, &mut arena, g);
     // The root, then two disjoint paths through levels 2..=8.
     assert_eq!(arena.populated_nodes_above(9), 1 + 2 * 7);
     assert_eq!(

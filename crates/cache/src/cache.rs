@@ -215,9 +215,7 @@ impl Cache {
     /// Whether `addr` is resident and dirty.
     pub fn is_dirty(&self, addr: BlockAddr) -> bool {
         let set = self.set_index(addr);
-        self.sets[set]
-            .iter()
-            .any(|l| l.addr == addr && l.dirty)
+        self.sets[set].iter().any(|l| l.addr == addr && l.dirty)
     }
 
     /// Drains every dirty line (marking them clean), returning their

@@ -318,7 +318,10 @@ impl SystemConfig {
     /// is the root, `bmt.levels()` the leaves): levels `floor..=leaf`
     /// are durable per persist, levels `1..floor` are relaxed.
     pub fn triad_floor(&self) -> u32 {
-        self.bmt.levels().saturating_sub(self.triad_persisted_levels) + 1
+        self.bmt
+            .levels()
+            .saturating_sub(self.triad_persisted_levels)
+            + 1
     }
 }
 
@@ -346,7 +349,14 @@ mod tests {
         let names: Vec<_> = UpdateScheme::all().iter().map(|s| s.name()).collect();
         assert_eq!(
             names,
-            vec!["secure_WB", "unordered", "sp", "pipeline", "o3", "coalescing"]
+            vec![
+                "secure_WB",
+                "unordered",
+                "sp",
+                "pipeline",
+                "o3",
+                "coalescing"
+            ]
         );
     }
 

@@ -672,9 +672,8 @@ pub fn recover_image(
     drop(writer);
 
     fp_hit(&mut reg, Failpoint::RecoveryPreRootCommit);
-    std::fs::rename(&scratch, path).map_err(|_| ReplayError::Image(NvmError::ImageIo {
-        op: "rename",
-    }))?;
+    std::fs::rename(&scratch, path)
+        .map_err(|_| ReplayError::Image(NvmError::ImageIo { op: "rename" }))?;
     fp_hit(&mut reg, Failpoint::RecoveryPostRootCommit);
 
     Ok(RecoveryWriteback {
@@ -733,8 +732,7 @@ mod tests {
         assert!(replayed.partial_ids.is_empty());
         assert_eq!(replayed.complete_ids.len(), report.records.len());
         if scheme == UpdateScheme::Unordered {
-            let mut golden =
-                PersistImage::fresh(setup.config().bmt, setup.config().key);
+            let mut golden = PersistImage::fresh(setup.config().bmt, setup.config().key);
             for r in &report.records {
                 golden.data.insert(r.addr, r.ciphertext);
                 golden.macs.insert(r.addr, r.mac);
@@ -1005,15 +1003,23 @@ mod tests {
         let manager = crate::RecoveryManager::for_config(setup.config());
         let before = replay_image(&path, key).unwrap();
         assert!(!before.recovered);
-        let expected = ObserverExpectation::from_complete_ids(&report.records, &before.complete_ids);
+        let expected =
+            ObserverExpectation::from_complete_ids(&report.records, &before.complete_ids);
 
         // Observe-mode registry so recovery failpoints count hits.
         let mut reg = FailpointRegistry::observe(FailpointPlan {
             point: Failpoint::RecoveryPreRootCommit,
             hit: 0,
         });
-        let wb = recover_image(&path, key, &manager, &report.records, &expected, Some(&mut reg))
-            .unwrap();
+        let wb = recover_image(
+            &path,
+            key,
+            &manager,
+            &report.records,
+            &expected,
+            Some(&mut reg),
+        )
+        .unwrap();
         assert!(wb.rewritten);
         assert_eq!(wb.outcome.verdict(), crate::FaultVerdict::Clean);
         assert_eq!(reg.hit_count(Failpoint::RecoveryPreRepair), 1);
@@ -1065,15 +1071,15 @@ mod tests {
         assert!(wb.rewritten);
         assert_eq!(wb.outcome.quarantined(), vec![ghost]);
         let mid = replay_image(&path, key).unwrap();
-        assert_eq!(mid.quarantined.iter().copied().collect::<Vec<_>>(), vec![ghost]);
+        assert_eq!(
+            mid.quarantined.iter().copied().collect::<Vec<_>>(),
+            vec![ghost]
+        );
 
         let wb2 = recover_image(&path, key, &manager, &report.records, &expected, None).unwrap();
         assert!(!wb2.rewritten);
         assert_eq!(wb2.outcome.quarantined(), vec![ghost]);
-        assert_eq!(
-            wb2.outcome.verdict(),
-            crate::FaultVerdict::DetectedLoss
-        );
+        assert_eq!(wb2.outcome.verdict(), crate::FaultVerdict::DetectedLoss);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -77,7 +77,11 @@ impl CoalescingEngine {
             .geometry
             .ancestor_at_level(carrier.leaf, carrier.suffix_from);
         for level in (to_level..=carrier.suffix_from).rev() {
-            let gate = if level == to_level { t.max(extra_gate) } else { t };
+            let gate = if level == to_level {
+                t.max(extra_gate)
+            } else {
+                t
+            };
             t = self.inner.update_node(node, level, gate, ctx);
             if level > to_level {
                 node = match ctx.geometry.parent(node) {

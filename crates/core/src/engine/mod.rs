@@ -30,7 +30,7 @@ mod unordered;
 
 pub use coalesce::CoalescingEngine;
 pub use ctree::CounterTreeEngine;
-pub use mutant::{Mutation, MutantEngine};
+pub use mutant::{MutantEngine, Mutation};
 pub use ooo::OooEngine;
 pub use phoenix::PhoenixEngine;
 pub use pipeline::PipelinedEngine;
@@ -275,9 +275,7 @@ pub fn for_config(config: &SystemConfig) -> Box<dyn UpdateEngine> {
     let levels = config.bmt.levels();
     match config.scheme {
         UpdateScheme::SecureWb | UpdateScheme::Sp => Box::new(SequentialEngine::new(mac)),
-        UpdateScheme::Pipeline => {
-            Box::new(PipelinedEngine::new(mac, levels, config.ptt_entries))
-        }
+        UpdateScheme::Pipeline => Box::new(PipelinedEngine::new(mac, levels, config.ptt_entries)),
         UpdateScheme::Unordered => Box::new(UnorderedEngine::new(mac)),
         UpdateScheme::O3 => Box::new(OooEngine::new(mac, levels, config.ett_entries)),
         UpdateScheme::Coalescing => {

@@ -210,6 +210,9 @@ mod tests {
         // could not even start until A's leaf stage completed post-
         // fetch. Here both proceed concurrently: B completes within a
         // fetch+walk of its own, not 2x.
-        assert!(b < a + a.saturating_sub(Cycle::ZERO), "B serialized behind A");
+        assert!(
+            b < a + a.saturating_sub(Cycle::ZERO),
+            "B serialized behind A"
+        );
     }
 }

@@ -284,7 +284,10 @@ mod tests {
 
     #[test]
     fn catalog_splits_into_run_and_recovery() {
-        assert_eq!(Failpoint::RUN.len() + Failpoint::RECOVERY.len(), Failpoint::ALL.len());
+        assert_eq!(
+            Failpoint::RUN.len() + Failpoint::RECOVERY.len(),
+            Failpoint::ALL.len()
+        );
         for p in Failpoint::RUN {
             assert!(!p.is_recovery());
         }

@@ -523,7 +523,11 @@ mod tests {
         };
         assert_eq!(component, TupleComponent::Ciphertext);
         assert_ne!(torn.data[&addr], clean.data[&addr], "fault must be real");
-        let diffs = clean.data.iter().filter(|(a, d)| torn.data[a] != **d).count();
+        let diffs = clean
+            .data
+            .iter()
+            .filter(|(a, d)| torn.data[a] != **d)
+            .count();
         assert_eq!(diffs, 1, "only the victim line changes");
         assert_eq!(torn.macs, clean.macs);
         assert_eq!(torn.counters, clean.counters);

@@ -267,7 +267,7 @@ impl RecoveryManager {
         expected: &ObserverExpectation,
     ) -> RecoveryOutcome {
         // Step 1: rebuild the tree the counters imply.
-        let rebuilt = BonsaiTree::from_counters(
+        let mut rebuilt = BonsaiTree::from_counters(
             self.geometry,
             self.key,
             image.counters.iter().map(|(p, c)| (*p, c)),
@@ -282,7 +282,12 @@ impl RecoveryManager {
             match self.match_root_prefix(image.root, records) {
                 Some((behind, scanned)) => {
                     prefix_updates = scanned;
-                    (RootStatus::Lagged { updates_behind: behind }, None)
+                    (
+                        RootStatus::Lagged {
+                            updates_behind: behind,
+                        },
+                        None,
+                    )
                 }
                 None => {
                     prefix_updates = records.len() as u64;
@@ -511,7 +516,10 @@ mod tests {
             }
         );
         let phoenix = SystemConfig::for_scheme(UpdateScheme::Phoenix);
-        assert_eq!(RebuildStrategy::for_config(&phoenix), RebuildStrategy::Shadow);
+        assert_eq!(
+            RebuildStrategy::for_config(&phoenix),
+            RebuildStrategy::Shadow
+        );
         assert_eq!(
             RecoveryManager::for_config(&phoenix).strategy(),
             RebuildStrategy::Shadow
@@ -547,7 +555,10 @@ mod tests {
             "{outcome}"
         );
         assert_eq!(outcome.verdict(), FaultVerdict::Repaired);
-        assert_eq!(outcome.count(BlockFate::Salvaged), expected.plaintexts.len());
+        assert_eq!(
+            outcome.count(BlockFate::Salvaged),
+            expected.plaintexts.len()
+        );
         assert!(outcome.root_error.is_none());
         // The adopted root reflects the full counter state.
         let full = PersistImage::at_time(&records, t, geometry(), key());

@@ -152,7 +152,10 @@ pub struct SchemeRobustness {
 impl SchemeRobustness {
     /// The tally for one class, if it was swept.
     pub fn class(&self, class: FaultClass) -> Option<&ClassTally> {
-        self.classes.iter().find(|(c, _)| *c == class).map(|(_, t)| t)
+        self.classes
+            .iter()
+            .find(|(c, _)| *c == class)
+            .map(|(_, t)| t)
     }
 
     /// The detect-or-recover contract: across the pure-crash baseline
@@ -196,8 +199,10 @@ impl FaultSweep {
             enumerate_crash_points(records, self.fault.crash_point_budget, self.fault.seed);
         let classes = self.fault.enabled_classes();
         let mut baseline = ClassTally::default();
-        let mut tallies: Vec<(FaultClass, ClassTally)> =
-            classes.iter().map(|c| (*c, ClassTally::default())).collect();
+        let mut tallies: Vec<(FaultClass, ClassTally)> = classes
+            .iter()
+            .map(|c| (*c, ClassTally::default()))
+            .collect();
         let mut examples: Vec<FaultOutcome> = Vec::new();
 
         for (pi, &t) in points.iter().enumerate() {
@@ -250,12 +255,8 @@ impl FaultSweep {
                         FaultClass::DroppedPersist => {
                             match injector.drop_persist(records, t) {
                                 Some((thinned, spec)) => {
-                                    let img = PersistImage::at_time(
-                                        &thinned,
-                                        t,
-                                        self.geometry,
-                                        self.key,
-                                    );
+                                    let img =
+                                        PersistImage::at_time(&thinned, t, self.geometry, self.key);
                                     // History and expectations stay the
                                     // original run's: the program saw
                                     // the ack.
@@ -306,10 +307,8 @@ fn mix_seed(seed: u64, scheme: UpdateScheme, point: usize, class: usize, fault: 
     for byte in scheme.name().bytes() {
         s = s.wrapping_mul(0x100_0000_01B3) ^ byte as u64;
     }
-    let mut state = s
-        ^ (point as u64).wrapping_mul(0x9E37_79B9)
-        ^ (class as u64) << 48
-        ^ (fault as u64) << 56;
+    let mut state =
+        s ^ (point as u64).wrapping_mul(0x9E37_79B9) ^ (class as u64) << 48 ^ (fault as u64) << 56;
     splitmix64(&mut state)
 }
 

@@ -87,7 +87,12 @@ impl MetadataCaches {
     /// Looks up a counter block for page `page`; returns `true` on hit.
     /// On miss the caller fetches and the line is filled dirty-on-write.
     pub fn access_counter(&mut self, page: u64, write: bool) -> bool {
-        Self::access(&mut self.counter, counter_block_addr(page), write, self.ideal)
+        Self::access(
+            &mut self.counter,
+            counter_block_addr(page),
+            write,
+            self.ideal,
+        )
     }
 
     /// Looks up the MAC block for data block `data`.

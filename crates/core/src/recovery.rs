@@ -192,7 +192,7 @@ impl RecoveryChecker {
         let mut report = RecoveryReport::default();
 
         // 1. Integrity-tree check: counters must hash to the root.
-        let rebuilt = BonsaiTree::from_counters(
+        let mut rebuilt = BonsaiTree::from_counters(
             self.geometry,
             self.key,
             image.counters.iter().map(|(p, c)| (*p, c)),

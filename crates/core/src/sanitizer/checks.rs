@@ -1,6 +1,5 @@
 //! The sanitizer's state machine: per-event invariant checks.
 
-
 use plp_bmt::BmtGeometry;
 use plp_events::Cycle;
 
@@ -150,7 +149,12 @@ impl Sanitizer {
         }
     }
 
-    fn strict_walk_checks(&mut self, persist: PersistId, epoch: EpochId, events: &[NodeUpdateEvent]) {
+    fn strict_walk_checks(
+        &mut self,
+        persist: PersistId,
+        epoch: EpochId,
+        events: &[NodeUpdateEvent],
+    ) {
         // Shape: every level 1..=levels updated exactly once.
         self.walk_seen.fill(0);
         let mut shape_ok = true;
@@ -411,7 +415,11 @@ impl Sanitizer {
                 self.report(v);
             }
         }
-        for (sealed, cur) in self.sealed_level_last.iter_mut().zip(&mut self.cur_level_max) {
+        for (sealed, cur) in self
+            .sealed_level_last
+            .iter_mut()
+            .zip(&mut self.cur_level_max)
+        {
             *sealed = (*sealed).max(*cur);
             *cur = Cycle::ZERO;
         }
@@ -485,7 +493,10 @@ mod tests {
         for i in 0..5 {
             let events = walk(g, i, i * 160, 40);
             s.observe_walk(PersistId(i), EpochId(0), &events);
-            s.observe_persist(&persist_event(i, TupleTimes::atomic(Cycle::new((i + 1) * 160))));
+            s.observe_persist(&persist_event(
+                i,
+                TupleTimes::atomic(Cycle::new((i + 1) * 160)),
+            ));
         }
         let sum = s.finish();
         assert!(sum.is_clean(), "{:?}", sum.violations);
@@ -542,7 +553,11 @@ mod tests {
         }
         s.observe_walk(PersistId(1), EpochId(0), &events);
         let sum = s.finish();
-        assert!(sum.count_of(ViolationKind::LevelOrder) >= 1, "{:?}", sum.violations);
+        assert!(
+            sum.count_of(ViolationKind::LevelOrder) >= 1,
+            "{:?}",
+            sum.violations
+        );
     }
 
     #[test]
@@ -616,7 +631,13 @@ mod tests {
 
     /// A well-formed truncated walk: the suffix `floor..=levels`,
     /// deepest first, completing monotonically.
-    fn truncated(g: BmtGeometry, page: u64, floor: u32, start: u64, step: u64) -> Vec<NodeUpdateEvent> {
+    fn truncated(
+        g: BmtGeometry,
+        page: u64,
+        floor: u32,
+        start: u64,
+        step: u64,
+    ) -> Vec<NodeUpdateEvent> {
         walk(g, page, start, step)
             .into_iter()
             .filter(|ev| ev.level >= floor)
@@ -698,7 +719,11 @@ mod tests {
         // Cross-persist: a later persist's slice regresses level 4.
         s.observe_walk(PersistId(2), EpochId(0), &truncated(g, 1, 3, 0, 40));
         let sum = s.finish();
-        assert!(sum.count_of(ViolationKind::LevelOrder) >= 2, "{:?}", sum.violations);
+        assert!(
+            sum.count_of(ViolationKind::LevelOrder) >= 2,
+            "{:?}",
+            sum.violations
+        );
     }
 
     #[test]
@@ -726,7 +751,10 @@ mod tests {
         let mut s = Sanitizer::new(UpdateScheme::Pipeline, g);
         for i in 0..(MAX_DETAILED_VIOLATIONS as u64 + 10) {
             // Every tuple retires before its predecessor.
-            s.observe_persist(&persist_event(i, TupleTimes::atomic(Cycle::new(1_000_000 - i))));
+            s.observe_persist(&persist_event(
+                i,
+                TupleTimes::atomic(Cycle::new(1_000_000 - i)),
+            ));
         }
         let sum = s.finish();
         assert_eq!(sum.violations.len(), MAX_DETAILED_VIOLATIONS);

@@ -194,7 +194,10 @@ impl BarrierModel {
         let mut round_max = self.barrier;
         for shard in 0..self.shards {
             if let Some((epoch, completion)) = self.pending[level_slot(shard)].pop_front() {
-                let done = completion.max(self.barrier).max(self.last[level_slot(shard)]) + self.mac;
+                let done = completion
+                    .max(self.barrier)
+                    .max(self.last[level_slot(shard)])
+                    + self.mac;
                 self.last[level_slot(shard)] = done;
                 round_max = round_max.max(done);
                 self.frontier = self.frontier.max(done);
@@ -533,8 +536,7 @@ impl ShardedSetup {
             let mut best: Option<(u32, f64)> = None;
             for s in 0..streams {
                 if let Some(ev) = iters[level_slot(s)].peek() {
-                    let arrival =
-                        clocks[level_slot(s)] + (ev.gap_instructions as f64 + 1.0) * cpi;
+                    let arrival = clocks[level_slot(s)] + (ev.gap_instructions as f64 + 1.0) * cpi;
                     best = match best {
                         Some((bs, ba)) if ba <= arrival => Some((bs, ba)),
                         _ => Some((s, arrival)),
@@ -579,11 +581,15 @@ impl ShardedSetup {
                         seal_buf.clear();
                         sims[sh].drain_seals_into(&mut seal_buf);
                         for &sev in &seal_buf {
-                            let completion = sev
-                                .completion
-                                .unwrap_or(sims[sh].last_completion_cycle());
+                            let completion =
+                                sev.completion.unwrap_or(sims[sh].last_completion_cycle());
                             self.fold_seal(
-                                shard, sev.epoch, completion, mutation, &mut ror, &mut folds,
+                                shard,
+                                sev.epoch,
+                                completion,
+                                mutation,
+                                &mut ror,
+                                &mut folds,
                                 &mut observer,
                             );
                         }
@@ -623,11 +629,14 @@ impl ShardedSetup {
                 seal_buf.clear();
                 sims[sh].drain_seals_into(&mut seal_buf);
                 for &sev in &seal_buf {
-                    let completion = sev
-                        .completion
-                        .unwrap_or(sims[sh].last_completion_cycle());
+                    let completion = sev.completion.unwrap_or(sims[sh].last_completion_cycle());
                     self.fold_seal(
-                        shard, sev.epoch, completion, mutation, &mut ror, &mut folds,
+                        shard,
+                        sev.epoch,
+                        completion,
+                        mutation,
+                        &mut ror,
+                        &mut folds,
                         &mut observer,
                     );
                 }
@@ -762,8 +771,7 @@ mod tests {
 
     fn sharded(scheme: UpdateScheme, streams: u32, shards: u32) -> ShardedSetup {
         let profile = spec::benchmark("gcc").unwrap();
-        let setup =
-            SimSetup::for_profile(SystemConfig::for_scheme(scheme), &profile, 7).unwrap();
+        let setup = SimSetup::for_profile(SystemConfig::for_scheme(scheme), &profile, 7).unwrap();
         ShardedSetup::new(setup, ShardTopology::new(streams, shards))
     }
 
@@ -898,7 +906,13 @@ mod tests {
         assert!(out.is_empty());
         m.push_seal(1, EpochId(0), Cycle::new(150), &mut out);
         // Round 0: folds at 110 and 160; barrier becomes 160.
-        assert_eq!(out, vec![(0, EpochId(0), Cycle::new(110)), (1, EpochId(0), Cycle::new(160))]);
+        assert_eq!(
+            out,
+            vec![
+                (0, EpochId(0), Cycle::new(110)),
+                (1, EpochId(0), Cycle::new(160))
+            ]
+        );
         out.clear();
         m.drain(&mut out);
         // Round 1 (partial): shard 0's second seal waits for the

@@ -19,10 +19,10 @@ use plp_events::{Cycle, FastMap};
 use plp_nvm::{NvmDevice, NvmError};
 use plp_trace::{Op, Trace, WorkloadProfile};
 
-use crate::engine::{EngineCtx, EngineStats, UpdateEngine, UpdateRequest};
-use crate::meta::{counter_block_addr, mac_block_addr, MetadataCaches};
 use crate::crash::DurableSink;
+use crate::engine::{EngineCtx, EngineStats, UpdateEngine, UpdateRequest};
 use crate::failpoint::{Failpoint, FailpointRegistry, FiredFailpoint};
+use crate::meta::{counter_block_addr, mac_block_addr, MetadataCaches};
 use crate::recovery::{ObserverExpectation, PersistImage};
 use crate::sanitizer::{NodeUpdateEvent, PersistEvent, Sanitizer, SanitizerSummary};
 use crate::wpq::Wpq;
@@ -330,13 +330,16 @@ pub(crate) struct StoreOutcome {
 #[derive(Debug)]
 pub struct FinishedSim {
     sim: Simulation,
+    /// The root after the run's last update, committed once when the
+    /// run finished.
+    root: plp_bmt::NodeValue,
 }
 
 impl FinishedSim {
     /// The architectural (pre-crash) BMT root — what the on-chip
     /// register holds after all issued updates.
     pub fn architectural_root(&self) -> plp_bmt::NodeValue {
-        self.sim.tree.root()
+        self.root
     }
 
     /// Where the armed failpoint fired, if a registry was armed (in
@@ -398,7 +401,10 @@ impl Simulation {
     /// Split-borrows the engine away from the scheduling context it
     /// needs — the single point where any engine plugs into the persist
     /// path.
-    fn with_engine<R>(&mut self, f: impl FnOnce(&mut dyn UpdateEngine, &mut EngineCtx<'_>) -> R) -> R {
+    fn with_engine<R>(
+        &mut self,
+        f: impl FnOnce(&mut dyn UpdateEngine, &mut EngineCtx<'_>) -> R,
+    ) -> R {
         let mac_latency = if self.config.ideal_metadata {
             Cycle::ZERO
         } else {
@@ -958,7 +964,8 @@ impl Simulation {
             },
             records: std::mem::take(&mut self.records),
         };
-        (report, FinishedSim { sim: self })
+        let root = self.tree.root();
+        (report, FinishedSim { sim: self, root })
     }
 
     /// Runs the trace to completion, consuming the simulation, and
@@ -1008,8 +1015,21 @@ impl Simulation {
     /// The architectural (pre-crash) BMT root — what the on-chip
     /// register holds before the run starts (see
     /// [`FinishedSim::architectural_root`] for the post-run value).
+    ///
+    /// # Panics
+    ///
+    /// Panics if tree updates await a commit. Only a run in progress
+    /// leaves them, and outside this crate a `Simulation` is either
+    /// fresh or consumed by its run.
     pub fn architectural_root(&self) -> plp_bmt::NodeValue {
-        self.tree.root()
+        match self.tree.committed_root() {
+            Some(root) => root,
+            #[expect(
+                clippy::panic,
+                reason = "documented contract: a mid-run read would otherwise be a stale root"
+            )]
+            None => panic!("architectural_root read mid-run, with tree updates awaiting a commit"),
+        }
     }
 }
 
@@ -1140,7 +1160,10 @@ mod tests {
         let co = run_scheme(UpdateScheme::Coalescing, n).total_cycles.get() as f64;
         assert!(sp > 2.0 * pipe, "sp {sp} should far exceed pipeline {pipe}");
         assert!(pipe > o3, "pipeline {pipe} should exceed o3 {o3}");
-        assert!(o3 >= base * 0.9, "o3 {o3} implausibly below baseline {base}");
+        assert!(
+            o3 >= base * 0.9,
+            "o3 {o3} implausibly below baseline {base}"
+        );
         // §VII: coalescing's runtime stays close to o3 (its benefit is
         // fewer node updates, not latency) — the LCA handoff makes the
         // older update wait for the younger one.
@@ -1190,8 +1213,7 @@ mod tests {
         let mut cfg = SystemConfig::for_scheme(UpdateScheme::Sp);
         cfg.record_persists = true;
         let trace = small_trace("milc", 8_000);
-        let (report, image, expected) =
-            run_with_crash(&cfg, 1.0, &trace, Some(Cycle::new(50_000)));
+        let (report, image, expected) = run_with_crash(&cfg, 1.0, &trace, Some(Cycle::new(50_000)));
         assert!(!report.records.is_empty());
         let checker = RecoveryChecker::new(cfg.bmt, cfg.key);
         let rep = checker.check(&image, &expected);
@@ -1203,8 +1225,7 @@ mod tests {
         let mut cfg = SystemConfig::for_scheme(UpdateScheme::Coalescing);
         cfg.record_persists = true;
         let trace = small_trace("gamess", 8_000);
-        let (report, image, expected) =
-            run_with_crash(&cfg, 1.0, &trace, Some(Cycle::new(20_000)));
+        let (report, image, expected) = run_with_crash(&cfg, 1.0, &trace, Some(Cycle::new(20_000)));
         assert!(report.epochs > 0);
         let checker = RecoveryChecker::new(cfg.bmt, cfg.key);
         let rep = checker.check(&image, &expected);

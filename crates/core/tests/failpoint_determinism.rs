@@ -62,14 +62,14 @@ fn firing_site_is_stable_across_runs() {
             let first = observe_run(scheme, plan);
             let second = observe_run(scheme, plan);
             assert_eq!(
-                first, second,
+                first,
+                second,
                 "{} at {:?} fired at different sites across runs",
                 scheme.name(),
                 plan
             );
-            let fired = first.unwrap_or_else(|| {
-                panic!("{} never reached {:?}", scheme.name(), plan)
-            });
+            let fired =
+                first.unwrap_or_else(|| panic!("{} never reached {:?}", scheme.name(), plan));
             assert_eq!(fired.point, plan.point);
             assert_eq!(fired.hit, plan.hit);
             assert!(fired.persist > 0, "firing must be inside a persist");
@@ -93,7 +93,8 @@ fn firing_site_is_stable_across_threads() {
         for h in handles {
             let threaded = h.join().expect("observer thread panicked");
             assert_eq!(
-                serial, threaded,
+                serial,
+                threaded,
                 "{} fired at a different site on a worker thread",
                 scheme.name()
             );
@@ -115,14 +116,9 @@ fn sink_attachment_does_not_move_firing_sites() {
     let profile = spec::benchmark("gcc").unwrap();
     let setup = SimSetup::for_profile(SystemConfig::for_scheme(scheme), &profile, SEED).unwrap();
     let trace = setup.generate_trace(INSTRUCTIONS);
-    let path = std::env::temp_dir().join(format!(
-        "plp-fp-determinism-{}.img",
-        std::process::id()
-    ));
+    let path = std::env::temp_dir().join(format!("plp-fp-determinism-{}.img", std::process::id()));
     let mut sim = setup.simulation();
-    sim.attach_durable_sink(
-        plp_core::DurableSink::create(&path, setup.config(), SEED).unwrap(),
-    );
+    sim.attach_durable_sink(plp_core::DurableSink::create(&path, setup.config(), SEED).unwrap());
     sim.arm_failpoints(FailpointRegistry::observe(plan));
     let (_, finished) = sim.run_with_state(&trace);
     assert_eq!(bare, finished.fired_failpoint());

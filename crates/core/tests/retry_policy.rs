@@ -10,8 +10,8 @@ use plp_core::retry::{RetryPolicy, RetryToken};
 use proptest::prelude::*;
 
 fn arb_policy() -> impl Strategy<Value = RetryPolicy> {
-    (0u32..10, 1u64..100_000, 1u64..8, 0u64..100)
-        .prop_map(|(max_retries, base, mult, jitter_pct)| {
+    (0u32..10, 1u64..100_000, 1u64..8, 0u64..100).prop_map(
+        |(max_retries, base, mult, jitter_pct)| {
             let base_delay_ns = base as f64;
             RetryPolicy {
                 max_retries,
@@ -20,7 +20,8 @@ fn arb_policy() -> impl Strategy<Value = RetryPolicy> {
                 max_delay_ns: base_delay_ns * 16.0,
                 jitter: jitter_pct as f64 / 100.0,
             }
-        })
+        },
+    )
 }
 
 proptest! {

@@ -7,7 +7,7 @@
 //! test sweeps every correct scheme across seeds and demands a clean
 //! verdict — the sanitizer earns trust in both directions.
 
-use plp_core::engine::{Mutation, MutantEngine};
+use plp_core::engine::{MutantEngine, Mutation};
 use plp_core::sanitizer::SanitizerSummary;
 use plp_core::{run_benchmark, SimSetup, SystemConfig, UpdateScheme, ViolationKind};
 use plp_trace::{TraceGenerator, WorkloadProfile};

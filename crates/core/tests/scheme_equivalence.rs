@@ -64,7 +64,10 @@ fn run_scheme(scheme: UpdateScheme, trace: &Trace) -> SchemeRun {
 /// The order-independent functional payload of a persist record: the
 /// block and the counter it persisted under.
 fn counter_key(r: &PersistRecord) -> (u64, plp_crypto::CounterValue) {
-    (r.addr.index(), r.counters_after.value(r.addr.slot_in_page()))
+    (
+        r.addr.index(),
+        r.counters_after.value(r.addr.slot_in_page()),
+    )
 }
 
 /// The full functional payload, comparable only within a scheduler
@@ -118,7 +121,10 @@ fn correct_schemes_share_root_and_tuples_on_a_clustered_burst() {
         let mut theirs: Vec<_> = ref_run.report.records.iter().map(counter_key).collect();
         ours.sort_unstable();
         theirs.sort_unstable();
-        assert_eq!(ours, theirs, "{scheme:?} tuple set diverged from {ref_scheme:?}");
+        assert_eq!(
+            ours, theirs,
+            "{scheme:?} tuple set diverged from {ref_scheme:?}"
+        );
     }
 
     // Within a scheduler class the full persist *sequence* must agree,
@@ -173,9 +179,18 @@ fn node_update_counts_obey_the_mechanism_ladder() {
         o3.report.engine.node_updates,
         co.report.engine.node_updates,
     );
-    assert!(n_co <= n_o3, "coalescing did {n_co} updates, o3 only {n_o3}");
-    assert!(n_o3 <= n_pipe, "o3 did {n_o3} updates, pipeline only {n_pipe}");
-    assert!(n_pipe <= n_sp, "pipeline did {n_pipe} updates, sp only {n_sp}");
+    assert!(
+        n_co <= n_o3,
+        "coalescing did {n_co} updates, o3 only {n_o3}"
+    );
+    assert!(
+        n_o3 <= n_pipe,
+        "o3 did {n_o3} updates, pipeline only {n_pipe}"
+    );
+    assert!(
+        n_pipe <= n_sp,
+        "pipeline did {n_pipe} updates, sp only {n_sp}"
+    );
     assert!(
         n_co < n_o3,
         "a page-clustered epoch burst must let coalescing strictly save work"
@@ -205,10 +220,7 @@ fn unordered_strawman_still_converges_architecturally() {
     let sp = run_scheme(UpdateScheme::Sp, &trace);
     let un = run_scheme(UpdateScheme::Unordered, &trace);
     assert_eq!(un.root, sp.root);
-    assert_eq!(
-        tuple_seq(&un.report.records),
-        tuple_seq(&sp.report.records)
-    );
+    assert_eq!(tuple_seq(&un.report.records), tuple_seq(&sp.report.records));
 }
 
 #[test]

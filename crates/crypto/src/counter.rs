@@ -293,10 +293,7 @@ mod tests {
     fn wire_rejects_bad_minor() {
         let mut bytes = CounterBlock::new().to_bytes();
         bytes[8] = 200;
-        assert_eq!(
-            CounterBlock::from_bytes(&bytes),
-            Err(InvalidCounterBlock)
-        );
+        assert_eq!(CounterBlock::from_bytes(&bytes), Err(InvalidCounterBlock));
         assert!(!InvalidCounterBlock.to_string().is_empty());
     }
 

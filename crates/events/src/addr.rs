@@ -168,7 +168,8 @@ impl ShardMap {
     pub fn localize(self, addr: BlockAddr) -> (u32, BlockAddr) {
         let shard = self.shard_of(addr);
         let local_page = addr.page().index() / self.shards as u64;
-        let local = BlockAddr::new(local_page * BLOCKS_PER_PAGE as u64 + addr.slot_in_page() as u64);
+        let local =
+            BlockAddr::new(local_page * BLOCKS_PER_PAGE as u64 + addr.slot_in_page() as u64);
         (shard, local)
     }
 

@@ -159,7 +159,9 @@ impl RetryPolicy {
 
     /// The whole schedule: delays before retries `1..=max_retries`.
     pub fn schedule(&self, token: RetryToken) -> Vec<f64> {
-        (1..=self.max_retries).map(|a| self.delay_ns(token, a)).collect()
+        (1..=self.max_retries)
+            .map(|a| self.delay_ns(token, a))
+            .collect()
     }
 
     /// Worst-case total backoff across the whole budget, ns — what a
@@ -190,7 +192,10 @@ mod tests {
     fn exponential_growth_respects_cap() {
         let p = RetryPolicy::exponential(8, 10.0).with_max_delay_ns(50.0);
         let t = RetryToken::new(0);
-        assert_eq!(p.schedule(t), vec![10.0, 20.0, 40.0, 50.0, 50.0, 50.0, 50.0, 50.0]);
+        assert_eq!(
+            p.schedule(t),
+            vec![10.0, 20.0, 40.0, 50.0, 50.0, 50.0, 50.0, 50.0]
+        );
     }
 
     #[test]
@@ -202,7 +207,10 @@ mod tests {
         assert_eq!(s1, s2);
         for (i, d) in s1.iter().enumerate() {
             let base = (100.0 * 2f64.powi(i as i32)).min(p.max_delay_ns);
-            assert!(*d >= base * 0.5 && *d < base * 1.5, "retry {i}: {d} vs {base}");
+            assert!(
+                *d >= base * 0.5 && *d < base * 1.5,
+                "retry {i}: {d} vs {base}"
+            );
         }
         // A different token jitters differently somewhere.
         let other = p.schedule(RetryToken::new(43).mix_str("run-key"));

@@ -386,8 +386,8 @@ mod tests {
     #[test]
     fn block_interleave_spreads_sequential_stream() {
         let mut d = NvmDevice::new(NvmConfig::paper_default()); // block-level
-        // 16 consecutive blocks land on 16 different banks: all
-        // complete at one write latency instead of serializing.
+                                                                // 16 consecutive blocks land on 16 different banks: all
+                                                                // complete at one write latency instead of serializing.
         let mut worst = Cycle::ZERO;
         for i in 0..16 {
             worst = worst.max(d.write(Cycle::ZERO, BlockAddr::new(i)));
@@ -403,7 +403,10 @@ mod tests {
             banks: 0,
             ..NvmConfig::paper_default()
         };
-        assert_eq!(NvmDevice::try_new(zero_banks).unwrap_err(), NvmError::ZeroBanks);
+        assert_eq!(
+            NvmDevice::try_new(zero_banks).unwrap_err(),
+            NvmError::ZeroBanks
+        );
         let zero_queue = NvmConfig {
             read_queue: 0,
             ..NvmConfig::paper_default()

@@ -56,7 +56,10 @@ fn encode_records(records: &[ImageRecord]) -> Vec<Vec<u8>> {
 }
 
 fn scheme_from(letters: &[u8]) -> String {
-    letters.iter().map(|l| char::from(b'a' + (l % 26))).collect()
+    letters
+        .iter()
+        .map(|l| char::from(b'a' + (l % 26)))
+        .collect()
 }
 
 proptest! {

@@ -76,10 +76,7 @@ impl Trace {
     /// Wraps a list of events (each memory operation counts as one
     /// instruction, plus its gap).
     pub fn new(events: Vec<TraceEvent>) -> Self {
-        let total_instructions = events
-            .iter()
-            .map(|e| e.gap_instructions as u64 + 1)
-            .sum();
+        let total_instructions = events.iter().map(|e| e.gap_instructions as u64 + 1).sum();
         Trace {
             events,
             total_instructions,
@@ -150,17 +147,26 @@ mod tests {
     #[test]
     fn counts_and_ppki() {
         let t = Trace::new(vec![
-            ev(99, Op::Store {
-                addr: BlockAddr::new(0),
-                stack: false,
-            }),
-            ev(99, Op::Store {
-                addr: BlockAddr::new(1),
-                stack: true,
-            }),
-            ev(99, Op::Load {
-                addr: BlockAddr::new(2),
-            }),
+            ev(
+                99,
+                Op::Store {
+                    addr: BlockAddr::new(0),
+                    stack: false,
+                },
+            ),
+            ev(
+                99,
+                Op::Store {
+                    addr: BlockAddr::new(1),
+                    stack: true,
+                },
+            ),
+            ev(
+                99,
+                Op::Load {
+                    addr: BlockAddr::new(2),
+                },
+            ),
         ]);
         assert_eq!(t.total_instructions(), 300);
         assert_eq!(t.op_count(), 3);
@@ -187,9 +193,12 @@ mod tests {
 
     #[test]
     fn iteration() {
-        let t = Trace::new(vec![ev(0, Op::Load {
-            addr: BlockAddr::new(0),
-        })]);
+        let t = Trace::new(vec![ev(
+            0,
+            Op::Load {
+                addr: BlockAddr::new(0),
+            },
+        )]);
         assert_eq!(t.iter().count(), 1);
         assert_eq!((&t).into_iter().count(), 1);
     }

@@ -128,7 +128,9 @@ impl TraceGenerator {
             self.recent[i]
         } else {
             // Advance the sequential cursor; occasionally jump pages.
-            let jump = self.rng.random_bool(1.0 / self.profile.page_run_len.max(1.0));
+            let jump = self
+                .rng
+                .random_bool(1.0 / self.profile.page_run_len.max(1.0));
             let at_page_end = self.cursor.slot_in_page() == BLOCKS_PER_PAGE - 1;
             self.cursor = if jump || at_page_end {
                 let page = self.random_footprint_page();
@@ -148,9 +150,7 @@ impl TraceGenerator {
     fn next_stack_block(&mut self) -> BlockAddr {
         // Stack traffic cycles through a handful of hot frames.
         self.stack_cursor = (self.stack_cursor + 1) % (STACK_PAGES * BLOCKS_PER_PAGE as u64);
-        BlockAddr::new(
-            PageAddr::new(STACK_BASE_PAGE).first_block().index() + self.stack_cursor,
-        )
+        BlockAddr::new(PageAddr::new(STACK_BASE_PAGE).first_block().index() + self.stack_cursor)
     }
 
     fn next_load(&mut self) -> BlockAddr {

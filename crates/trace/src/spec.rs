@@ -38,21 +38,141 @@ struct SpecRow {
 }
 
 const ROWS: &[SpecRow] = &[
-    SpecRow { name: "astar",     sp_full: 83.48,  wb_full: 0.35, sp: 13.21, o3: 1.97,  ipc: 0.80, run: 6.0 },
-    SpecRow { name: "bwaves",    sp_full: 100.27, wb_full: 8.70, sp: 61.60, o3: 26.47, ipc: 0.40, run: 32.0 },
-    SpecRow { name: "cactusADM", sp_full: 114.59, wb_full: 1.55, sp: 12.35, o3: 5.68,  ipc: 0.70, run: 16.0 },
-    SpecRow { name: "gamess",    sp_full: 100.72, wb_full: 0.00, sp: 51.38, o3: 30.43, ipc: 2.45, run: 8.0 },
-    SpecRow { name: "gcc",       sp_full: 126.73, wb_full: 1.46, sp: 67.38, o3: 36.64, ipc: 0.60, run: 6.0 },
-    SpecRow { name: "gobmk",     sp_full: 125.16, wb_full: 0.17, sp: 34.41, o3: 14.63, ipc: 0.80, run: 4.0 },
-    SpecRow { name: "gromacs",   sp_full: 105.73, wb_full: 0.04, sp: 9.66,  o3: 2.69,  ipc: 1.50, run: 8.0 },
-    SpecRow { name: "h264ref",   sp_full: 101.17, wb_full: 0.00, sp: 48.80, o3: 10.45, ipc: 1.00, run: 12.0 },
-    SpecRow { name: "leslie3d",  sp_full: 108.79, wb_full: 7.78, sp: 58.47, o3: 17.58, ipc: 0.50, run: 32.0 },
-    SpecRow { name: "milc",      sp_full: 40.18,  wb_full: 2.00, sp: 13.65, o3: 4.10,  ipc: 0.30, run: 16.0 },
-    SpecRow { name: "namd",      sp_full: 133.10, wb_full: 0.18, sp: 19.66, o3: 2.07,  ipc: 0.90, run: 8.0 },
-    SpecRow { name: "povray",    sp_full: 150.72, wb_full: 0.00, sp: 39.23, o3: 11.22, ipc: 1.00, run: 6.0 },
-    SpecRow { name: "sphinx3",   sp_full: 184.29, wb_full: 0.10, sp: 4.87,  o3: 1.04,  ipc: 0.90, run: 8.0 },
-    SpecRow { name: "tonto",     sp_full: 141.84, wb_full: 0.00, sp: 34.45, o3: 16.60, ipc: 0.80, run: 8.0 },
-    SpecRow { name: "zeusmp",    sp_full: 175.87, wb_full: 1.92, sp: 19.87, o3: 4.66,  ipc: 0.70, run: 16.0 },
+    SpecRow {
+        name: "astar",
+        sp_full: 83.48,
+        wb_full: 0.35,
+        sp: 13.21,
+        o3: 1.97,
+        ipc: 0.80,
+        run: 6.0,
+    },
+    SpecRow {
+        name: "bwaves",
+        sp_full: 100.27,
+        wb_full: 8.70,
+        sp: 61.60,
+        o3: 26.47,
+        ipc: 0.40,
+        run: 32.0,
+    },
+    SpecRow {
+        name: "cactusADM",
+        sp_full: 114.59,
+        wb_full: 1.55,
+        sp: 12.35,
+        o3: 5.68,
+        ipc: 0.70,
+        run: 16.0,
+    },
+    SpecRow {
+        name: "gamess",
+        sp_full: 100.72,
+        wb_full: 0.00,
+        sp: 51.38,
+        o3: 30.43,
+        ipc: 2.45,
+        run: 8.0,
+    },
+    SpecRow {
+        name: "gcc",
+        sp_full: 126.73,
+        wb_full: 1.46,
+        sp: 67.38,
+        o3: 36.64,
+        ipc: 0.60,
+        run: 6.0,
+    },
+    SpecRow {
+        name: "gobmk",
+        sp_full: 125.16,
+        wb_full: 0.17,
+        sp: 34.41,
+        o3: 14.63,
+        ipc: 0.80,
+        run: 4.0,
+    },
+    SpecRow {
+        name: "gromacs",
+        sp_full: 105.73,
+        wb_full: 0.04,
+        sp: 9.66,
+        o3: 2.69,
+        ipc: 1.50,
+        run: 8.0,
+    },
+    SpecRow {
+        name: "h264ref",
+        sp_full: 101.17,
+        wb_full: 0.00,
+        sp: 48.80,
+        o3: 10.45,
+        ipc: 1.00,
+        run: 12.0,
+    },
+    SpecRow {
+        name: "leslie3d",
+        sp_full: 108.79,
+        wb_full: 7.78,
+        sp: 58.47,
+        o3: 17.58,
+        ipc: 0.50,
+        run: 32.0,
+    },
+    SpecRow {
+        name: "milc",
+        sp_full: 40.18,
+        wb_full: 2.00,
+        sp: 13.65,
+        o3: 4.10,
+        ipc: 0.30,
+        run: 16.0,
+    },
+    SpecRow {
+        name: "namd",
+        sp_full: 133.10,
+        wb_full: 0.18,
+        sp: 19.66,
+        o3: 2.07,
+        ipc: 0.90,
+        run: 8.0,
+    },
+    SpecRow {
+        name: "povray",
+        sp_full: 150.72,
+        wb_full: 0.00,
+        sp: 39.23,
+        o3: 11.22,
+        ipc: 1.00,
+        run: 6.0,
+    },
+    SpecRow {
+        name: "sphinx3",
+        sp_full: 184.29,
+        wb_full: 0.10,
+        sp: 4.87,
+        o3: 1.04,
+        ipc: 0.90,
+        run: 8.0,
+    },
+    SpecRow {
+        name: "tonto",
+        sp_full: 141.84,
+        wb_full: 0.00,
+        sp: 34.45,
+        o3: 16.60,
+        ipc: 0.80,
+        run: 8.0,
+    },
+    SpecRow {
+        name: "zeusmp",
+        sp_full: 175.87,
+        wb_full: 1.92,
+        sp: 19.87,
+        o3: 4.66,
+        ipc: 0.70,
+        run: 16.0,
+    },
 ];
 
 fn profile_from(row: &SpecRow) -> WorkloadProfile {
@@ -130,10 +250,12 @@ mod tests {
         let n = all.len() as f64;
         let avg_full: f64 = all.iter().map(|p| p.store_ppki_full).sum::<f64>() / n;
         let avg_sp: f64 = all.iter().map(|p| p.store_ppki_nonstack).sum::<f64>() / n;
-        let avg_o3: f64 =
-            all.iter().filter_map(|p| p.paper_epoch_ppki).sum::<f64>() / n;
-        let avg_wb: f64 =
-            all.iter().filter_map(|p| p.paper_writeback_ppki).sum::<f64>() / n;
+        let avg_o3: f64 = all.iter().filter_map(|p| p.paper_epoch_ppki).sum::<f64>() / n;
+        let avg_wb: f64 = all
+            .iter()
+            .filter_map(|p| p.paper_writeback_ppki)
+            .sum::<f64>()
+            / n;
         assert!((avg_full - 119.51).abs() < 0.2, "got {avg_full}");
         assert!((avg_sp - 32.60).abs() < 0.2, "got {avg_sp}");
         assert!((avg_o3 - 12.41).abs() < 0.2, "got {avg_o3}");
@@ -154,9 +276,7 @@ mod tests {
         // 1 - (1.97/13.21)/1.28 = 0.8835
         assert!((astar.store_repeat_fraction - 0.8835).abs() < 1e-3);
         let gamess = benchmark("gamess").unwrap();
-        assert!(
-            (gamess.store_repeat_fraction - (1.0 - (30.43 / 51.38) / 1.28)).abs() < 1e-9
-        );
+        assert!((gamess.store_repeat_fraction - (1.0 - (30.43 / 51.38) / 1.28)).abs() < 1e-9);
         // Higher-locality paper ratio -> higher repeat fraction.
         let namd = benchmark("namd").unwrap();
         assert!(namd.store_repeat_fraction > astar.store_repeat_fraction);

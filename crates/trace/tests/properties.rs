@@ -35,19 +35,23 @@ fn arb_short_trace() -> impl Strategy<Value = Trace> {
 }
 
 fn arb_trace_of(events: std::ops::Range<usize>) -> impl Strategy<Value = Trace> {
-    prop::collection::vec(
-        (0u32..10_000, 0u64..u64::MAX / 64, 0u8..3),
-        events,
-    )
-    .prop_map(|evs| {
+    prop::collection::vec((0u32..10_000, 0u64..u64::MAX / 64, 0u8..3), events).prop_map(|evs| {
         Trace::new(
             evs.into_iter()
                 .map(|(gap, a, k)| TraceEvent {
                     gap_instructions: gap,
                     op: match k {
-                        0 => Op::Load { addr: BlockAddr::new(a) },
-                        1 => Op::Store { addr: BlockAddr::new(a), stack: false },
-                        _ => Op::Store { addr: BlockAddr::new(a), stack: true },
+                        0 => Op::Load {
+                            addr: BlockAddr::new(a),
+                        },
+                        1 => Op::Store {
+                            addr: BlockAddr::new(a),
+                            stack: false,
+                        },
+                        _ => Op::Store {
+                            addr: BlockAddr::new(a),
+                            stack: true,
+                        },
                     },
                 })
                 .collect(),

@@ -11,8 +11,7 @@
 //! ```
 
 use plp::core::{
-    run_with_crash, ObserverExpectation, PersistImage, RecoveryChecker, SystemConfig,
-    UpdateScheme,
+    run_with_crash, ObserverExpectation, PersistImage, RecoveryChecker, SystemConfig, UpdateScheme,
 };
 use plp::events::Cycle;
 use plp::trace::{spec, TraceGenerator};
@@ -43,12 +42,18 @@ fn main() {
             }
         }
 
-        println!("scheme {:<10} -> {clean}/16 crash points recover cleanly", scheme.name());
+        println!(
+            "scheme {:<10} -> {clean}/16 crash points recover cleanly",
+            scheme.name()
+        );
         for (t, v) in failures.iter().take(3) {
             println!("   crash at {t}: {v}");
         }
         if failures.len() > 3 {
-            println!("   ... and {} more failing crash points", failures.len() - 3);
+            println!(
+                "   ... and {} more failing crash points",
+                failures.len() - 3
+            );
         }
         println!();
     }

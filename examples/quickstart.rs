@@ -30,7 +30,10 @@ fn main() {
         42,
     );
 
-    println!("workload: {} (baseline IPC {:.2})", profile.name, profile.base_ipc);
+    println!(
+        "workload: {} (baseline IPC {:.2})",
+        profile.name, profile.base_ipc
+    );
     println!();
     println!("secure_WB : {baseline}");
     println!("coalescing: {coalescing}");

@@ -34,7 +34,10 @@ fn main() {
         3,
     );
 
-    println!("workload: durable transaction log ({} instructions)", instructions);
+    println!(
+        "workload: durable transaction log ({} instructions)",
+        instructions
+    );
     println!();
     println!(
         "{:<12} {:>10} {:>8} {:>9} {:>12} {:>10}",
@@ -56,12 +59,7 @@ fn main() {
         UpdateScheme::O3,
         UpdateScheme::Coalescing,
     ] {
-        let r = run_benchmark(
-            &txlog,
-            &SystemConfig::for_scheme(scheme),
-            instructions,
-            3,
-        );
+        let r = run_benchmark(&txlog, &SystemConfig::for_scheme(scheme), instructions, 3);
         println!(
             "{:<12} {:>10} {:>8.2} {:>9} {:>12} {:>10}",
             scheme.name(),

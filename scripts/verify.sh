@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full verification gate: release build, the whole test suite, clippy
-# with warnings promoted to errors, and a parallel smoke pass that
+# with warnings promoted to errors, rustfmt, and a parallel smoke pass that
 # regenerates every paper artefact through the run matrix. Run from
 # the repo root.
 set -euo pipefail
@@ -21,6 +21,10 @@ cargo test -q --workspace
 # unfulfilled_lint_expectations. crates/analyze/tests/clippy_config.rs
 # pins the crate-root lines and clippy.toml.
 cargo clippy --workspace --all-targets -- -D warnings
+# Formatting: the workspace must be rustfmt-clean, so no change has to
+# carry unrelated reformatting. perfbench/ is its own workspace and is
+# not checked here.
+cargo fmt --all -- --check
 
 # Lint self-test: the fixture corpus under crates/analyze/tests/
 # fixtures must match exactly — every fire/ mutant produces its

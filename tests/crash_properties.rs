@@ -3,8 +3,7 @@
 //! recover; the functional security layer always detects tampering.
 
 use plp::core::{
-    run_with_crash, ObserverExpectation, PersistImage, RecoveryChecker, SystemConfig,
-    UpdateScheme,
+    run_with_crash, ObserverExpectation, PersistImage, RecoveryChecker, SystemConfig, UpdateScheme,
 };
 use plp::events::Cycle;
 use plp::trace::{TraceGenerator, WorkloadProfile};
@@ -12,10 +11,10 @@ use proptest::prelude::*;
 
 fn arb_profile() -> impl Strategy<Value = WorkloadProfile> {
     (
-        1u64..=4,            // footprint scale
-        20.0f64..120.0,      // store ppki (full)
-        0.0f64..0.9,         // repeat fraction
-        1.0f64..32.0,        // run length
+        1u64..=4,       // footprint scale
+        20.0f64..120.0, // store ppki (full)
+        0.0f64..0.9,    // repeat fraction
+        1.0f64..32.0,   // run length
     )
         .prop_map(|(fp, stores, repeat, run)| {
             WorkloadProfile::builder("prop")

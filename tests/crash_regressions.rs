@@ -7,8 +7,7 @@
 //! working across proptest versions and strategy changes.
 
 use plp::core::{
-    run_with_crash, ObserverExpectation, PersistImage, RecoveryChecker, SystemConfig,
-    UpdateScheme,
+    run_with_crash, ObserverExpectation, PersistImage, RecoveryChecker, SystemConfig, UpdateScheme,
 };
 use plp::events::Cycle;
 use plp::trace::{TraceGenerator, WorkloadProfile};
@@ -95,13 +94,7 @@ fn triad_nvm_losses_are_detected_and_confined_to_the_lag_window() {
 
     // Quiescent image: past the last record's lagged root persist,
     // every window has drained and recovery is Clean.
-    let settled = report
-        .records
-        .iter()
-        .map(|r| r.times.root)
-        .max()
-        .unwrap()
-        + Cycle::new(1);
+    let settled = report.records.iter().map(|r| r.times.root).max().unwrap() + Cycle::new(1);
     let image = PersistImage::at_time(&report.records, settled, cfg.bmt, cfg.key);
     let expected = ObserverExpectation::at_time(&report.records, settled);
     let verdict = checker.check(&image, &expected);

@@ -13,12 +13,7 @@ fn every_benchmark_every_scheme() {
     let levels = SystemConfig::default().bmt.levels() as u64;
     for profile in spec::all_benchmarks() {
         for scheme in UpdateScheme::all_extended() {
-            let r = run_benchmark(
-                &profile,
-                &SystemConfig::for_scheme(scheme),
-                INSTRUCTIONS,
-                3,
-            );
+            let r = run_benchmark(&profile, &SystemConfig::for_scheme(scheme), INSTRUCTIONS, 3);
             let label = format!("{}:{}", profile.name, scheme.name());
 
             assert!(r.total_cycles.get() > 0, "{label}: empty run");

@@ -230,7 +230,14 @@ fn counter_replay_is_caught_by_the_tree() {
     let old = report
         .records
         .iter()
-        .find(|early| report.records.iter().filter(|r| r.addr == early.addr).count() >= 2)
+        .find(|early| {
+            report
+                .records
+                .iter()
+                .filter(|r| r.addr == early.addr)
+                .count()
+                >= 2
+        })
         .expect("a twice-persisted block")
         .clone();
     image.data.insert(old.addr, old.ciphertext);

@@ -40,7 +40,10 @@ fn scheme_ordering_across_all_benchmarks() {
     let co = gmean_overhead(UpdateScheme::Coalescing);
     assert!(sp > 4.0, "sp gmean {sp} nowhere near the paper's 7.2x");
     assert!(sp > 2.5 * pipe, "pipelining speedup too small: {sp}/{pipe}");
-    assert!(pipe > o3, "o3 {o3} should beat the in-order pipeline {pipe}");
+    assert!(
+        pipe > o3,
+        "o3 {o3} should beat the in-order pipeline {pipe}"
+    );
     assert!(
         (co / o3 - 1.0).abs() < 0.15,
         "coalescing {co} should track o3 {o3}"
@@ -167,8 +170,14 @@ fn epoch_size_runtime_is_not_monotonic_everywhere() {
 /// Determinism across the whole stack: same seed, same everything.
 #[test]
 fn end_to_end_determinism() {
-    let a = run("leslie3d", &SystemConfig::for_scheme(UpdateScheme::Coalescing));
-    let b = run("leslie3d", &SystemConfig::for_scheme(UpdateScheme::Coalescing));
+    let a = run(
+        "leslie3d",
+        &SystemConfig::for_scheme(UpdateScheme::Coalescing),
+    );
+    let b = run(
+        "leslie3d",
+        &SystemConfig::for_scheme(UpdateScheme::Coalescing),
+    );
     assert_eq!(a.total_cycles, b.total_cycles);
     assert_eq!(a.engine.node_updates, b.engine.node_updates);
     assert_eq!(a.persists, b.persists);

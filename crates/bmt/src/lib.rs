@@ -10,12 +10,14 @@
 //!   least-common-ancestor (LCA) computation;
 //! * [`BonsaiTree`] — the sparse *functional* tree over split-counter
 //!   blocks, with per-level default values so 16-million-leaf trees
-//!   cost only their touched working set.
+//!   cost only their touched working set;
+//! * [`PathTree`] — the same hashes over only a fixed leaf set's root
+//!   paths, for one-shot rebuilds: the crash-recovery check "do these
+//!   persisted counters hash to the persisted root?".
 //!
 //! Timing (who updates which node when) is the business of the engine
 //! models in `plp-core`; this crate answers purely structural and
-//! functional questions, including the crash-recovery check "do these
-//! persisted counters hash to the persisted root?".
+//! functional questions.
 //!
 //! # Example
 //!
@@ -47,8 +49,10 @@
 
 mod geometry;
 mod label;
+mod path;
 mod tree;
 
 pub use geometry::BmtGeometry;
 pub use label::NodeLabel;
+pub use path::PathTree;
 pub use tree::{BonsaiTree, IntegrityError, NodeValue};

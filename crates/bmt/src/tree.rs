@@ -65,8 +65,6 @@ struct NodeArena {
     nodes: usize,
     /// Words per bitmap.
     words: usize,
-    /// Number of set occupancy bits.
-    populated: usize,
 }
 
 impl NodeArena {
@@ -80,7 +78,6 @@ impl NodeArena {
             slab: vec![0; nodes + 2 * words],
             nodes,
             words,
-            populated: 0,
         }
     }
 
@@ -101,11 +98,7 @@ impl NodeArena {
     fn set(&mut self, label: NodeLabel, value: NodeValue) {
         let i = arena_slot(label.raw());
         self.slab[..self.nodes][i] = value;
-        let (word, bit) = (self.nodes + (i >> 6), 1u64 << (i & 63));
-        if self.slab[word] & bit == 0 {
-            self.slab[word] |= bit;
-            self.populated += 1;
-        }
+        self.slab[self.nodes + (i >> 6)] |= 1u64 << (i & 63);
     }
 
     /// Sets `label`'s dirty bit; returns whether it was clear.
@@ -127,25 +120,6 @@ impl NodeArena {
     /// The occupancy bitmap.
     fn occupied(&self) -> &[u64] {
         &self.slab[self.nodes..self.nodes + self.words]
-    }
-
-    /// Number of occupied labels below `cutoff`: a popcount over the
-    /// bitmap prefix, `cutoff / 64` whole words and one partial word.
-    fn populated_below(&self, cutoff: u64) -> usize {
-        let occupied = self.occupied();
-        let end = arena_slot(cutoff);
-        let (words, bits) = (end >> 6, end & 63);
-        let partial = match bits {
-            0 => 0,
-            _ => occupied[words] & ((1u64 << bits) - 1),
-        };
-        let ones: u64 = occupied[..words]
-            .iter()
-            .chain([&partial])
-            .map(|w| u64::from(w.count_ones()))
-            .sum();
-        // At most `cutoff` bits are set, and `cutoff` is an arena index.
-        arena_slot(ones)
     }
 
     /// Occupied labels in descending raw order — deepest level first,
@@ -170,7 +144,6 @@ impl std::fmt::Debug for NodeArena {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NodeArena")
             .field("slots", &self.nodes)
-            .field("populated", &self.populated)
             .finish()
     }
 }
@@ -264,7 +237,7 @@ impl BonsaiTree {
     /// The all-fresh value of each level (index `level - 1`): the leaf
     /// hash of a new counter block, then each parent's hash of `arity`
     /// copies of its child default.
-    fn level_defaults(geometry: BmtGeometry, key: SipKey) -> Vec<NodeValue> {
+    pub(crate) fn level_defaults(geometry: BmtGeometry, key: SipKey) -> Vec<NodeValue> {
         let levels = geometry.levels_usize();
         let mut defaults = vec![0; levels];
         defaults[levels - 1] = Self::leaf_value_with(key, &CounterBlock::new());
@@ -275,11 +248,12 @@ impl BonsaiTree {
         defaults
     }
 
-    /// Rebuilds a tree from a set of persisted counter blocks — the
-    /// crash-recovery path ("recovering from a crash requires
-    /// recomputing the BMT root", §III). The tree comes back committed:
-    /// each populated internal node hashed once, however many leaves
-    /// share it.
+    /// Rebuilds a tree from a set of persisted counter blocks. The tree
+    /// comes back committed: each populated internal node hashed once,
+    /// however many leaves share it. Recovery ("recovering from a crash
+    /// requires recomputing the BMT root", §III) rebuilds with
+    /// [`PathTree::from_counters`](crate::PathTree::from_counters)
+    /// instead, which builds no arena.
     pub fn from_counters<'a>(
         geometry: BmtGeometry,
         master_key: SipKey,
@@ -325,38 +299,11 @@ impl BonsaiTree {
         }
     }
 
-    /// Number of explicitly stored (non-default) nodes. Commits first.
-    pub fn populated_nodes(&mut self) -> usize {
-        self.commit();
-        self.store.populated
-    }
-
-    /// Number of explicitly stored nodes at levels *shallower* than
-    /// `floor` (1-based; levels `1..floor`) — the slice a scheme that
-    /// durably persists levels `floor..=levels` must rebuild after a
-    /// crash. `floor == 1` means the whole tree is durable: nothing to
-    /// rebuild. Commits first.
-    ///
-    /// Breadth-first labels are contiguous by level, so levels
-    /// `1..floor` are exactly the labels below
-    /// `level_offset(floor)`: the count is a popcount over that bitmap
-    /// prefix, `level_offset(floor) / 64` words (37 449 at floor 9 of
-    /// an 8-ary tree), never the whole arena.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `floor` is 0 or exceeds the tree's level count.
-    pub fn populated_nodes_above(&mut self, floor: u32) -> usize {
-        self.commit();
-        self.store
-            .populated_below(self.geometry.level_offset(floor))
-    }
-
-    fn leaf_value_with(key: SipKey, cb: &CounterBlock) -> NodeValue {
+    pub(crate) fn leaf_value_with(key: SipKey, cb: &CounterBlock) -> NodeValue {
         key.hash_words(&cb.content_words())
     }
 
-    fn internal_value_with(key: SipKey, children: &[NodeValue]) -> NodeValue {
+    pub(crate) fn internal_value_with(key: SipKey, children: &[NodeValue]) -> NodeValue {
         key.hash_words(children)
     }
 
@@ -469,8 +416,8 @@ impl BonsaiTree {
     ///
     /// Walks the whole occupancy bitmap, `node_count / 64` words
     /// whatever the population: 19.2M words (153 MB) for an 8-ary,
-    /// 11-level tree. A test-facing check; keep it off the recovery
-    /// path, whose costs must scale with the populated nodes.
+    /// 11-level tree. A test-facing check; recovery never builds an
+    /// arena.
     ///
     /// # Errors
     ///
@@ -489,25 +436,6 @@ impl BonsaiTree {
             }
         }
         Ok(())
-    }
-
-    /// Verifies that a set of counter blocks matches this tree's root:
-    /// rebuilds a fresh tree from `counters` and compares roots. This is
-    /// the recovery-time check against the persistently-stored on-chip
-    /// root.
-    pub fn verify_counters_against_root<'a>(
-        &mut self,
-        counters: impl IntoIterator<Item = (u64, &'a CounterBlock)>,
-        master_key: SipKey,
-    ) -> Result<(), IntegrityError> {
-        let mut rebuilt = BonsaiTree::from_counters(self.geometry, master_key, counters);
-        if rebuilt.root() == self.root() {
-            Ok(())
-        } else {
-            Err(IntegrityError {
-                node: NodeLabel::ROOT,
-            })
-        }
     }
 }
 
@@ -546,37 +474,10 @@ mod tests {
     #[test]
     fn fresh_tree_is_consistent_and_sparse() {
         let mut t = tree();
-        assert_eq!(t.populated_nodes(), 0);
+        assert!(t.store.occupied().iter().all(|w| *w == 0));
         assert!(t.verify_consistent().is_ok());
         // Root of an all-default tree equals the level-1 default.
         assert_eq!(t.root(), t.node_value(NodeLabel::ROOT));
-    }
-
-    #[test]
-    fn populated_nodes_above_counts_the_rebuild_slice() {
-        let mut t = tree();
-        assert_eq!(t.populated_nodes_above(3), 0);
-        // One update populates a 4-node path: root, one node at each
-        // of levels 2 and 3, and the leaf.
-        t.update_leaf(9, &bumped(&[3]));
-        assert_eq!(t.populated_nodes(), 4);
-        // Floor 3: rebuild levels 1..3 — root + one level-2 node.
-        assert_eq!(t.populated_nodes_above(3), 2);
-        // Floor at the leaves: everything but the leaf itself.
-        assert_eq!(t.populated_nodes_above(4), 3);
-        // Floor 1: the whole tree is durable, nothing to rebuild.
-        assert_eq!(t.populated_nodes_above(1), 0);
-        // A second distinct leaf under the same level-2 subtree grows
-        // the shallow slice by at most one level-3 node... a different
-        // page entirely grows it by a full extra path minus the shared
-        // root.
-        t.update_leaf(500, &bumped(&[1]));
-        assert!(t.populated_nodes_above(4) > 3);
-        assert_eq!(
-            t.populated_nodes_above(4) + 2,
-            t.populated_nodes(),
-            "exactly the two leaves are below floor 4"
-        );
     }
 
     #[test]
@@ -611,19 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn update_counts_each_path_node_once() {
-        let mut t = tree();
-        t.update_leaf(0, &bumped(&[0]));
-        assert_eq!(t.populated_nodes(), 4);
-        // Re-updating the same leaf repopulates the same nodes.
-        t.update_leaf(0, &bumped(&[0, 1]));
-        assert_eq!(t.populated_nodes(), 4);
-        // A disjoint subtree shares only the root.
-        t.update_leaf(511, &bumped(&[2]));
-        assert_eq!(t.populated_nodes(), 7);
-    }
-
-    #[test]
     fn different_pages_different_roots() {
         let cb = bumped(&[0]);
         let mut t1 = tree();
@@ -649,6 +537,7 @@ mod tests {
         // longer matches its children... unless the tampered node itself
         // also has stored children. Either way an error is raised.
         assert!(g.level(err.node) < 4);
+        assert!(err.to_string().contains("verification failure"));
     }
 
     #[test]
@@ -657,11 +546,8 @@ mod tests {
         // stored tree has the old root while counters moved on.
         let mut t = tree();
         let cb = bumped(&[0]);
-        let err = t
-            .verify_counters_against_root([(0u64, &cb)], SipKey::new(77, 88))
-            .unwrap_err();
-        assert_eq!(err.node, NodeLabel::ROOT);
-        assert!(!err.to_string().is_empty());
+        let rebuilt = crate::PathTree::from_counters(t.geometry(), SipKey::new(77, 88), [(0, &cb)]);
+        assert_ne!(rebuilt.root(), t.root());
     }
 
     #[test]
@@ -677,9 +563,12 @@ mod tests {
             [(2u64, &cb1), (500u64, &cb2)],
         );
         assert_eq!(rebuilt.root(), t.root());
-        assert!(t
-            .verify_counters_against_root([(2u64, &cb1), (500u64, &cb2)], SipKey::new(77, 88))
-            .is_ok());
+        let packed = crate::PathTree::from_counters(
+            t.geometry(),
+            SipKey::new(77, 88),
+            [(2u64, &cb1), (500u64, &cb2)],
+        );
+        assert_eq!(packed.root(), t.root());
     }
 
     #[test]
@@ -713,12 +602,13 @@ mod tests {
     fn paper_default_geometry_tree_is_cheap_to_build() {
         // The 8-ary 9-level arena reserves 19M slots but must not touch
         // them: construction and a handful of updates stay fast and the
-        // populated count tracks only explicit nodes.
+        // occupancy tracks only explicit nodes.
         let mut t = BonsaiTree::new(BmtGeometry::default(), SipKey::new(1, 2));
-        assert_eq!(t.populated_nodes(), 0);
         t.update_leaf(0, &bumped(&[0]));
         t.update_leaf(16_777_215, &bumped(&[1]));
-        assert_eq!(t.populated_nodes(), 2 * 9 - 1);
+        t.commit();
+        let occupied: u32 = t.store.occupied().iter().map(|w| w.count_ones()).sum();
+        assert_eq!(occupied, 2 * 9 - 1);
         assert!(t.verify_consistent().is_ok());
     }
 
@@ -768,6 +658,6 @@ mod tests {
             "debug dump leaked the arena: {} bytes",
             dbg.len()
         );
-        assert!(dbg.contains("populated"));
+        assert!(dbg.contains("slots"));
     }
 }

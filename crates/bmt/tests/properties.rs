@@ -1,6 +1,6 @@
 //! Property-based tests for BMT structure and the WAW-safety argument.
 
-use plp_bmt::{BmtGeometry, BonsaiTree, NodeLabel};
+use plp_bmt::{BmtGeometry, BonsaiTree, NodeLabel, PathTree};
 use plp_crypto::{CounterBlock, SipKey};
 use proptest::prelude::*;
 
@@ -107,9 +107,8 @@ proptest! {
             tree.update_leaf(page, cb);
             prop_assert!(tree.verify_consistent().is_ok());
         }
-        prop_assert!(tree
-            .verify_counters_against_root(counters.iter().map(|(p, c)| (*p, c)), key())
-            .is_ok());
+        let rebuilt = PathTree::from_counters(g, key(), counters.iter().map(|(p, c)| (*p, c)));
+        prop_assert_eq!(rebuilt.root(), tree.root());
     }
 
     #[test]

@@ -1,22 +1,24 @@
 //! Golden-model equivalence: the arena-backed, lazily committed
-//! `BonsaiTree` against the original map-backed eager implementation.
+//! `BonsaiTree` and the packed `PathTree` against the original
+//! map-backed eager implementation.
 //!
 //! `GoldenTree` below is a frozen copy of the pre-arena tree: a
 //! `HashMap<NodeLabel, NodeValue>` node store with per-level lazy
 //! defaults, recomputing every ancestor on every update by collecting
 //! its children into a fresh `Vec`. It is deliberately naive — its job
-//! is to be obviously correct, not fast. Every test drives both trees
-//! through the same sequence of operations (updates, reads, tampering,
-//! crash-and-rebuild) and asserts the stores are indistinguishable:
-//! same root, same value for *every* label in the tree, same
-//! populated-node count (in total and above every recovery floor),
-//! same consistency verdicts. Reads interleave with updates and
+//! is to be obviously correct, not fast. Every arena test drives both
+//! trees through the same sequence of operations (updates, reads,
+//! tampering, crash-and-rebuild) and asserts the stores are
+//! indistinguishable: same root, same value for *every* label in the
+//! tree, same consistency verdicts. Reads interleave with updates and
 //! tampers, so each commit point is compared, not only the final
-//! state.
+//! state. The `PathTree` tests compare the rebuilt root and the
+//! populated-node count, in total and above every recovery floor, and
+//! the root after every step of a `set_leaf` sequence.
 
 use std::collections::HashMap;
 
-use plp_bmt::{BmtGeometry, BonsaiTree, NodeLabel, NodeValue};
+use plp_bmt::{BmtGeometry, BonsaiTree, NodeLabel, NodeValue, PathTree};
 use plp_crypto::{CounterBlock, SipKey};
 use proptest::prelude::*;
 
@@ -129,28 +131,29 @@ impl GoldenTree {
     }
 }
 
-/// Assert the two trees agree on the populated count, in total and
-/// above every recovery floor `1..=levels`.
-fn assert_populated_equal(golden: &GoldenTree, arena: &mut BonsaiTree, g: BmtGeometry) {
+/// Assert a rebuilt `PathTree` agrees with the golden tree on the
+/// root and the populated count, in total and above every recovery
+/// floor `1..=levels`.
+fn assert_rebuild_equal(golden: &GoldenTree, packed: &PathTree, g: BmtGeometry) {
+    assert_eq!(golden.root(), packed.root(), "rebuilt roots diverged");
     assert_eq!(
         golden.populated_nodes(),
-        arena.populated_nodes(),
+        packed.populated_nodes(),
         "populated-node counts diverged"
     );
     for floor in 1..=g.levels() {
         assert_eq!(
             golden.populated_nodes_above(floor),
-            arena.populated_nodes_above(floor),
+            packed.populated_nodes_above(floor),
             "populated-node counts above floor {floor} diverged"
         );
     }
 }
 
-/// Assert the two stores are indistinguishable from the outside:
-/// root, populated counts, and the value of every single label.
+/// Assert the two stores are indistinguishable from the outside: the
+/// root and the value of every single label.
 fn assert_stores_equal(golden: &GoldenTree, arena: &mut BonsaiTree, g: BmtGeometry) {
     assert_eq!(golden.root(), arena.root(), "roots diverged");
-    assert_populated_equal(golden, arena, g);
     for raw in 0..g.node_count() {
         let label = NodeLabel::new(raw);
         assert_eq!(
@@ -165,6 +168,23 @@ fn assert_stores_equal(golden: &GoldenTree, arena: &mut BonsaiTree, g: BmtGeomet
 /// still covering non-power-of-two arities and shallow/deep shapes.
 fn arb_geometry() -> impl Strategy<Value = BmtGeometry> {
     (2u64..=8, 2u32..=4).prop_map(|(arity, levels)| BmtGeometry::new(arity, levels))
+}
+
+/// `PathTree` tests sweep no labels, so they reach one level deeper,
+/// and down to the single-node tree whose root is its leaf.
+fn arb_path_geometry() -> impl Strategy<Value = BmtGeometry> {
+    (2u64..=8, 1u32..=5).prop_map(|(arity, levels)| BmtGeometry::new(arity, levels))
+}
+
+/// A page chosen by `kind`: the first leaf, the last leaf, the page
+/// `seed` picks among the earlier `pages` (a duplicate), or any page.
+fn pick_page(g: BmtGeometry, pages: &[u64], kind: u8, seed: u64) -> u64 {
+    match (kind, pages.len()) {
+        (0, _) => 0,
+        (1, _) => g.leaf_count() - 1,
+        (2, n) if n > 0 => pages[(seed % n as u64) as usize],
+        _ => seed % g.leaf_count(),
+    }
 }
 
 proptest! {
@@ -223,13 +243,8 @@ proptest! {
         let golden = GoldenTree::from_counters(g, key(), surviving.iter().copied());
         let mut arena = BonsaiTree::from_counters(g, key(), surviving.iter().copied());
         assert_stores_equal(&golden, &mut arena, g);
-
-        // The recovery-time root check agrees on the full set too.
-        let full_ok = arena
-            .verify_counters_against_root(pages.iter().map(|p| (*p, &counters[p])), key())
-            .is_ok();
-        let golden_full = GoldenTree::from_counters(g, key(), pages.iter().map(|p| (*p, &counters[p])));
-        prop_assert_eq!(full_ok, golden_full.root() == arena.root());
+        let packed = PathTree::from_counters(g, key(), surviving.iter().copied());
+        assert_rebuild_equal(&golden, &packed, g);
     }
 
     #[test]
@@ -268,7 +283,7 @@ proptest! {
     #[test]
     fn interleaved_reads_and_tampers_agree(
         g in arb_geometry(),
-        ops in prop::collection::vec((0u8..12, any::<u64>(), any::<u64>()), 1..48),
+        ops in prop::collection::vec((0u8..10, any::<u64>(), any::<u64>()), 1..48),
     ) {
         let mut golden = GoldenTree::new(g, key());
         let mut arena = BonsaiTree::new(g, key());
@@ -287,15 +302,7 @@ proptest! {
                 }
                 5 => prop_assert_eq!(arena.root(), golden.root()),
                 6 => prop_assert_eq!(arena.node_value(label), golden.node_value(label)),
-                7 => prop_assert_eq!(arena.populated_nodes(), golden.populated_nodes()),
-                8 => {
-                    let floor = 1 + (b % u64::from(g.levels())) as u32;
-                    prop_assert_eq!(
-                        arena.populated_nodes_above(floor),
-                        golden.populated_nodes_above(floor)
-                    );
-                }
-                9 => {
+                7 => {
                     let victim = if b % 2 == 0 {
                         label
                     } else {
@@ -308,7 +315,7 @@ proptest! {
                     golden.set_node(victim, value);
                     arena.set_node(victim, value);
                 }
-                10 => prop_assert_eq!(
+                8 => prop_assert_eq!(
                     arena.verify_consistent().is_ok(),
                     golden.verify_consistent()
                 ),
@@ -320,6 +327,70 @@ proptest! {
             }
         }
         assert_stores_equal(&golden, &mut arena, g);
+    }
+}
+
+proptest! {
+    // A rebuild over at most 24 pages is cheap: sweep many more shapes.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `PathTree::from_counters` over any survivor sequence: empty,
+    /// holding the first and last leaf, and rewriting pages, where the
+    /// last block per page must win.
+    #[test]
+    fn path_tree_rebuild_agrees(
+        g in arb_path_geometry(),
+        writes in prop::collection::vec((0u8..5, any::<u64>(), 0usize..64), 0..24),
+    ) {
+        let mut state: HashMap<u64, CounterBlock> = HashMap::new();
+        let mut pages = Vec::new();
+        let mut persisted: Vec<(u64, CounterBlock)> = Vec::new();
+        for (kind, seed, slot) in writes {
+            let page = pick_page(g, &pages, kind, seed);
+            pages.push(page);
+            let cb = state.entry(page).or_default();
+            cb.bump(slot);
+            persisted.push((page, cb.clone()));
+        }
+        let survivors = || persisted.iter().map(|(p, c)| (*p, c));
+        let golden = GoldenTree::from_counters(g, key(), survivors());
+        let packed = PathTree::from_counters(g, key(), survivors());
+        assert_rebuild_equal(&golden, &packed, g);
+        prop_assert_eq!(
+            packed.root(),
+            BonsaiTree::from_counters(g, key(), survivors()).root()
+        );
+        if persisted.is_empty() {
+            prop_assert_eq!(packed.root(), BonsaiTree::fresh_root(g, key()));
+        }
+    }
+
+    /// `PathTree::new` over a page set, then `set_leaf` on those pages
+    /// in any order, repeats included: the root after every step is
+    /// the eager golden tree's after the same updates.
+    #[test]
+    fn path_tree_set_leaf_sequences_agree(
+        g in arb_path_geometry(),
+        cover in prop::collection::vec((0u8..5, any::<u64>()), 1..12),
+        steps in prop::collection::vec((any::<u64>(), 0usize..64), 0..32),
+    ) {
+        let mut pages = Vec::new();
+        for (kind, seed) in cover {
+            let page = pick_page(g, &pages, kind, seed);
+            pages.push(page);
+        }
+        let mut packed = PathTree::new(g, key(), pages.iter().copied());
+        let mut golden = GoldenTree::new(g, key());
+        prop_assert_eq!(packed.root(), golden.root());
+        let mut state: HashMap<u64, CounterBlock> = HashMap::new();
+        for (pick, slot) in steps {
+            let page = pages[(pick % pages.len() as u64) as usize];
+            let cb = state.entry(page).or_default();
+            cb.bump(slot);
+            golden.update_leaf(page, cb);
+            packed.set_leaf(page, cb);
+            prop_assert_eq!(packed.root(), golden.root());
+        }
     }
 }
 
@@ -371,39 +442,36 @@ fn paper_default_geometry_roots_agree() {
     let mut golden = GoldenTree::new(g, key());
     let mut arena = BonsaiTree::new(g, key());
     let mut cb = CounterBlock::new();
+    let mut persisted = Vec::new();
     for page in [0, 1, 7, 8, 4096, g.leaf_count() - 1] {
         cb.bump((page % 64) as usize);
         golden.update_leaf(page, &cb);
         arena.update_leaf(page, &cb);
+        persisted.push((page, cb.clone()));
     }
     assert_eq!(golden.root(), arena.root());
-    assert_populated_equal(&golden, &mut arena, g);
     assert!(arena.verify_consistent().is_ok());
+    let packed = PathTree::from_counters(g, key(), persisted.iter().map(|(p, c)| (*p, c)));
+    assert_rebuild_equal(&golden, &packed, g);
 }
 
-/// The tallest tree the recovery sweeps use: 8-ary, 11 levels, a
-/// 19.2M-word occupancy bitmap. Floor 9 cuts at label 2 396 745, nine bits into
-/// bitmap word 37 449: the last leaf's level-8 ancestor (label
-/// 2 396 744) sits just below the cut and leaf 0's level-9 ancestor
-/// (label 2 396 745) just above it, in the same word.
+/// The tallest tree the recovery sweeps use: 8-ary, 11 levels. The
+/// first and last leaf share only the root, so floor 9 cuts the root
+/// plus two disjoint paths through levels 2..=8.
 #[test]
-fn tall_tree_floor_cuts_inside_a_bitmap_word() {
+fn tall_tree_rebuild_counts_the_slice_above_the_floor() {
     let g = BmtGeometry::new(8, 11);
-    let cutoff = g.level_offset(9);
-    assert_eq!(cutoff, 2_396_745);
-    assert_ne!(cutoff % 64, 0, "the cut must fall inside a word");
     let mut golden = GoldenTree::new(g, key());
-    let mut arena = BonsaiTree::new(g, key());
     let mut cb = CounterBlock::new();
+    let mut persisted = Vec::new();
     for page in [0, g.leaf_count() - 1] {
         cb.bump((page % 64) as usize);
         golden.update_leaf(page, &cb);
-        arena.update_leaf(page, &cb);
+        persisted.push((page, cb.clone()));
     }
-    assert_eq!(golden.root(), arena.root());
-    assert_populated_equal(&golden, &mut arena, g);
-    // The root, then two disjoint paths through levels 2..=8.
-    assert_eq!(arena.populated_nodes_above(9), 1 + 2 * 7);
+    let packed = PathTree::from_counters(g, key(), persisted.iter().map(|(p, c)| (*p, c)));
+    assert_rebuild_equal(&golden, &packed, g);
+    assert_eq!(packed.populated_nodes_above(9), 1 + 2 * 7);
     assert_eq!(
         BonsaiTree::fresh_root(g, key()),
         GoldenTree::new(g, key()).root()

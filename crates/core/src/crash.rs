@@ -100,6 +100,23 @@ pub enum ReplayError {
     },
     /// An intact counter frame failed counter-block validation.
     BadCounters,
+    /// An intact frame carries a counter block for a page outside the
+    /// header's tree. Frame checksums are FNV-1a, so such a frame is
+    /// forged, not torn.
+    PageOutsideTree {
+        /// The offending frame's tag.
+        tag: u8,
+        /// The page it names.
+        page: u64,
+    },
+    /// Recovery was asked to repair an image whose header geometry is
+    /// not the recovery manager's.
+    GeometryMismatch {
+        /// The image header's geometry.
+        image: BmtGeometry,
+        /// The manager's geometry.
+        manager: BmtGeometry,
+    },
 }
 
 impl std::fmt::Display for ReplayError {
@@ -111,6 +128,20 @@ impl std::fmt::Display for ReplayError {
                 write!(f, "frame tag {tag} has malformed payload ({len} bytes)")
             }
             ReplayError::BadCounters => write!(f, "counter frame failed validation"),
+            ReplayError::PageOutsideTree { tag, page } => {
+                write!(
+                    f,
+                    "frame tag {tag} names page {page}, outside the image's tree"
+                )
+            }
+            ReplayError::GeometryMismatch { image, manager } => write!(
+                f,
+                "image tree is {}-ary with {} levels, recovery expects {}-ary with {} levels",
+                image.arity(),
+                image.levels(),
+                manager.arity(),
+                manager.levels()
+            ),
         }
     }
 }
@@ -419,12 +450,25 @@ fn counter_block(wire: &[u8; COUNTERS_BYTES]) -> Result<CounterBlock, ReplayErro
     CounterBlock::from_bytes(wire).map_err(|_| ReplayError::BadCounters)
 }
 
+/// `page`, checked to be a leaf of `geometry`: a counter frame's page
+/// keys the rebuild, which panics outside the tree.
+fn tree_page(geometry: BmtGeometry, tag: u8, page: u64) -> Result<u64, ReplayError> {
+    if page < geometry.leaf_count() {
+        Ok(page)
+    } else {
+        Err(ReplayError::PageOutsideTree { tag, page })
+    }
+}
+
 /// Rebuilds the durable [`PersistImage`] a killed process left in
 /// `path`, under master key `key` (the image stores geometry but the
 /// key never leaves the chip).
 ///
 /// Torn tails are tolerated — they are the kill itself. Anything else
-/// malformed is a typed error, never a panic.
+/// malformed is a typed error, never a panic: a counter frame whose
+/// page lies outside the header's tree is
+/// [`ReplayError::PageOutsideTree`], so every replayed image can be
+/// rebuilt.
 pub fn replay_image(path: &Path, key: SipKey) -> Result<ReplayedImage, ReplayError> {
     let contents = read_image(path)?;
     let header = contents.header.clone();
@@ -451,6 +495,7 @@ pub fn replay_image(path: &Path, key: SipKey) -> Result<ReplayedImage, ReplayErr
                 let (id, addr, page, root) = (p.u64()?, p.addr()?, p.u64()?, p.u64()?);
                 let (mac, cipher, counters) = (p.mac()?, p.cipher()?, p.counters()?);
                 p.end()?;
+                let page = tree_page(geometry, rec.tag, page)?;
                 image.root = root;
                 image.macs.insert(addr, mac);
                 image.data.insert(addr, cipher);
@@ -461,6 +506,7 @@ pub fn replay_image(path: &Path, key: SipKey) -> Result<ReplayedImage, ReplayErr
                 let (id, addr, page, cipher, counters) =
                     (p.u64()?, p.addr()?, p.u64()?, p.cipher()?, p.counters()?);
                 p.end()?;
+                let page = tree_page(geometry, rec.tag, page)?;
                 image.data.insert(addr, cipher);
                 image.counters.insert(page, counter_block(&counters)?);
                 *components.entry(id).or_insert(0) |= 3;
@@ -474,6 +520,7 @@ pub fn replay_image(path: &Path, key: SipKey) -> Result<ReplayedImage, ReplayErr
             TAG_COUNTER => {
                 let (id, page, counters) = (p.u64()?, p.u64()?, p.counters()?);
                 p.end()?;
+                let page = tree_page(geometry, rec.tag, page)?;
                 image.counters.insert(page, counter_block(&counters)?);
                 *components.entry(id).or_insert(0) |= 2;
             }
@@ -511,6 +558,7 @@ pub fn replay_image(path: &Path, key: SipKey) -> Result<ReplayedImage, ReplayErr
             TAG_REC_COUNTER => {
                 let (page, counters) = (p.u64()?, p.counters()?);
                 p.end()?;
+                let page = tree_page(geometry, rec.tag, page)?;
                 image.counters.insert(page, counter_block(&counters)?);
             }
             TAG_REC_IDS => complete_ids.extend(p.u64s()?),
@@ -590,7 +638,9 @@ pub fn recovery_scratch_path(image: &Path) -> std::path::PathBuf {
 /// `post-root-commit` after the rename.
 ///
 /// An image that is already canonical-recovered and agrees with the
-/// fresh analysis is left untouched (`rewritten: false`).
+/// fresh analysis is left untouched (`rewritten: false`). An image
+/// whose header geometry is not `manager`'s is
+/// [`ReplayError::GeometryMismatch`], and nothing is written.
 pub fn recover_image(
     path: &Path,
     key: SipKey,
@@ -602,6 +652,14 @@ pub fn recover_image(
     let mut reg = registry;
     fp_hit(&mut reg, Failpoint::RecoveryPreRepair);
     let replayed = replay_image(path, key)?;
+    let image = BmtGeometry::try_new(replayed.header.arity, replayed.header.levels)
+        .ok_or(ReplayError::BadGeometry)?;
+    if image != manager.geometry() {
+        return Err(ReplayError::GeometryMismatch {
+            image,
+            manager: manager.geometry(),
+        });
+    }
     let outcome = manager.recover(&replayed.image, records, expected);
 
     // Fixpoint test: a canonical recovered image whose fresh analysis
@@ -1162,6 +1220,71 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// Frame checksums are FNV-1a, so anyone can forge a counter frame.
+    /// One naming a page outside the header's tree (here `u64::MAX`,
+    /// in a recovered-image counter frame) is a typed replay error, so
+    /// no rebuild ever sees it; the last leaf is inside the tree.
+    #[test]
+    fn forged_out_of_tree_counter_page_is_a_typed_error() {
+        let config = SystemConfig::for_scheme(UpdateScheme::Sp);
+        let manager = crate::RecoveryManager::for_config(&config);
+        let expected = ObserverExpectation::default();
+        let path = temp_image("forged-page");
+        let mut counters = CounterBlock::default();
+        counters.bump(5);
+        let forge = |page: u64| {
+            let mut w = ImageWriter::create(&path, &sp_header(&config)).unwrap();
+            let mut p = page.to_le_bytes().to_vec();
+            p.extend_from_slice(&counters.to_bytes());
+            w.append(TAG_REC_COUNTER, &p).unwrap();
+        };
+
+        forge(u64::MAX);
+        let owed = ReplayError::PageOutsideTree {
+            tag: TAG_REC_COUNTER,
+            page: u64::MAX,
+        };
+        assert_eq!(replay_image(&path, config.key).unwrap_err(), owed);
+        let err = recover_image(&path, config.key, &manager, &[], &expected, None).unwrap_err();
+        assert_eq!(err, owed);
+        assert!(err.to_string().contains("outside the image's tree"));
+
+        forge(config.bmt.leaf_count() - 1);
+        let replayed = replay_image(&path, config.key).unwrap();
+        let report =
+            crate::RecoveryChecker::new(config.bmt, config.key).check(&replayed.image, &expected);
+        assert!(report.bmt_failure, "a counter frame moved the tree");
+        let wb = recover_image(&path, config.key, &manager, &[], &expected, None).unwrap();
+        assert!(wb.rewritten);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Recovery refuses an image of another tree shape and writes
+    /// nothing: its pages could lie outside the manager's tree.
+    #[test]
+    fn recovery_refuses_an_image_of_another_geometry() {
+        let config = SystemConfig::for_scheme(UpdateScheme::Sp);
+        let path = temp_image("foreign-geometry");
+        drop(DurableSink::create(&path, &config, 7).unwrap());
+        let before = std::fs::read(&path).unwrap();
+        let mut other = config.clone();
+        other.bmt = BmtGeometry::new(8, 7);
+        let manager = crate::RecoveryManager::for_config(&other);
+        let expected = ObserverExpectation::default();
+        let err = recover_image(&path, config.key, &manager, &[], &expected, None).unwrap_err();
+        assert_eq!(
+            err,
+            ReplayError::GeometryMismatch {
+                image: config.bmt,
+                manager: other.bmt
+            }
+        );
+        assert!(err.to_string().contains("7 levels"));
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        assert!(!recovery_scratch_path(&path).exists());
+        std::fs::remove_file(&path).unwrap();
+    }
+
     /// The payload size `replay_image` accepts for `tag`; the two list
     /// tags take any multiple of eight, here three entries.
     fn payload_len(tag: u8) -> Option<usize> {
@@ -1179,14 +1302,21 @@ mod tests {
         })
     }
 
-    /// Tags whose payload ends in a counter block.
-    fn carries_counters(tag: u8) -> bool {
-        matches!(tag, TAG_TUPLE | TAG_TRIAD | TAG_COUNTER | TAG_REC_COUNTER)
+    /// Where the page field starts in a tag whose payload ends in a
+    /// counter block; `None` for the tags that carry no counters.
+    fn page_offset(tag: u8) -> Option<usize> {
+        match tag {
+            TAG_TUPLE | TAG_TRIAD => Some(16),
+            TAG_COUNTER => Some(8),
+            TAG_REC_COUNTER => Some(0),
+            _ => None,
+        }
     }
 
-    /// The error `replay_image` owes one intact frame, if any: a size
-    /// its tag does not take, then an invalid counter block.
-    fn frame_fault(tag: u8, payload: &[u8]) -> Option<ReplayError> {
+    /// The error `replay_image` owes one intact frame behind a header
+    /// of `geometry`, if any: a size its tag does not take, then a page
+    /// outside the tree, then an invalid counter block.
+    fn frame_fault(geometry: BmtGeometry, tag: u8, payload: &[u8]) -> Option<ReplayError> {
         let size_ok = match tag {
             TAG_REC_IDS | TAG_REC_QUARANTINE => payload.len().is_multiple_of(8),
             _ => payload_len(tag) == Some(payload.len()),
@@ -1197,10 +1327,15 @@ mod tests {
                 len: payload.len(),
             });
         }
-        let wire: &[u8; COUNTERS_BYTES] = payload[payload.len().saturating_sub(COUNTERS_BYTES)..]
-            .try_into()
-            .ok()?;
-        (carries_counters(tag) && CounterBlock::from_bytes(wire).is_err())
+        let at = page_offset(tag)?;
+        let page = u64::from_le_bytes(payload[at..at + 8].try_into().ok()?);
+        if page >= geometry.leaf_count() {
+            return Some(ReplayError::PageOutsideTree { tag, page });
+        }
+        let wire: &[u8; COUNTERS_BYTES] =
+            payload[payload.len() - COUNTERS_BYTES..].try_into().ok()?;
+        CounterBlock::from_bytes(wire)
+            .is_err()
             .then_some(ReplayError::BadCounters)
     }
 
@@ -1219,17 +1354,19 @@ mod tests {
         /// Behind a valid header, intact frames with any tag and any
         /// payload, then any torn tail, replay to an image exactly when
         /// every frame is well formed, and otherwise to the typed error
-        /// of the first frame at fault — never a panic. Half the
-        /// payloads have their tag's size, and some of those a valid
-        /// counter block, so the fuzz reaches every field reader and
-        /// the counter validation, not just the size check.
+        /// of the first frame at fault — never a panic. A frame's
+        /// `shape` picks its payload: any length (0), its tag's size
+        /// (1), that with a page inside the tree (2), or that with a
+        /// valid counter block too (3 and up), so the fuzz reaches every
+        /// field reader, the page check and the counter validation, not
+        /// just the size check. Every image that replays is then
+        /// recovered, which must not fail or panic.
         #[test]
         fn replay_refuses_arbitrary_frames_with_typed_errors(
             frames in prop::collection::vec(
                 (
                     0u8..16,
-                    any::<bool>(),
-                    any::<bool>(),
+                    0u8..6,
                     0usize..200,
                     prop::collection::vec(any::<u8>(), 200..201),
                 ),
@@ -1242,12 +1379,16 @@ mod tests {
             let mut written = Vec::new();
             {
                 let mut w = ImageWriter::create(&path, &sp_header(&config)).unwrap();
-                for (tag, exact, valid_counters, len, bytes) in &frames {
+                for (tag, shape, len, bytes) in &frames {
                     let mut payload = bytes.clone();
-                    payload.truncate(if *exact { payload_len(*tag).unwrap_or(*len) } else { *len });
-                    if *exact && *valid_counters && carries_counters(*tag) {
-                        let at = payload.len() - COUNTERS_BYTES;
-                        payload[at..].copy_from_slice(&CounterBlock::default().to_bytes());
+                    payload.truncate(if *shape > 0 { payload_len(*tag).unwrap_or(*len) } else { *len });
+                    if let (2.., Some(at)) = (*shape, page_offset(*tag)) {
+                        let page = u64::from(payload[at]) * config.bmt.leaf_count() / 256;
+                        payload[at..at + 8].copy_from_slice(&page.to_le_bytes());
+                        if *shape >= 3 {
+                            let at = payload.len() - COUNTERS_BYTES;
+                            payload[at..].copy_from_slice(&CounterBlock::default().to_bytes());
+                        }
                     }
                     w.append(*tag, &payload).unwrap();
                     written.push((*tag, payload));
@@ -1257,12 +1398,27 @@ mod tests {
             bytes.extend_from_slice(&tail);
             std::fs::write(&path, &bytes).unwrap();
             let outcome = replay_image(&path, config.key);
+            let owed = written
+                .iter()
+                .find_map(|(tag, payload)| frame_fault(config.bmt, *tag, payload));
+            let recovered = match &outcome {
+                Ok(replayed) => {
+                    let mut expected = ObserverExpectation::default();
+                    for addr in replayed.image.data.keys() {
+                        expected.plaintexts.insert(*addr, DataBlock::zeroed());
+                    }
+                    let manager = crate::RecoveryManager::for_config(&config);
+                    Some(recover_image(&path, config.key, &manager, &[], &expected, None))
+                }
+                Err(_) => None,
+            };
             std::fs::remove_file(&path).unwrap();
-            let owed = written.iter().find_map(|(tag, payload)| frame_fault(*tag, payload));
             match (outcome, owed) {
                 (Ok(replayed), None) => {
                     prop_assert_eq!(replayed.frames, frames.len());
                     prop_assert_eq!(replayed.torn_tail_bytes, tail.len() as u64);
+                    let recovered = recovered.unwrap();
+                    prop_assert!(recovered.is_ok(), "recovery failed: {:?}", recovered.err());
                 }
                 (Err(got), Some(owed)) => prop_assert_eq!(got, owed),
                 (got, owed) => prop_assert!(false, "replay gave {:?}, owed {:?}", got.err(), owed),

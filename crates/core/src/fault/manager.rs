@@ -20,9 +20,10 @@
 //!    into authentic-but-stale versions and silent garbage.
 
 use std::collections::HashMap;
+use std::sync::Mutex;
 
-use plp_bmt::{BmtGeometry, BonsaiTree, NodeValue};
-use plp_crypto::{CtrEngine, DataBlock, MacEngine, SipKey};
+use plp_bmt::{BmtGeometry, NodeValue, PathTree};
+use plp_crypto::{CounterBlock, CtrEngine, DataBlock, MacEngine, SipKey};
 use plp_events::addr::BlockAddr;
 use plp_events::Cycle;
 use serde::{Deserialize, Serialize};
@@ -209,6 +210,14 @@ impl RebuildStrategy {
 }
 
 /// The repairing recovery engine.
+///
+/// A run's prefix roots are a pure function of its root-ordered
+/// `(page, counter block)` sequence, and one manager usually judges
+/// many crash images of the same run. So the manager keeps the last
+/// sequence it searched with that sequence's prefix roots, and reuses
+/// them when the next sequence is equal element by element. The
+/// modelled hardware keeps no such memo: `recovery_cycles` charges the
+/// search on every recovery.
 #[derive(Debug, Clone)]
 pub struct RecoveryManager {
     geometry: BmtGeometry,
@@ -217,6 +226,50 @@ pub struct RecoveryManager {
     mac: MacEngine,
     mac_latency: u64,
     strategy: RebuildStrategy,
+    prefix_memo: PrefixMemo,
+}
+
+/// A root-ordered history: each root update's page and counter block.
+type History<'a> = [(u64, &'a CounterBlock)];
+
+/// The last history a manager searched and its prefix roots, the empty
+/// prefix first.
+struct MemoEntry {
+    history: Vec<(u64, CounterBlock)>,
+    roots: Vec<NodeValue>,
+}
+
+impl MemoEntry {
+    /// Whether `history` is the memoized one, element by element.
+    fn holds(&self, history: &History<'_>) -> bool {
+        let memoized = self.history.iter().map(|(page, cb)| (*page, cb));
+        memoized.eq(history.iter().copied())
+    }
+}
+
+/// One [`MemoEntry`] behind a lock, so a shared `&RecoveryManager`
+/// stays `Sync`. A clone starts empty; a poisoned lock is skipped and
+/// the roots recomputed.
+#[derive(Default)]
+struct PrefixMemo(Mutex<Option<MemoEntry>>);
+
+impl Clone for PrefixMemo {
+    fn clone(&self) -> Self {
+        PrefixMemo::default()
+    }
+}
+
+impl std::fmt::Debug for PrefixMemo {
+    /// Compact: the memoized history's length, not its blocks.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0.try_lock() {
+            Ok(entry) => {
+                let updates = entry.as_ref().map(|e| e.history.len());
+                write!(f, "PrefixMemo({updates:?})")
+            }
+            Err(_) => write!(f, "PrefixMemo(<locked>)"),
+        }
+    }
 }
 
 impl RecoveryManager {
@@ -232,7 +285,13 @@ impl RecoveryManager {
             mac: MacEngine::new(key),
             mac_latency: mac_latency.get(),
             strategy: RebuildStrategy::Full,
+            prefix_memo: PrefixMemo::default(),
         }
+    }
+
+    /// The tree shape recovery rebuilds.
+    pub fn geometry(&self) -> BmtGeometry {
+        self.geometry
     }
 
     /// Replaces the rebuild strategy (the recovery-time axis).
@@ -260,6 +319,13 @@ impl RecoveryManager {
     /// set of plaintexts the program ever wrote (to tell an authentic
     /// stale version from silent garbage). `expected` is what the
     /// program believes is durable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a counter block's or a record's page lies outside the
+    /// manager's geometry. [`crate::replay_image`] refuses such a
+    /// device image, and [`crate::recover_image`] an image of another
+    /// geometry.
     pub fn recover(
         &self,
         image: &PersistImage,
@@ -267,7 +333,7 @@ impl RecoveryManager {
         expected: &ObserverExpectation,
     ) -> RecoveryOutcome {
         // Step 1: rebuild the tree the counters imply.
-        let mut rebuilt = BonsaiTree::from_counters(
+        let rebuilt = PathTree::from_counters(
             self.geometry,
             self.key,
             image.counters.iter().map(|(p, c)| (*p, c)),
@@ -377,6 +443,8 @@ impl RecoveryManager {
     /// Searches the recorded root-update sequence (in root-persist
     /// order) for a prefix whose root equals `persisted`, preferring
     /// the longest match. Returns `(updates_behind, updates_scanned)`.
+    /// The prefix roots come from the memo when the sequence is the
+    /// one searched last.
     fn match_root_prefix(
         &self,
         persisted: NodeValue,
@@ -387,18 +455,48 @@ impl RecoveryManager {
             .filter(|r| r.times.root < Cycle::MAX)
             .collect();
         sorted.sort_by_key(|r| r.times.root);
-        let mut tree = BonsaiTree::new(self.geometry, self.key);
-        let mut prefix_roots = Vec::with_capacity(sorted.len() + 1);
-        prefix_roots.push(tree.root()); // the empty prefix
-        for r in &sorted {
-            tree.update_leaf(r.addr.page().index(), &r.counters_after);
-            prefix_roots.push(tree.root());
-        }
-        let total = sorted.len();
-        prefix_roots
+        let history: Vec<(u64, &CounterBlock)> = sorted
             .iter()
-            .rposition(|root| *root == persisted)
-            .map(|i| (total - i, total as u64))
+            .map(|r| (r.addr.page().index(), &r.counters_after))
+            .collect();
+        let total = history.len();
+        let search = |roots: &[NodeValue]| {
+            roots
+                .iter()
+                .rposition(|root| *root == persisted)
+                .map(|i| (total - i, total as u64))
+        };
+        if let Ok(memo) = self.prefix_memo.0.lock() {
+            if let Some(entry) = memo.as_ref().filter(|e| e.holds(&history)) {
+                return search(&entry.roots);
+            }
+        }
+        let roots = self.prefix_roots(&history);
+        let found = search(&roots);
+        if let Ok(mut memo) = self.prefix_memo.0.lock() {
+            *memo = Some(MemoEntry {
+                history: history
+                    .iter()
+                    .map(|(page, cb)| (*page, (*cb).clone()))
+                    .collect(),
+                roots,
+            });
+        }
+        found
+    }
+
+    /// The root after each prefix of `history`, the empty prefix
+    /// first: one path rehash per update.
+    fn prefix_roots(&self, history: &History<'_>) -> Vec<NodeValue> {
+        let pages = history.iter().map(|(page, _)| *page);
+        let mut tree = PathTree::new(self.geometry, self.key, pages);
+        let mut roots = Vec::with_capacity(history.len() + 1);
+        roots.push(tree.root());
+        for (page, cb) in history {
+            tree.set_leaf(*page, cb);
+            roots.push(tree.root());
+        }
+        roots
     }
 }
 
@@ -420,7 +518,10 @@ fn plaintext_history(records: &[PersistRecord]) -> HashMap<BlockAddr, Vec<DataBl
 mod tests {
     use super::*;
     use crate::fault::FaultInjector;
-    use crate::{with_component_lost, EpochId, PersistId, TupleComponent, TupleTimes};
+    use crate::{
+        with_component_lost, with_component_reordered, EpochId, PersistId, TupleComponent,
+        TupleTimes,
+    };
     use plp_crypto::CounterBlock;
 
     fn key() -> SipKey {
@@ -669,7 +770,7 @@ mod tests {
             }
             let expected = ObserverExpectation::at_time(&records, t);
             let populated =
-                BonsaiTree::from_counters(g, key(), image.counters.iter().map(|(p, c)| (*p, c)))
+                PathTree::from_counters(g, key(), image.counters.iter().map(|(p, c)| (*p, c)))
                     .populated_nodes();
             let outcome = RecoveryManager::new(g, key(), Cycle::new(40))
                 .with_strategy(strategy)
@@ -728,6 +829,82 @@ mod tests {
             lagged.recovery_cycles,
             clean.recovery_cycles
         );
+    }
+
+    /// Crash images of `records` that reach the prefix search: the
+    /// last root update lost (lagged by one), the first one lost (a
+    /// root that is no prefix), and a flipped root bit.
+    fn searched_images(records: &[PersistRecord]) -> Vec<PersistImage> {
+        let t = Cycle::new(1_000_000);
+        let last = records.len() - 1;
+        let mut images: Vec<PersistImage> = [last, 0]
+            .into_iter()
+            .map(|k| {
+                let lost = with_component_lost(records, k, TupleComponent::Root);
+                PersistImage::at_time(&lost, t, geometry(), key())
+            })
+            .collect();
+        let mut flipped = PersistImage::at_time(records, t, geometry(), key());
+        flipped.root ^= 1 << 9;
+        images.push(flipped);
+        images
+    }
+
+    /// One manager reused across interleaved histories returns exactly
+    /// what a fresh manager returns. `b` differs from `a` in one
+    /// counter block only and `c` in root order only, so a memo keyed
+    /// on the length or the pages would reuse `a`'s prefix roots for
+    /// them and misjudge the lagged image.
+    #[test]
+    fn reused_manager_matches_fresh_managers_across_histories() {
+        let a = make_records(8);
+        let mut b = a.clone();
+        b[5].counters_after.bump(40);
+        let c = with_component_reordered(&a, 2, 6, TupleComponent::Root);
+        assert_eq!(a.len(), b.len());
+        assert!(a.iter().zip(&b).all(|(x, y)| x.addr == y.addr));
+        let t = Cycle::new(1_000_000);
+        let shared = manager();
+        for (name, records) in [("a", &a), ("b", &b), ("a", &a), ("c", &c), ("a", &a)] {
+            let expected = ObserverExpectation::at_time(records, t);
+            for (i, image) in searched_images(records).iter().enumerate() {
+                let fresh = manager().recover(image, records, &expected);
+                let reused = shared.recover(image, records, &expected);
+                assert_eq!(reused, fresh, "history {name}, image {i}");
+                if i == 0 {
+                    assert_eq!(fresh.root, RootStatus::Lagged { updates_behind: 1 });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_memo_is_per_manager_compact_and_survives_poisoning() {
+        fn shareable<T: Send + Sync>() {}
+        shareable::<RecoveryManager>();
+
+        let records = make_records(6);
+        let t = Cycle::new(1_000_000);
+        let expected = ObserverExpectation::at_time(&records, t);
+        let image = &searched_images(&records)[0];
+        let m = manager();
+        assert!(format!("{m:?}").contains("PrefixMemo(None)"));
+        let first = m.recover(image, &records, &expected);
+        assert!(format!("{m:?}").contains("PrefixMemo(Some(6))"));
+        assert!(format!("{:?}", m.clone()).contains("PrefixMemo(None)"));
+
+        // A thread that panics holding the lock poisons it; recovery
+        // then recomputes instead of failing.
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = m.prefix_memo.0.lock();
+                panic!("poison the prefix memo");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(m.prefix_memo.0.is_poisoned());
+        assert_eq!(m.recover(image, &records, &expected), first);
     }
 
     #[test]

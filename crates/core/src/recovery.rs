@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use plp_bmt::{BmtGeometry, BonsaiTree, NodeValue};
+use plp_bmt::{BmtGeometry, BonsaiTree, NodeValue, PathTree};
 use plp_crypto::{CounterBlock, CtrEngine, DataBlock, MacEngine, MacTag, SipKey};
 use plp_events::addr::BlockAddr;
 use plp_events::Cycle;
@@ -74,20 +74,21 @@ impl PersistImage {
     }
 
     /// The BMT root register after applying the root updates (in
-    /// root-update order) of every record whose root persisted by `t`.
+    /// root-update order) of every record whose root persisted by `t`:
+    /// the last of them per page sets that page's leaf.
     fn root_at(
         records: &[PersistRecord],
         t: Cycle,
         geometry: BmtGeometry,
         key: SipKey,
     ) -> NodeValue {
-        let mut sorted: Vec<&PersistRecord> = records.iter().collect();
+        let mut sorted: Vec<&PersistRecord> =
+            records.iter().filter(|r| r.times.root <= t).collect();
         sorted.sort_by_key(|r| r.times.root);
-        let mut tree = BonsaiTree::new(geometry, key);
-        for r in sorted.into_iter().filter(|r| r.times.root <= t) {
-            tree.update_leaf(r.addr.page().index(), &r.counters_after);
-        }
-        tree.root()
+        let counters = sorted
+            .into_iter()
+            .map(|r| (r.addr.page().index(), &r.counters_after));
+        PathTree::from_counters(geometry, key, counters).root()
     }
 }
 
@@ -188,11 +189,16 @@ impl RecoveryChecker {
     }
 
     /// Runs full recovery verification.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a counter block's page lies outside the checker's
+    /// geometry. [`crate::replay_image`] refuses such a device image.
     pub fn check(&self, image: &PersistImage, expected: &ObserverExpectation) -> RecoveryReport {
         let mut report = RecoveryReport::default();
 
         // 1. Integrity-tree check: counters must hash to the root.
-        let mut rebuilt = BonsaiTree::from_counters(
+        let rebuilt = PathTree::from_counters(
             self.geometry,
             self.key,
             image.counters.iter().map(|(p, c)| (*p, c)),

@@ -264,4 +264,19 @@ cmp "$rec_tbl" results/recovery_pareto.txt || {
 }
 rm -f "$rec_tbl" "$rec_json"
 
+# Fault-sweep gate: every correct scheme's crash points under torn
+# writes, bit flips and dropped persists, judged by RecoveryManager
+# (packed-tree rebuilds and the memoized prefix search). The binary
+# exits non-zero unless detect-or-recover holds, and its stdout (every
+# verdict tally and mean modelled recovery cycles) must equal the
+# committed results/fault_sweep.txt byte for byte.
+fault_out=$(mktemp)
+./target/release/fault_sweep 60000 7 > "$fault_out" || {
+  echo "verify: fault sweep failed (exit $?)"; exit 1
+}
+cmp "$fault_out" results/fault_sweep.txt || {
+  echo "verify: fault sweep stdout diverged from results/fault_sweep.txt"; exit 1
+}
+rm -f "$fault_out"
+
 echo "verify: OK"

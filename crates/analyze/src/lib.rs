@@ -5,13 +5,12 @@
 //! atomicity and persist order, and on source conventions that uphold
 //! them: every engine persist path notes its BMT updates before it
 //! seals, every path through the persist and recovery drivers crosses
-//! a crash-harness failpoint, per-shard state stays the sharded
-//! coordinator's, BMT nodes stay arena-backed, every `match` over the
-//! update scheme is revisited when a scheme is added, and retry loops
-//! take their schedule from the shared policy. The generic rules (no
-//! panics or `exit` in libraries, no lossy casts in the address math,
-//! no wall clocks, no stray process kills) are clippy lints configured
-//! by the root `clippy.toml` and each crate root.
+//! a crash-harness failpoint, BMT nodes stay arena-backed, every
+//! `match` over the update scheme is revisited when a scheme is added,
+//! and retry loops take their schedule from the shared policy. The
+//! generic rules (no panics or `exit` in libraries, no lossy casts in
+//! the address math, no wall clocks, no stray process kills) are clippy
+//! lints configured by the root `clippy.toml` and each crate root.
 //!
 //! This crate is the domain enforcement: a dependency-free pipeline of
 //! token lexer, item parser, CFGs and dataflow ([`lint`], [`passes`])

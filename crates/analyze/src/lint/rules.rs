@@ -1,11 +1,10 @@
-//! The seven workspace lint rules: the domain rules clippy cannot
+//! The six workspace lint rules: the domain rules clippy cannot
 //! express.
 //!
 //! The lexical rules here are patterns over the [`SourceModel`]
 //! (comments and literals already blanked, test regions marked); the
-//! semantic ones ([`ENGINE_CONTRACT`], [`FAILPOINT_COVERAGE`], the
-//! shard-escape half of [`NO_CROSS_SHARD_STATE`], [`UNUSED_ALLOW`])
-//! run in [`crate::passes`].
+//! semantic ones ([`ENGINE_CONTRACT`], [`FAILPOINT_COVERAGE`],
+//! [`UNUSED_ALLOW`]) run in [`crate::passes`].
 //! Rules fire only outside test code, and every hit can be excused in
 //! the source with a reasoned `// lint: allow(<rule>) <why>` directive
 //! — a directive without a reason is itself a finding
@@ -33,14 +32,6 @@ pub const NO_BARE_RETRY_LOOP: RuleId = "no-bare-retry-loop";
 /// hot path the dense arena replaced. Tests (golden oracles) are
 /// exempt, as is any hit with a reasoned allow directive.
 pub const NO_NODE_HASHMAP: RuleId = "no-node-hashmap";
-/// Per-shard simulation state is the sharded coordinator's exclusive
-/// domain: the stepping API (`step_store`/`step_load`) and the seal
-/// plumbing (`enable_seal_log`/`drain_seals_into`/
-/// `last_completion_cycle`) may only be referenced from the
-/// coordinator module and their definition site. Anywhere else, a
-/// caller driving a shard directly bypasses the root-of-roots epoch
-/// barrier the coordinator enforces.
-pub const NO_CROSS_SHARD_STATE: RuleId = "no-cross-shard-state";
 /// On every path through an `UpdateEngine` persist method, each
 /// update must be reported through `EngineCtx::note_update` before the
 /// batch is sealed, and no early return may leave noted updates
@@ -61,11 +52,10 @@ pub const UNUSED_ALLOW: RuleId = "unused-allow";
 pub const ALLOW_REASON: RuleId = "allow-reason";
 
 /// All real rules, in reporting order ([`ALLOW_REASON`] is meta).
-pub const RULES: [RuleId; 7] = [
+pub const RULES: [RuleId; 6] = [
     SCHEME_MATCH_WILDCARD,
     NO_BARE_RETRY_LOOP,
     NO_NODE_HASHMAP,
-    NO_CROSS_SHARD_STATE,
     ENGINE_CONTRACT,
     FAILPOINT_COVERAGE,
     UNUSED_ALLOW,
@@ -79,22 +69,12 @@ pub fn code_for(rule: RuleId) -> &'static str {
         SCHEME_MATCH_WILDCARD => "PLP-L002",
         NO_BARE_RETRY_LOOP => "PLP-L004",
         NO_NODE_HASHMAP => "PLP-L005",
-        NO_CROSS_SHARD_STATE => "PLP-L007",
         ENGINE_CONTRACT => "PLP-E000",
         FAILPOINT_COVERAGE => "PLP-F001",
         UNUSED_ALLOW => "PLP-A002",
         _ => "PLP-A001",
     }
 }
-
-/// The per-shard stepping/seal API ([`NO_CROSS_SHARD_STATE`]).
-const SHARD_STATE_API: [&str; 5] = [
-    "step_store(",
-    "step_load(",
-    "enable_seal_log(",
-    "drain_seals_into(",
-    "last_completion_cycle(",
-];
 
 /// One rule hit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,10 +104,6 @@ pub struct FileScope {
     /// In `plp-core` or `plp-bmt`, the crates doing address and
     /// geometry math.
     pub address_math: bool,
-    /// The sharded coordinator or the per-shard stepping API's
-    /// definition site — the only code allowed to touch per-shard
-    /// state directly ([`NO_CROSS_SHARD_STATE`]).
-    pub coordinator: bool,
     /// An `UpdateEngine` implementation file — subject to the
     /// persist-order contract ([`ENGINE_CONTRACT`]).
     pub engine: bool,
@@ -150,7 +126,6 @@ impl FileScope {
         let library = path.contains("/src/") && !path.contains("/src/bin/");
         let address_math =
             library && (path.starts_with("crates/core/") || path.starts_with("crates/bmt/"));
-        let coordinator = path == "crates/core/src/shard.rs" || path == "crates/core/src/system.rs";
         let engine = path.starts_with("crates/core/src/engine/");
         let mutant_factory = path == "crates/core/src/engine/mutant.rs";
         let persist_driver = path == "crates/core/src/system.rs";
@@ -158,7 +133,6 @@ impl FileScope {
         FileScope {
             library,
             address_math,
-            coordinator,
             engine,
             mutant_factory,
             persist_driver,
@@ -214,13 +188,6 @@ pub fn run(path: &str, model: &SourceModel, scope: FileScope) -> Vec<Finding> {
         }
         if scope.library && is_bare_retry_loop(code) {
             push(NO_BARE_RETRY_LOOP, idx, "bare retry loop");
-        }
-        if scope.library && !scope.coordinator {
-            for pat in SHARD_STATE_API {
-                for _ in code.matches(pat) {
-                    push(NO_CROSS_SHARD_STATE, idx, pat.trim_end_matches('('));
-                }
-            }
         }
 
         // Exhaustive-scheme-match tracking: once inside a `match` whose
@@ -299,7 +266,6 @@ mod tests {
     const LIB: FileScope = FileScope {
         library: true,
         address_math: true,
-        coordinator: false,
         engine: false,
         mutant_factory: false,
         persist_driver: false,
@@ -317,8 +283,7 @@ mod tests {
         let mutant = FileScope::classify("crates/core/src/engine/mutant.rs");
         assert!(mutant.engine && mutant.mutant_factory);
         let sys = FileScope::classify("crates/core/src/system.rs");
-        assert!(sys.persist_driver && sys.coordinator);
-        assert!(!FileScope::classify("crates/core/src/shard.rs").persist_driver);
+        assert!(sys.persist_driver);
         let rec = FileScope::classify("crates/core/src/crash.rs");
         assert!(rec.recovery_driver && !rec.persist_driver);
         assert!(!sys.recovery_driver);
@@ -433,48 +398,6 @@ mod tests {
             scope,
         );
         assert!(f.iter().all(|f| f.rule != NO_BARE_RETRY_LOOP));
-    }
-
-    #[test]
-    fn shard_state_access_is_flagged_outside_the_coordinator() {
-        let src = concat!(
-            "fn f(sim: &mut Simulation) {\n",
-            "    sim.enable_seal_log();\n",
-            "    let out = sim.step_store(addr, false, now, clock);\n",
-            "    sim.step_load(addr, now);\n",
-            "    sim.drain_seals_into(&mut buf);\n",
-            "    let c = sim.last_completion_cycle();\n",
-            "}\n",
-        );
-        let f = hits(src, LIB);
-        let shard: Vec<_> = f
-            .iter()
-            .filter(|f| f.rule == NO_CROSS_SHARD_STATE)
-            .collect();
-        assert_eq!(shard.len(), 5, "{shard:?}");
-    }
-
-    #[test]
-    fn coordinator_files_may_step_shards() {
-        for path in ["crates/core/src/shard.rs", "crates/core/src/system.rs"] {
-            let scope = FileScope::classify(path);
-            assert!(scope.coordinator, "{path} must classify as coordinator");
-            let f = run(
-                path,
-                &SourceModel::parse("let out = sim.step_store(addr, false, now, clock);\n"),
-                scope,
-            );
-            assert!(f.iter().all(|f| f.rule != NO_CROSS_SHARD_STATE));
-        }
-        // Binaries never see the pub(crate) API; the rule is scoped to
-        // library code so it cannot fire on test harness text either.
-        let scope = FileScope::classify("crates/bench/src/bin/all.rs");
-        let f = run(
-            "crates/bench/src/bin/all.rs",
-            &SourceModel::parse("x.step_load(addr, now);\n"),
-            scope,
-        );
-        assert!(f.iter().all(|f| f.rule != NO_CROSS_SHARD_STATE));
     }
 
     #[test]

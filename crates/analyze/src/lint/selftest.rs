@@ -7,10 +7,6 @@
 //! * `//@ path: crates/core/src/engine/fake.rs` — the synthetic
 //!   repo-relative path the file is analyzed as (drives scope
 //!   classification). Mandatory, first directive.
-//! * `//@ aux: handles` — include `_aux/handles.rs` from the corpus
-//!   root in the fixture's analysis universe (for cross-file
-//!   resolution context); aux files are context only, their findings
-//!   are not checked.
 //! * `//~ ERROR <rule> [<code>]` — an unallowed finding of `<rule>`
 //!   (and, if given, that diagnostic code) is expected on this line.
 //!
@@ -21,7 +17,7 @@
 
 use std::path::{Path, PathBuf};
 
-use super::lint_units;
+use super::lint_file;
 
 /// One mismatch between a fixture's expectations and the findings.
 #[derive(Debug, Clone)]
@@ -77,7 +73,7 @@ fn parse_expectations(text: &str) -> Vec<Expect> {
     out
 }
 
-/// `.rs` files under `dir`, recursively, sorted; `_aux/` excluded.
+/// `.rs` files under `dir`, recursively, sorted.
 fn fixture_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
@@ -85,9 +81,6 @@ fn fixture_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
         for entry in std::fs::read_dir(&d)? {
             let path = entry?.path();
             if path.is_dir() {
-                if path.file_name().is_some_and(|n| n == "_aux") {
-                    continue;
-                }
                 stack.push(path);
             } else if path.extension().is_some_and(|e| e == "rs") {
                 out.push(path);
@@ -113,54 +106,12 @@ pub fn run_corpus(dir: &Path) -> std::io::Result<SelfTest> {
         let mut local: Vec<String> = Vec::new();
         let miss = |v: &mut Vec<String>, detail: String| v.push(detail);
 
-        let Some(declared) = text
-            .lines()
-            .find_map(|l| parse_directive(l, "//@ path:"))
-            .map(str::to_string)
-        else {
+        let Some(declared) = text.lines().find_map(|l| parse_directive(l, "//@ path:")) else {
             miss(&mut local, "missing `//@ path:` directive".to_string());
             finish(&mut st, &rel, local);
             continue;
         };
-        let mut units = vec![(declared.clone(), text.clone())];
-        let mut aux_ok = true;
-        for l in text.lines() {
-            if let Some(name) = parse_directive(l, "//@ aux:") {
-                let aux_path = dir.join("_aux").join(format!("{name}.rs"));
-                let aux_text = std::fs::read_to_string(&aux_path)?;
-                match aux_text
-                    .lines()
-                    .find_map(|l| parse_directive(l, "//@ path:"))
-                {
-                    Some(p) if p != declared => units.push((p.to_string(), aux_text)),
-                    Some(_) => {
-                        miss(
-                            &mut local,
-                            format!("aux {name} declares the fixture's own path"),
-                        );
-                        aux_ok = false;
-                    }
-                    None => {
-                        miss(&mut local, format!("aux {name} is missing `//@ path:`"));
-                        aux_ok = false;
-                    }
-                }
-            }
-        }
-        if !aux_ok {
-            finish(&mut st, &rel, local);
-            continue;
-        }
-
-        let reports = lint_units(units);
-        let Some(report) = reports.iter().find(|r| r.path == declared) else {
-            miss(
-                &mut local,
-                format!("no report produced for declared path {declared}"),
-            );
-            finish(&mut st, &rel, local);
-            continue;
-        };
+        let report = lint_file(declared, &text);
         let mut expects = parse_expectations(&text);
         st.expected += expects.len();
         for f in report.findings.iter().filter(|f| !f.allowed) {

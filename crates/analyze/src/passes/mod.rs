@@ -21,12 +21,11 @@
 //! rather than silently trust unknown code.
 //!
 //! Each pass lives in its own submodule and reports [`Finding`]s with
-//! stable diagnostic codes (`PLP-E…`, `PLP-F…`, `PLP-S…`, `PLP-A…`);
+//! stable diagnostic codes (`PLP-E…`, `PLP-F…`, `PLP-A…`);
 //! the rule ids tie into the existing allow machinery.
 
 pub mod engine_contract;
 pub mod failpoint_cover;
-pub mod shard_escape;
 pub mod unused_allow;
 
 use crate::cfg::{self, Atom};
@@ -218,26 +217,6 @@ impl Universe {
         !c.is_empty() && c.iter().all(|&g| self.crosses[g])
     }
 
-    /// Owners of functions with any of the given names — used to
-    /// derive the shard-handle types from the stepping API defs.
-    pub fn owners_of(&self, names: &[&str]) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for (fi, file) in self.files.iter().enumerate() {
-            let _ = fi;
-            for f in &file.parsed.functions {
-                if names.contains(&f.name.as_str()) {
-                    if let Some(o) = &f.owner {
-                        if !out.contains(o) {
-                            out.push(o.clone());
-                        }
-                    }
-                }
-            }
-        }
-        out.sort();
-        out
-    }
-
     /// Bounded fixpoint over the three summaries.
     fn fixpoint(&mut self) {
         for _ in 0..8 {
@@ -384,7 +363,6 @@ pub fn run_semantic(u: &Universe, file: usize) -> Vec<Finding> {
     let mut out = Vec::new();
     engine_contract::run(u, file, &mut out);
     failpoint_cover::run(u, file, &mut out);
-    shard_escape::run(u, file, &mut out);
     out.sort_by(|a, b| (a.line, a.col, a.code).cmp(&(b.line, b.col, b.code)));
     out
 }

@@ -19,12 +19,6 @@
 //! additionally makes N runs unrecoverable to demonstrate graceful
 //! degradation (partial output, exit code 3).
 //!
-//! Sharded mode (`--streams N --shards M`) fans every run out over the
-//! sharded coordinator: N client streams over M per-shard engines under
-//! one root-of-roots. `--streams 1 --shards 1` is the unsharded
-//! simulator — stdout is byte-identical to omitting the flags, and the
-//! run-cache keys are unchanged.
-//!
 //! Isolated mode (`--isolate`) re-execs this binary as
 //! `all … --run-one <key>` once per simulated run: the child applies
 //! rlimits to itself, runs exactly one request, and returns its report
@@ -39,7 +33,7 @@
 //!
 //! Usage: `all [instructions] [seed] [--only ID[,ID…]] [--serial]
 //! [--threads N] [--no-cache] [--chaos SEED] [--chaos-hard N]
-//! [--watchdog-ms N] [--streams N] [--shards M] [--isolate]`
+//! [--watchdog-ms N] [--isolate]`
 
 use std::io::Write;
 use std::time::Duration;
@@ -48,14 +42,13 @@ use plp_bench::{
     all_specs, cache, isolate, matrix, specs, ChaosOptions, IsolateOptions, MatrixOptions,
     ResourceLimits, RunSettings, SupervisorOptions,
 };
-use plp_core::ShardTopology;
 
 fn usage() -> ! {
     let ids: Vec<&str> = all_specs().iter().map(|spec| spec.id).collect();
     eprintln!(
         "usage: all [instructions] [seed] [--only ID[,ID...]] [--serial] [--threads N] \
-         [--no-cache] [--chaos SEED] [--chaos-hard N] [--watchdog-ms N] [--streams N] \
-         [--shards M] [--isolate]\n  instructions > 0; IDs: {}",
+         [--no-cache] [--chaos SEED] [--chaos-hard N] [--watchdog-ms N] [--isolate]\n  \
+         instructions > 0; IDs: {}",
         ids.join(", ")
     );
     std::process::exit(2);
@@ -76,7 +69,6 @@ fn run_one_main(args: &[String]) -> ! {
     let mut key: Option<String> = None;
     let mut settings = RunSettings::default();
     let mut positionals = 0;
-    let (mut streams, mut shards) = (1u32, 1u32);
     let mut limits = ResourceLimits {
         address_space_bytes: None,
         cpu_secs: None,
@@ -88,8 +80,6 @@ fn run_one_main(args: &[String]) -> ! {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--run-one" => key = it.next().cloned(),
-            "--streams" => streams = it.next().and_then(|v| v.parse().ok()).unwrap_or(1),
-            "--shards" => shards = it.next().and_then(|v| v.parse().ok()).unwrap_or(1),
             "--limit-as" => limits.address_space_bytes = it.next().and_then(|v| v.parse().ok()),
             "--limit-cpu" => limits.cpu_secs = it.next().and_then(|v| v.parse().ok()),
             "--chaos-panic" => chaos_panic = true,
@@ -123,11 +113,9 @@ fn run_one_main(args: &[String]) -> ! {
     if chaos_oom {
         isolate::allocation_bomb();
     }
-    let topology = ShardTopology::new(streams, shards);
     let request = all_specs()
         .iter()
         .flat_map(|spec| spec.runs_needed(settings))
-        .map(|req| req.with_topology(topology))
         .find(|req| req.key() == key);
     let Some(request) = request else {
         eprintln!("run-one: no spec produces key {key}");
@@ -175,8 +163,6 @@ fn main() {
     let mut chaos_seed: Option<u64> = None;
     let mut chaos_hard = 0usize;
     let mut watchdog_ms: Option<u64> = None;
-    let mut streams = 1u32;
-    let mut shards = 1u32;
     let mut isolated = false;
     let mut only: Option<Vec<&'static str>> = None;
     let mut test_oom_key: Option<String> = None;
@@ -205,14 +191,6 @@ fn main() {
             },
             "--watchdog-ms" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n > 0 => watchdog_ms = Some(n),
-                _ => usage(),
-            },
-            "--streams" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => streams = n,
-                _ => usage(),
-            },
-            "--shards" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => shards = n,
                 _ => usage(),
             },
             // Test-only hook: force one isolated child (matched by key
@@ -259,15 +237,7 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        let mut base_args = vec![settings.instructions.to_string(), settings.seed.to_string()];
-        if streams != 1 || shards != 1 {
-            base_args.extend([
-                "--streams".into(),
-                streams.to_string(),
-                "--shards".into(),
-                shards.to_string(),
-            ]);
-        }
+        let base_args = vec![settings.instructions.to_string(), settings.seed.to_string()];
         let mut iso = IsolateOptions::new(exe, base_args);
         iso.oom_key = test_oom_key;
         sup.isolation = Some(iso);
@@ -280,19 +250,14 @@ fn main() {
         .iter()
         .filter(|spec| only.as_ref().is_none_or(|ids| ids.contains(&spec.id)))
         .collect();
-    let topology = ShardTopology::new(streams, shards);
-    let mut requests = Vec::new();
-    for spec in &selected {
-        requests.extend(
-            spec.runs_needed(settings)
-                .into_iter()
-                .map(|req| req.with_topology(topology)),
-        );
-    }
-    let (mut results, stats, degradation) = matrix::execute_supervised(&requests, &sup);
+    let requests: Vec<_> = selected
+        .iter()
+        .flat_map(|spec| spec.runs_needed(settings))
+        .collect();
+    let (results, stats, degradation) = matrix::execute_supervised(&requests, &sup);
 
-    // Sanitizer tallies come off the executed result set before any
-    // re-keying, so each run is counted exactly once.
+    // Sanitizer tallies come off the executed result set, so each run
+    // is counted exactly once however many specs request it.
     let (mut checked, mut violations) = (0u64, 0u64);
     let mut offenders = Vec::new();
     let executed_runs = results.len();
@@ -302,20 +267,6 @@ fn main() {
         violations += s.total_violations();
         if s.total_violations() > 0 {
             offenders.push((key.clone(), s.clone()));
-        }
-    }
-
-    // Specs render by unit-topology keys; under a sharded run, alias
-    // each executed (sharded) report back under its unit key.
-    if !topology.is_unit() {
-        for spec in &selected {
-            for req in spec.runs_needed(settings) {
-                let sharded = req.clone().with_topology(topology);
-                if results.contains(&sharded) {
-                    let report = results.get(&sharded).clone();
-                    results.insert(&req, report);
-                }
-            }
         }
     }
 

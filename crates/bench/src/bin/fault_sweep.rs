@@ -19,7 +19,9 @@
 //!
 //! Usage: `fault_sweep [instructions] [seed]` (defaults 60000, 7).
 //! The whole matrix is a pure function of the two arguments. Exit
-//! codes: 0 PASS, 1 FAIL, 2 usage.
+//! codes: 0 PASS, 1 FAIL, 2 usage, including a run too short to
+//! enumerate 100 crash points for some scheme (then nothing is printed
+//! on stdout).
 
 use plp_core::fault::{ClassTally, FaultClass, FaultConfig, FaultSweep};
 use plp_core::{run_with_crash, SystemConfig, UpdateScheme};
@@ -57,6 +59,30 @@ fn main() {
     }
     let profile = spec::benchmark("gcc").expect("gcc profile exists");
 
+    // Every scheme is swept before anything prints, so a run below the
+    // crash-point floor is a usage error with no partial table.
+    let correct = UpdateScheme::correct();
+    let mut schemes: Vec<UpdateScheme> = correct.to_vec();
+    schemes.push(UpdateScheme::Unordered);
+    let mut results = Vec::with_capacity(schemes.len());
+    for scheme in schemes {
+        let mut cfg = SystemConfig::for_scheme(scheme);
+        cfg.record_persists = true;
+        let trace = TraceGenerator::new(profile.clone(), seed).generate(instructions);
+        let (report, _, _) = run_with_crash(&cfg, profile.base_ipc, &trace, None);
+
+        let sweep = FaultSweep::new(&cfg, FaultConfig::all_classes(seed));
+        let result = sweep.run(scheme, &report.records);
+        if result.crash_points < 100 {
+            eprintln!(
+                "{scheme}: only {} crash points enumerated; raise [instructions]",
+                result.crash_points
+            );
+            usage();
+        }
+        results.push((scheme, result));
+    }
+
     println!("== Fault sweep: crash-point enumeration x fault injection ==");
     println!(
         "workload gcc, {instructions} instructions, seed {seed}; \
@@ -78,23 +104,7 @@ fn main() {
     );
 
     let mut all_pass = true;
-    let correct = UpdateScheme::correct();
-    let mut schemes: Vec<UpdateScheme> = correct.to_vec();
-    schemes.push(UpdateScheme::Unordered);
-    for scheme in schemes {
-        let mut cfg = SystemConfig::for_scheme(scheme);
-        cfg.record_persists = true;
-        let trace = TraceGenerator::new(profile.clone(), seed).generate(instructions);
-        let (report, _, _) = run_with_crash(&cfg, profile.base_ipc, &trace, None);
-
-        let sweep = FaultSweep::new(&cfg, FaultConfig::all_classes(seed));
-        let result = sweep.run(scheme, &report.records);
-        assert!(
-            result.crash_points >= 100,
-            "{scheme}: only {} crash points enumerated; raise [instructions]",
-            result.crash_points
-        );
-
+    for (scheme, result) in results {
         println!(
             "{}",
             tally_row(scheme, result.crash_points, "baseline", &result.baseline)

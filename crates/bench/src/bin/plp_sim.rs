@@ -44,7 +44,7 @@ fn usage() -> ! {
         \x20              [--sanitizer off|check] [--save-trace FILE] [--load-trace FILE]\n\
         \x20      plp_sim --list\n\
         \n\
-        schemes: {}",
+        instructions > 0; schemes: {}",
         UpdateScheme::all_extended().map(|s| s.name()).join(", ")
     );
     std::process::exit(2)
@@ -84,9 +84,10 @@ fn parse_args() -> Args {
             }
             "--bench" => args.bench = value(&mut it),
             "--scheme" => args.scheme = parse_scheme(&value(&mut it)).unwrap_or_else(|| usage()),
-            "--instructions" => {
-                args.instructions = value(&mut it).parse().unwrap_or_else(|_| usage())
-            }
+            "--instructions" => match value(&mut it).parse() {
+                Ok(n) if n > 0 => args.instructions = n,
+                _ => usage(),
+            },
             "--seed" => args.seed = value(&mut it).parse().unwrap_or_else(|_| usage()),
             "--epoch" => {
                 args.config.epoch_size = value(&mut it).parse().unwrap_or_else(|_| usage())

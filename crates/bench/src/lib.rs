@@ -29,7 +29,7 @@ pub use matrix::{
     default_cache_dir, execute, execute_supervised, time_sweep, MatrixOptions, MatrixStats,
     ResultSet, RunRequest, SweepTiming,
 };
-pub use specs::{all_specs, shard_spec, ExperimentSpec};
+pub use specs::{all_specs, ExperimentSpec};
 pub use supervisor::{DegradationReport, RunError, RunVerdict, SupervisorOptions};
 
 /// Harness-wide run settings: `all`'s `[instructions] [seed]`

@@ -14,9 +14,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-use plp_core::{RunReport, ShardTopology, ShardedSetup, SimSetup, SystemConfig};
+use plp_core::{RunReport, SimSetup, SystemConfig};
 use plp_events::stats::Throughput;
-use plp_trace::{multi, spec, Trace, TraceStore};
+use plp_trace::{spec, TraceStore};
 
 use crate::cache;
 use crate::chaos::{self, ChaosPlan};
@@ -37,53 +37,33 @@ pub struct RunRequest {
     pub instructions: u64,
     /// Trace-generation seed.
     pub seed: u64,
-    /// Stream/shard topology. The default unit topology is the
-    /// classic unsharded simulator and leaves the cache key untouched.
-    pub topology: ShardTopology,
 }
 
 impl RunRequest {
-    /// A request for `bench` under `config` at `settings`, on the
-    /// unsharded unit topology.
+    /// A request for `bench` under `config` at `settings`.
     pub fn new(bench: &str, config: SystemConfig, settings: RunSettings) -> Self {
         RunRequest {
             bench: bench.to_string(),
             config,
             instructions: settings.instructions,
             seed: settings.seed,
-            topology: ShardTopology::unit(),
         }
-    }
-
-    /// The same request fanned out over `topology`.
-    pub fn with_topology(mut self, topology: ShardTopology) -> Self {
-        self.topology = topology;
-        self
     }
 
     /// The canonical identity of this request: every field that can
     /// change the simulation's outcome, spelled out. Two requests with
     /// equal keys produce identical [`RunReport`]s (the simulator is
     /// deterministic), so the key doubles as the dedup key and the
-    /// content address of the run cache. Unit-topology requests keep
-    /// the pre-sharding key format, so existing caches carry over.
+    /// content address of the run cache.
     pub fn key(&self) -> String {
-        let mut key = format!(
+        format!(
             "{}|bench={}|instr={}|seed={}|{:?}",
             cache::CACHE_FORMAT,
             self.bench,
             self.instructions,
             self.seed,
             self.config
-        );
-        if !self.topology.is_unit() {
-            key.push_str(&format!(
-                "|streams={}|shards={}",
-                self.topology.streams(),
-                self.topology.shards()
-            ));
-        }
-        key
+        )
     }
 }
 
@@ -413,17 +393,8 @@ fn run_request(req: &RunRequest, traces: &TraceStore) -> Result<RunReport, RunEr
         spec::benchmark(&req.bench).ok_or_else(|| RunError::UnknownBenchmark(req.bench.clone()))?;
     let setup = SimSetup::for_profile(req.config.clone(), &profile, req.seed)
         .map_err(RunError::InvalidConfig)?;
-    if req.topology.is_unit() {
-        let trace = traces.get(&profile, req.instructions, req.seed);
-        return Ok(setup.run(&trace));
-    }
-    // Sharded: one trace per stream, each memoized in the shared store
-    // under its derived seed (stream 0 reuses the unsharded entry).
-    let stream_traces: Vec<Arc<Trace>> = (0..req.topology.streams())
-        .map(|s| traces.get(&profile, req.instructions, multi::stream_seed(req.seed, s)))
-        .collect();
-    let refs: Vec<&Trace> = stream_traces.iter().map(|t| t.as_ref()).collect();
-    Ok(ShardedSetup::new(setup, req.topology).run(&refs))
+    let trace = traces.get(&profile, req.instructions, req.seed);
+    Ok(setup.run(&trace))
 }
 
 #[cfg(test)]

@@ -14,8 +14,8 @@ use std::fmt::Write as _;
 
 use plp_core::{
     run_with_crash, sgx, with_component_lost, with_component_reordered, ObserverExpectation,
-    PersistImage, ProtectionScope, RecoveryChecker, RunReport, ShardTopology, SystemConfig,
-    TupleComponent, UpdateScheme,
+    PersistImage, ProtectionScope, RecoveryChecker, RunReport, SystemConfig, TupleComponent,
+    UpdateScheme,
 };
 use plp_events::stats::geometric_mean;
 use plp_events::Cycle;
@@ -943,7 +943,7 @@ fn table2_render(_results: &ResultSet, settings: RunSettings) -> String {
 // ------------------------------------------------------------------ zoo
 
 /// Benchmarks the zoo artefact measures: a light/heavy persist-rate
-/// pair, matching the shard sweep's choice, keeps the matrix small.
+/// pair keeps the matrix small.
 const ZOO_BENCHES: [&str; 2] = ["gcc", "milc"];
 
 /// The zoo's comparison columns: the paper's strict baseline bracketed
@@ -1001,112 +1001,6 @@ fn zoo_render(results: &ResultSet, s: RunSettings) -> String {
     );
     out
 }
-
-// ---------------------------------------------------------- shard_sweep
-
-/// The sweep's topology points: shards ∈ {1, 2, 4, 8}, one client
-/// stream per shard. The 1×1 point is the unsharded simulator.
-pub const SHARD_POINTS: [(u32, u32); 4] = [(1, 1), (2, 2), (4, 4), (8, 8)];
-
-/// Benchmarks the sweep scales; a light/heavy persist-rate pair keeps
-/// the matrix small while still exercising imbalanced shards.
-const SHARD_BENCHES: [&str; 2] = ["gcc", "milc"];
-
-/// The schemes the sweep compares: one strict, one epoch out-of-order,
-/// one coalescing, plus the two zoo schemes so the truncated-walk and
-/// dual-copy engines are exercised under cross-shard coordination.
-const SHARD_SCHEMES: [UpdateScheme; 5] = [
-    UpdateScheme::Sp,
-    UpdateScheme::O3,
-    UpdateScheme::Coalescing,
-    UpdateScheme::TriadNvm,
-    UpdateScheme::Phoenix,
-];
-
-/// Sharded runs multiply total simulated work by the stream count;
-/// clamp so the 8×8 point stays interactive.
-fn clamp_for_shards(mut s: RunSettings) -> RunSettings {
-    s.instructions = s.instructions.min(60_000);
-    s
-}
-
-fn shard_requests(s: RunSettings) -> Vec<RunRequest> {
-    let mut reqs = Vec::new();
-    for (streams, shards) in SHARD_POINTS {
-        let topology = ShardTopology::new(streams, shards);
-        for scheme in SHARD_SCHEMES {
-            for bench in SHARD_BENCHES {
-                reqs.push(req(bench, cfg(scheme), s).with_topology(topology));
-            }
-        }
-    }
-    reqs
-}
-
-fn shard_render(results: &ResultSet, s: RunSettings) -> String {
-    let cols = SHARD_SCHEMES.map(|u| u.name());
-    let mut table = SeriesTable::new("topology", &cols).precision(3);
-    let mut persists = Vec::new();
-    for (streams, shards) in SHARD_POINTS {
-        let topology = ShardTopology::new(streams, shards);
-        let mut total_persists = 0u64;
-        let row = SHARD_SCHEMES
-            .iter()
-            .map(|&scheme| {
-                let vals: Vec<f64> = SHARD_BENCHES
-                    .iter()
-                    .map(|bench| {
-                        let r = results.get(&req(bench, cfg(scheme), s).with_topology(topology));
-                        let base = results
-                            .get(&req(bench, cfg(scheme), s).with_topology(ShardTopology::unit()));
-                        total_persists += r.persists;
-                        // Per-instruction cycles, so an N-stream point
-                        // is compared per unit of work, not raw wall.
-                        let cpi = r.total_cycles.get() as f64 / r.instructions.max(1) as f64;
-                        let base_cpi =
-                            base.total_cycles.get() as f64 / base.instructions.max(1) as f64;
-                        cpi / base_cpi
-                    })
-                    .collect();
-                geometric_mean(&vals).unwrap_or(1.0)
-            })
-            .collect();
-        table.push(&topology.to_string(), row);
-        persists.push((topology, total_persists));
-    }
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "-- cycles per instruction, normalized to the 1x1 (unsharded) point"
-    );
-    out.push_str(&table.render());
-    out.push('\n');
-    let _ = writeln!(
-        out,
-        "-- persists folded into the root-of-roots per topology"
-    );
-    for (topology, p) in persists {
-        let _ = writeln!(out, "{:<11} {p:>9}", topology.to_string());
-    }
-    out
-}
-
-/// The shard-sweep artefact. Deliberately *not* registered in
-/// [`all_specs`]: `all`'s stdout (and run set) stays byte-identical to
-/// the pre-sharding harness; the sweep has its own `shard_sweep`
-/// binary.
-pub fn shard_spec() -> &'static ExperimentSpec {
-    &SHARD_SPEC
-}
-
-static SHARD_SPEC: ExperimentSpec = ExperimentSpec {
-    id: "shard_sweep",
-    title: "Shard sweep",
-    what: "N client streams over M subtree engines with a root-of-roots",
-    adjust: clamp_for_shards,
-    requests: shard_requests,
-    render: shard_render,
-};
 
 // ------------------------------------------------------------- registry
 
@@ -1370,42 +1264,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn shard_spec_is_unregistered_but_complete() {
-        // The sweep stays out of `all` (its run set and stdout are
-        // pinned) but declares a full topology matrix of its own.
-        assert!(find("shard_sweep").is_none());
-        let spec = shard_spec();
-        let s = RunSettings {
-            instructions: 1_000,
-            seed: 1,
-        };
-        let reqs = spec.runs_needed(s);
-        assert_eq!(
-            reqs.len(),
-            SHARD_POINTS.len() * SHARD_SCHEMES.len() * SHARD_BENCHES.len()
-        );
-        assert!(reqs.iter().any(|r| r.topology.is_unit()));
-        assert!(reqs.iter().any(|r| r.topology == ShardTopology::new(8, 8)));
-        for r in &reqs {
-            assert!(!r.config.record_persists);
-        }
-        // Unit-topology requests keep the pre-sharding cache key.
-        let unit = reqs.iter().find(|r| r.topology.is_unit()).unwrap();
-        assert!(!unit.key().contains("streams="));
-        let sharded = reqs.iter().find(|r| !r.topology.is_unit()).unwrap();
-        assert!(sharded.key().contains("|streams="));
-    }
-
-    #[test]
-    fn shard_sweep_clamps_instruction_count() {
-        let big = RunSettings {
-            instructions: 400_000,
-            seed: 7,
-        };
-        assert_eq!(shard_spec().settings(big).instructions, 60_000);
     }
 
     #[test]

@@ -269,26 +269,9 @@ pub struct DegradationReport {
     /// Distinct runs the matrix executed.
     pub total_runs: usize,
     counts: VerdictCounts,
-    /// Per-topology verdict tallies, keyed by `"streams x shards"`
-    /// (run keys without a topology suffix group under `"1x1"`).
-    grouped: BTreeMap<String, VerdictCounts>,
     entries: BTreeMap<String, RunLog>,
     /// Deterministic descriptions of every injected chaos fault.
     pub chaos_faults: Vec<String>,
-}
-
-/// The topology group of a run key: parses the `|streams=N|shards=M`
-/// suffix that [`crate::RunRequest::key`] appends for sharded runs and
-/// renders it `"NxM"`; keyless (unsharded) runs group under `"1x1"`.
-fn topology_of_key(key: &str) -> String {
-    if let Some(idx) = key.find("|streams=") {
-        let tail = &key[idx + "|streams=".len()..];
-        if let Some((streams, rest)) = tail.split_once("|shards=") {
-            let shards = rest.split('|').next().unwrap_or(rest);
-            return format!("{streams}x{shards}");
-        }
-    }
-    "1x1".to_string()
 }
 
 impl DegradationReport {
@@ -304,19 +287,17 @@ impl DegradationReport {
     /// eventful keeps its full log for rendering.
     pub fn record(&mut self, key: &str, log: RunLog) {
         self.total_runs += 1;
-        let group = self.grouped.entry(topology_of_key(key)).or_default();
-        for counts in [&mut self.counts, group] {
-            match log.verdict {
-                RunVerdict::Ok => counts.ok += 1,
-                RunVerdict::CacheQuarantined => counts.cache_quarantined += 1,
-                RunVerdict::Retried { .. } => counts.retried += 1,
-                RunVerdict::TimedOut { .. } => counts.timed_out += 1,
-                RunVerdict::Panicked { .. } => counts.panicked += 1,
-                RunVerdict::Rejected => counts.rejected += 1,
-                RunVerdict::KilledByHarness { .. } => counts.killed_by_harness += 1,
-                RunVerdict::OomKilled { .. } => counts.oom_killed += 1,
-                RunVerdict::IpcCorrupt { .. } => counts.ipc_corrupt += 1,
-            }
+        let counts = &mut self.counts;
+        match log.verdict {
+            RunVerdict::Ok => counts.ok += 1,
+            RunVerdict::CacheQuarantined => counts.cache_quarantined += 1,
+            RunVerdict::Retried { .. } => counts.retried += 1,
+            RunVerdict::TimedOut { .. } => counts.timed_out += 1,
+            RunVerdict::Panicked { .. } => counts.panicked += 1,
+            RunVerdict::Rejected => counts.rejected += 1,
+            RunVerdict::KilledByHarness { .. } => counts.killed_by_harness += 1,
+            RunVerdict::OomKilled { .. } => counts.oom_killed += 1,
+            RunVerdict::IpcCorrupt { .. } => counts.ipc_corrupt += 1,
         }
         if log.verdict != RunVerdict::Ok {
             self.entries.insert(key.to_string(), log);
@@ -326,14 +307,6 @@ impl DegradationReport {
     /// Per-verdict tallies.
     pub fn counts(&self) -> VerdictCounts {
         self.counts
-    }
-
-    /// Per-topology verdict tallies, ordered by topology label. A
-    /// mixed sharded/unsharded matrix (e.g. a shard sweep) splits its
-    /// recoveries out per `streams x shards` group; a classic matrix
-    /// has the single `"1x1"` group.
-    pub fn grouped_counts(&self) -> impl Iterator<Item = (&String, &VerdictCounts)> {
-        self.grouped.iter()
     }
 
     /// The eventful runs, keyed and ordered by run key.
@@ -371,16 +344,6 @@ impl DegradationReport {
                 "[plp-bench] isolation: {} runs oom-killed, {} ipc-corrupt\n",
                 c.oom_killed, c.ipc_corrupt
             ));
-        }
-        if self.grouped.len() > 1 {
-            for (topo, g) in &self.grouped {
-                out.push_str(&format!(
-                    "[plp-bench]   topology {topo}: {} ok, {} recovered, {} lost\n",
-                    g.ok,
-                    g.cache_quarantined + g.retried + g.killed_by_harness,
-                    g.lost()
-                ));
-            }
         }
         if !self.chaos_faults.is_empty() {
             out.push_str(&format!(
@@ -840,38 +803,6 @@ mod tests {
         assert!(rendered.contains("3 runs"));
         assert!(rendered.contains("chaos-fault worker-panic@0 b"));
         assert!(rendered.contains("timed-out c"));
-    }
-
-    #[test]
-    fn degradation_report_groups_by_topology() {
-        let mut report = DegradationReport::new(Vec::new());
-        report.record(
-            "plp-run-cache v3|bench=gcc|instr=1|seed=7|Cfg",
-            RunLog::clean(),
-        );
-        report.record(
-            "plp-run-cache v3|bench=gcc|instr=1|seed=7|Cfg|streams=4|shards=2",
-            RunLog::clean(),
-        );
-        report.record(
-            "plp-run-cache v3|bench=milc|instr=1|seed=7|Cfg|streams=4|shards=2",
-            {
-                let mut log = RunLog::clean();
-                log.verdict = RunVerdict::Retried { attempts: 1 };
-                log
-            },
-        );
-        let groups: Vec<(&String, &VerdictCounts)> = report.grouped_counts().collect();
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0].0, "1x1");
-        assert_eq!(groups[0].1.ok, 1);
-        assert_eq!(groups[1].0, "4x2");
-        assert_eq!(groups[1].1.ok, 1);
-        assert_eq!(groups[1].1.retried, 1);
-        // Mixed-topology reports render a per-group line.
-        assert!(report
-            .render()
-            .contains("topology 4x2: 1 ok, 1 recovered, 0 lost"));
     }
 
     #[test]

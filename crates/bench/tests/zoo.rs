@@ -1,8 +1,7 @@
 //! Zoo-scheme end-to-end guarantees through the bench harness: the
 //! `zoo` artefact (triad_nvm + phoenix vs the sp baseline) renders
-//! byte-identically under the chaos supervisor, and every zoo run —
-//! unsharded or fanned out over a 4x4 stream/shard topology — upholds
-//! its sanitizer contract.
+//! byte-identically under the chaos supervisor, and every zoo run
+//! upholds its sanitizer contract.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -11,7 +10,7 @@ use plp_bench::{
     execute_supervised, specs, ChaosOptions, MatrixOptions, RunSettings, SupervisorOptions,
 };
 use plp_core::retry::RetryPolicy;
-use plp_core::{ShardTopology, UpdateScheme};
+use plp_core::UpdateScheme;
 
 fn tiny() -> RunSettings {
     RunSettings {
@@ -79,37 +78,4 @@ fn zoo_artefact_renders_identically_under_chaos() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn zoo_schemes_stay_sanitizer_clean_under_sharded_topology() {
-    let s = tiny();
-    let spec = specs::find("zoo").expect("zoo is registered");
-    let topology = ShardTopology::new(4, 4);
-    let reqs: Vec<_> = spec
-        .runs_needed(s)
-        .into_iter()
-        .map(|r| r.with_topology(topology))
-        .collect();
-
-    let (results, _, report) = execute_supervised(&reqs, &test_sup(None, 4));
-    assert!(report.is_event_free());
-    for req in &reqs {
-        let r = results.get(req);
-        assert!(
-            r.sanitizer.is_clean(),
-            "{} sharded 4x4: {:?}",
-            req.key(),
-            r.sanitizer.violations
-        );
-        // Four streams of work actually flowed through the shards.
-        if req.config.scheme != UpdateScheme::SecureWb {
-            assert!(r.persists > 0, "{}: no persists", req.key());
-        }
-        assert!(
-            r.instructions > 3 * s.instructions,
-            "{}: four streams must retire ~4x the work",
-            req.key()
-        );
-    }
 }

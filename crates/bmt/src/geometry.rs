@@ -1,7 +1,6 @@
 //! Tree geometry: arity, level count and label arithmetic bases.
 
 use plp_events::addr::PAGE_SIZE;
-use serde::{Deserialize, Serialize};
 
 /// The shape of a Bonsai Merkle Tree: a complete `arity`-ary tree with
 /// `levels` node levels.
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(g.leaf_count(), 8u64.pow(8));
 /// assert_eq!(g.levels(), 9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BmtGeometry {
     arity: u64,
     levels: u32,

@@ -6,14 +6,10 @@
 //! update paths — equivalently, by lifting both labels to the same
 //! level and walking up in lock-step.
 
-use serde::{Deserialize, Serialize};
-
 use crate::BmtGeometry;
 
 /// A node's label in the breadth-first numbering of the tree (root = 0).
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeLabel(u64);
 
 impl NodeLabel {

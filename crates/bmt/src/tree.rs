@@ -26,7 +26,6 @@
 //! what order) lives in the engine models of `plp-core`.
 
 use plp_crypto::{CounterBlock, SipKey};
-use serde::{Deserialize, Serialize};
 
 use crate::{BmtGeometry, NodeLabel};
 
@@ -56,7 +55,7 @@ fn arena_slot(raw: u64) -> usize {
 /// of a 9-level tree therefore came from the heap once the first tree
 /// was dropped and was cleared with `memset` for every tree after it;
 /// inside the 158 MB slab it is untouched zero pages like the values.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 struct NodeArena {
     /// `nodes` value slots indexed by `NodeLabel::raw`, then `words`
     /// occupancy words, then `words` dirty words.
@@ -157,7 +156,7 @@ impl std::fmt::Debug for NodeArena {
 /// queued, whose own ancestors were queued with it. So the root is
 /// queued exactly when anything is. A commit drains the lists, keeping
 /// their capacity, so a warmed tree commits without allocating.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 struct Queued(Vec<Vec<NodeLabel>>);
 
 impl std::fmt::Debug for Queued {
@@ -199,7 +198,7 @@ impl std::fmt::Debug for Queued {
 /// tree.update_leaf_into(5, &cb, &mut path);
 /// assert_eq!(path.len(), 4); // leaf, two internals, root
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BonsaiTree {
     geometry: BmtGeometry,
     key: SipKey,
@@ -441,7 +440,7 @@ impl BonsaiTree {
 
 /// Integrity-verification failure: a node whose stored value does not
 /// match recomputation ("BMT (verification) failure", Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IntegrityError {
     /// The inconsistent node.
     pub node: NodeLabel,

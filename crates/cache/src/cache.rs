@@ -1,12 +1,11 @@
 //! The set-associative cache model.
 
 use plp_events::addr::BlockAddr;
-use serde::{Deserialize, Serialize};
 
 use crate::{CacheConfig, Replacement};
 
 /// A line evicted from the cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Evicted {
     /// Address of the evicted block.
     pub addr: BlockAddr,
@@ -15,7 +14,7 @@ pub struct Evicted {
 }
 
 /// Hit/miss outcome of a lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lookup {
     /// The block was present.
     Hit,
@@ -31,7 +30,7 @@ impl Lookup {
 }
 
 /// Running hit/miss/eviction statistics.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that hit.
     pub hits: u64,
@@ -55,7 +54,7 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Line {
     addr: BlockAddr,
     dirty: bool,
@@ -83,7 +82,7 @@ struct Line {
 /// c.fill(a, false);
 /// assert_eq!(c.lookup(a, false), Lookup::Hit);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
     sets: Vec<Vec<Line>>,

@@ -1,10 +1,9 @@
 //! Cache configuration.
 
 use plp_events::addr::CACHE_BLOCK_SIZE;
-use serde::{Deserialize, Serialize};
 
 /// Replacement policy for a set-associative cache.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Replacement {
     /// Least-recently-used (the paper's configuration).
     #[default]
@@ -24,7 +23,7 @@ pub enum Replacement {
 /// let c = CacheConfig::new(4 << 20, 32);
 /// assert_eq!(c.sets(), 2048);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     size_bytes: usize,
     ways: usize,

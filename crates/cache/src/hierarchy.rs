@@ -1,12 +1,11 @@
 //! The three-level data-cache hierarchy.
 
 use plp_events::addr::BlockAddr;
-use serde::{Deserialize, Serialize};
 
 use crate::{Cache, CacheConfig};
 
 /// Where a memory access was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum HitLevel {
     /// First-level cache.
     L1,
@@ -19,7 +18,7 @@ pub enum HitLevel {
 }
 
 /// Outcome of a hierarchy access.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HierOutcome {
     /// The level that satisfied the access.
     pub level: HitLevel,
@@ -30,7 +29,7 @@ pub struct HierOutcome {
 }
 
 /// Write handling for stores.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum WriteMode {
     /// Write-back with write-allocate (the `secure_WB` baseline and the
     /// intra-epoch behaviour of epoch persistency).
@@ -64,7 +63,7 @@ pub enum WriteMode {
 /// assert_eq!(h.load(a).level, HitLevel::Memory);
 /// assert_eq!(h.load(a).level, HitLevel::L1);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Hierarchy {
     l1: Cache,
     l2: Cache,

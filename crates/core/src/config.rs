@@ -4,14 +4,13 @@ use plp_bmt::BmtGeometry;
 use plp_crypto::SipKey;
 use plp_events::Cycle;
 use plp_nvm::NvmConfig;
-use serde::{Deserialize, Serialize};
 
 use crate::sanitizer::SanitizerMode;
 use crate::ConfigError;
 
 /// Which BMT update mechanism the security engine uses — the six
 /// schemes of Table IV.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UpdateScheme {
     /// `secure_WB`: write-back caches, no persistency model. LLC dirty
     /// evictions update the BMT sequentially. The normalization
@@ -187,7 +186,7 @@ impl std::fmt::Display for UpdateScheme {
 }
 
 /// Which memory regions persist (Table IV's `_full` suffix).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtectionScope {
     /// Persist only non-stack stores (the paper's default: heap and
     /// static/global regions).
@@ -198,7 +197,7 @@ pub enum ProtectionScope {
 }
 
 /// Full system configuration (Table III defaults).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// BMT update scheme.
     pub scheme: UpdateScheme,

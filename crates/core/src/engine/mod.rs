@@ -41,14 +41,13 @@ pub use unordered::UnorderedEngine;
 use plp_bmt::{BmtGeometry, NodeLabel};
 use plp_events::Cycle;
 use plp_nvm::NvmDevice;
-use serde::{Deserialize, Serialize};
 
 use crate::meta::{bmt_node_block_addr, MetadataCaches};
 use crate::sanitizer::NodeUpdateEvent;
 use crate::{SystemConfig, UpdateScheme};
 
 /// Counters reported by the engines.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EngineStats {
     /// BMT node updates performed (each is one MAC computation).
     pub node_updates: u64,

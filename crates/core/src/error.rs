@@ -7,10 +7,9 @@
 //! device's own [`NvmError`] so callers handle one type end to end.
 
 use plp_nvm::NvmError;
-use serde::{Deserialize, Serialize};
 
 /// Why a system configuration (or simulator construction) was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
     /// Epochs must contain at least one store.
     EpochSizeZero,

@@ -19,8 +19,6 @@
 //! leaves the process alive but inert until the parent kills it with
 //! an uncatchable signal).
 
-use serde::{Deserialize, Serialize};
-
 /// Marker prefix printed (and flushed) to stdout immediately before a
 /// park-mode registry parks. The harness parent treats this line as
 /// "the child has reached its failpoint; everything written so far is
@@ -28,7 +26,7 @@ use serde::{Deserialize, Serialize};
 pub const PARK_MARKER: &str = "crash-harness: parked";
 
 /// The catalog of named stop points on the persist path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Failpoint {
     /// Between the component writes of one memory tuple (data,
     /// counter, MAC, root). Only component-granular schemes (the
@@ -143,7 +141,7 @@ impl Failpoint {
 
 /// Which `(failpoint, hit_count)` a registry is armed for — hit
 /// counts are zero-based, so `hit: 0` fires on the first visit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FailpointPlan {
     /// The stop point.
     pub point: Failpoint,

@@ -26,7 +26,6 @@ use plp_bmt::{BmtGeometry, NodeValue, PathTree};
 use plp_crypto::{CounterBlock, CtrEngine, DataBlock, MacEngine, SipKey};
 use plp_events::addr::BlockAddr;
 use plp_events::Cycle;
-use serde::{Deserialize, Serialize};
 
 use crate::{
     ObserverExpectation, PersistImage, PersistRecord, RecoveryCost, SystemConfig, UpdateScheme,
@@ -35,7 +34,7 @@ use crate::{
 use super::{BlockFate, FaultVerdict};
 
 /// What the manager concluded about the persisted root register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RootStatus {
     /// The persisted root matches the root rebuilt from the persisted
     /// counters — nothing to repair.
@@ -64,7 +63,7 @@ impl RootStatus {
 
 /// A typed recovery failure, attached to the outcome when the root
 /// could not be matched to any legitimate state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryError {
     /// The persisted root is neither the rebuilt root nor any recorded
     /// prefix root.
@@ -90,7 +89,7 @@ impl std::fmt::Display for RecoveryError {
 impl std::error::Error for RecoveryError {}
 
 /// Everything one recovery attempt produced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryOutcome {
     /// What happened to the root register.
     pub root: RootStatus,
@@ -162,7 +161,7 @@ impl std::fmt::Display for RecoveryOutcome {
 /// arbitration) is identical under every strategy; what varies is the
 /// modeled rebuild work, which is exactly what each scheme's extra
 /// runtime persistence buys down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RebuildStrategy {
     /// Rebuild every populated node from the persisted counters — the
     /// paper's volatile-tree schemes, where only the root register and

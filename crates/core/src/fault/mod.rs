@@ -37,7 +37,6 @@ mod sweep;
 
 use plp_events::addr::BlockAddr;
 use plp_events::splitmix64;
-use serde::{Deserialize, Serialize};
 
 use crate::{PersistId, TupleComponent};
 
@@ -53,7 +52,7 @@ pub(crate) fn splitmix_below(state: &mut u64, bound: u64) -> u64 {
 }
 
 /// The fault classes the injector models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultClass {
     /// A 64-byte line write applied partially: some 8-byte words carry
     /// the new content, the rest still hold the previous content.
@@ -85,7 +84,7 @@ impl std::fmt::Display for FaultClass {
 
 /// What the injector actually did — enough detail to reproduce the
 /// fault by hand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSpec {
     /// A torn line write against one tuple component.
     TornWrite {
@@ -141,7 +140,7 @@ impl std::fmt::Display for FaultSpec {
 }
 
 /// Which fault classes a sweep injects, and how hard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultConfig {
     /// Inject torn line writes.
     pub torn_writes: bool,
@@ -199,7 +198,7 @@ impl FaultConfig {
 }
 
 /// The per-block outcome of a recovery pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BlockFate {
     /// MAC verified and the plaintext matches the observer's
     /// expectation.
@@ -218,7 +217,7 @@ pub enum BlockFate {
 
 /// The overall verdict of one recovery attempt, ordered from best to
 /// worst.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FaultVerdict {
     /// Everything verified and matched; no repair needed.
     Clean,

@@ -8,7 +8,6 @@
 //! when a run has more distinct timestamps than the budget.
 
 use plp_events::{splitmix64, Cycle};
-use serde::{Deserialize, Serialize};
 
 use crate::{ObserverExpectation, PersistImage, PersistRecord, SystemConfig, UpdateScheme};
 
@@ -57,7 +56,7 @@ pub fn enumerate_crash_points(records: &[PersistRecord], budget: usize, seed: u6
 
 /// One recovery attempt inside a sweep: where the crash hit, what was
 /// injected (if anything) and what came out.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultOutcome {
     /// The crash time.
     pub crash_at: Cycle,
@@ -70,7 +69,7 @@ pub struct FaultOutcome {
 }
 
 /// Verdict counts for one fault class across all crash points.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ClassTally {
     /// Attempts where a fault was actually injected (or, for the
     /// baseline, recovery attempts).
@@ -135,7 +134,7 @@ impl ClassTally {
 
 /// The robustness matrix row for one scheme: pure-crash baseline plus
 /// one tally per injected fault class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchemeRobustness {
     /// The scheme swept.
     pub scheme: UpdateScheme,

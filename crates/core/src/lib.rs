@@ -57,7 +57,6 @@ mod report;
 pub mod retry;
 pub mod sanitizer;
 pub mod sgx;
-pub mod shard;
 mod system;
 mod tuple;
 mod wpq;
@@ -82,7 +81,6 @@ pub use report::RunReport;
 pub use sanitizer::{
     Sanitizer, SanitizerMode, SanitizerSummary, SchemeContract, Violation, ViolationKind,
 };
-pub use shard::{ShardMutation, ShardTopology, ShardedSetup};
 pub use system::{run_benchmark, run_trace, run_with_crash, FinishedSim, SimSetup, Simulation};
 pub use tuple::{EpochId, PersistId, PersistRecord, TupleTimes};
 pub use wpq::Wpq;

@@ -9,7 +9,6 @@
 use plp_bmt::NodeLabel;
 use plp_cache::{Cache, CacheConfig, CacheStats};
 use plp_events::addr::BlockAddr;
-use serde::{Deserialize, Serialize};
 
 /// Base block index of the counter region (beyond any data address the
 /// traces generate).
@@ -48,7 +47,7 @@ pub fn shadow_root_block_addr() -> BlockAddr {
 }
 
 /// Hit/miss statistics for the three metadata caches.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MetadataStats {
     /// Counter-cache statistics.
     pub counter: CacheStats,

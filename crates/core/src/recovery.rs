@@ -7,13 +7,12 @@ use plp_bmt::{BmtGeometry, BonsaiTree, NodeValue, PathTree};
 use plp_crypto::{CounterBlock, CtrEngine, DataBlock, MacEngine, MacTag, SipKey};
 use plp_events::addr::BlockAddr;
 use plp_events::Cycle;
-use serde::{Deserialize, Serialize};
 
 use crate::{PersistRecord, TupleTimes};
 
 /// The durable state a crash leaves behind: NVMM contents plus the
 /// persistently-stored on-chip BMT root.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PersistImage {
     /// Ciphertexts by block address.
     pub data: HashMap<BlockAddr, DataBlock>,
@@ -94,7 +93,7 @@ impl PersistImage {
 
 /// What the crash-recovery observer expects to read back: the latest
 /// completed plaintext per address.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct ObserverExpectation {
     /// Expected plaintexts by block address.
     pub plaintexts: HashMap<BlockAddr, DataBlock>,
@@ -132,7 +131,7 @@ impl ObserverExpectation {
 
 /// The outcome of a recovery attempt, mirroring the failure categories
 /// of Tables I and II.
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// The rebuilt BMT root did not match the persisted root register
     /// ("BMT (verification) failure").
@@ -231,7 +230,7 @@ impl RecoveryChecker {
 
 /// The work a post-crash recovery pass performs — the quantity that
 /// recovery-time schemes (Anubis, Osiris; §II related work) optimize.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryCost {
     /// Persisted counter blocks that must be fetched and hashed.
     pub counter_blocks: u64,
@@ -258,7 +257,7 @@ impl RecoveryCost {
 
 /// Which memory-tuple component a fault scenario manipulates (the rows
 /// of Tables I and II).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TupleComponent {
     /// The ciphertext `C`.
     Ciphertext,

@@ -3,7 +3,6 @@
 use plp_cache::CacheStats;
 use plp_events::Cycle;
 use plp_nvm::NvmStats;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::EngineStats;
 use crate::meta::MetadataStats;
@@ -11,7 +10,7 @@ use crate::sanitizer::SanitizerSummary;
 use crate::PersistRecord;
 
 /// Everything a simulation run measured.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunReport {
     /// Total execution time in cycles (instruction stream retired and
     /// all persists drained).

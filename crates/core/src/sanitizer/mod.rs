@@ -52,13 +52,12 @@ pub use checks::Sanitizer;
 use plp_bmt::NodeLabel;
 use plp_events::addr::BlockAddr;
 use plp_events::Cycle;
-use serde::{Deserialize, Serialize};
 
 use crate::{EpochId, PersistId, TupleTimes, UpdateScheme};
 
 /// Whether (and how) the invariant sanitizer runs alongside a
 /// simulation.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SanitizerMode {
     /// No shadow verification (the pre-sanitizer behaviour).
     Off,
@@ -164,7 +163,7 @@ impl SchemeContract {
 }
 
 /// Which invariant a [`Violation`] breaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ViolationKind {
     /// Invariant 1: a tuple component retired at a different time than
     /// the rest of its persist's tuple.
@@ -188,19 +187,11 @@ pub enum ViolationKind {
     /// WAW safety: a cross-epoch out-of-order write to the same BMT
     /// node.
     WawHazard,
-    /// Sharded topology: within one client stream, a shard's ordered
-    /// persists completed out of program order (Invariants 1 & 2 must
-    /// hold per stream within each shard).
-    StreamOrder,
-    /// Sharded topology: a root-of-roots update regressed or ignored
-    /// the cross-shard epoch barrier (no shard may seal epoch E+1's
-    /// root before every shard has durably sealed E).
-    CrossShardRootOrder,
 }
 
 impl ViolationKind {
     /// Every kind, in a stable order (codec + reporting).
-    pub const ALL: [ViolationKind; 9] = [
+    pub const ALL: [ViolationKind; 7] = [
         ViolationKind::TupleIncomplete,
         ViolationKind::RootOrder,
         ViolationKind::LevelOrder,
@@ -208,8 +199,6 @@ impl ViolationKind {
         ViolationKind::EpochLevelOrder,
         ViolationKind::EpochCompletionOrder,
         ViolationKind::WawHazard,
-        ViolationKind::StreamOrder,
-        ViolationKind::CrossShardRootOrder,
     ];
 
     /// Stable machine name.
@@ -222,8 +211,6 @@ impl ViolationKind {
             ViolationKind::EpochLevelOrder => "epoch_level_order",
             ViolationKind::EpochCompletionOrder => "epoch_completion_order",
             ViolationKind::WawHazard => "waw_hazard",
-            ViolationKind::StreamOrder => "stream_order",
-            ViolationKind::CrossShardRootOrder => "cross_shard_root_order",
         }
     }
 
@@ -243,7 +230,7 @@ impl std::fmt::Display for ViolationKind {
 pub const NO_FIELD: u64 = u64::MAX;
 
 /// One observed invariant violation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Violation {
     /// Which invariant broke.
     pub kind: ViolationKind,
@@ -316,7 +303,7 @@ pub struct PersistEvent {
 }
 
 /// What the sanitizer checked and found over one run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SanitizerSummary {
     /// The mode the run used.
     pub mode: SanitizerMode,
@@ -355,20 +342,6 @@ impl SanitizerSummary {
     /// Whether the run upheld its scheme's whole contract.
     pub fn is_clean(&self) -> bool {
         self.total_violations() == 0
-    }
-
-    /// Folds another summary in (the sharded coordinator merges one
-    /// per shard plus its own cross-shard checks). Counts and stored
-    /// violations add; the mode stays `Check` if either side checked.
-    pub fn merge(&mut self, other: &SanitizerSummary) {
-        if other.mode.is_on() {
-            self.mode = other.mode;
-        }
-        self.checked_persists += other.checked_persists;
-        self.checked_node_updates += other.checked_node_updates;
-        self.checked_epochs += other.checked_epochs;
-        self.dropped_violations += other.dropped_violations;
-        self.violations.extend(other.violations.iter().copied());
     }
 }
 
@@ -435,33 +408,6 @@ mod tests {
         assert_eq!(s.count_of(ViolationKind::RootOrder), 0);
         assert!(!s.is_clean());
         assert!(SanitizerSummary::off().mode == SanitizerMode::Off);
-    }
-
-    #[test]
-    fn summaries_merge_across_shards() {
-        let mut merged = SanitizerSummary::off();
-        let mut shard = SanitizerSummary {
-            checked_persists: 10,
-            checked_epochs: 2,
-            ..SanitizerSummary::default()
-        };
-        shard.violations.push(Violation {
-            kind: ViolationKind::CrossShardRootOrder,
-            scheme: UpdateScheme::O3,
-            cycle: Cycle::new(5),
-            epoch: EpochId(1),
-            persist: NO_FIELD,
-            level: 0,
-            node: NO_FIELD,
-            addr: NO_FIELD,
-        });
-        merged.merge(&shard);
-        merged.merge(&shard);
-        assert_eq!(merged.mode, SanitizerMode::Check);
-        assert_eq!(merged.checked_persists, 20);
-        assert_eq!(merged.checked_epochs, 4);
-        assert_eq!(merged.count_of(ViolationKind::CrossShardRootOrder), 2);
-        assert!(!merged.is_clean());
     }
 
     #[test]

@@ -12,11 +12,10 @@
 //! the comparison quantitative so the design choice is reproducible.
 
 use plp_bmt::BmtGeometry;
-use serde::{Deserialize, Serialize};
 
 /// Per-persist cost comparison between a BMT and an SGX-style counter
 /// tree of the same shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TreePersistCost {
     /// MAC computations on the update path (equal for both trees).
     pub path_updates: u64,

@@ -115,11 +115,6 @@ impl SimSetup {
         &self.config
     }
 
-    /// The core model's baseline IPC.
-    pub fn base_ipc(&self) -> f64 {
-        self.base_ipc
-    }
-
     /// The bound workload profile, if any.
     pub fn profile(&self) -> Option<&WorkloadProfile> {
         self.profile.as_ref()
@@ -191,7 +186,6 @@ impl SimSetup {
             records: Vec::new(),
             failpoints: None,
             durable: None,
-            seal_log: None,
             base_ipc: self.base_ipc,
             config,
         }
@@ -288,18 +282,6 @@ pub struct Simulation {
     /// attached one: every persisted tuple is mirrored write-through
     /// into a device image that survives this process being killed.
     durable: Option<DurableSink>,
-    /// Seal-event log for the sharded coordinator (`None` — the
-    /// unsharded default — logs nothing and costs nothing).
-    seal_log: Option<Vec<SealEvent>>,
-}
-
-/// One sealed epoch, as observed by the sharded coordinator: which
-/// epoch closed and when its root became durable (engines without a
-/// seal completion report `None`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SealEvent {
-    pub(crate) epoch: EpochId,
-    pub(crate) completion: Option<Cycle>,
 }
 
 /// The cycle a core clock reading falls in: the `f64` clock truncated
@@ -310,18 +292,8 @@ pub(crate) struct SealEvent {
     clippy::cast_sign_loss,
     reason = "core clocks are non-negative and below 2^64 cycles; truncating toward zero is intended"
 )]
-pub(crate) fn clock_cycle(clock: f64) -> Cycle {
+fn clock_cycle(clock: f64) -> Cycle {
     Cycle::new(clock as u64)
-}
-
-/// What one dispatched store did to its shard: the updated core clock
-/// (stalls folded in) and, for store-persisting schemes, the persist's
-/// completion time — the signal the coordinator's per-stream order
-/// check consumes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct StoreOutcome {
-    pub(crate) clock: f64,
-    pub(crate) completion: Option<Cycle>,
 }
 
 /// A consumed simulation, returned by [`Simulation::run_with_state`]:
@@ -437,12 +409,13 @@ impl Simulation {
     }
 
     /// The persist path: the full security transformation + BMT update
-    /// for one block, returning `(admission_time, completion_time)`.
+    /// for one block, returning its WPQ admission time (the core stalls
+    /// until then; the completion only advances the drain frontier).
     /// Every durable block — write-through stores, epoch flushes and
     /// background evictions alike — goes through this one routine;
     /// `ordered` marks persists the crash-recovery observer may rely on
     /// (vs background eviction write-backs).
-    fn persist_block(&mut self, addr: BlockAddr, now: Cycle, ordered: bool) -> (Cycle, Cycle) {
+    fn persist_block(&mut self, addr: BlockAddr, now: Cycle, ordered: bool) -> Cycle {
         let eff_mac = self.effective_mac();
         let page = addr.page().index();
 
@@ -662,7 +635,7 @@ impl Simulation {
                 times,
             });
         }
-        (admit, completion)
+        admit
     }
 
     /// Mirrors one persisted tuple into the durable image and visits
@@ -782,7 +755,7 @@ impl Simulation {
         self.epoch_set.clear();
         let mut stall = now;
         for &addr in &addrs {
-            let (admit, _) = self.persist_block(addr, now, true);
+            let admit = self.persist_block(addr, now, true);
             stall = stall.max(admit);
             self.hierarchy.mark_clean(addr);
             self.fp_hit(Failpoint::MidEpochFlush);
@@ -817,37 +790,11 @@ impl Simulation {
             }
             self.fp_hit(Failpoint::PostEpochSeal);
         }
-        if let Some(log) = self.seal_log.as_mut() {
-            log.push(SealEvent {
-                epoch: self.epoch,
-                completion: sealed,
-            });
-        }
         self.epochs += 1;
         self.epoch = EpochId(self.epoch.0 + 1);
         self.epoch_stores = 0;
         self.epoch_record_start = self.records.len();
         stall
-    }
-
-    /// Turns on seal-event logging (the sharded coordinator's epoch
-    /// feed; see [`SealEvent`]).
-    pub(crate) fn enable_seal_log(&mut self) {
-        self.seal_log = Some(Vec::new());
-    }
-
-    /// Drains logged seal events into `out` (no-op when logging is
-    /// off).
-    pub(crate) fn drain_seals_into(&mut self, out: &mut Vec<SealEvent>) {
-        if let Some(log) = self.seal_log.as_mut() {
-            out.append(log);
-        }
-    }
-
-    /// The latest persist completion seen so far — the shard's durable
-    /// frontier.
-    pub(crate) fn last_completion_cycle(&self) -> Cycle {
-        self.last_completion
     }
 
     /// An LLC dirty eviction: needs the full security transformation
@@ -856,25 +803,16 @@ impl Simulation {
         let _ = self.persist_block(addr, now, false);
     }
 
-    /// One store's worth of persist-path work (stores stall the core
-    /// only on WPQ back-pressure and epoch seals). This is the
-    /// store-dispatch step shared by [`Simulation::run_with_state`] and
-    /// the sharded coordinator.
-    pub(crate) fn step_store(
-        &mut self,
-        addr: BlockAddr,
-        stack: bool,
-        now: Cycle,
-        clock: f64,
-    ) -> StoreOutcome {
+    /// One store's worth of persist-path work; returns the core clock
+    /// with its stalls folded in (stores stall the core only on WPQ
+    /// back-pressure and epoch seals).
+    fn step_store(&mut self, addr: BlockAddr, stack: bool, now: Cycle, clock: f64) -> f64 {
         let mut clock = clock;
-        let mut done = None;
         let persisting = self.is_persisting_store(stack);
         if persisting && self.config.scheme.is_store_persisting() {
             self.hierarchy.store(addr, WriteMode::WriteThrough);
-            let (admit, completion) = self.persist_block(addr, now, true);
+            let admit = self.persist_block(addr, now, true);
             clock = clock.max(admit.get() as f64);
-            done = Some(completion);
         } else if persisting && self.config.scheme.is_epoch_based() {
             let out = self.hierarchy.store(addr, WriteMode::WriteBack);
             self.epoch_set.insert(addr);
@@ -882,7 +820,7 @@ impl Simulation {
                 if self.epoch_set.remove(&wb) {
                     // A block of the open epoch leaves the LLC early:
                     // it persists now, within the epoch.
-                    let (admit, _) = self.persist_block(wb, now, true);
+                    let admit = self.persist_block(wb, now, true);
                     clock = clock.max(admit.get() as f64);
                 } else {
                     self.eviction_writeback(wb, now);
@@ -899,16 +837,11 @@ impl Simulation {
                 self.eviction_writeback(wb, now);
             }
         }
-        StoreOutcome {
-            clock,
-            completion: done,
-        }
+        clock
     }
 
-    /// One load's worth of cache/NVM traffic — the load-dispatch step
-    /// shared by [`Simulation::run_with_state`] and the sharded
-    /// coordinator.
-    pub(crate) fn step_load(&mut self, addr: BlockAddr, now: Cycle) {
+    /// One load's worth of cache/NVM traffic.
+    fn step_load(&mut self, addr: BlockAddr, now: Cycle) {
         let out = self.hierarchy.load(addr);
         if out.level == HitLevel::Memory {
             let _ = self.nvm.read(now, addr);
@@ -916,56 +849,6 @@ impl Simulation {
         for wb in out.memory_writebacks {
             self.eviction_writeback(wb, now);
         }
-    }
-
-    /// Seals a partial final epoch if one is open; returns the updated
-    /// core clock. The end-of-trace drain step shared by
-    /// [`Simulation::run_with_state`] and the sharded coordinator.
-    pub(crate) fn drain_epoch(&mut self, clock: f64) -> f64 {
-        let mut clock = clock;
-        if self.config.scheme.is_epoch_based()
-            && (!self.epoch_set.is_empty() || self.epoch_stores > 0)
-        {
-            let stall = self.seal_epoch(clock_cycle(clock));
-            clock = clock.max(stall.get() as f64);
-        }
-        clock
-    }
-
-    /// Consumes the simulation into its report: waits out the engine
-    /// drain, snapshots every statistic. `instructions` is the retired
-    /// instruction count to attribute to this run (the whole trace for
-    /// an unsharded run; the shard's routed share under the sharded
-    /// coordinator).
-    pub(crate) fn finish(mut self, instructions: u64, clock: f64) -> (RunReport, FinishedSim) {
-        let total = clock_cycle(clock.ceil())
-            .max(self.last_completion)
-            .max(self.engine.drained_at());
-
-        let caches = self.hierarchy.levels();
-        let report = RunReport {
-            total_cycles: total,
-            instructions,
-            persists: self.persists,
-            writebacks: self.writebacks,
-            epochs: self.epochs,
-            engine: self.engine_stats,
-            coalesced_saved_updates: self.engine.saved_updates(),
-            page_overflows: self.page_overflows,
-            overflow_blocks: self.overflow_blocks,
-            wpq_stall_cycles: self.wpq.stall_cycles(),
-            wpq_peak: self.wpq.peak_occupancy(),
-            metadata: self.meta.stats(),
-            data_caches: [caches[0].stats(), caches[1].stats(), caches[2].stats()],
-            nvm: self.nvm.stats(),
-            sanitizer: match self.sanitizer.take() {
-                Some(san) => san.finish(),
-                None => SanitizerSummary::off(),
-            },
-            records: std::mem::take(&mut self.records),
-        };
-        let root = self.tree.root();
-        (report, FinishedSim { sim: self, root })
     }
 
     /// Runs the trace to completion, consuming the simulation, and
@@ -1001,15 +884,46 @@ impl Simulation {
             let now = clock_cycle(clock);
             match ev.op {
                 Op::Load { addr } => self.step_load(addr, now),
-                Op::Store { addr, stack } => {
-                    clock = self.step_store(addr, stack, now, clock).clock;
-                }
+                Op::Store { addr, stack } => clock = self.step_store(addr, stack, now, clock),
             }
         }
 
-        // Drain: seal a partial final epoch, wait for all persists.
-        clock = self.drain_epoch(clock);
-        self.finish(trace.total_instructions(), clock)
+        // Drain: seal a partial final epoch, wait out the engine, then
+        // snapshot every statistic.
+        if self.config.scheme.is_epoch_based()
+            && (!self.epoch_set.is_empty() || self.epoch_stores > 0)
+        {
+            let stall = self.seal_epoch(clock_cycle(clock));
+            clock = clock.max(stall.get() as f64);
+        }
+        let total = clock_cycle(clock.ceil())
+            .max(self.last_completion)
+            .max(self.engine.drained_at());
+
+        let caches = self.hierarchy.levels();
+        let report = RunReport {
+            total_cycles: total,
+            instructions: trace.total_instructions(),
+            persists: self.persists,
+            writebacks: self.writebacks,
+            epochs: self.epochs,
+            engine: self.engine_stats,
+            coalesced_saved_updates: self.engine.saved_updates(),
+            page_overflows: self.page_overflows,
+            overflow_blocks: self.overflow_blocks,
+            wpq_stall_cycles: self.wpq.stall_cycles(),
+            wpq_peak: self.wpq.peak_occupancy(),
+            metadata: self.meta.stats(),
+            data_caches: [caches[0].stats(), caches[1].stats(), caches[2].stats()],
+            nvm: self.nvm.stats(),
+            sanitizer: match self.sanitizer.take() {
+                Some(san) => san.finish(),
+                None => SanitizerSummary::off(),
+            },
+            records: std::mem::take(&mut self.records),
+        };
+        let root = self.tree.root();
+        (report, FinishedSim { sim: self, root })
     }
 
     /// The architectural (pre-crash) BMT root — what the on-chip

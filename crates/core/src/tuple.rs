@@ -3,12 +3,9 @@
 use plp_crypto::{CounterBlock, DataBlock, MacTag};
 use plp_events::addr::BlockAddr;
 use plp_events::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a persist, in program order.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PersistId(pub u64);
 
 impl std::fmt::Display for PersistId {
@@ -18,9 +15,7 @@ impl std::fmt::Display for PersistId {
 }
 
 /// Identifier of an epoch, in program order.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EpochId(pub u64);
 
 impl std::fmt::Display for EpochId {
@@ -37,7 +32,7 @@ impl std::fmt::Display for EpochId {
 /// engines set all four equal to the persist completion; the
 /// `unordered` strawman lets them diverge — which is exactly how it
 /// violates the invariants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TupleTimes {
     /// Ciphertext durable.
     pub data: Cycle,
@@ -72,7 +67,7 @@ impl TupleTimes {
 /// Records are kept when [`crate::SystemConfig::record_persists`] is
 /// set; the crash-recovery machinery replays them to build the durable
 /// image at an arbitrary crash point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PersistRecord {
     /// Program-order persist id.
     pub id: PersistId,

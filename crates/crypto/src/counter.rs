@@ -8,7 +8,6 @@
 //! be re-encrypted — the classic split-counter overflow cost.
 
 use plp_events::addr::{BlockAddr, BLOCKS_PER_PAGE, CACHE_BLOCK_SIZE};
-use serde::{Deserialize, Serialize};
 
 /// Maximum value of a 7-bit minor counter.
 pub const MINOR_MAX: u8 = 127;
@@ -25,9 +24,7 @@ pub const MINOR_MAX: u8 = 127;
 /// assert_eq!(c.major(), 3);
 /// assert_eq!(c.minor(), 17);
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CounterValue {
     major: u64,
     minor: u8,
@@ -62,7 +59,7 @@ impl CounterValue {
 }
 
 /// Result of bumping a block's counter before a write-back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CounterBump {
     /// The minor counter incremented; only this block re-encrypts.
     Minor(CounterValue),
@@ -105,10 +102,9 @@ impl CounterBump {
 /// assert_eq!(bump.value().minor(), 1);
 /// assert!(!bump.overflowed());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CounterBlock {
     major: u64,
-    #[serde(with = "crate::serde64")]
     minors: [u8; BLOCKS_PER_PAGE],
 }
 

@@ -9,7 +9,6 @@
 //! crash-recovery tests rely on.
 
 use plp_events::addr::{BlockAddr, CACHE_BLOCK_SIZE};
-use serde::{Deserialize, Serialize};
 
 use crate::{CounterValue, SipKey};
 
@@ -23,9 +22,8 @@ use crate::{CounterValue, SipKey};
 /// let b = DataBlock::from_fill(0xab);
 /// assert_eq!(b.as_bytes()[63], 0xab);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DataBlock {
-    #[serde(with = "crate::serde64")]
     bytes: [u8; CACHE_BLOCK_SIZE],
 }
 
@@ -103,7 +101,7 @@ impl DataBlock {
 /// // Decrypting with a stale counter does not recover the plaintext.
 /// assert_ne!(engine.decrypt(cipher, addr, CounterValue::new(0, 0)), plain);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CtrEngine {
     key: SipKey,
 }

@@ -52,25 +52,6 @@ mod ctr;
 mod mac;
 mod siphash;
 
-/// Serde helpers for 64-byte arrays (serde's derive only covers arrays
-/// up to 32 elements). The functions are referenced from
-/// `#[serde(with = "crate::serde64")]` attributes, which the vendored
-/// stub derive does not expand — hence the dead-code allowance.
-#[allow(dead_code)]
-pub(crate) mod serde64 {
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    pub fn serialize<S: Serializer>(bytes: &[u8; 64], s: S) -> Result<S::Ok, S::Error> {
-        bytes.as_slice().serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<[u8; 64], D::Error> {
-        let v = Vec::<u8>::deserialize(d)?;
-        v.try_into()
-            .map_err(|_| serde::de::Error::custom("expected 64 bytes"))
-    }
-}
-
 pub use counter::{
     CounterBlock, CounterBump, CounterValue, InvalidCounterBlock, COUNTER_BLOCK_ACCOUNTING_SIZE,
     MINOR_MAX,

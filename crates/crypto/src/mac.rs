@@ -9,14 +9,11 @@
 //! to cover counters.
 
 use plp_events::addr::BlockAddr;
-use serde::{Deserialize, Serialize};
 
 use crate::{CounterValue, DataBlock, SipKey};
 
 /// A 64-bit MAC tag.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MacTag(u64);
 
 impl MacTag {
@@ -55,7 +52,7 @@ impl std::fmt::Display for MacTag {
 /// // Any input change invalidates the tag.
 /// assert!(!mac.verify(&c, BlockAddr::new(9), g, tag));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MacEngine {
     key: SipKey,
 }

@@ -13,8 +13,6 @@
 //! tampering, verification and crash recovery behave like the real
 //! system, while the timing half lives in the engine models.
 
-use serde::{Deserialize, Serialize};
-
 /// A 128-bit key for the SipHash PRF.
 ///
 /// # Example
@@ -25,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// let k = SipKey::new(0x0706050403020100, 0x0f0e0d0c0b0a0908);
 /// assert_ne!(k.hash_bytes(b"hello"), k.hash_bytes(b"hellp"));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SipKey {
     k0: u64,
     k1: u64,

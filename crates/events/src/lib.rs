@@ -3,8 +3,7 @@
 //! * [`Cycle`] and [`Freq`] — the simulated clock, a strongly-typed
 //!   `u64` cycle count, and the nanosecond-to-cycle conversion the NVM
 //!   timing model uses;
-//! * [`addr`] — 64-byte block and 4 KiB page addresses, and the
-//!   page-interleaved shard map;
+//! * [`addr`] — 64-byte block and 4 KiB page addresses;
 //! * [`retry`] — the workspace's one seeded retry/backoff policy, and
 //!   [`splitmix64`], the deterministic stream behind it and behind
 //!   every fault draw;

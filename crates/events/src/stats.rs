@@ -1,11 +1,6 @@
 //! Summary statistics for the experiment harness: the
 //! [`geometric_mean`] every figure normalises with, and the
-//! [`Throughput`] / [`ShardedThroughput`] accumulators that report
-//! simulation speed.
-
-use std::collections::BTreeMap;
-
-use serde::{Deserialize, Serialize};
+//! [`Throughput`] accumulator that reports simulation speed.
 
 /// Geometric mean of a slice of strictly positive values, the standard
 /// summary for normalized execution times (used by every figure in the
@@ -48,7 +43,7 @@ pub fn geometric_mean(values: &[f64]) -> Option<f64> {
 /// assert!((t.cycles_per_sec() - 4.0e6).abs() < 1.0);
 /// assert!((t.runs_per_sec() - 2.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Throughput {
     runs: u64,
     sim_cycles: u64,
@@ -100,60 +95,6 @@ impl Throughput {
     }
 }
 
-/// Throughput broken down per shard, for sharded-topology sweeps.
-///
-/// Keys are shard ids in a `BTreeMap`, so iteration (and any report
-/// rendered from it) is deterministic regardless of recording order.
-/// Unsharded runs record under shard 0 and behave exactly like a plain
-/// [`Throughput`].
-///
-/// # Example
-///
-/// ```
-/// use plp_events::stats::ShardedThroughput;
-/// use std::time::Duration;
-///
-/// let mut t = ShardedThroughput::new();
-/// t.record(1, 2_000, Duration::from_millis(2));
-/// t.record(0, 1_000, Duration::from_millis(1));
-/// let shards: Vec<u32> = t.shards().map(|(s, _)| s).collect();
-/// assert_eq!(shards, [0, 1]); // deterministic key order
-/// assert_eq!(t.merged().runs(), 2);
-/// ```
-#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardedThroughput {
-    per_shard: BTreeMap<u32, Throughput>,
-}
-
-impl ShardedThroughput {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one completed run attributed to `shard`.
-    pub fn record(&mut self, shard: u32, sim_cycles: u64, wall: std::time::Duration) {
-        self.per_shard
-            .entry(shard)
-            .or_default()
-            .record(sim_cycles, wall);
-    }
-
-    /// Per-shard accumulators in ascending shard-id order.
-    pub fn shards(&self) -> impl Iterator<Item = (u32, &Throughput)> {
-        self.per_shard.iter().map(|(&s, t)| (s, t))
-    }
-
-    /// The merged total across every shard.
-    pub fn merged(&self) -> Throughput {
-        let mut total = Throughput::new();
-        for t in self.per_shard.values() {
-            total.merge(*t);
-        }
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,20 +121,5 @@ mod tests {
         assert!((a.cycles_per_sec() - 500.0).abs() < 1e-9);
         assert!((a.runs_per_sec() - 0.75).abs() < 1e-12);
         assert_eq!(Throughput::new().cycles_per_sec(), 0.0);
-    }
-
-    #[test]
-    fn sharded_throughput_orders_and_merges() {
-        use std::time::Duration;
-        let mut t = ShardedThroughput::new();
-        t.record(3, 300, Duration::from_millis(3));
-        t.record(1, 100, Duration::from_millis(1));
-        t.record(1, 100, Duration::from_millis(1));
-        t.record(0, 50, Duration::from_millis(5));
-        let shards: Vec<(u32, u64)> = t.shards().map(|(s, tp)| (s, tp.runs())).collect();
-        assert_eq!(shards, [(0, 1), (1, 2), (3, 1)]);
-        let merged = t.merged();
-        assert_eq!(merged.runs(), 4);
-        assert!((merged.cycles_per_sec() - 55_000.0).abs() < 1e-6);
     }
 }

@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulated time, counted in processor clock cycles.
 ///
 /// `Cycle` is also used for durations: the difference of two `Cycle`
@@ -23,9 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(end.get(), 140);
 /// assert_eq!(end - start, Cycle::new(40));
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Cycle(u64);
 
 impl Cycle {
@@ -125,7 +121,7 @@ impl From<Cycle> for u64 {
 /// // A 150 ns NVM write occupies 600 CPU cycles at 4 GHz.
 /// assert_eq!(cpu.cycles_for_ns(150.0).get(), 600);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Freq {
     hz: f64,
 }

@@ -5,12 +5,11 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use plp_events::addr::BlockAddr;
 use plp_events::{Cycle, FastMap};
-use serde::{Deserialize, Serialize};
 
 use crate::{NvmConfig, NvmError};
 
 /// Statistics reported by the device.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct NvmStats {
     /// Read commands serviced.
     pub reads: u64,

@@ -1,7 +1,6 @@
 //! NVM timing parameters (Table III of the paper).
 
 use plp_events::{Cycle, Freq};
-use serde::{Deserialize, Serialize};
 
 /// Device timing parameters, in nanoseconds as datasheets (and the
 /// paper's Table III) specify them.
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// // A row-miss read costs tRCD + tCL + tBURST.
 /// assert_eq!(t.read_row_miss_cycles(cpu).get(), 290);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NvmTiming {
     /// Row-to-column delay (activate), ns.
     pub t_rcd_ns: f64,
@@ -70,7 +69,7 @@ impl Default for NvmTiming {
 }
 
 /// How block addresses map to banks.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum Interleave {
     /// Consecutive 64-byte blocks rotate across banks (cache-line
     /// interleaving). Spatially local store streams spread over all
@@ -86,7 +85,7 @@ pub enum Interleave {
 }
 
 /// Overall device configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NvmConfig {
     /// Device capacity in bytes (Table III: 8 GB).
     pub capacity_bytes: u64,
@@ -165,7 +164,7 @@ impl NvmConfig {
 }
 
 /// Why an [`NvmConfig`] was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NvmError {
     /// The device must have at least one bank.
     ZeroBanks,

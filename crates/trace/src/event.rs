@@ -1,10 +1,9 @@
 //! Trace record types.
 
 use plp_events::addr::BlockAddr;
-use serde::{Deserialize, Serialize};
 
 /// A memory operation in a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// A load from `addr`.
     Load {
@@ -43,7 +42,7 @@ impl Op {
 
 /// One trace event: a run of non-memory instructions followed by a
 /// memory operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Non-memory instructions retired before `op` issues.
     pub gap_instructions: u32,
@@ -66,7 +65,7 @@ pub struct TraceEvent {
 /// assert_eq!(t.total_instructions(), 11);
 /// assert_eq!(t.store_count(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     events: Vec<TraceEvent>,
     total_instructions: u64,

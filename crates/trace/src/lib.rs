@@ -12,9 +12,7 @@
 //! * [`WorkloadProfile`] — the statistical shape of a benchmark, with a
 //!   builder for custom workloads;
 //! * [`TraceGenerator`] — deterministic, seeded generation;
-//! * [`spec`] — the 15 calibrated benchmark profiles;
-//! * [`multi`] — per-stream seed and address-window derivation for
-//!   sharded multi-client runs.
+//! * [`spec`] — the 15 calibrated benchmark profiles.
 //!
 //! # Example
 //!
@@ -36,7 +34,6 @@
 pub mod codec;
 mod event;
 mod generator;
-pub mod multi;
 mod profile;
 pub mod spec;
 mod store;

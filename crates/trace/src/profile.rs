@@ -1,8 +1,6 @@
 //! Workload profiles: the statistical shape of a benchmark's memory
 //! behaviour.
 
-use serde::{Deserialize, Serialize};
-
 /// The statistical profile a synthetic trace is generated from.
 ///
 /// The persist-relevant rates come straight from the paper's Table V;
@@ -28,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.name, "custom");
 /// assert!((p.store_ppki_full - 100.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// Benchmark name.
     pub name: String,

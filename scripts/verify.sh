@@ -28,25 +28,24 @@ cargo fmt --all -- --check
 
 # Lint self-test: the fixture corpus under crates/analyze/tests/
 # fixtures must match exactly — every fire/ mutant produces its
-# seeded //~ ERROR markers (engine-contract, failpoint-coverage,
-# shard-escape, the four lexical domain rules, stale-allow, lexer
-# modes) and every clean/ fixture lints silent. This proves the passes
-# actually fire before we trust a clean repo-wide run below.
+# seeded //~ ERROR markers (engine-contract, failpoint-coverage, the
+# three lexical domain rules, stale-allow, lexer modes) and every
+# clean/ fixture lints silent. This proves the passes actually fire
+# before we trust a clean repo-wide run below.
 ./target/release/plp-lint --self-test crates/analyze/tests/fixtures || {
   echo "verify: plp-lint fixture self-test failed"; exit 1
 }
 
 # Repo-wide custom lint pass: the domain rules clippy cannot express.
 # CFG/dataflow-backed persist-order contract on the engines, failpoint
-# coverage of the persist drivers, shard-handle escape analysis, the
-# lexical rules (scheme-match wildcards, bare retry loops, NodeLabel
-# maps, cross-shard stepping), and the stale-allow audit; panics,
-# narrowing casts, wall clocks and process kills are the clippy step's
-# above. Writes the schema-2 machine report to a temp file; any violation fails the gate
-# with a per-rule summary, and the report must equal the committed
-# results/analysis.json byte for byte. The whole-workspace analysis
-# must finish inside a 10s budget — it runs on every verify, so it has
-# to stay cheap.
+# coverage of the persist drivers, the lexical rules (scheme-match
+# wildcards, bare retry loops, NodeLabel maps), and the stale-allow
+# audit; panics, narrowing casts, wall clocks and process kills are the
+# clippy step's above. Writes the schema-2 machine report to a temp
+# file; any violation fails the gate with a per-rule summary, and the
+# report must equal the committed results/analysis.json byte for byte.
+# The whole-workspace analysis must finish inside a 10s budget — it
+# runs on every verify, so it has to stay cheap.
 lint_json=$(mktemp)
 lint_t0=$(date +%s)
 ./target/release/plp-lint --json "$lint_json"
@@ -86,46 +85,7 @@ repo_root=$(pwd)
 cmp "$clean_out" "$chaos_out" || {
   echo "verify: chaos sweep stdout diverged from the clean run"; exit 1
 }
-rm -rf "$chaos_out" "$chaos_dir"
-
-# Sharded-topology gate. Three parts:
-#   1. `all --streams 1 --shards 1` must be stdout byte-identical to
-#      the plain run saved above — the unit topology IS the unsharded
-#      simulator.
-#   2. A reduced 4-streams x 4-shards sweep (sanitizer on, per-spec
-#      default) must exit 0: every scheme's cross-shard run upholds
-#      stream persist-order and root-of-roots epoch ordering.
-#   3. The same sharded sweep under the chaos plan must still exit 0
-#      with byte-identical stdout (supervisor recovery is
-#      topology-blind).
-# The shard_sweep binary additionally mutation-tests the new sanitizer
-# rules and records per-shard throughput under the throwaway
-# directory's results/.
-unit_out=$(mktemp)
-shard_out=$(mktemp)
-shard_chaos_out=$(mktemp)
-shard_dir=$(mktemp -d)
-repo_root=$(pwd)
-cargo run --release -q -p plp-bench --bin all -- 10000 7 --no-cache --streams 1 --shards 1 > "$unit_out"
-cmp "$clean_out" "$unit_out" || {
-  echo "verify: --streams 1 --shards 1 stdout diverged from the unsharded run"; exit 1
-}
-(cd "$shard_dir" && "$repo_root/target/release/all" 6000 7 --streams 4 --shards 4 2> shard.err > "$shard_out") || {
-  echo "verify: sharded 4x4 sweep failed (exit $?)"; cat "$shard_dir/shard.err" >&2; exit 1
-}
-(cd "$shard_dir" && "$repo_root/target/release/all" 6000 7 --streams 4 --shards 4 --chaos 0xC0FFEE 2> shard_chaos.err > "$shard_chaos_out") || {
-  echo "verify: sharded 4x4 chaos sweep failed (exit $?)"; cat "$shard_dir/shard_chaos.err" >&2; exit 1
-}
-cmp "$shard_out" "$shard_chaos_out" || {
-  echo "verify: sharded chaos sweep stdout diverged from the clean sharded run"; exit 1
-}
-# shard_sweep writes its throughput table under results/ relative to
-# its working directory: run it from the throwaway directory so the
-# committed results/shard_sweep_throughput.txt stays as it is.
-(cd "$shard_dir" && "$repo_root/target/release/shard_sweep" 6000 7 > /dev/null) || {
-  echo "verify: shard_sweep (scaling table + cross-shard mutation checks) failed"; exit 1
-}
-rm -rf "$clean_out" "$unit_out" "$shard_out" "$shard_chaos_out" "$shard_dir"
+rm -rf "$clean_out" "$chaos_out" "$chaos_dir"
 
 # Crash-harness gate: a reduced real-process SIGKILL sweep (two
 # failpoints, one hit, all seven swept schemes — the five correct

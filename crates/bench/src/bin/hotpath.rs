@@ -35,7 +35,7 @@
 //! Usage: `hotpath [--out PATH] [--check BASELINE] [--instructions N]
 //! [--seed N] [--reps N] [--sweep-instructions N] [--threads N]`
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use plp_bench::matrix::{time_sweep, MatrixOptions, RunRequest, SweepTiming};
@@ -283,15 +283,26 @@ fn json_number(doc: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Compares fresh per-scheme relative costs against the committed
-/// baseline's `relative_cost` section; returns the regression report
-/// lines (empty = gate passes). Only the load-normalized metric
-/// gates — raw nanoseconds track the machine, not the code.
-fn check_regressions(baseline: &str, costs: &[SchemeCost]) -> Vec<String> {
-    let rel_section = match baseline.find("\"relative_cost\"") {
-        Some(pos) => &baseline[pos..],
-        None => return vec!["  baseline has no \"relative_cost\" section".to_string()],
-    };
+/// Reads a committed baseline and returns its `relative_cost` section
+/// — before any measurement, so an unreadable or malformed baseline
+/// fails at once instead of after the whole run.
+fn read_baseline(path: &Path) -> Result<String, String> {
+    let doc = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?;
+    match doc.find("\"relative_cost\"") {
+        Some(pos) => Ok(doc[pos..].to_string()),
+        None => Err(format!(
+            "baseline {} has no \"relative_cost\" section",
+            path.display()
+        )),
+    }
+}
+
+/// Compares fresh per-scheme relative costs against a baseline's
+/// `relative_cost` section; returns the regression report lines
+/// (empty = gate passes). Only the load-normalized metric gates — raw
+/// nanoseconds track the machine, not the code.
+fn check_regressions(rel_section: &str, costs: &[SchemeCost]) -> Vec<String> {
     let mut failures = Vec::new();
     for c in costs {
         let Some(base) = json_number(rel_section, c.scheme.name()) else {
@@ -315,6 +326,13 @@ fn check_regressions(baseline: &str, costs: &[SchemeCost]) -> Vec<String> {
 
 fn main() {
     let o = parse_args();
+    let baseline = o.check.as_deref().map(|path| match read_baseline(path) {
+        Ok(rel_section) => (path, rel_section),
+        Err(e) => {
+            eprintln!("hotpath: {e}");
+            std::process::exit(2);
+        }
+    });
 
     let mut costs = Vec::new();
     for scheme in UpdateScheme::all_extended() {
@@ -347,18 +365,8 @@ fn main() {
     }
     eprintln!("hotpath: wrote {}", o.out.display());
 
-    if let Some(baseline_path) = &o.check {
-        let baseline = match std::fs::read_to_string(baseline_path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!(
-                    "hotpath: cannot read baseline {}: {e}",
-                    baseline_path.display()
-                );
-                std::process::exit(2);
-            }
-        };
-        let failures = check_regressions(&baseline, &costs);
+    if let Some((path, rel_section)) = &baseline {
+        let failures = check_regressions(rel_section, &costs);
         if !failures.is_empty() {
             eprintln!(
                 "hotpath: PERF GATE FAILED (>{:.0}% over baseline):",
@@ -369,9 +377,6 @@ fn main() {
             }
             std::process::exit(1);
         }
-        eprintln!(
-            "hotpath: perf gate passed against {}",
-            baseline_path.display()
-        );
+        eprintln!("hotpath: perf gate passed against {}", path.display());
     }
 }

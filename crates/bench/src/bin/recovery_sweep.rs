@@ -27,7 +27,7 @@
 //! Usage: `recovery_sweep [instructions] [seed] [--out PATH]
 //! [--check BASELINE] [--table PATH]`
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use plp_core::{
     replay_image, DurableSink, FaultVerdict, ObserverExpectation, RebuildStrategy, RecoveryManager,
@@ -318,45 +318,70 @@ fn json_number(doc: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Compares fresh values against the committed baseline. The sweep is
-/// fully simulated, so this is an equality check, not a tolerance
-/// band: recovery cycles must match exactly, overheads to print
-/// precision. A scheme missing from the baseline is tolerated — the
-/// next refresh will pin it.
-fn check_baseline(baseline: &str, rows: &[ParetoRow]) -> Vec<String> {
-    let mut failures = Vec::new();
-    let section = |name: &str| baseline.find(name).map(|pos| &baseline[pos..]);
-    let Some(overheads) = section("\"runtime_overhead\"") else {
-        return vec!["  baseline has no \"runtime_overhead\" section".to_string()];
-    };
-    let Some(cycles) = section("\"recovery_cycles\"") else {
-        return vec!["  baseline has no \"recovery_cycles\" section".to_string()];
-    };
-    for row in rows {
-        if let Some(base) = json_number(overheads, row.scheme.name()) {
-            let fresh = row.runtime_overhead;
-            if (fresh - base).abs() > FLOAT_TOLERANCE * base.max(1.0) {
-                failures.push(format!(
-                    "  {}: runtime overhead {fresh:.6} vs baseline {base:.6}",
-                    row.scheme.name()
-                ));
-            }
-        }
-        if let Some(base) = json_number(cycles, row.scheme.name()) {
-            let fresh = *row.recovery_cycles.last().unwrap() as f64;
-            if fresh != base {
-                failures.push(format!(
-                    "  {}: recovery cycles {fresh} vs baseline {base}",
-                    row.scheme.name()
-                ));
-            }
-        }
+/// A committed baseline, read and split into its two sections before
+/// any simulation, so an unreadable or malformed baseline fails at
+/// once instead of after the whole sweep.
+struct Baseline {
+    /// The document from its `"runtime_overhead"` section on.
+    overheads: String,
+    /// The document from its `"recovery_cycles"` section on.
+    cycles: String,
+}
+
+impl Baseline {
+    fn read(path: &Path) -> Result<Self, String> {
+        let doc = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?;
+        let section = |name: &str| match doc.find(name) {
+            Some(pos) => Ok(doc[pos..].to_string()),
+            None => Err(format!("baseline {} has no {name} section", path.display())),
+        };
+        Ok(Baseline {
+            overheads: section("\"runtime_overhead\"")?,
+            cycles: section("\"recovery_cycles\"")?,
+        })
     }
-    failures
+
+    /// Compares fresh values against the baseline. The sweep is fully
+    /// simulated, so this is an equality check, not a tolerance band:
+    /// recovery cycles must match exactly, overheads to print
+    /// precision. A scheme missing from the baseline is tolerated —
+    /// the next refresh will pin it.
+    fn check(&self, rows: &[ParetoRow]) -> Vec<String> {
+        let mut failures = Vec::new();
+        for row in rows {
+            if let Some(base) = json_number(&self.overheads, row.scheme.name()) {
+                let fresh = row.runtime_overhead;
+                if (fresh - base).abs() > FLOAT_TOLERANCE * base.max(1.0) {
+                    failures.push(format!(
+                        "  {}: runtime overhead {fresh:.6} vs baseline {base:.6}",
+                        row.scheme.name()
+                    ));
+                }
+            }
+            if let Some(base) = json_number(&self.cycles, row.scheme.name()) {
+                let fresh = *row.recovery_cycles.last().unwrap() as f64;
+                if fresh != base {
+                    failures.push(format!(
+                        "  {}: recovery cycles {fresh} vs baseline {base}",
+                        row.scheme.name()
+                    ));
+                }
+            }
+        }
+        failures
+    }
 }
 
 fn main() {
     let o = parse_args();
+    let baseline = o.check.as_deref().map(|path| match Baseline::read(path) {
+        Ok(baseline) => (path, baseline),
+        Err(e) => {
+            eprintln!("recovery_sweep: {e}");
+            std::process::exit(2);
+        }
+    });
 
     let wb_cycles = runtime_cycles(UpdateScheme::SecureWb, RUNTIME_LEVELS, &o);
     let mut rows = Vec::new();
@@ -402,18 +427,8 @@ fn main() {
         o.out.display()
     );
 
-    if let Some(baseline_path) = &o.check {
-        let baseline = match std::fs::read_to_string(baseline_path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!(
-                    "recovery_sweep: cannot read baseline {}: {e}",
-                    baseline_path.display()
-                );
-                std::process::exit(2);
-            }
-        };
-        let failures = check_baseline(&baseline, &rows);
+    if let Some((path, baseline)) = &baseline {
+        let failures = baseline.check(&rows);
         if !failures.is_empty() {
             eprintln!("recovery_sweep: BASELINE GATE FAILED:");
             for f in &failures {
@@ -423,7 +438,7 @@ fn main() {
         }
         eprintln!(
             "recovery_sweep: baseline gate passed against {}",
-            baseline_path.display()
+            path.display()
         );
     }
 }

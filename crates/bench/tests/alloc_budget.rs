@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use plp_bmt::{BmtGeometry, BonsaiTree};
 use plp_core::engine::{
     CoalescingEngine, EngineCtx, EngineStats, OooEngine, PipelinedEngine, SequentialEngine,
-    UpdateRequest,
+    UpdateEngine, UpdateRequest,
 };
 use plp_core::meta::MetadataCaches;
 use plp_crypto::{CounterBlock, CounterValue, CtrEngine, DataBlock, MacEngine, SipKey};
@@ -136,7 +136,7 @@ fn steady_state_persist_path_is_allocation_free() {
     // per epoch by design; the per-persist budget is what's pinned.)
 
     let mut h = Harness::new();
-    let mut seq = SequentialEngine::new(Cycle::new(40));
+    let mut seq = SequentialEngine::new();
     let mut now = 0u64;
     let mut drive_seq = |h: &mut Harness, e: &mut SequentialEngine, rounds: u64| {
         for _ in 0..rounds {
@@ -158,7 +158,7 @@ fn steady_state_persist_path_is_allocation_free() {
     );
 
     let mut h = Harness::new();
-    let mut pipe = PipelinedEngine::new(Cycle::new(40), 9, 64);
+    let mut pipe = PipelinedEngine::new(9, 64);
     let mut now = 0u64;
     let mut drive_pipe = |h: &mut Harness, e: &mut PipelinedEngine, rounds: u64| {
         for _ in 0..rounds {
@@ -180,7 +180,7 @@ fn steady_state_persist_path_is_allocation_free() {
     );
 
     let mut h = Harness::new();
-    let mut o3 = OooEngine::new(Cycle::new(40), 9, 2);
+    let mut o3 = OooEngine::new(9, 2);
     let mut now = 0u64;
     let mut drive_o3 = |h: &mut Harness, e: &mut OooEngine, rounds: u64| {
         for _ in 0..rounds {
@@ -199,7 +199,7 @@ fn steady_state_persist_path_is_allocation_free() {
     assert_eq!(n, 0, "o3 persist allocated {n} times in steady state");
 
     let mut h = Harness::new();
-    let mut co = CoalescingEngine::new(Cycle::new(40), 9, 2);
+    let mut co = CoalescingEngine::new(9, 2);
     let mut now = 0u64;
     let mut drive_co = |h: &mut Harness, e: &mut CoalescingEngine, rounds: u64| {
         for _ in 0..rounds {

@@ -28,6 +28,11 @@ static SWEEP_LOCK: Mutex<()> = Mutex::new(());
 const INSTRUCTIONS: &str = "2000";
 const SEED: &str = "7";
 
+/// Chaos sweeps run under a 300 ms watchdog instead of `all`'s 1.5 s
+/// chaos default: each injected stall lasts twice the watchdog plus
+/// 50 ms, and the fault plan and its verdicts do not depend on it.
+const CHAOS: [&str; 4] = ["--chaos", "0xC0FFEE", "--watchdog-ms", "300"];
+
 fn all_binary() -> &'static str {
     env!("CARGO_BIN_EXE_all")
 }
@@ -121,22 +126,8 @@ fn isolated_sweep_stdout_is_byte_identical_to_in_process() {
 #[test]
 fn isolated_chaos_report_is_deterministic_across_thread_counts() {
     let _guard = SWEEP_LOCK.lock().unwrap();
-    let two = run_all(&[
-        "--no-cache",
-        "--isolate",
-        "--chaos",
-        "0xC0FFEE",
-        "--threads",
-        "2",
-    ]);
-    let four = run_all(&[
-        "--no-cache",
-        "--isolate",
-        "--chaos",
-        "0xC0FFEE",
-        "--threads",
-        "4",
-    ]);
+    let two = run_all(&[&["--no-cache", "--isolate", "--threads", "2"][..], &CHAOS].concat());
+    let four = run_all(&[&["--no-cache", "--isolate", "--threads", "4"][..], &CHAOS].concat());
     assert_eq!(
         two.status.code(),
         four.status.code(),
@@ -166,8 +157,8 @@ fn isolated_chaos_report_is_deterministic_across_thread_counts() {
 #[test]
 fn chaos_sweep_reports_equal_in_process_and_isolated() {
     let _guard = SWEEP_LOCK.lock().unwrap();
-    let in_process = run_all(&["--no-cache", "--chaos", "0xC0FFEE"]);
-    let isolated = run_all(&["--no-cache", "--chaos", "0xC0FFEE", "--isolate"]);
+    let in_process = run_all(&[&["--no-cache"][..], &CHAOS].concat());
+    let isolated = run_all(&[&["--no-cache", "--isolate"][..], &CHAOS].concat());
     assert_eq!(
         in_process.status.code(),
         Some(0),
@@ -206,10 +197,7 @@ fn warm_chaos_sweep_caches_every_run_but_the_quarantined() {
         std::fs::create_dir_all(&dir).unwrap();
         let warm_up = run_all_in(&dir, &[&["--threads", "2"], mode].concat());
         assert!(warm_up.status.success(), "warm-up sweep failed {mode:?}");
-        let chaos = run_all_in(
-            &dir,
-            &[&["--threads", "2", "--chaos", "0xC0FFEE"], mode].concat(),
-        );
+        let chaos = run_all_in(&dir, &[&["--threads", "2"][..], &CHAOS, mode].concat());
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(
             chaos.status.code(),

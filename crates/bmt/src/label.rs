@@ -9,7 +9,44 @@
 use crate::BmtGeometry;
 
 /// A node's label in the breadth-first numbering of the tree (root = 0).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+///
+/// Labels are neither hashable nor ordered: BMT node state lives in the
+/// dense level-major arena, indexed by [`NodeLabel::raw`], and a map
+/// keyed by a label would put the hash-probe hot path back. A test
+/// oracle that wants a map keys it by `raw()`:
+///
+/// ```
+/// use std::collections::HashMap;
+/// use plp_bmt::NodeLabel;
+///
+/// let mut nodes = HashMap::new();
+/// nodes.insert(NodeLabel::ROOT.raw(), 0u64);
+/// ```
+///
+/// ```compile_fail
+/// use std::collections::HashMap;
+/// use plp_bmt::NodeLabel;
+///
+/// let mut nodes = HashMap::new();
+/// nodes.insert(NodeLabel::ROOT, 0u64);
+/// ```
+///
+/// ```
+/// use std::collections::BTreeMap;
+/// use plp_bmt::NodeLabel;
+///
+/// let mut nodes = BTreeMap::new();
+/// nodes.insert(NodeLabel::ROOT.raw(), 0u64);
+/// ```
+///
+/// ```compile_fail
+/// use std::collections::BTreeMap;
+/// use plp_bmt::NodeLabel;
+///
+/// let mut nodes = BTreeMap::new();
+/// nodes.insert(NodeLabel::ROOT, 0u64);
+/// ```
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct NodeLabel(u64);
 
 impl NodeLabel {

@@ -3,7 +3,8 @@
 //! map-backed eager implementation.
 //!
 //! `GoldenTree` below is a frozen copy of the pre-arena tree: a
-//! `HashMap<NodeLabel, NodeValue>` node store with per-level lazy
+//! `HashMap` node store (keyed by the label's raw numbering, since
+//! `NodeLabel` is not hashable) with per-level lazy
 //! defaults, recomputing every ancestor on every update by collecting
 //! its children into a fresh `Vec`. It is deliberately naive — its job
 //! is to be obviously correct, not fast. Every arena test drives both
@@ -30,7 +31,7 @@ fn key() -> SipKey {
 struct GoldenTree {
     geometry: BmtGeometry,
     key: SipKey,
-    nodes: HashMap<NodeLabel, NodeValue>,
+    nodes: HashMap<u64, NodeValue>,
     defaults: Vec<NodeValue>,
 }
 
@@ -70,7 +71,7 @@ impl GoldenTree {
     }
 
     fn node_value(&self, label: NodeLabel) -> NodeValue {
-        match self.nodes.get(&label) {
+        match self.nodes.get(&label.raw()) {
             Some(v) => *v,
             None => self.defaults[self.geometry.level_index(label)],
         }
@@ -85,7 +86,7 @@ impl GoldenTree {
     fn populated_nodes_above(&self, floor: u32) -> usize {
         self.nodes
             .keys()
-            .filter(|l| self.geometry.level(**l) < floor)
+            .filter(|&&raw| self.geometry.level(NodeLabel::new(raw)) < floor)
             .count()
     }
 
@@ -100,12 +101,12 @@ impl GoldenTree {
         let leaf = self.geometry.leaf(page);
         let mut path = Vec::with_capacity(self.geometry.levels_usize());
         let leaf_value = self.key.hash_words(&cb.content_words());
-        self.nodes.insert(leaf, leaf_value);
+        self.nodes.insert(leaf.raw(), leaf_value);
         path.push((leaf, leaf_value));
         let mut node = leaf;
         while let Some(parent) = self.geometry.parent(node) {
             let value = self.recompute_internal(parent);
-            self.nodes.insert(parent, value);
+            self.nodes.insert(parent.raw(), value);
             path.push((parent, value));
             node = parent;
         }
@@ -113,11 +114,12 @@ impl GoldenTree {
     }
 
     fn set_node(&mut self, label: NodeLabel, value: NodeValue) {
-        self.nodes.insert(label, value);
+        self.nodes.insert(label.raw(), value);
     }
 
     fn verify_consistent(&self) -> bool {
-        let mut labels: Vec<NodeLabel> = self.nodes.keys().copied().collect();
+        let mut labels: Vec<NodeLabel> =
+            self.nodes.keys().map(|&raw| NodeLabel::new(raw)).collect();
         labels.sort_by_key(|l| std::cmp::Reverse(self.geometry.level(*l)));
         for label in labels {
             if self.geometry.level(label) >= self.geometry.levels() {

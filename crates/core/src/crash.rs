@@ -37,7 +37,7 @@ use plp_events::frame::Reader;
 use plp_nvm::image::{read_image, ImageHeader, ImageWriter};
 use plp_nvm::NvmError;
 
-use crate::failpoint::{Failpoint, FailpointRegistry};
+use crate::failpoint::{self, Crossed, Failpoint, FailpointRegistry};
 use crate::recovery::PersistImage;
 use crate::SystemConfig;
 
@@ -606,12 +606,13 @@ pub struct RecoveryWriteback {
     /// was already a canonical recovered image and this attempt was a
     /// byte-identical no-op — the idempotence fixpoint.
     pub rewritten: bool,
+    /// The `pre-repair` visit every attempt makes first: no path
+    /// through [`recover_image`] can return an outcome without it.
+    _crossed: Crossed,
 }
 
-fn fp_hit(reg: &mut Option<&mut FailpointRegistry>, point: Failpoint) {
-    if let Some(r) = reg.as_deref_mut() {
-        r.hit(point);
-    }
+fn fp_hit(reg: &mut Option<&mut FailpointRegistry>, point: Failpoint) -> Crossed {
+    failpoint::visit(reg.as_deref_mut(), point)
 }
 
 /// Path of the scratch file recovery writes before its atomic rename.
@@ -650,7 +651,7 @@ pub fn recover_image(
     registry: Option<&mut FailpointRegistry>,
 ) -> Result<RecoveryWriteback, ReplayError> {
     let mut reg = registry;
-    fp_hit(&mut reg, Failpoint::RecoveryPreRepair);
+    let crossed = fp_hit(&mut reg, Failpoint::RecoveryPreRepair);
     let replayed = replay_image(path, key)?;
     let image = BmtGeometry::try_new(replayed.header.arity, replayed.header.levels)
         .ok_or(ReplayError::BadGeometry)?;
@@ -674,6 +675,7 @@ pub fn recover_image(
             outcome,
             replayed,
             rewritten: false,
+            _crossed: crossed,
         });
     }
 
@@ -738,6 +740,7 @@ pub fn recover_image(
         outcome,
         replayed,
         rewritten: true,
+        _crossed: crossed,
     })
 }
 

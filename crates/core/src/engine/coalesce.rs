@@ -3,7 +3,7 @@
 use plp_bmt::NodeLabel;
 use plp_events::Cycle;
 
-use super::{EngineCtx, OooEngine, UpdateRequest};
+use super::{EngineCtx, OooEngine, UpdateEngine, UpdateRequest};
 
 /// The chained-handoff persist awaiting its shared-suffix walk.
 #[derive(Debug, Clone, Copy)]
@@ -42,18 +42,13 @@ impl CoalescingEngine {
     /// # Panics
     ///
     /// Panics if `ett_entries` is zero.
-    pub fn new(mac_latency: Cycle, levels: u32, ett_entries: usize) -> Self {
+    pub fn new(levels: u32, ett_entries: usize) -> Self {
         CoalescingEngine {
-            inner: OooEngine::new(mac_latency, levels, ett_entries),
+            inner: OooEngine::new(levels, ett_entries),
             levels,
             carrier: None,
             saved_updates: 0,
         }
-    }
-
-    /// Node updates eliminated by coalescing so far.
-    pub fn saved_updates(&self) -> u64 {
-        self.saved_updates
     }
 
     /// Commits the carrier's path at levels `from ..= to` (deep to
@@ -92,14 +87,16 @@ impl CoalescingEngine {
         }
         t
     }
+}
 
+impl UpdateEngine for CoalescingEngine {
     /// Schedules a persist. If a carrier is pending, the carrier
     /// commits through the pair's LCA (gated on this persist's sub-LCA
     /// work) and this persist inherits the shared suffix; otherwise
     /// this persist becomes the carrier. Returns the completion of the
     /// work scheduled *now* for this persist (delegated suffixes finish
-    /// at [`CoalescingEngine::seal_epoch`]).
-    pub fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
+    /// at [`UpdateEngine::seal_epoch`]).
+    fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
         let now = req.now.max(self.inner.floor());
         let Some(carrier) = self.carrier.take() else {
             self.carrier = Some(Carrier {
@@ -152,16 +149,21 @@ impl CoalescingEngine {
     /// Seals the epoch: the pending carrier walks its remaining suffix
     /// to the root, then the inner ETT rotates. Returns the epoch's
     /// completion time.
-    pub fn seal_epoch(&mut self, ctx: &mut EngineCtx<'_>) -> Cycle {
+    fn seal_epoch(&mut self, ctx: &mut EngineCtx<'_>) -> Option<Cycle> {
         if let Some(carrier) = self.carrier.take() {
             self.commit_carrier_levels(carrier, 1, Cycle::ZERO, ctx);
         }
-        self.inner.seal_epoch()
+        Some(self.inner.seal_epoch())
     }
 
     /// When the engine's last scheduled work completes.
-    pub fn drained_at(&self) -> Cycle {
+    fn drained_at(&self) -> Cycle {
         self.inner.drained_at()
+    }
+
+    /// Node updates eliminated by coalescing so far.
+    fn saved_updates(&self) -> u64 {
+        self.saved_updates
     }
 }
 
@@ -175,7 +177,7 @@ mod tests {
     #[test]
     fn fig5_update_counts() {
         let mut h = CtxHarness::ideal();
-        let mut e = CoalescingEngine::new(h.mac, 4, 2);
+        let mut e = CoalescingEngine::new(4, 2);
         // δ1: page 0 (leaf X41); δ2: page 1 (leaf X42, same level-3
         // parent); δ3: page 24 (different level-3 parent, same level-2
         // ancestor X21).
@@ -191,12 +193,12 @@ mod tests {
     #[test]
     fn lone_persist_walks_full_path_at_seal() {
         let mut h = CtxHarness::ideal();
-        let mut e = CoalescingEngine::new(h.mac, 4, 2);
+        let mut e = CoalescingEngine::new(4, 2);
         let _ = e.persist(h.req(5, 0), &mut h.ctx());
         assert_eq!(h.stats.node_updates, 0, "work deferred until handoff");
         let c = e.seal_epoch(&mut h.ctx());
         assert_eq!(h.stats.node_updates, 4);
-        assert_eq!(c, Cycle::new(160));
+        assert_eq!(c, Some(Cycle::new(160)));
     }
 
     #[test]
@@ -205,7 +207,7 @@ mod tests {
         // epoch produce a single counter block and, with coalescing, a
         // single leaf-to-root walk instead of two.
         let mut h = CtxHarness::ideal();
-        let mut e = CoalescingEngine::new(h.mac, 4, 2);
+        let mut e = CoalescingEngine::new(4, 2);
         let _ = e.persist(h.req(7, 0), &mut h.ctx());
         let _ = e.persist(h.req(7, 0), &mut h.ctx());
         let _ = e.seal_epoch(&mut h.ctx());
@@ -219,7 +221,7 @@ mod tests {
         // persist whose LCA with leaf1 is at level 3 (deeper than the
         // frontier) cannot delegate — the chain finalizes and restarts.
         let mut h = CtxHarness::ideal();
-        let mut e = CoalescingEngine::new(h.mac, 4, 2);
+        let mut e = CoalescingEngine::new(4, 2);
         let _ = e.persist(h.req(0, 0), &mut h.ctx()); // carrier leaf0
         let _ = e.persist(h.req(1, 0), &mut h.ctx()); // handoff at L3
         let _ = e.persist(h.req(0, 0), &mut h.ctx()); // junction at L3 again
@@ -235,7 +237,7 @@ mod tests {
         use crate::engine::OooEngine as Plain;
         let pages = [0u64, 1, 2, 64, 65, 100, 101, 300, 300, 5];
         let mut hc = CtxHarness::ideal();
-        let mut c = CoalescingEngine::new(hc.mac, 4, 2);
+        let mut c = CoalescingEngine::new(4, 2);
         for &p in &pages {
             let req = hc.req(p, 0);
             let _ = c.persist(req, &mut hc.ctx());
@@ -244,7 +246,7 @@ mod tests {
         let coalesced = hc.stats.node_updates;
 
         let mut ho = CtxHarness::ideal();
-        let mut o = Plain::new(ho.mac, 4, 2);
+        let mut o = Plain::new(4, 2);
         for &p in &pages {
             let req = ho.req(p, 0);
             let _ = o.persist(req, &mut ho.ctx());
@@ -259,7 +261,7 @@ mod tests {
     #[test]
     fn cross_epoch_ordering_preserved() {
         let mut h = CtxHarness::ideal();
-        let mut e = CoalescingEngine::new(h.mac, 4, 2);
+        let mut e = CoalescingEngine::new(4, 2);
         let _ = e.persist(h.req(0, 0), &mut h.ctx());
         let c1 = e.seal_epoch(&mut h.ctx());
         let _ = e.persist(h.req(511, 0), &mut h.ctx());
@@ -273,7 +275,7 @@ mod tests {
         // completion — the reason coalescing's runtime stays close to
         // o3 (§VII).
         let mut h = CtxHarness::ideal();
-        let mut e = CoalescingEngine::new(h.mac, 4, 2);
+        let mut e = CoalescingEngine::new(4, 2);
         let _ = e.persist(h.req(0, 0), &mut h.ctx());
         // Newcomer arrives late: the chain cannot commit the LCA any
         // earlier than the newcomer's leaf update.

@@ -17,35 +17,31 @@
 
 use plp_events::Cycle;
 
-use super::{EngineCtx, UpdateRequest};
+use super::{EngineCtx, UpdateEngine, UpdateRequest};
 use crate::meta::bmt_node_block_addr;
 
 /// Strict-persistency updates over an SGX-style counter tree.
 #[derive(Debug, Clone, Default)]
 pub struct CounterTreeEngine {
-    mac_latency: Cycle,
     busy_until: Cycle,
     drained: Cycle,
 }
 
 impl CounterTreeEngine {
     /// Creates an idle engine.
-    pub fn new(mac_latency: Cycle) -> Self {
-        CounterTreeEngine {
-            mac_latency,
-            busy_until: Cycle::ZERO,
-            drained: Cycle::ZERO,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
+}
 
+impl UpdateEngine for CounterTreeEngine {
     /// Schedules the sequential walk *and* the per-level NVM persists;
     /// returns the time the whole path is durable.
-    pub fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
+    fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
         let mut t = req.now.max(self.busy_until);
         let mut path_durable = t;
         for (label, level) in ctx.geometry.walk_up(req.leaf) {
-            t = ctx.node_ready(label, t) + self.mac_latency;
-            ctx.note_update(label, level, t);
+            t = ctx.update(label, level, t);
             // Every node on the path must persist (shadow-copy writes
             // in a real design; modelled as posted NVM writes whose
             // completion gates the persist).
@@ -59,7 +55,7 @@ impl CounterTreeEngine {
     }
 
     /// When the engine's last scheduled persist completes.
-    pub fn drained_at(&self) -> Cycle {
+    fn drained_at(&self) -> Cycle {
         self.drained
     }
 }
@@ -72,7 +68,7 @@ mod tests {
     #[test]
     fn persist_waits_for_whole_path_to_drain() {
         let mut h = CtxHarness::ideal();
-        let mut e = CounterTreeEngine::new(h.mac);
+        let mut e = CounterTreeEngine::new();
         let done = e.persist(h.req(0, 0), &mut h.ctx());
         // The MAC walk alone is 160 cycles; each node write costs 600
         // cycles of NVM write time on top, so completion is far later.
@@ -85,13 +81,13 @@ mod tests {
     fn costs_more_than_bmt_sequential() {
         use crate::engine::SequentialEngine;
         let mut h1 = CtxHarness::ideal();
-        let mut ctree = CounterTreeEngine::new(h1.mac);
+        let mut ctree = CounterTreeEngine::new();
         let mut last_ctree = Cycle::ZERO;
         for i in 0..20 {
             last_ctree = ctree.persist(h1.req(i % 8, 0), &mut h1.ctx());
         }
         let mut h2 = CtxHarness::ideal();
-        let mut bmt = SequentialEngine::new(h2.mac);
+        let mut bmt = SequentialEngine::new();
         let mut last_bmt = Cycle::ZERO;
         for i in 0..20 {
             last_bmt = bmt.persist(h2.req(i % 8, 0), &mut h2.ctx());
@@ -105,7 +101,7 @@ mod tests {
     #[test]
     fn repeated_paths_benefit_from_write_combining() {
         let mut h = CtxHarness::ideal();
-        let mut e = CounterTreeEngine::new(h.mac);
+        let mut e = CounterTreeEngine::new();
         for _ in 0..4 {
             let req = h.req(3, 0);
             let _ = e.persist(req, &mut h.ctx());

@@ -20,6 +20,7 @@
 
 mod coalesce;
 mod ctree;
+mod ctx;
 mod mutant;
 mod ooo;
 mod phoenix;
@@ -30,6 +31,7 @@ mod unordered;
 
 pub use coalesce::CoalescingEngine;
 pub use ctree::CounterTreeEngine;
+pub use ctx::EngineCtx;
 pub use mutant::{MutantEngine, Mutation};
 pub use ooo::OooEngine;
 pub use phoenix::PhoenixEngine;
@@ -38,12 +40,9 @@ pub use sequential::SequentialEngine;
 pub use triad::TriadNvmEngine;
 pub use unordered::UnorderedEngine;
 
-use plp_bmt::{BmtGeometry, NodeLabel};
+use plp_bmt::NodeLabel;
 use plp_events::Cycle;
-use plp_nvm::NvmDevice;
 
-use crate::meta::{bmt_node_block_addr, MetadataCaches};
-use crate::sanitizer::NodeUpdateEvent;
 use crate::{SystemConfig, UpdateScheme};
 
 /// Counters reported by the engines.
@@ -61,74 +60,6 @@ pub struct EngineStats {
 /// and index their per-level tables with tree levels.
 pub(crate) fn level_slot(v: u32) -> usize {
     v as usize
-}
-
-/// Mutable context an engine needs while scheduling: the BMT cache,
-/// the NVM device (for miss fetches), statistics and (when the
-/// invariant sanitizer is on) the node-update event tap.
-pub struct EngineCtx<'a> {
-    /// Tree shape.
-    pub geometry: BmtGeometry,
-    /// Effective MAC latency (zero under ideal metadata).
-    pub mac_latency: Cycle,
-    /// The metadata caches (BMT cache lookups).
-    pub meta: &'a mut MetadataCaches,
-    /// The NVM device for miss fetches.
-    pub nvm: &'a mut NvmDevice,
-    /// Engine statistics.
-    pub stats: &'a mut EngineStats,
-    /// Sanitizer event tap: when present, every node update the engine
-    /// schedules is recorded for shadow verification (see
-    /// [`crate::sanitizer`]). `None` when the sanitizer is off — the
-    /// tap then costs one branch per update.
-    pub tap: Option<&'a mut Vec<NodeUpdateEvent>>,
-    /// Reusable label scratch, owned by the simulation so engines that
-    /// need a materialized update path (the mutant's reverse walk)
-    /// borrow it instead of allocating one per persist.
-    pub walk: &'a mut Vec<NodeLabel>,
-    /// The named-failpoint registry, when the crash harness armed one:
-    /// `note_update` visits the `between-levels` failpoint through it.
-    /// `None` on ordinary runs — one branch per node update, like the
-    /// tap.
-    pub failpoints: Option<&'a mut crate::failpoint::FailpointRegistry>,
-}
-
-impl EngineCtx<'_> {
-    /// Records one scheduled BMT node update completing at `done`:
-    /// bumps the statistics counter and, when the sanitizer is
-    /// listening, pushes the event onto the tap. Every engine reports
-    /// each node update through this single point, passing the level
-    /// it already tracks for its own scheduling — recomputing it here
-    /// per update would put label arithmetic back on the hot path.
-    pub fn note_update(&mut self, label: NodeLabel, level: u32, done: Cycle) {
-        debug_assert_eq!(level, self.geometry.level(label));
-        self.stats.node_updates += 1;
-        if let Some(tap) = self.tap.as_deref_mut() {
-            tap.push(NodeUpdateEvent { label, level, done });
-        }
-        if let Some(fp) = self.failpoints.as_deref_mut() {
-            fp.hit(crate::failpoint::Failpoint::BetweenLevels);
-        }
-    }
-
-    /// When node `label` is available on chip for an update requested
-    /// at `at`: immediately for the root (an on-chip register) and BMT
-    /// cache hits; after an NVM fetch plus integrity verification on a
-    /// miss. Sibling values share the fetched 64-byte node block
-    /// (eight 8-byte nodes per block), so one fetch covers the MAC
-    /// inputs of the level.
-    pub fn node_ready(&mut self, label: NodeLabel, at: Cycle) -> Cycle {
-        if label.is_root() {
-            return at;
-        }
-        if self.meta.access_bmt(label, true) {
-            at
-        } else {
-            self.stats.bmt_fetches += 1;
-            let fetched = self.nvm.read(at, bmt_node_block_addr(label));
-            fetched + self.mac_latency // verify the fetched node
-        }
-    }
 }
 
 /// A persist request handed to an engine.
@@ -170,126 +101,30 @@ pub trait UpdateEngine: std::fmt::Debug + Send {
     }
 }
 
-impl UpdateEngine for SequentialEngine {
-    fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
-        SequentialEngine::persist(self, req, ctx)
-    }
-
-    fn drained_at(&self) -> Cycle {
-        SequentialEngine::drained_at(self)
-    }
-}
-
-impl UpdateEngine for PipelinedEngine {
-    fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
-        PipelinedEngine::persist(self, req, ctx)
-    }
-
-    fn drained_at(&self) -> Cycle {
-        PipelinedEngine::drained_at(self)
-    }
-}
-
-impl UpdateEngine for UnorderedEngine {
-    fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
-        UnorderedEngine::persist(self, req, ctx)
-    }
-
-    fn drained_at(&self) -> Cycle {
-        UnorderedEngine::drained_at(self)
-    }
-}
-
-impl UpdateEngine for OooEngine {
-    fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
-        OooEngine::persist(self, req, ctx)
-    }
-
-    fn seal_epoch(&mut self, _ctx: &mut EngineCtx<'_>) -> Option<Cycle> {
-        Some(OooEngine::seal_epoch(self))
-    }
-
-    fn drained_at(&self) -> Cycle {
-        OooEngine::drained_at(self)
-    }
-}
-
-impl UpdateEngine for CoalescingEngine {
-    fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
-        CoalescingEngine::persist(self, req, ctx)
-    }
-
-    fn seal_epoch(&mut self, ctx: &mut EngineCtx<'_>) -> Option<Cycle> {
-        Some(CoalescingEngine::seal_epoch(self, ctx))
-    }
-
-    fn drained_at(&self) -> Cycle {
-        CoalescingEngine::drained_at(self)
-    }
-
-    fn saved_updates(&self) -> u64 {
-        CoalescingEngine::saved_updates(self)
-    }
-}
-
-impl UpdateEngine for CounterTreeEngine {
-    fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
-        CounterTreeEngine::persist(self, req, ctx)
-    }
-
-    fn drained_at(&self) -> Cycle {
-        CounterTreeEngine::drained_at(self)
-    }
-}
-
-impl UpdateEngine for TriadNvmEngine {
-    fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
-        TriadNvmEngine::persist(self, req, ctx)
-    }
-
-    fn drained_at(&self) -> Cycle {
-        TriadNvmEngine::drained_at(self)
-    }
-}
-
-impl UpdateEngine for PhoenixEngine {
-    fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
-        PhoenixEngine::persist(self, req, ctx)
-    }
-
-    fn drained_at(&self) -> Cycle {
-        PhoenixEngine::drained_at(self)
-    }
-}
-
 /// Builds the engine for `config`'s scheme. The `secure_WB` baseline
 /// routes its eviction write-backs through a sequential engine (§VII:
 /// evicted dirty blocks update the BMT sequentially).
 pub fn for_config(config: &SystemConfig) -> Box<dyn UpdateEngine> {
-    let mac = if config.ideal_metadata {
-        Cycle::ZERO
-    } else {
-        config.mac_latency
-    };
     let levels = config.bmt.levels();
     match config.scheme {
-        UpdateScheme::SecureWb | UpdateScheme::Sp => Box::new(SequentialEngine::new(mac)),
-        UpdateScheme::Pipeline => Box::new(PipelinedEngine::new(mac, levels, config.ptt_entries)),
-        UpdateScheme::Unordered => Box::new(UnorderedEngine::new(mac)),
-        UpdateScheme::O3 => Box::new(OooEngine::new(mac, levels, config.ett_entries)),
-        UpdateScheme::Coalescing => {
-            Box::new(CoalescingEngine::new(mac, levels, config.ett_entries))
-        }
-        UpdateScheme::SpCounterTree => Box::new(CounterTreeEngine::new(mac)),
-        UpdateScheme::TriadNvm => Box::new(TriadNvmEngine::new(mac, config.triad_floor())),
-        UpdateScheme::Phoenix => Box::new(PhoenixEngine::new(mac)),
+        UpdateScheme::SecureWb | UpdateScheme::Sp => Box::new(SequentialEngine::new()),
+        UpdateScheme::Pipeline => Box::new(PipelinedEngine::new(levels, config.ptt_entries)),
+        UpdateScheme::Unordered => Box::new(UnorderedEngine::new()),
+        UpdateScheme::O3 => Box::new(OooEngine::new(levels, config.ett_entries)),
+        UpdateScheme::Coalescing => Box::new(CoalescingEngine::new(levels, config.ett_entries)),
+        UpdateScheme::SpCounterTree => Box::new(CounterTreeEngine::new()),
+        UpdateScheme::TriadNvm => Box::new(TriadNvmEngine::new(config.triad_floor())),
+        UpdateScheme::Phoenix => Box::new(PhoenixEngine::new()),
     }
 }
 
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;
-    use plp_nvm::NvmConfig;
+    use crate::meta::MetadataCaches;
+    use crate::sanitizer::NodeUpdateEvent;
+    use plp_bmt::BmtGeometry;
+    use plp_nvm::{NvmConfig, NvmDevice};
 
     /// A self-contained harness owning everything an `EngineCtx`
     /// borrows.
@@ -364,7 +199,7 @@ pub(crate) mod testutil {
     #[test]
     fn note_update_feeds_stats_and_tap() {
         let mut h = CtxHarness::ideal();
-        let mut e = SequentialEngine::new(h.mac);
+        let mut e = SequentialEngine::new();
         let req = h.req(0, 0);
         let _ = e.persist(req, &mut h.tapped_ctx());
         assert_eq!(h.stats.node_updates, 4);

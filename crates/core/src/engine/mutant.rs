@@ -43,7 +43,6 @@ pub enum Mutation {
 #[derive(Debug)]
 pub struct MutantEngine {
     mutation: Mutation,
-    mac_latency: Cycle,
     /// Per-level completion of sealed epochs (the gate
     /// [`Mutation::IgnoreEpochGate`] ignores).
     prev_epoch_level_done: Vec<Cycle>,
@@ -55,10 +54,9 @@ pub struct MutantEngine {
 
 impl MutantEngine {
     /// Creates a mutant for a `levels`-deep tree.
-    pub fn new(mutation: Mutation, mac_latency: Cycle, levels: u32) -> Self {
+    pub fn new(mutation: Mutation, levels: u32) -> Self {
         MutantEngine {
             mutation,
-            mac_latency,
             prev_epoch_level_done: vec![Cycle::ZERO; level_slot(levels)],
             cur_epoch_level_max: vec![Cycle::ZERO; level_slot(levels)],
             last_reported_seal: None,
@@ -77,10 +75,11 @@ impl MutantEngine {
         let gate = match self.mutation {
             // The planted bug: skip the cross-epoch authorization.
             Mutation::IgnoreEpochGate => at,
-            _ => at.max(self.prev_epoch_level_done[slot]),
+            Mutation::SkipLevel(_) | Mutation::ReverseWalk | Mutation::RegressSeal => {
+                at.max(self.prev_epoch_level_done[slot])
+            }
         };
-        let done = ctx.node_ready(label, gate) + self.mac_latency;
-        ctx.note_update(label, level, done);
+        let done = ctx.update(label, level, gate);
         self.cur_epoch_level_max[slot] = self.cur_epoch_level_max[slot].max(done);
         done
     }
@@ -159,7 +158,7 @@ mod tests {
     #[test]
     fn skip_level_walks_one_short() {
         let mut h = CtxHarness::ideal();
-        let mut e = MutantEngine::new(Mutation::SkipLevel(2), h.mac, 4);
+        let mut e = MutantEngine::new(Mutation::SkipLevel(2), 4);
         let req = h.req(0, 0);
         let _ = UpdateEngine::persist(&mut e, req, &mut h.tapped_ctx());
         assert_eq!(h.stats.node_updates, 3);
@@ -169,7 +168,7 @@ mod tests {
     #[test]
     fn reverse_walk_completes_root_before_leaf() {
         let mut h = CtxHarness::ideal();
-        let mut e = MutantEngine::new(Mutation::ReverseWalk, h.mac, 4);
+        let mut e = MutantEngine::new(Mutation::ReverseWalk, 4);
         let req = h.req(0, 0);
         let _ = UpdateEngine::persist(&mut e, req, &mut h.tapped_ctx());
         let root = h.tap.iter().find(|ev| ev.level == 1).copied();
@@ -181,7 +180,7 @@ mod tests {
     #[test]
     fn regress_seal_reports_backwards_completions() {
         let mut h = CtxHarness::ideal();
-        let mut e = MutantEngine::new(Mutation::RegressSeal, h.mac, 4);
+        let mut e = MutantEngine::new(Mutation::RegressSeal, 4);
         let req = h.req(0, 0);
         let _ = UpdateEngine::persist(&mut e, req, &mut h.ctx());
         let c1 = e.seal_epoch(&mut h.ctx()).expect("epoch engine seals");
@@ -194,7 +193,7 @@ mod tests {
     #[test]
     fn ignore_epoch_gate_lets_updates_jump_the_handoff() {
         let mut h = CtxHarness::cold();
-        let mut e = MutantEngine::new(Mutation::IgnoreEpochGate, h.mac, 4);
+        let mut e = MutantEngine::new(Mutation::IgnoreEpochGate, 4);
         // Epoch 0: a cold walk with late completions.
         let req = h.req(0, 0);
         let _ = UpdateEngine::persist(&mut e, req, &mut h.ctx());

@@ -3,7 +3,7 @@
 
 use plp_events::Cycle;
 
-use super::{level_slot, EngineCtx, UpdateRequest};
+use super::{level_slot, EngineCtx, UpdateEngine, UpdateRequest};
 
 /// The ETT/PTT engine of §V-B: persists of the *same* epoch update the
 /// tree out of order through fully pipelined MAC units (§IV-B1 proves
@@ -18,7 +18,6 @@ use super::{level_slot, EngineCtx, UpdateRequest};
 /// updates are modelled as pure latency after their gates.
 #[derive(Debug, Clone)]
 pub struct OooEngine {
-    mac_latency: Cycle,
     /// Per-level completion of the *previous* epoch: the ETT's level
     /// authorization (index = level - 1).
     prev_epoch_level_done: Vec<Cycle>,
@@ -38,26 +37,15 @@ impl OooEngine {
     /// # Panics
     ///
     /// Panics if `ett_entries` is zero.
-    pub fn new(mac_latency: Cycle, levels: u32, ett_entries: usize) -> Self {
+    pub fn new(levels: u32, ett_entries: usize) -> Self {
         assert!(ett_entries > 0, "ETT needs at least one entry");
         OooEngine {
-            mac_latency,
             prev_epoch_level_done: vec![Cycle::ZERO; level_slot(levels)],
             cur_epoch_level_max: vec![Cycle::ZERO; level_slot(levels)],
             epoch_completions: Vec::new(),
             epoch_floor: Cycle::ZERO,
             ett_entries,
         }
-    }
-
-    /// Schedules one persist's walk; returns its own root-done time
-    /// (persists of the same epoch complete in any order).
-    pub fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
-        let mut t = req.now.max(self.epoch_floor);
-        for (label, level) in ctx.geometry.walk_up(req.leaf) {
-            t = self.update_node(label, level, t, ctx);
-        }
-        t
     }
 
     /// Schedules one node update at `at` under the epoch's constraints;
@@ -71,10 +59,7 @@ impl OooEngine {
         ctx: &mut EngineCtx<'_>,
     ) -> Cycle {
         let slot = level_slot(level - 1);
-        let gate = at.max(self.prev_epoch_level_done[slot]);
-        let ready = ctx.node_ready(label, gate);
-        let done = ready + self.mac_latency;
-        ctx.note_update(label, level, done);
+        let done = ctx.update(label, level, at.max(self.prev_epoch_level_done[slot]));
         self.cur_epoch_level_max[slot] = self.cur_epoch_level_max[slot].max(done);
         done
     }
@@ -116,9 +101,25 @@ impl OooEngine {
         };
         completion
     }
+}
+
+impl UpdateEngine for OooEngine {
+    /// Schedules one persist's walk; returns its own root-done time
+    /// (persists of the same epoch complete in any order).
+    fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
+        let mut t = req.now.max(self.epoch_floor);
+        for (label, level) in ctx.geometry.walk_up(req.leaf) {
+            t = self.update_node(label, level, t, ctx);
+        }
+        t
+    }
+
+    fn seal_epoch(&mut self, _ctx: &mut EngineCtx<'_>) -> Option<Cycle> {
+        Some(OooEngine::seal_epoch(self))
+    }
 
     /// When the engine's last scheduled work completes.
-    pub fn drained_at(&self) -> Cycle {
+    fn drained_at(&self) -> Cycle {
         let cur = self
             .cur_epoch_level_max
             .iter()
@@ -141,7 +142,7 @@ mod tests {
     #[test]
     fn intra_epoch_updates_overlap() {
         let mut h = CtxHarness::ideal();
-        let mut e = OooEngine::new(h.mac, 4, 2);
+        let mut e = OooEngine::new(4, 2);
         let mut last = Cycle::ZERO;
         for i in 0..8 {
             last = last.max(e.persist(h.req(i * 64, 0), &mut h.ctx()));
@@ -154,7 +155,7 @@ mod tests {
     #[test]
     fn cross_epoch_levels_are_ordered() {
         let mut h = CtxHarness::ideal();
-        let mut e = OooEngine::new(h.mac, 4, 2);
+        let mut e = OooEngine::new(4, 2);
         let d1 = e.persist(h.req(0, 0), &mut h.ctx());
         let c1 = e.seal_epoch();
         assert_eq!(c1, d1);
@@ -169,7 +170,7 @@ mod tests {
     #[test]
     fn ett_capacity_limits_concurrent_epochs() {
         let mut h = CtxHarness::ideal();
-        let mut e = OooEngine::new(h.mac, 4, 2);
+        let mut e = OooEngine::new(4, 2);
         let mut completions = Vec::new();
         for epoch in 0..5 {
             let _ = e.persist(h.req(epoch * 8, 0), &mut h.ctx());
@@ -188,7 +189,7 @@ mod tests {
     #[test]
     fn epoch_completions_monotonic_even_when_empty() {
         let mut h = CtxHarness::ideal();
-        let mut e = OooEngine::new(h.mac, 4, 2);
+        let mut e = OooEngine::new(4, 2);
         let _ = e.persist(h.req(0, 0), &mut h.ctx());
         let c1 = e.seal_epoch();
         // An empty epoch still completes no earlier than its
@@ -203,7 +204,7 @@ mod tests {
         // Fig. 4b: persist A misses in the BMT cache; persist B to a
         // different subtree is not delayed behind A's fetch.
         let mut h = CtxHarness::cold();
-        let mut e = OooEngine::new(h.mac, 4, 2);
+        let mut e = OooEngine::new(4, 2);
         let a = e.persist(h.req(0, 0), &mut h.ctx());
         let b = e.persist(h.req(8, 0), &mut h.ctx());
         // B also misses (cold), but in an *in-order* pipeline B's leaf

@@ -17,37 +17,33 @@
 
 use plp_events::Cycle;
 
-use super::{EngineCtx, UpdateRequest};
+use super::{EngineCtx, UpdateEngine, UpdateRequest};
 use crate::meta::{bmt_node_block_addr, shadow_root_block_addr};
 
 /// Strict persistency where the whole update path and a dual-copy
 /// root persist on every store.
 #[derive(Debug, Clone, Default)]
 pub struct PhoenixEngine {
-    mac_latency: Cycle,
     busy_until: Cycle,
     drained: Cycle,
 }
 
 impl PhoenixEngine {
     /// Creates an idle engine.
-    pub fn new(mac_latency: Cycle) -> Self {
-        PhoenixEngine {
-            mac_latency,
-            busy_until: Cycle::ZERO,
-            drained: Cycle::ZERO,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
+}
 
+impl UpdateEngine for PhoenixEngine {
     /// Schedules the sequential walk, the per-level NVM persists and
     /// the dual-copy root commit; returns the time everything is
     /// durable.
-    pub fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
+    fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
         let mut t = req.now.max(self.busy_until);
         let mut path_durable = t;
         for (label, level) in ctx.geometry.walk_up(req.leaf) {
-            t = ctx.node_ready(label, t) + self.mac_latency;
-            ctx.note_update(label, level, t);
+            t = ctx.update(label, level, t);
             let written = ctx.nvm.write(t, bmt_node_block_addr(label));
             path_durable = path_durable.max(written);
         }
@@ -62,7 +58,7 @@ impl PhoenixEngine {
     }
 
     /// When the engine's last scheduled persist completes.
-    pub fn drained_at(&self) -> Cycle {
+    fn drained_at(&self) -> Cycle {
         self.drained
     }
 }
@@ -75,7 +71,7 @@ mod tests {
     #[test]
     fn persist_waits_for_path_and_shadow_commit() {
         let mut h = CtxHarness::ideal();
-        let mut e = PhoenixEngine::new(h.mac);
+        let mut e = PhoenixEngine::new();
         let done = e.persist(h.req(0, 0), &mut h.ctx());
         // The MAC walk alone is 160 cycles; four path writes plus the
         // shadow commit put completion far later.
@@ -89,13 +85,13 @@ mod tests {
     fn costs_more_than_the_counter_tree() {
         use crate::engine::CounterTreeEngine;
         let mut h1 = CtxHarness::ideal();
-        let mut phoenix = PhoenixEngine::new(h1.mac);
+        let mut phoenix = PhoenixEngine::new();
         let mut last_phoenix = Cycle::ZERO;
         for i in 0..20 {
             last_phoenix = phoenix.persist(h1.req(i % 8, 0), &mut h1.ctx());
         }
         let mut h2 = CtxHarness::ideal();
-        let mut ctree = CounterTreeEngine::new(h2.mac);
+        let mut ctree = CounterTreeEngine::new();
         let mut last_ctree = Cycle::ZERO;
         for i in 0..20 {
             last_ctree = ctree.persist(h2.req(i % 8, 0), &mut h2.ctx());
@@ -109,7 +105,7 @@ mod tests {
     #[test]
     fn shadow_commit_serializes_after_the_path() {
         let mut h = CtxHarness::ideal();
-        let mut e = PhoenixEngine::new(h.mac);
+        let mut e = PhoenixEngine::new();
         let d1 = e.persist(h.req(0, 0), &mut h.ctx());
         let d2 = e.persist(h.req(100, 0), &mut h.ctx());
         // The MAC walks serialize through the engine; the dual-copy

@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 
 use plp_events::Cycle;
 
-use super::{level_slot, EngineCtx, UpdateRequest};
+use super::{level_slot, EngineCtx, UpdateEngine, UpdateRequest};
 
 /// The PTT-scheduled pipeline of §V-A: a younger persist may update a
 /// BMT level only after the older persist has completed its update of
@@ -18,7 +18,6 @@ use super::{level_slot, EngineCtx, UpdateRequest};
 /// (Fig. 4a), which is what the epoch engines relax.
 #[derive(Debug, Clone)]
 pub struct PipelinedEngine {
-    mac_latency: Cycle,
     /// Completion time of the most recent update at each level
     /// (index = level - 1; level 1 is the root).
     level_free: Vec<Cycle>,
@@ -35,10 +34,9 @@ impl PipelinedEngine {
     /// # Panics
     ///
     /// Panics if `ptt_entries` is zero.
-    pub fn new(mac_latency: Cycle, levels: u32, ptt_entries: usize) -> Self {
+    pub fn new(levels: u32, ptt_entries: usize) -> Self {
         assert!(ptt_entries > 0, "PTT needs at least one entry");
         PipelinedEngine {
-            mac_latency,
             level_free: vec![Cycle::ZERO; level_slot(levels)],
             // Admission caps occupancy at ptt_entries (+1 transient),
             // so one reservation makes the PTT allocation-free.
@@ -60,28 +58,26 @@ impl PipelinedEngine {
             self.inflight.pop_front().unwrap_or(now).max(now)
         }
     }
+}
 
+impl UpdateEngine for PipelinedEngine {
     /// Schedules the pipelined walk; returns the in-order root-done
     /// time.
-    pub fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
+    fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
         let mut t = self.ptt_admission(req.now);
         for (label, level) in ctx.geometry.walk_up(req.leaf) {
             let slot = level_slot(level - 1);
             // Stage entry: after our previous stage and after the older
             // persist has left this level (in-order guarantee).
-            let gate = t.max(self.level_free[slot]);
-            let start = ctx.node_ready(label, gate);
-            let done = start + self.mac_latency;
-            self.level_free[slot] = done;
-            ctx.note_update(label, level, done);
-            t = done;
+            t = ctx.update(label, level, t.max(self.level_free[slot]));
+            self.level_free[slot] = t;
         }
         self.inflight.push_back(t);
         t
     }
 
     /// When the engine's last scheduled persist completes.
-    pub fn drained_at(&self) -> Cycle {
+    fn drained_at(&self) -> Cycle {
         self.level_free
             .iter()
             .copied()
@@ -97,7 +93,7 @@ mod tests {
     #[test]
     fn single_persist_same_as_sequential() {
         let mut h = CtxHarness::ideal();
-        let mut e = PipelinedEngine::new(h.mac, 4, 64);
+        let mut e = PipelinedEngine::new(4, 64);
         let done = e.persist(h.req(0, 0), &mut h.ctx());
         assert_eq!(done, Cycle::new(160));
     }
@@ -105,7 +101,7 @@ mod tests {
     #[test]
     fn steady_state_throughput_is_one_per_mac() {
         let mut h = CtxHarness::ideal();
-        let mut e = PipelinedEngine::new(h.mac, 4, 64);
+        let mut e = PipelinedEngine::new(4, 64);
         let mut completions = Vec::new();
         for i in 0..10 {
             // Distinct subtrees so only the root is shared.
@@ -120,7 +116,7 @@ mod tests {
     #[test]
     fn root_updates_in_persist_order() {
         let mut h = CtxHarness::ideal();
-        let mut e = PipelinedEngine::new(h.mac, 4, 64);
+        let mut e = PipelinedEngine::new(4, 64);
         let mut last = Cycle::ZERO;
         for i in 0..20 {
             let done = e.persist(h.req(i % 5, 0), &mut h.ctx());
@@ -132,13 +128,13 @@ mod tests {
     #[test]
     fn ptt_capacity_throttles() {
         let mut h = CtxHarness::ideal();
-        let mut tight = PipelinedEngine::new(h.mac, 4, 2);
+        let mut tight = PipelinedEngine::new(4, 2);
         let mut c_tight = Vec::new();
         for i in 0..6 {
             c_tight.push(tight.persist(h.req(i * 64, 0), &mut h.ctx()));
         }
         let mut h2 = CtxHarness::ideal();
-        let mut wide = PipelinedEngine::new(h2.mac, 4, 64);
+        let mut wide = PipelinedEngine::new(4, 64);
         let mut c_wide = Vec::new();
         for i in 0..6 {
             c_wide.push(wide.persist(h2.req(i * 64, 0), &mut h2.ctx()));
@@ -153,13 +149,13 @@ mod tests {
     fn pipeline_beats_sequential_on_a_burst() {
         use crate::engine::SequentialEngine;
         let mut h = CtxHarness::ideal();
-        let mut pipe = PipelinedEngine::new(h.mac, 4, 64);
+        let mut pipe = PipelinedEngine::new(4, 64);
         let mut last_pipe = Cycle::ZERO;
         for i in 0..50 {
             last_pipe = pipe.persist(h.req(i * 64 % 512, 0), &mut h.ctx());
         }
         let mut h2 = CtxHarness::ideal();
-        let mut seq = SequentialEngine::new(h2.mac);
+        let mut seq = SequentialEngine::new();
         let mut last_seq = Cycle::ZERO;
         for i in 0..50 {
             last_seq = seq.persist(h2.req(i * 64 % 512, 0), &mut h2.ctx());
@@ -172,7 +168,7 @@ mod tests {
     #[test]
     fn drained_at_reflects_last_root() {
         let mut h = CtxHarness::ideal();
-        let mut e = PipelinedEngine::new(h.mac, 4, 64);
+        let mut e = PipelinedEngine::new(4, 64);
         let done = e.persist(h.req(3, 100), &mut h.ctx());
         assert_eq!(e.drained_at(), done);
     }

@@ -2,7 +2,7 @@
 
 use plp_events::Cycle;
 
-use super::{EngineCtx, UpdateRequest};
+use super::{EngineCtx, UpdateEngine, UpdateRequest};
 
 /// Fully sequential leaf-to-root updates: one persist at a time, one
 /// level at a time (§IV-A1's baseline atomic persist, and the path
@@ -13,33 +13,30 @@ use super::{EngineCtx, UpdateRequest};
 /// bottleneck §VII's gamess arithmetic demonstrates.
 #[derive(Debug, Clone, Default)]
 pub struct SequentialEngine {
-    mac_latency: Cycle,
     busy_until: Cycle,
 }
 
 impl SequentialEngine {
     /// Creates an idle engine.
-    pub fn new(mac_latency: Cycle) -> Self {
-        SequentialEngine {
-            mac_latency,
-            busy_until: Cycle::ZERO,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
+}
 
+impl UpdateEngine for SequentialEngine {
     /// Schedules the full leaf-to-root walk; returns the root-done
     /// time.
-    pub fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
+    fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
         let mut t = req.now.max(self.busy_until);
         for (label, level) in ctx.geometry.walk_up(req.leaf) {
-            t = ctx.node_ready(label, t) + self.mac_latency;
-            ctx.note_update(label, level, t);
+            t = ctx.update(label, level, t);
         }
         self.busy_until = t;
         t
     }
 
     /// When the engine's last scheduled persist completes.
-    pub fn drained_at(&self) -> Cycle {
+    fn drained_at(&self) -> Cycle {
         self.busy_until
     }
 }
@@ -52,7 +49,7 @@ mod tests {
     #[test]
     fn full_walk_costs_levels_times_mac() {
         let mut h = CtxHarness::ideal();
-        let mut e = SequentialEngine::new(h.mac);
+        let mut e = SequentialEngine::new();
         let req = h.req(0, 0);
         let done = e.persist(req, &mut h.ctx());
         // 4 levels x 40 cycles.
@@ -63,7 +60,7 @@ mod tests {
     #[test]
     fn persists_serialize() {
         let mut h = CtxHarness::ideal();
-        let mut e = SequentialEngine::new(h.mac);
+        let mut e = SequentialEngine::new();
         let r1 = h.req(0, 0);
         let r2 = h.req(100, 0);
         let d1 = e.persist(r1, &mut h.ctx());
@@ -76,7 +73,7 @@ mod tests {
     #[test]
     fn idle_gap_resets_start() {
         let mut h = CtxHarness::ideal();
-        let mut e = SequentialEngine::new(h.mac);
+        let mut e = SequentialEngine::new();
         e.persist(h.req(0, 0), &mut h.ctx());
         let late = h.req(1, 10_000);
         let done = e.persist(late, &mut h.ctx());
@@ -86,7 +83,7 @@ mod tests {
     #[test]
     fn cold_bmt_cache_adds_fetches() {
         let mut h = CtxHarness::cold();
-        let mut e = SequentialEngine::new(h.mac);
+        let mut e = SequentialEngine::new();
         let done_cold = e.persist(h.req(0, 0), &mut h.ctx());
         assert!(done_cold > Cycle::new(160), "misses must add latency");
         assert!(h.stats.bmt_fetches > 0);

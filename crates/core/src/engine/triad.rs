@@ -19,13 +19,12 @@
 
 use plp_events::Cycle;
 
-use super::{EngineCtx, UpdateRequest};
+use super::{EngineCtx, UpdateEngine, UpdateRequest};
 
 /// Strictly persists the deepest `persisted_levels` of the tree per
 /// persist; relaxes everything above into the metadata cache.
 #[derive(Debug, Clone)]
 pub struct TriadNvmEngine {
-    mac_latency: Cycle,
     /// Shallowest strictly-persisted level (level 1 = root). The walk
     /// covers levels `floor..=levels` and stops.
     floor: u32,
@@ -34,32 +33,32 @@ pub struct TriadNvmEngine {
 
 impl TriadNvmEngine {
     /// Creates an idle engine persisting levels `floor..=levels`.
-    pub fn new(mac_latency: Cycle, floor: u32) -> Self {
+    pub fn new(floor: u32) -> Self {
         TriadNvmEngine {
-            mac_latency,
             floor,
             busy_until: Cycle::ZERO,
         }
     }
+}
 
+impl UpdateEngine for TriadNvmEngine {
     /// Schedules the truncated leaf-up walk; returns the time the
     /// strict slice (the triad persist point) is done. Relaxed levels
     /// are neither walked nor counted.
-    pub fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
+    fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
         let mut t = req.now.max(self.busy_until);
         for (label, level) in ctx.geometry.walk_up(req.leaf) {
             if level < self.floor {
                 break;
             }
-            t = ctx.node_ready(label, t) + self.mac_latency;
-            ctx.note_update(label, level, t);
+            t = ctx.update(label, level, t);
         }
         self.busy_until = t;
         t
     }
 
     /// When the engine's last scheduled persist completes.
-    pub fn drained_at(&self) -> Cycle {
+    fn drained_at(&self) -> Cycle {
         self.busy_until
     }
 }
@@ -73,7 +72,7 @@ mod tests {
     fn truncated_walk_costs_persisted_levels_only() {
         let mut h = CtxHarness::ideal();
         // 4-level tree, persist the 2 deepest levels: floor = 3.
-        let mut e = TriadNvmEngine::new(h.mac, 3);
+        let mut e = TriadNvmEngine::new(3);
         let done = e.persist(h.req(0, 0), &mut h.tapped_ctx());
         // 2 levels x 40 cycles, not sp's 4 x 40.
         assert_eq!(done, Cycle::new(80));
@@ -87,7 +86,7 @@ mod tests {
     #[test]
     fn persists_serialize_like_sp_over_the_slice() {
         let mut h = CtxHarness::ideal();
-        let mut e = TriadNvmEngine::new(h.mac, 3);
+        let mut e = TriadNvmEngine::new(3);
         let d1 = e.persist(h.req(0, 0), &mut h.ctx());
         let d2 = e.persist(h.req(100, 0), &mut h.ctx());
         assert_eq!(d1, Cycle::new(80));
@@ -99,12 +98,12 @@ mod tests {
     fn node_updates_stay_below_sequential() {
         use crate::engine::SequentialEngine;
         let mut h1 = CtxHarness::ideal();
-        let mut triad = TriadNvmEngine::new(h1.mac, 3);
+        let mut triad = TriadNvmEngine::new(3);
         for i in 0..20 {
             let _ = triad.persist(h1.req(i % 8, 0), &mut h1.ctx());
         }
         let mut h2 = CtxHarness::ideal();
-        let mut sp = SequentialEngine::new(h2.mac);
+        let mut sp = SequentialEngine::new();
         for i in 0..20 {
             let _ = sp.persist(h2.req(i % 8, 0), &mut h2.ctx());
         }
@@ -119,7 +118,7 @@ mod tests {
     #[test]
     fn floor_one_degenerates_to_the_full_walk() {
         let mut h = CtxHarness::ideal();
-        let mut e = TriadNvmEngine::new(h.mac, 1);
+        let mut e = TriadNvmEngine::new(1);
         let done = e.persist(h.req(0, 0), &mut h.ctx());
         assert_eq!(done, Cycle::new(160));
         assert_eq!(h.stats.node_updates, 4);

@@ -3,7 +3,7 @@
 
 use plp_events::Cycle;
 
-use super::{EngineCtx, UpdateRequest};
+use super::{EngineCtx, UpdateEngine, UpdateRequest};
 
 /// Unordered BMT updates (Table IV's strawman): every persist walks
 /// leaf-to-root with no cross-persist ordering at all — not even at
@@ -20,35 +20,32 @@ use super::{EngineCtx, UpdateRequest};
 /// which Table IV's prose loosely gestures at, is modelled faithfully
 /// by [`crate::engine::TriadNvmEngine`] instead: it persists a strict
 /// lower slice of the tree rather than abandoning ordering wholesale.)
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct UnorderedEngine {
-    mac_latency: Cycle,
     drained: Cycle,
 }
 
 impl UnorderedEngine {
     /// Creates an idle engine.
-    pub fn new(mac_latency: Cycle) -> Self {
-        UnorderedEngine {
-            mac_latency,
-            drained: Cycle::ZERO,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
+}
 
+impl UpdateEngine for UnorderedEngine {
     /// Schedules the unordered walk; returns this persist's own
     /// root-update time (no ordering with other persists).
-    pub fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
+    fn persist(&mut self, req: UpdateRequest, ctx: &mut EngineCtx<'_>) -> Cycle {
         let mut t = req.now;
         for (label, level) in ctx.geometry.walk_up(req.leaf) {
-            t = ctx.node_ready(label, t) + self.mac_latency;
-            ctx.note_update(label, level, t);
+            t = ctx.update(label, level, t);
         }
         self.drained = self.drained.max(t);
         t
     }
 
     /// When the engine's last scheduled persist completes.
-    pub fn drained_at(&self) -> Cycle {
+    fn drained_at(&self) -> Cycle {
         self.drained
     }
 }
@@ -61,7 +58,7 @@ mod tests {
     #[test]
     fn single_walk_latency() {
         let mut h = CtxHarness::ideal();
-        let mut e = UnorderedEngine::new(h.mac);
+        let mut e = UnorderedEngine::new();
         let done = e.persist(h.req(0, 0), &mut h.ctx());
         // 4 levels serial along the persist's own path.
         assert_eq!(done, Cycle::new(160));
@@ -70,7 +67,7 @@ mod tests {
     #[test]
     fn bursts_overlap_completely() {
         let mut h = CtxHarness::ideal();
-        let mut e = UnorderedEngine::new(h.mac);
+        let mut e = UnorderedEngine::new();
         let mut last = Cycle::ZERO;
         for i in 0..10 {
             last = last.max(e.persist(h.req((i * 64) % 512, 0), &mut h.ctx()));
@@ -85,7 +82,7 @@ mod tests {
         // An older persist stalling on a cold fetch finishes *after* a
         // younger one on a warm path — the Invariant 2 violation.
         let mut h = CtxHarness::cold();
-        let mut e = UnorderedEngine::new(h.mac);
+        let mut e = UnorderedEngine::new();
         let older = e.persist(h.req(0, 0), &mut h.ctx()); // cold fetches
         let younger = e.persist(h.req(0, 1), &mut h.ctx()); // warm path
         assert!(
@@ -98,7 +95,7 @@ mod tests {
     fn zero_latency_mac_is_free() {
         let mut h = CtxHarness::ideal();
         h.mac = Cycle::ZERO;
-        let mut e = UnorderedEngine::new(Cycle::ZERO);
+        let mut e = UnorderedEngine::new();
         let done = e.persist(h.req(0, 123), &mut h.ctx());
         assert_eq!(done, Cycle::new(123));
     }

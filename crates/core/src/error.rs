@@ -61,7 +61,10 @@ impl std::error::Error for ConfigError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ConfigError::Nvm(e) => Some(e),
-            _ => None,
+            ConfigError::EpochSizeZero
+            | ConfigError::EmptyTable { .. }
+            | ConfigError::NonPositiveBaseIpc { .. }
+            | ConfigError::TriadLevels { .. } => None,
         }
     }
 }

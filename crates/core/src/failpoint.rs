@@ -11,7 +11,8 @@
 //!
 //! A [`FailpointRegistry`] is armed with one [`FailpointPlan`] and
 //! threaded through the persist path via `EngineCtx` and the
-//! simulation loop. Each site calls [`FailpointRegistry::hit`]; when
+//! simulation loop. Each site calls [`visit`], which counts a
+//! [`FailpointRegistry::hit`] when a registry is armed; when
 //! the armed point reaches its target hit count the registry either
 //! records the fact (observe mode — used by golden runs and the
 //! determinism tests) or prints a marker line and parks the thread
@@ -34,7 +35,7 @@ pub enum Failpoint {
     /// atomic schemes instead tear the in-flight tuple frame here.
     MidTuple,
     /// Between consecutive integrity-tree node updates inside one
-    /// persist (fires at every `EngineCtx::note_update`).
+    /// persist (fires at every `EngineCtx::update`).
     BetweenLevels,
     /// Immediately before the engine is asked to seal the root for
     /// the current persist.
@@ -247,6 +248,40 @@ impl FailpointRegistry {
     pub fn hit_count(&self, point: Failpoint) -> u64 {
         self.hits[point.slot()]
     }
+}
+
+/// Proof that a path crossed a named failpoint. The persist drivers
+/// (`persist_block`, `seal_epoch`) and the durable recovery driver
+/// ([`crate::recover_image`]) each hand one back, and the only way to
+/// make one is [`visit`], so a driver path that no crash sweep can
+/// interrupt does not compile.
+///
+/// ```
+/// use plp_core::failpoint::{visit, Crossed, Failpoint};
+///
+/// let crossed: Crossed = visit(None, Failpoint::PreRootSeal);
+/// # let _ = crossed;
+/// ```
+///
+/// ```compile_fail
+/// use plp_core::failpoint::{visit, Crossed, Failpoint};
+///
+/// let crossed: Crossed = Crossed(());
+/// # let _ = crossed;
+/// ```
+#[derive(Debug)]
+pub struct Crossed(());
+
+/// Visits failpoint `point`: counts the hit on `registry` if one is
+/// armed (firing it if the armed `(point, hit)` is reached), and
+/// returns the proof that this path crossed a failpoint. Without a
+/// registry the visit costs one branch.
+#[inline]
+pub fn visit(registry: Option<&mut FailpointRegistry>, point: Failpoint) -> Crossed {
+    if let Some(reg) = registry {
+        reg.hit(point);
+    }
+    Crossed(())
 }
 
 /// Prints the park marker, flushes stdout, and sleeps forever. The

@@ -44,6 +44,14 @@
     clippy::cast_sign_loss,
     clippy::cast_possible_wrap
 )]
+// A `_ =>` arm over `UpdateScheme` would silently absorb the next
+// scheme someone adds; every enum match here names its variants.
+// Clippy reports a wildcard that stands for one variant under the
+// second lint rather than the first, so both are on.
+#![warn(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 
 mod config;
 pub mod crash;

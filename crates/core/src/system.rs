@@ -21,7 +21,7 @@ use plp_trace::{Op, Trace, WorkloadProfile};
 
 use crate::crash::DurableSink;
 use crate::engine::{EngineCtx, EngineStats, UpdateEngine, UpdateRequest};
-use crate::failpoint::{Failpoint, FailpointRegistry, FiredFailpoint};
+use crate::failpoint::{self, Crossed, Failpoint, FailpointRegistry, FiredFailpoint};
 use crate::meta::{counter_block_addr, mac_block_addr, MetadataCaches};
 use crate::recovery::{ObserverExpectation, PersistImage};
 use crate::sanitizer::{NodeUpdateEvent, PersistEvent, Sanitizer, SanitizerSummary};
@@ -349,10 +349,8 @@ impl Simulation {
     /// Visits failpoint `point` if a registry is armed. Hit counts
     /// advance identically whether or not a durable sink is attached,
     /// so observed hit indices are valid kill addresses.
-    fn fp_hit(&mut self, point: Failpoint) {
-        if let Some(fp) = self.failpoints.as_mut() {
-            fp.hit(point);
-        }
+    fn fp_hit(&mut self, point: Failpoint) -> Crossed {
+        failpoint::visit(self.failpoints.as_mut(), point)
     }
 
     fn effective_mac(&self) -> Cycle {
@@ -377,11 +375,7 @@ impl Simulation {
         &mut self,
         f: impl FnOnce(&mut dyn UpdateEngine, &mut EngineCtx<'_>) -> R,
     ) -> R {
-        let mac_latency = if self.config.ideal_metadata {
-            Cycle::ZERO
-        } else {
-            self.config.mac_latency
-        };
+        let mac_latency = self.effective_mac();
         let tap = match &self.sanitizer {
             Some(s) if s.wants_node_events() => Some(&mut self.node_tap),
             _ => None,
@@ -414,8 +408,9 @@ impl Simulation {
     /// Every durable block — write-through stores, epoch flushes and
     /// background evictions alike — goes through this one routine;
     /// `ordered` marks persists the crash-recovery observer may rely on
-    /// (vs background eviction write-backs).
-    fn persist_block(&mut self, addr: BlockAddr, now: Cycle, ordered: bool) -> Cycle {
+    /// (vs background eviction write-backs). The returned [`Crossed`]
+    /// is the `pre-root-seal` visit every persist makes.
+    fn persist_block(&mut self, addr: BlockAddr, now: Cycle, ordered: bool) -> (Cycle, Crossed) {
         let eff_mac = self.effective_mac();
         let page = addr.page().index();
 
@@ -480,7 +475,7 @@ impl Simulation {
         // Schedule the BMT update path through whichever engine the
         // scheme plugged in.
         let leaf = self.config.bmt.leaf(page);
-        self.fp_hit(Failpoint::PreRootSeal);
+        let crossed = self.fp_hit(Failpoint::PreRootSeal);
         let root_done = self.with_engine(|engine, ctx| {
             ctx.stats.persists += 1;
             engine.persist(
@@ -635,7 +630,7 @@ impl Simulation {
                 times,
             });
         }
-        admit
+        (admit, crossed)
     }
 
     /// Mirrors one persisted tuple into the durable image and visits
@@ -744,8 +739,8 @@ impl Simulation {
     /// Seals the current epoch: flushes its write set as persists,
     /// rotates the ETT and re-stamps the epoch's records to its
     /// completion time. Returns the latest core-visible admission
-    /// stall.
-    fn seal_epoch(&mut self, now: Cycle) -> Cycle {
+    /// stall, and the `post-epoch-seal` visit every seal makes.
+    fn seal_epoch(&mut self, now: Cycle) -> (Cycle, Crossed) {
         // Snapshot the epoch set into the reused flush list (the set's
         // order is already deterministic); `persist_block` below needs
         // `&mut self`, hence the take/restore dance.
@@ -755,7 +750,7 @@ impl Simulation {
         self.epoch_set.clear();
         let mut stall = now;
         for &addr in &addrs {
-            let admit = self.persist_block(addr, now, true);
+            let (admit, _) = self.persist_block(addr, now, true);
             stall = stall.max(admit);
             self.hierarchy.mark_clean(addr);
             self.fp_hit(Failpoint::MidEpochFlush);
@@ -782,19 +777,15 @@ impl Simulation {
         // The seal itself is durable state: mirror it, then visit the
         // post-seal failpoint (a kill there must find the seal frame
         // already on disk).
-        if self.durable.is_some() || self.failpoints.is_some() {
-            let sealed_root = self.tree.root();
-            let sealed_epoch = self.epoch.0;
-            if let Some(sink) = self.durable.as_mut() {
-                sink.seal(sealed_epoch, sealed_root);
-            }
-            self.fp_hit(Failpoint::PostEpochSeal);
+        if let Some(sink) = self.durable.as_mut() {
+            sink.seal(self.epoch.0, self.tree.root());
         }
+        let crossed = self.fp_hit(Failpoint::PostEpochSeal);
         self.epochs += 1;
         self.epoch = EpochId(self.epoch.0 + 1);
         self.epoch_stores = 0;
         self.epoch_record_start = self.records.len();
-        stall
+        (stall, crossed)
     }
 
     /// An LLC dirty eviction: needs the full security transformation
@@ -811,7 +802,7 @@ impl Simulation {
         let persisting = self.is_persisting_store(stack);
         if persisting && self.config.scheme.is_store_persisting() {
             self.hierarchy.store(addr, WriteMode::WriteThrough);
-            let admit = self.persist_block(addr, now, true);
+            let (admit, _) = self.persist_block(addr, now, true);
             clock = clock.max(admit.get() as f64);
         } else if persisting && self.config.scheme.is_epoch_based() {
             let out = self.hierarchy.store(addr, WriteMode::WriteBack);
@@ -820,7 +811,7 @@ impl Simulation {
                 if self.epoch_set.remove(&wb) {
                     // A block of the open epoch leaves the LLC early:
                     // it persists now, within the epoch.
-                    let admit = self.persist_block(wb, now, true);
+                    let (admit, _) = self.persist_block(wb, now, true);
                     clock = clock.max(admit.get() as f64);
                 } else {
                     self.eviction_writeback(wb, now);
@@ -828,7 +819,7 @@ impl Simulation {
             }
             self.epoch_stores += 1;
             if self.epoch_stores >= self.config.epoch_size {
-                let stall = self.seal_epoch(clock_cycle(clock));
+                let (stall, _) = self.seal_epoch(clock_cycle(clock));
                 clock = clock.max(stall.get() as f64);
             }
         } else {
@@ -893,7 +884,7 @@ impl Simulation {
         if self.config.scheme.is_epoch_based()
             && (!self.epoch_set.is_empty() || self.epoch_stores > 0)
         {
-            let stall = self.seal_epoch(clock_cycle(clock));
+            let (stall, _) = self.seal_epoch(clock_cycle(clock));
             clock = clock.max(stall.get() as f64);
         }
         let total = clock_cycle(clock.ceil())

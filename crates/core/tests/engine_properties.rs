@@ -4,7 +4,7 @@
 use plp_bmt::BmtGeometry;
 use plp_core::engine::{
     CoalescingEngine, CounterTreeEngine, EngineCtx, EngineStats, OooEngine, PipelinedEngine,
-    SequentialEngine, UpdateRequest,
+    SequentialEngine, UpdateEngine, UpdateRequest,
 };
 use plp_core::meta::MetadataCaches;
 use plp_events::Cycle;
@@ -58,7 +58,7 @@ proptest! {
     #[test]
     fn pipeline_roots_strictly_ordered(stream in arb_stream(), ideal in any::<bool>()) {
         let mut h = Harness::new(ideal);
-        let mut e = PipelinedEngine::new(Cycle::new(40), LEVELS, 64);
+        let mut e = PipelinedEngine::new(LEVELS, 64);
         let mut now = Cycle::ZERO;
         let mut last = Cycle::ZERO;
         for (page, gap) in stream {
@@ -78,8 +78,8 @@ proptest! {
     fn sequential_dominates_pipeline(stream in arb_stream()) {
         let mut hs = Harness::new(true);
         let mut hp = Harness::new(true);
-        let mut seq = SequentialEngine::new(Cycle::new(40));
-        let mut pipe = PipelinedEngine::new(Cycle::new(40), LEVELS, 64);
+        let mut seq = SequentialEngine::new();
+        let mut pipe = PipelinedEngine::new(LEVELS, 64);
         let mut now = Cycle::ZERO;
         let (mut last_s, mut last_p) = (Cycle::ZERO, Cycle::ZERO);
         for (page, gap) in stream {
@@ -101,7 +101,7 @@ proptest! {
         epochs in prop::collection::vec(prop::collection::vec(0u64..512, 1..12), 1..12),
     ) {
         let mut h = Harness::new(true);
-        let mut e = OooEngine::new(Cycle::new(40), LEVELS, 2);
+        let mut e = OooEngine::new(LEVELS, 2);
         let mut completions: Vec<Cycle> = Vec::new();
         for (i, pages) in epochs.iter().enumerate() {
             let flush = Cycle::new(i as u64 * 50);
@@ -127,8 +127,8 @@ proptest! {
     ) {
         let mut ho = Harness::new(true);
         let mut hc = Harness::new(true);
-        let mut o3 = OooEngine::new(Cycle::new(40), LEVELS, 2);
-        let mut co = CoalescingEngine::new(Cycle::new(40), LEVELS, 2);
+        let mut o3 = OooEngine::new(LEVELS, 2);
+        let mut co = CoalescingEngine::new(LEVELS, 2);
         for (i, pages) in epochs.iter().enumerate() {
             let flush = Cycle::new(i as u64 * 200);
             for &p in pages {
@@ -159,8 +159,8 @@ proptest! {
     fn counter_tree_dominates_sequential(stream in arb_stream()) {
         let mut hs = Harness::new(true);
         let mut hc = Harness::new(true);
-        let mut seq = SequentialEngine::new(Cycle::new(40));
-        let mut ct = CounterTreeEngine::new(Cycle::new(40));
+        let mut seq = SequentialEngine::new();
+        let mut ct = CounterTreeEngine::new();
         let mut now = Cycle::ZERO;
         for (page, gap) in stream {
             now += Cycle::new(gap);

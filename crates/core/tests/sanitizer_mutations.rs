@@ -32,11 +32,7 @@ fn run_mutant(scheme: UpdateScheme, mutation: Mutation) -> SanitizerSummary {
     let setup = SimSetup::for_profile(cfg.clone(), &profile, SEED).expect("valid config");
     let trace = TraceGenerator::new(profile, SEED).generate(INSTRUCTIONS);
     let mut sim = setup.simulation();
-    sim.override_engine(Box::new(MutantEngine::new(
-        mutation,
-        cfg.mac_latency,
-        cfg.bmt.levels(),
-    )));
+    sim.override_engine(Box::new(MutantEngine::new(mutation, cfg.bmt.levels())));
     let report = sim.run(&trace);
     assert!(report.persists > 0, "mutant run must actually persist");
     report.sanitizer

@@ -23,9 +23,18 @@
 //! enumerate 100 crash points for some scheme (then nothing is printed
 //! on stdout).
 
-use plp_core::fault::{ClassTally, FaultClass, FaultConfig, FaultSweep};
-use plp_core::{run_with_crash, SystemConfig, UpdateScheme};
+use plp_core::fault::{enumerate_crash_points, ClassTally, FaultClass, FaultConfig, FaultSweep};
+use plp_core::{run_with_crash, PersistRecord, SystemConfig, UpdateScheme};
 use plp_trace::{spec, TraceGenerator};
+
+/// The fewest crash points a scheme's sweep may enumerate.
+const MIN_CRASH_POINTS: usize = 100;
+
+/// How many crash points `FaultSweep::run` will sweep for `records`
+/// under `fault`: the same enumeration, without the sweep.
+fn crash_points(fault: &FaultConfig, records: &[PersistRecord]) -> usize {
+    enumerate_crash_points(records, fault.crash_point_budget, fault.seed).len()
+}
 
 fn tally_row(scheme: UpdateScheme, points: usize, label: &str, t: &ClassTally) -> String {
     format!(
@@ -59,29 +68,30 @@ fn main() {
     }
     let profile = spec::benchmark("gcc").expect("gcc profile exists");
 
-    // Every scheme is swept before anything prints, so a run below the
-    // crash-point floor is a usage error with no partial table.
+    // Every scheme's crash points are counted before any is swept, so a
+    // run below the floor is a usage error that sweeps nothing and
+    // prints no partial table.
     let correct = UpdateScheme::correct();
     let mut schemes: Vec<UpdateScheme> = correct.to_vec();
     schemes.push(UpdateScheme::Unordered);
-    let mut results = Vec::with_capacity(schemes.len());
+    let fault = FaultConfig::all_classes(seed);
+    let trace = TraceGenerator::new(profile.clone(), seed).generate(instructions);
+    let mut runs = Vec::with_capacity(schemes.len());
     for scheme in schemes {
         let mut cfg = SystemConfig::for_scheme(scheme);
         cfg.record_persists = true;
-        let trace = TraceGenerator::new(profile.clone(), seed).generate(instructions);
         let (report, _, _) = run_with_crash(&cfg, profile.base_ipc, &trace, None);
-
-        let sweep = FaultSweep::new(&cfg, FaultConfig::all_classes(seed));
-        let result = sweep.run(scheme, &report.records);
-        if result.crash_points < 100 {
-            eprintln!(
-                "{scheme}: only {} crash points enumerated; raise [instructions]",
-                result.crash_points
-            );
+        let points = crash_points(&fault, &report.records);
+        if points < MIN_CRASH_POINTS {
+            eprintln!("{scheme}: only {points} crash points enumerated; raise [instructions]");
             usage();
         }
-        results.push((scheme, result));
+        runs.push((scheme, cfg, report.records));
     }
+    let results: Vec<_> = runs
+        .into_iter()
+        .map(|(scheme, cfg, records)| (scheme, FaultSweep::new(&cfg, fault).run(scheme, &records)))
+        .collect();
 
     println!("== Fault sweep: crash-point enumeration x fault injection ==");
     println!(
@@ -166,5 +176,29 @@ fn main() {
     println!("overall: {}", if all_pass { "PASS" } else { "FAIL" });
     if !all_pass {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The floor check counts exactly the points the sweep then sweeps,
+    /// below the budget and where the budget samples.
+    #[test]
+    fn counted_points_are_the_swept_points() {
+        let profile = spec::benchmark("gcc").unwrap();
+        let fault = FaultConfig::all_classes(7);
+        for instructions in [500, 3_000] {
+            let trace = TraceGenerator::new(profile.clone(), 7).generate(instructions);
+            let mut cfg = SystemConfig::for_scheme(UpdateScheme::Sp);
+            cfg.record_persists = true;
+            let (report, _, _) = run_with_crash(&cfg, profile.base_ipc, &trace, None);
+            let counted = crash_points(&fault, &report.records);
+            let swept = FaultSweep::new(&cfg, fault)
+                .run(UpdateScheme::Sp, &report.records)
+                .crash_points;
+            assert_eq!(counted, swept, "{instructions} instructions");
+        }
     }
 }

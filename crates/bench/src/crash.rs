@@ -668,9 +668,9 @@ pub fn default_hits(point: Failpoint) -> Vec<u64> {
         Failpoint::MidEpochFlush => vec![1, 10],
         Failpoint::PostEpochSeal => vec![0, 2],
         // Recovery points fire once per recovery run, except the
-        // writeback point which fires per scratch frame. The deeper
-        // writeback hit must stay under the smallest scratch a swept
-        // kill produces (the unordered strawman's ~13-frame image).
+        // writeback point which fires per recovered-image frame. The
+        // deeper writeback hit must stay under the smallest image a
+        // swept kill produces (the unordered strawman's ~13 frames).
         Failpoint::RecoveryPreRepair
         | Failpoint::RecoveryPreRootCommit
         | Failpoint::RecoveryPostRootCommit => vec![0],
@@ -1441,7 +1441,7 @@ mod tests {
         std::fs::create_dir_all(&qdir).unwrap();
         std::fs::write(images.join("stale-a.img"), b"x").unwrap();
         std::fs::write(images.join("stale-b.img"), b"y").unwrap();
-        // A recovery scratch (kill landed mid-writeback) and an
+        // A recovery scratch (kill landed before the commit) and an
         // orphaned park marker (parent died before its child): both
         // are startup debris and must be swept. The marker names a
         // long-dead pid, so the sweep removes the file without

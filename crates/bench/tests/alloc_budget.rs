@@ -1,9 +1,9 @@
 //! Allocation-regression pin: the persist hot path must be
 //! heap-allocation-free in steady state — the arena-backed tree's
 //! updates and commits, every ordered engine's scheduling, the NVM
-//! device's bank schedule and write-combining map, and the counter-mode
-//! and MAC engines — so none of them can silently rot back into
-//! per-persist `Vec`s or map nodes.
+//! device's bank schedule and write-combining map, the counter-mode
+//! and MAC engines, and the data and metadata caches — so none of them
+//! can silently rot back into per-persist `Vec`s or map nodes.
 //!
 //! A counting global allocator wraps `System`; each phase warms its
 //! subject (first-touch growth — map resizes, `VecDeque` reservations,
@@ -15,7 +15,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use plp_bmt::{BmtGeometry, BonsaiTree};
+use plp_bmt::{BmtGeometry, BonsaiTree, NodeLabel};
+use plp_cache::{Hierarchy, WriteMode};
 use plp_core::engine::{
     CoalescingEngine, EngineCtx, EngineStats, OooEngine, PipelinedEngine, SequentialEngine,
     UpdateEngine, UpdateRequest,
@@ -66,7 +67,7 @@ struct Harness {
     meta: MetadataCaches,
     nvm: NvmDevice,
     stats: EngineStats,
-    walk: Vec<plp_bmt::NodeLabel>,
+    walk: Vec<NodeLabel>,
 }
 
 impl Harness {
@@ -259,4 +260,69 @@ fn steady_state_persist_path_is_allocation_free() {
         }
     });
     assert_eq!(n, 0, "CTR + MAC allocated {n} times in steady state");
+
+    // ---- Phase 4: the data hierarchy and the metadata caches. -----
+    // The engine phases run with ideal metadata, which never touches a
+    // cache. Here a set reserves its ways on its first line, so the
+    // warm-up streams more distinct blocks than the hierarchy holds
+    // (and more than each metadata cache holds) to fill every set of
+    // every level. Loads, write-through stores and metadata lookups
+    // then allocate nothing; write-back stores allocate exactly once
+    // per write-back they return (the outcome's `Vec`).
+    let mut hier = Hierarchy::paper_default(4 << 20);
+    let mut meta = MetadataCaches::new(128 << 10, false);
+    let lines: u64 = hier
+        .levels()
+        .iter()
+        .map(|c| c.config().lines() as u64)
+        .sum();
+    for i in 0..lines + lines / 4 {
+        hier.load(BlockAddr::new(i));
+    }
+    for i in 0..8_192u64 {
+        meta.access_counter(i, true);
+        meta.access_mac(BlockAddr::new(i * 8), true);
+        meta.access_bmt(NodeLabel::new(i * 8), true);
+    }
+    assert!(hier
+        .levels()
+        .iter()
+        .all(|c| c.resident() == c.config().lines()));
+
+    let mut writebacks = 0usize;
+    let n = count_allocs(|| {
+        for i in 0..50_000u64 {
+            writebacks += hier
+                .load(BlockAddr::new(2 * lines + i))
+                .memory_writebacks
+                .len();
+            let store = BlockAddr::new(i * 7 % (3 * lines));
+            writebacks += hier
+                .store(store, WriteMode::WriteThrough)
+                .memory_writebacks
+                .len();
+            meta.access_counter(i % 5_000, i % 3 == 0);
+            meta.access_mac(BlockAddr::new(i * 3 % 40_000), true);
+            meta.access_bmt(NodeLabel::new(i * 11 % 30_000), false);
+        }
+    });
+    assert_eq!(writebacks, 0, "a clean hierarchy wrote back");
+    assert_eq!(
+        n, 0,
+        "loads, write-through stores and metadata lookups allocated {n} times in steady state"
+    );
+
+    let n = count_allocs(|| {
+        for i in 0..100_000u64 {
+            let out = hier.store(BlockAddr::new(4 * lines + i), WriteMode::WriteBack);
+            writebacks += out.memory_writebacks.len();
+        }
+    });
+    // The first `lines` dirty blocks push clean lines out; every later
+    // store pushes one dirty block out of L3.
+    assert_eq!(writebacks as u64, 100_000 - lines);
+    assert_eq!(
+        n, writebacks as u64,
+        "write-back stores allocated {n} times for {writebacks} write-backs"
+    );
 }

@@ -2,7 +2,7 @@
 
 use plp_events::addr::BlockAddr;
 
-use crate::{CacheConfig, Replacement};
+use crate::CacheConfig;
 
 /// A line evicted from the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,21 +54,41 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Line {
-    addr: BlockAddr,
-    dirty: bool,
-    /// LRU timestamp (bigger = more recent) or FIFO insertion stamp.
-    stamp: u64,
+/// A line is one word: the block index shifted left once, with the
+/// dirty bit in bit 0.
+fn line(addr: BlockAddr, dirty: bool) -> u64 {
+    debug_assert!(
+        addr.index() < 1 << 63,
+        "block index {:#x} does not fit a line word",
+        addr.index()
+    );
+    addr.index() << 1 | u64::from(dirty)
 }
 
-/// A set-associative cache tracking presence and dirtiness of 64-byte
-/// blocks.
+fn evicted(line: u64) -> Evicted {
+    Evicted {
+        addr: BlockAddr::new(line >> 1),
+        dirty: line & 1 == 1,
+    }
+}
+
+/// Position of `addr`'s line in `set`, if resident.
+fn find(set: &[u64], addr: BlockAddr) -> Option<usize> {
+    let index = addr.index();
+    set.iter().position(|&l| l >> 1 == index)
+}
+
+/// A set-associative LRU cache tracking presence and dirtiness of
+/// 64-byte blocks.
 ///
 /// Contents are modelled elsewhere (the functional stores live in
 /// `plp-core`); the cache answers the *timing-relevant* questions: was
 /// this block resident, and which dirty victim does an insertion push
 /// out.
+///
+/// Each set keeps its lines most recent first, so a hit moves its line
+/// to the front, an insertion goes in at the front and the victim is
+/// the last line (DESIGN §3.1).
 ///
 /// # Example
 ///
@@ -85,8 +105,12 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Line>>,
-    tick: u64,
+    /// `sets - 1`: a block's set is its index masked.
+    mask: usize,
+    /// Each set's lines, most recent first. A set reserves its `ways`
+    /// words when it takes its first line, so building a cache
+    /// allocates no set.
+    sets: Vec<Vec<u64>>,
     stats: CacheStats,
 }
 
@@ -95,8 +119,8 @@ impl Cache {
     pub fn new(config: CacheConfig) -> Self {
         Cache {
             config,
-            sets: vec![Vec::with_capacity(config.ways()); config.sets()],
-            tick: 0,
+            mask: config.sets() - 1,
+            sets: vec![Vec::new(); config.sets()],
             stats: CacheStats::default(),
         }
     }
@@ -112,23 +136,48 @@ impl Cache {
     }
 
     fn set_index(&self, addr: BlockAddr) -> usize {
-        (addr.index() as usize) & (self.config.sets() - 1)
+        (addr.index() as usize) & self.mask
+    }
+
+    /// Moves line `i` of `set` to the front, OR-ing `dirty` into it.
+    fn touch(set: &mut [u64], i: usize, dirty: bool) {
+        let l = set[i] | u64::from(dirty);
+        if i > 0 {
+            set.copy_within(..i, 1);
+        }
+        set[0] = l;
+    }
+
+    /// Inserts a line for `addr`, which must not be resident, at the
+    /// front of its set; returns the set's last line if it was full.
+    fn insert(&mut self, set: usize, addr: BlockAddr, dirty: bool) -> Option<Evicted> {
+        let ways = self.config.ways();
+        let set = &mut self.sets[set];
+        debug_assert!(find(set, addr).is_none(), "{addr} is already resident");
+        let victim = if set.len() == ways {
+            set.pop().map(evicted)
+        } else {
+            if set.capacity() == 0 {
+                set.reserve_exact(ways);
+            }
+            None
+        };
+        set.insert(0, line(addr, dirty));
+        if let Some(v) = victim {
+            self.stats.evictions += 1;
+            self.stats.dirty_evictions += u64::from(v.dirty);
+        }
+        victim
     }
 
     /// Looks up `addr`, updating recency and (for writes) dirtiness.
     /// Records a hit or miss in the statistics. A miss does *not*
     /// allocate; call [`Cache::fill`] to bring the block in.
     pub fn lookup(&mut self, addr: BlockAddr, write: bool) -> Lookup {
-        self.tick += 1;
-        let tick = self.tick;
         let set = self.set_index(addr);
-        if let Some(line) = self.sets[set].iter_mut().find(|l| l.addr == addr) {
-            if self.config.replacement() == Replacement::Lru {
-                line.stamp = tick;
-            }
-            if write {
-                line.dirty = true;
-            }
+        let set = &mut self.sets[set];
+        if let Some(i) = find(set, addr) {
+            Self::touch(set, i, write);
             self.stats.hits += 1;
             Lookup::Hit
         } else {
@@ -137,99 +186,102 @@ impl Cache {
         }
     }
 
-    /// Whether `addr` is resident, with no side effects.
-    pub fn probe(&self, addr: BlockAddr) -> bool {
-        let set = self.set_index(addr);
-        self.sets[set].iter().any(|l| l.addr == addr)
+    /// Looks up `addr` as [`Cache::lookup`] does and, on a miss, fills
+    /// it as [`Cache::fill`] does (dirty if `write`), with one scan of
+    /// the set. The victim of the fill, if any, only counts in the
+    /// statistics.
+    pub fn access(&mut self, addr: BlockAddr, write: bool) -> Lookup {
+        let outcome = self.lookup(addr, write);
+        if !outcome.is_hit() {
+            self.fill_absent(addr, write);
+        }
+        outcome
     }
 
-    /// Inserts `addr` (e.g. after a miss fill), evicting a victim if
-    /// the set is full. Returns the victim, if any.
+    /// Whether `addr` is resident, with no side effects.
+    pub fn probe(&self, addr: BlockAddr) -> bool {
+        find(&self.sets[self.set_index(addr)], addr).is_some()
+    }
+
+    /// Inserts `addr` (e.g. after a miss fill), evicting the least
+    /// recently used line if the set is full. Returns the victim, if
+    /// any.
     ///
     /// If the block is already resident this just updates dirtiness and
     /// recency and returns `None`.
     pub fn fill(&mut self, addr: BlockAddr, dirty: bool) -> Option<Evicted> {
-        self.tick += 1;
-        let tick = self.tick;
-        let set_idx = self.set_index(addr);
-        let ways = self.config.ways();
-        let set = &mut self.sets[set_idx];
-        if let Some(line) = set.iter_mut().find(|l| l.addr == addr) {
-            line.dirty |= dirty;
-            line.stamp = tick;
+        let index = self.set_index(addr);
+        let set = &mut self.sets[index];
+        if let Some(i) = find(set, addr) {
+            Self::touch(set, i, dirty);
             return None;
         }
-        // Evict the line with the smallest stamp (LRU or FIFO-oldest).
-        // `min_by_key` is only `None` for an empty set, which cannot be
-        // at capacity (ways >= 1), so the victim lookup stays total.
-        let victim_idx = if set.len() >= ways {
-            set.iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.stamp)
-                .map(|(i, _)| i)
-        } else {
-            None
-        };
-        let victim = if let Some(i) = victim_idx {
-            let v = set.swap_remove(i);
-            self.stats.evictions += 1;
-            if v.dirty {
-                self.stats.dirty_evictions += 1;
+        self.insert(index, addr, dirty)
+    }
+
+    /// [`Cache::fill`] of a block the caller knows is absent: no
+    /// residency scan.
+    pub(crate) fn fill_absent(&mut self, addr: BlockAddr, dirty: bool) -> Option<Evicted> {
+        self.insert(self.set_index(addr), addr, dirty)
+    }
+
+    /// A counted lookup that removes the line: the statistics of
+    /// [`Cache::lookup`] and the effect of [`Cache::invalidate`], in
+    /// one scan. Returns the line's dirty bit on a hit.
+    pub(crate) fn take(&mut self, addr: BlockAddr) -> Option<bool> {
+        let set = self.set_index(addr);
+        let set = &mut self.sets[set];
+        match find(set, addr) {
+            Some(i) => {
+                self.stats.hits += 1;
+                Some(set.remove(i) & 1 == 1)
             }
-            Some(Evicted {
-                addr: v.addr,
-                dirty: v.dirty,
-            })
-        } else {
-            None
-        };
-        set.push(Line {
-            addr,
-            dirty,
-            stamp: tick,
-        });
-        victim
+            None => {
+                self.stats.misses += 1;
+                None
+            }
+        }
     }
 
     /// Removes `addr` from the cache, returning its line if present.
     pub fn invalidate(&mut self, addr: BlockAddr) -> Option<Evicted> {
-        let set_idx = self.set_index(addr);
-        let set = &mut self.sets[set_idx];
-        let i = set.iter().position(|l| l.addr == addr)?;
-        let l = set.swap_remove(i);
-        Some(Evicted {
-            addr: l.addr,
-            dirty: l.dirty,
-        })
+        let set = self.set_index(addr);
+        let set = &mut self.sets[set];
+        let i = find(set, addr)?;
+        Some(evicted(set.remove(i)))
     }
 
-    /// Marks `addr` clean (it was written back), if present.
-    pub fn mark_clean(&mut self, addr: BlockAddr) {
-        let set_idx = self.set_index(addr);
-        if let Some(line) = self.sets[set_idx].iter_mut().find(|l| l.addr == addr) {
-            line.dirty = false;
+    /// Marks `addr` clean (it was written back), if present. Returns
+    /// whether it was present.
+    pub fn mark_clean(&mut self, addr: BlockAddr) -> bool {
+        let set = self.set_index(addr);
+        let set = &mut self.sets[set];
+        match find(set, addr) {
+            Some(i) => {
+                set[i] &= !1;
+                true
+            }
+            None => false,
         }
     }
 
     /// Whether `addr` is resident and dirty.
     pub fn is_dirty(&self, addr: BlockAddr) -> bool {
-        let set = self.set_index(addr);
-        self.sets[set].iter().any(|l| l.addr == addr && l.dirty)
+        let set = &self.sets[self.set_index(addr)];
+        find(set, addr).is_some_and(|i| set[i] & 1 == 1)
     }
 
     /// Drains every dirty line (marking them clean), returning their
-    /// addresses — the model of a full cache flush.
+    /// addresses in ascending order — the model of a full cache flush.
     pub fn drain_dirty(&mut self) -> Vec<BlockAddr> {
         let mut out = Vec::new();
-        for set in &mut self.sets {
-            for line in set.iter_mut() {
-                if line.dirty {
-                    line.dirty = false;
-                    out.push(line.addr);
-                }
+        for l in self.sets.iter_mut().flatten() {
+            if *l & 1 == 1 {
+                *l &= !1;
+                out.push(BlockAddr::new(*l >> 1));
             }
         }
-        out.sort();
+        out.sort_unstable();
         out
     }
 
@@ -274,14 +326,29 @@ mod tests {
     }
 
     #[test]
-    fn fifo_ignores_recency() {
-        let mut c = Cache::new(CacheConfig::with_replacement(64 * 4, 2, Replacement::Fifo));
+    fn refill_refreshes_recency() {
+        let mut c = small();
         let (a0, a2, a4) = (BlockAddr::new(0), BlockAddr::new(2), BlockAddr::new(4));
         c.fill(a0, false);
         c.fill(a2, false);
-        c.lookup(a0, false); // does not refresh under FIFO
-        let evicted = c.fill(a4, false).expect("set was full");
-        assert_eq!(evicted.addr, a0);
+        // Filling a resident block counts as a use.
+        assert_eq!(c.fill(a0, false), None);
+        assert_eq!(c.fill(a4, false).map(|v| v.addr), Some(a2));
+    }
+
+    #[test]
+    fn access_fills_on_miss() {
+        let mut c = small();
+        let (a0, a2, a4) = (BlockAddr::new(0), BlockAddr::new(2), BlockAddr::new(4));
+        assert_eq!(c.access(a0, true), Lookup::Miss);
+        assert_eq!(c.access(a2, false), Lookup::Miss);
+        assert_eq!(c.access(a0, false), Lookup::Hit);
+        assert!(c.is_dirty(a0), "a write miss fills dirty");
+        // a2 is least recent: the next miss evicts it.
+        assert_eq!(c.access(a4, false), Lookup::Miss);
+        assert!(!c.probe(a2) && c.probe(a0) && c.probe(a4));
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.evictions), (1, 3, 1));
     }
 
     #[test]
@@ -305,8 +372,9 @@ mod tests {
         assert!(!c.is_dirty(a));
         c.lookup(a, true);
         assert!(c.is_dirty(a));
-        c.mark_clean(a);
+        assert!(c.mark_clean(a));
         assert!(!c.is_dirty(a));
+        assert!(!c.mark_clean(BlockAddr::new(10)));
     }
 
     #[test]
@@ -342,6 +410,18 @@ mod tests {
     }
 
     #[test]
+    fn take_counts_and_removes() {
+        let mut c = small();
+        let a = BlockAddr::new(3);
+        c.fill(a, true);
+        assert_eq!(c.take(a), Some(true));
+        assert_eq!(c.take(a), None);
+        assert!(!c.probe(a));
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses), (1, 1));
+    }
+
+    #[test]
     fn capacity_never_exceeded() {
         let mut c = small();
         for i in 0..100 {
@@ -350,5 +430,21 @@ mod tests {
         }
         assert!(c.resident() <= c.config().lines());
         assert!(c.stats().hit_ratio() < 1.0);
+    }
+
+    #[test]
+    fn line_words_hold_the_metadata_regions() {
+        // The shadow-root region sits at block index 2^43; its lines
+        // must round-trip through the one-word encoding.
+        let mut c = small();
+        let a = BlockAddr::new((1 << 43) + 5);
+        c.fill(a, true);
+        assert_eq!(
+            c.invalidate(a),
+            Some(Evicted {
+                addr: a,
+                dirty: true
+            })
+        );
     }
 }

@@ -2,17 +2,8 @@
 
 use plp_events::addr::CACHE_BLOCK_SIZE;
 
-/// Replacement policy for a set-associative cache.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Replacement {
-    /// Least-recently-used (the paper's configuration).
-    #[default]
-    Lru,
-    /// First-in first-out.
-    Fifo,
-}
-
-/// Geometry and policy of one cache.
+/// Geometry of one cache. Replacement is always LRU (the paper's
+/// configuration).
 ///
 /// # Example
 ///
@@ -27,11 +18,10 @@ pub enum Replacement {
 pub struct CacheConfig {
     size_bytes: usize,
     ways: usize,
-    replacement: Replacement,
 }
 
 impl CacheConfig {
-    /// Creates a configuration with LRU replacement.
+    /// Creates a configuration.
     ///
     /// # Panics
     ///
@@ -39,15 +29,6 @@ impl CacheConfig {
     /// `ways * CACHE_BLOCK_SIZE` and the resulting set count is a power
     /// of two (so set indexing is a mask).
     pub fn new(size_bytes: usize, ways: usize) -> Self {
-        Self::with_replacement(size_bytes, ways, Replacement::Lru)
-    }
-
-    /// Creates a configuration with an explicit replacement policy.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`CacheConfig::new`].
-    pub fn with_replacement(size_bytes: usize, ways: usize, replacement: Replacement) -> Self {
         assert!(ways > 0, "cache must have at least one way");
         let way_bytes = ways * CACHE_BLOCK_SIZE;
         assert!(
@@ -56,11 +37,7 @@ impl CacheConfig {
         );
         let sets = size_bytes / way_bytes;
         assert!(sets.is_power_of_two(), "set count must be a power of two");
-        CacheConfig {
-            size_bytes,
-            ways,
-            replacement,
-        }
+        CacheConfig { size_bytes, ways }
     }
 
     /// Total capacity in bytes.
@@ -82,11 +59,6 @@ impl CacheConfig {
     pub fn lines(&self) -> usize {
         self.size_bytes / CACHE_BLOCK_SIZE
     }
-
-    /// The replacement policy.
-    pub fn replacement(&self) -> Replacement {
-        self.replacement
-    }
 }
 
 #[cfg(test)]
@@ -105,11 +77,10 @@ mod tests {
 
     #[test]
     fn accessors() {
-        let c = CacheConfig::with_replacement(64 << 10, 8, Replacement::Fifo);
+        let c = CacheConfig::new(64 << 10, 8);
         assert_eq!(c.size_bytes(), 64 << 10);
         assert_eq!(c.ways(), 8);
         assert_eq!(c.lines(), 1024);
-        assert_eq!(c.replacement(), Replacement::Fifo);
     }
 
     #[test]

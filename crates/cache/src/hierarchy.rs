@@ -22,9 +22,9 @@ pub enum HitLevel {
 pub struct HierOutcome {
     /// The level that satisfied the access.
     pub level: HitLevel,
-    /// Dirty blocks pushed out of the last-level cache by this access;
-    /// these must be written back to memory (and, in a secure system,
-    /// routed through the security engine).
+    /// Dirty blocks pushed out of the last-level cache by this access
+    /// (at most one); these must be written back to memory (and, in a
+    /// secure system, routed through the security engine).
     pub memory_writebacks: Vec<BlockAddr>,
 }
 
@@ -42,11 +42,14 @@ pub enum WriteMode {
     WriteThrough,
 }
 
-/// A three-level inclusive-fill cache hierarchy (L1/L2/L3).
+/// A three-level exclusive cache hierarchy (L1/L2/L3).
 ///
-/// Evictions cascade: an L1 victim is installed in L2, an L2 victim in
-/// L3, and dirty L3 victims surface as memory write-backs in the
-/// returned [`HierOutcome`].
+/// Every access ends with the block in L1: an L2 or L3 hit moves the
+/// line up, a miss fills it from memory. Evictions cascade: an L1
+/// victim is installed in L2, an L2 victim in L3, and a dirty L3 victim
+/// surfaces as a memory write-back in the returned [`HierOutcome`].
+/// Nothing else inserts, so a block lives in at most one level
+/// (DESIGN §3.1).
 ///
 /// # Example
 ///
@@ -90,18 +93,14 @@ impl Hierarchy {
         )
     }
 
-    /// Installs a block into a level, cascading the victim downward.
-    /// Returns any dirty block evicted from L3 to memory.
-    fn install(&mut self, addr: BlockAddr, dirty: bool, writebacks: &mut Vec<BlockAddr>) {
-        if let Some(v1) = self.l1.fill(addr, dirty) {
-            if let Some(v2) = self.l2.fill(v1.addr, v1.dirty) {
-                if let Some(v3) = self.l3.fill(v2.addr, v2.dirty) {
-                    if v3.dirty {
-                        writebacks.push(v3.addr);
-                    }
-                }
-            }
-        }
+    /// Installs a block absent from every level into L1, cascading the
+    /// victims downward. Returns the dirty block L3 evicts to memory,
+    /// if any.
+    fn install(&mut self, addr: BlockAddr, dirty: bool) -> Option<BlockAddr> {
+        let v1 = self.l1.fill_absent(addr, dirty)?;
+        let v2 = self.l2.fill_absent(v1.addr, v1.dirty)?;
+        let v3 = self.l3.fill_absent(v2.addr, v2.dirty)?;
+        v3.dirty.then_some(v3.addr)
     }
 
     /// Performs a load.
@@ -116,54 +115,46 @@ impl Hierarchy {
     }
 
     fn access(&mut self, addr: BlockAddr, write: bool, mode: WriteMode) -> HierOutcome {
-        let mut writebacks = Vec::new();
-        let level;
-        if self.l1.lookup(addr, write).is_hit() {
-            level = HitLevel::L1;
-        } else if self.l2.lookup(addr, write).is_hit() {
-            // Promote to L1.
-            let dirty = write || self.l2.is_dirty(addr);
-            self.l2.invalidate(addr);
-            self.install(addr, dirty, &mut writebacks);
-            level = HitLevel::L2;
-        } else if self.l3.lookup(addr, write).is_hit() {
-            let dirty = write || self.l3.is_dirty(addr);
-            self.l3.invalidate(addr);
-            self.install(addr, dirty, &mut writebacks);
-            level = HitLevel::L3;
+        let mut memory_writebacks = Vec::new();
+        let level = if self.l1.lookup(addr, write).is_hit() {
+            HitLevel::L1
         } else {
-            // Fetch from memory and install.
-            self.install(addr, write, &mut writebacks);
-            level = HitLevel::Memory;
-        }
-        // Write-through stores leave lines clean: the caller persists.
+            // A lower-level hit leaves that level: the block moves to L1.
+            let (level, dirty) = match self.l2.take(addr) {
+                Some(dirty) => (HitLevel::L2, dirty),
+                None => match self.l3.take(addr) {
+                    Some(dirty) => (HitLevel::L3, dirty),
+                    None => (HitLevel::Memory, false),
+                },
+            };
+            memory_writebacks.extend(self.install(addr, write || dirty));
+            level
+        };
+        // Write-through stores leave the line clean: the caller
+        // persists. The block is now in L1 and nowhere else.
         if mode == WriteMode::WriteThrough {
             self.l1.mark_clean(addr);
-            self.l2.mark_clean(addr);
-            self.l3.mark_clean(addr);
         }
         HierOutcome {
             level,
-            memory_writebacks: writebacks,
+            memory_writebacks,
         }
     }
 
-    /// Marks `addr` clean at every level (used when an epoch flush or an
-    /// eager write-back persists the block while it stays resident).
+    /// Marks `addr` clean wherever it is resident (used when an epoch
+    /// flush or an eager write-back persists the block while it stays
+    /// resident).
     pub fn mark_clean(&mut self, addr: BlockAddr) {
-        self.l1.mark_clean(addr);
-        self.l2.mark_clean(addr);
-        self.l3.mark_clean(addr);
+        let _ = self.l1.mark_clean(addr) || self.l2.mark_clean(addr) || self.l3.mark_clean(addr);
     }
 
     /// Drains every dirty block from all levels (a full flush),
-    /// returning the deduplicated set of block addresses.
+    /// returning their addresses in ascending order.
     pub fn drain_dirty(&mut self) -> Vec<BlockAddr> {
         let mut blocks = self.l1.drain_dirty();
         blocks.extend(self.l2.drain_dirty());
         blocks.extend(self.l3.drain_dirty());
-        blocks.sort();
-        blocks.dedup();
+        blocks.sort_unstable();
         blocks
     }
 

@@ -36,5 +36,5 @@ mod config;
 mod hierarchy;
 
 pub use cache::{Cache, CacheStats, Evicted, Lookup};
-pub use config::{CacheConfig, Replacement};
+pub use config::CacheConfig;
 pub use hierarchy::{HierOutcome, Hierarchy, HitLevel, WriteMode};

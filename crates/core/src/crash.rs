@@ -28,12 +28,14 @@
 //! `RecoveryManager::recover`.
 
 use std::collections::BTreeSet;
+use std::fs::File;
+use std::io::Write;
 use std::path::Path;
 
 use plp_bmt::{BmtGeometry, NodeValue};
 use plp_crypto::{CounterBlock, DataBlock, MacTag, SipKey};
 use plp_events::addr::{BlockAddr, BLOCKS_PER_PAGE};
-use plp_events::frame::Reader;
+use plp_events::frame::{encode_frame_into, Reader};
 use plp_nvm::image::{read_image, ImageHeader, ImageWriter};
 use plp_nvm::NvmError;
 
@@ -625,18 +627,17 @@ pub fn recovery_scratch_path(image: &Path) -> std::path::PathBuf {
 /// Durable, crash-consistent recovery of the image at `path`.
 ///
 /// Replays the image, runs `RecoveryManager::recover`, then makes the
-/// repair itself durable: the canonical recovered image is written
-/// frame-by-frame to a scratch file through the same write-through
-/// medium the persist path uses, and committed over the original with
-/// one atomic rename. A SIGKILL at any instant leaves either the
-/// original image intact (commit not reached) or the fully recovered
-/// one (commit done) — never a half-repaired image — so recovery is
-/// idempotent and monotone under nested crashes.
+/// repair itself durable: the canonical recovered image is encoded in
+/// memory, written to a scratch file with one write, and committed
+/// over the original with one atomic rename. A SIGKILL at any instant
+/// leaves either the original image intact (commit not reached) or the
+/// fully recovered one (commit done) — never a half-repaired image — so
+/// recovery is idempotent and monotone under nested crashes.
 ///
 /// The four recovery failpoints fire in order: `pre-repair` before
-/// anything is decided, `mid-repair-writeback` before each scratch
-/// frame, `pre-root-commit` after the scratch is complete, and
-/// `post-root-commit` after the rename.
+/// anything is decided, `mid-repair-writeback` before each frame of
+/// the recovered image is encoded, `pre-root-commit` after the scratch
+/// is written, and `post-root-commit` after the rename.
 ///
 /// An image that is already canonical-recovered and agrees with the
 /// fresh analysis is left untouched (`rewritten: false`). An image
@@ -679,21 +680,19 @@ pub fn recover_image(
         });
     }
 
-    let scratch = recovery_scratch_path(path);
-    let mut writer = ImageWriter::create(&scratch, &replayed.header)?;
-
     // Counter blocks first (they are what the adopted root is rebuilt
     // from), then surviving blocks, then the bookkeeping frames. All
     // iteration is sorted so the canonical image is deterministic.
+    let mut image = replayed.header.encode().to_vec();
+    let mut payload = Vec::with_capacity(16 + 64);
     let mut pages: Vec<u64> = replayed.image.counters.keys().copied().collect();
     pages.sort_unstable();
     for page in pages {
         fp_hit(&mut reg, Failpoint::RecoveryMidWriteback);
-        let counters = &replayed.image.counters[&page];
-        let mut p = Vec::with_capacity(8 + COUNTERS_BYTES);
-        p.extend_from_slice(&page.to_le_bytes());
-        p.extend_from_slice(&counters.to_bytes());
-        writer.append(TAG_REC_COUNTER, &p)?;
+        payload.clear();
+        payload.extend_from_slice(&page.to_le_bytes());
+        payload.extend_from_slice(&replayed.image.counters[&page].to_bytes());
+        encode_frame_into(&mut image, TAG_REC_COUNTER, &payload);
     }
     let mut addrs: Vec<BlockAddr> = replayed
         .image
@@ -705,31 +704,39 @@ pub fn recover_image(
     addrs.sort();
     for addr in addrs {
         fp_hit(&mut reg, Failpoint::RecoveryMidWriteback);
-        let mut p = Vec::with_capacity(16 + 64);
-        p.extend_from_slice(&addr.index().to_le_bytes());
-        p.extend_from_slice(&replayed.image.macs[&addr].raw().to_le_bytes());
-        p.extend_from_slice(replayed.image.data[&addr].as_bytes());
-        writer.append(TAG_REC_BLOCK, &p)?;
+        payload.clear();
+        payload.extend_from_slice(&addr.index().to_le_bytes());
+        payload.extend_from_slice(&replayed.image.macs[&addr].raw().to_le_bytes());
+        payload.extend_from_slice(replayed.image.data[&addr].as_bytes());
+        encode_frame_into(&mut image, TAG_REC_BLOCK, &payload);
     }
     fp_hit(&mut reg, Failpoint::RecoveryMidWriteback);
-    let mut ids = Vec::with_capacity(replayed.complete_ids.len() * 8);
+    payload.clear();
     for id in &replayed.complete_ids {
-        ids.extend_from_slice(&id.to_le_bytes());
+        payload.extend_from_slice(&id.to_le_bytes());
     }
-    writer.append(TAG_REC_IDS, &ids)?;
+    encode_frame_into(&mut image, TAG_REC_IDS, &payload);
     if !quarantine_now.is_empty() {
         fp_hit(&mut reg, Failpoint::RecoveryMidWriteback);
-        let mut q = Vec::with_capacity(quarantine_now.len() * 8);
+        payload.clear();
         for addr in &quarantine_now {
-            q.extend_from_slice(&addr.index().to_le_bytes());
+            payload.extend_from_slice(&addr.index().to_le_bytes());
         }
-        writer.append(TAG_REC_QUARANTINE, &q)?;
+        encode_frame_into(&mut image, TAG_REC_QUARANTINE, &payload);
     }
-    let mut commit = Vec::with_capacity(16);
-    commit.extend_from_slice(&outcome.adopted_root.to_le_bytes());
-    commit.extend_from_slice(&replayed.seals.to_le_bytes());
-    writer.append(TAG_ROOT_COMMIT, &commit)?;
-    drop(writer);
+    payload.clear();
+    payload.extend_from_slice(&outcome.adopted_root.to_le_bytes());
+    payload.extend_from_slice(&replayed.seals.to_le_bytes());
+    encode_frame_into(&mut image, TAG_ROOT_COMMIT, &payload);
+
+    // Only the rename commits the scratch: a kill before it leaves the
+    // original untouched.
+    let scratch = recovery_scratch_path(path);
+    let mut file = File::create(&scratch)
+        .map_err(|_| ReplayError::Image(NvmError::ImageIo { op: "create" }))?;
+    file.write_all(&image)
+        .map_err(|_| ReplayError::Image(NvmError::ImageIo { op: "write" }))?;
+    drop(file);
 
     fp_hit(&mut reg, Failpoint::RecoveryPreRootCommit);
     std::fs::rename(&scratch, path)

@@ -51,9 +51,10 @@ pub enum Failpoint {
     /// replayed but before any repair decision is made. A kill here
     /// must leave the on-device image byte-identical.
     RecoveryPreRepair,
-    /// Between frame appends while recovery writes the canonical
-    /// recovered image to its scratch file. A kill here leaves a
-    /// partial scratch next to an untouched original.
+    /// Before each frame while recovery encodes the canonical recovered
+    /// image in memory. The scratch file is written only after the last
+    /// frame, so a kill here leaves the original untouched and writes
+    /// no scratch.
     RecoveryMidWriteback,
     /// After the scratch image is complete but before the atomic
     /// rename that commits it over the original.

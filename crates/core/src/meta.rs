@@ -105,15 +105,7 @@ impl MetadataCaches {
     }
 
     fn access(cache: &mut Cache, addr: BlockAddr, write: bool, ideal: bool) -> bool {
-        if ideal {
-            return true;
-        }
-        if cache.lookup(addr, write).is_hit() {
-            true
-        } else {
-            cache.fill(addr, write);
-            false
-        }
+        ideal || cache.access(addr, write).is_hit()
     }
 
     /// Statistics snapshot.

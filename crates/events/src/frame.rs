@@ -47,17 +47,28 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// Panics if `payload` is longer than [`MAX_PAYLOAD`]; writers of
 /// unbounded payloads check the length first.
 pub fn encode_frame(tag: u8, payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
+    encode_frame_into(&mut frame, tag, payload);
+    frame
+}
+
+/// Appends one complete frame to `out`, as [`encode_frame`] encodes
+/// it.
+///
+/// # Panics
+///
+/// Panics if `payload` is longer than [`MAX_PAYLOAD`].
+pub fn encode_frame_into(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
     assert!(
         payload.len() <= MAX_PAYLOAD,
         "frame payload exceeds its u32 length field"
     );
-    let mut frame = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-    frame.push(tag);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(payload);
-    let sum = fnv1a(&frame);
-    frame.extend_from_slice(&sum.to_le_bytes());
-    frame
+    let start = out.len();
+    out.push(tag);
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+    let sum = fnv1a(&out[start..]);
+    out.extend_from_slice(&sum.to_le_bytes());
 }
 
 /// Why the leading bytes are not an intact frame.

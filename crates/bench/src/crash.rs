@@ -35,7 +35,7 @@
 //! fsync, so the image the parent reopens is exactly what the child
 //! had appended when it parked.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -48,6 +48,7 @@ use plp_core::{
     ObserverExpectation, PersistRecord, RecoveryManager, SimSetup, SystemConfig, UpdateScheme,
 };
 use plp_crypto::CounterBlock;
+use plp_events::FastMap;
 use plp_trace::spec;
 
 use crate::cache;
@@ -332,8 +333,8 @@ impl Judgement {
 
 /// The golden program-order counter fold of the same cut — the
 /// "field-exact counters" half of a judgement.
-fn cut_counters(golden: &Golden, complete_ids: &BTreeSet<u64>) -> HashMap<u64, CounterBlock> {
-    let mut counters = HashMap::new();
+fn cut_counters(golden: &Golden, complete_ids: &BTreeSet<u64>) -> FastMap<u64, CounterBlock> {
+    let mut counters = FastMap::default();
     for r in golden
         .records
         .iter()

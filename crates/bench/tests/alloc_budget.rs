@@ -2,8 +2,9 @@
 //! heap-allocation-free in steady state — the arena-backed tree's
 //! updates and commits, every ordered engine's scheduling, the NVM
 //! device's bank schedule and write-combining map, the counter-mode
-//! and MAC engines, and the data and metadata caches — so none of them
-//! can silently rot back into per-persist `Vec`s or map nodes.
+//! and MAC engines, the data and metadata caches, and the durable
+//! sink's frame appends — so none of them can silently rot back into
+//! per-persist `Vec`s or map nodes.
 //!
 //! A counting global allocator wraps `System`; each phase warms its
 //! subject (first-touch growth — map resizes, `VecDeque` reservations,
@@ -22,10 +23,14 @@ use plp_core::engine::{
     UpdateEngine, UpdateRequest,
 };
 use plp_core::meta::MetadataCaches;
+use plp_core::{
+    DurableSink, Failpoint, FailpointPlan, FailpointRegistry, SimSetup, SystemConfig, UpdateScheme,
+};
 use plp_crypto::{CounterBlock, CounterValue, CtrEngine, DataBlock, MacEngine, SipKey};
 use plp_events::addr::BlockAddr;
 use plp_events::{splitmix64, Cycle};
 use plp_nvm::{NvmConfig, NvmDevice};
+use plp_trace::spec;
 
 /// `System`, with every allocation and reallocation counted.
 struct CountingAlloc;
@@ -325,4 +330,55 @@ fn steady_state_persist_path_is_allocation_free() {
         n, writebacks as u64,
         "write-back stores allocated {n} times for {writebacks} write-backs"
     );
+
+    // ---- Phase 5: the durable sink. -------------------------------
+    // The sink builds each payload and encodes each frame in a reused
+    // buffer, so what a sink-attached run allocates beyond the same run
+    // without a sink (the file, the buffers' first growth) does not
+    // grow with the number of frames appended. Both runs arm a
+    // failpoint that never fires: a sink or an armed registry makes
+    // the simulation read the root at every tuple, which changes how
+    // far its lazily committed tree's queues grow, so the baseline
+    // must read it too.
+    let path = std::env::temp_dir().join(format!("plp-alloc-budget-{}.img", std::process::id()));
+    let profile = spec::benchmark("gcc").unwrap();
+    let inert = || {
+        FailpointRegistry::observe(FailpointPlan {
+            point: Failpoint::MidTuple,
+            hit: u64::MAX,
+        })
+    };
+    for scheme in [
+        UpdateScheme::Unordered,
+        UpdateScheme::Sp,
+        UpdateScheme::Pipeline,
+        UpdateScheme::O3,
+        UpdateScheme::Coalescing,
+        UpdateScheme::TriadNvm,
+        UpdateScheme::Phoenix,
+    ] {
+        let setup = SimSetup::for_profile(SystemConfig::for_scheme(scheme), &profile, 7).unwrap();
+        let sink_extra = |instructions: u64| {
+            let trace = setup.generate_trace(instructions);
+            let plain = count_allocs(|| {
+                let mut sim = setup.simulation();
+                sim.arm_failpoints(inert());
+                drop(sim.run_with_state(&trace));
+            });
+            let with_sink = count_allocs(|| {
+                let mut sim = setup.simulation();
+                sim.arm_failpoints(inert());
+                sim.attach_durable_sink(DurableSink::create(&path, setup.config(), 7).unwrap());
+                drop(sim.run_with_state(&trace));
+            });
+            with_sink - plain
+        };
+        let (short, long) = (sink_extra(2_000), sink_extra(8_000));
+        assert_eq!(
+            short, long,
+            "{scheme}: a sink-attached run allocated {short} times more than a plain one at \
+             2 000 instructions and {long} more at 8 000 — appends must not allocate"
+        );
+    }
+    std::fs::remove_file(&path).unwrap();
 }

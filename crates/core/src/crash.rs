@@ -35,8 +35,9 @@ use std::path::Path;
 use plp_bmt::{BmtGeometry, NodeValue};
 use plp_crypto::{CounterBlock, DataBlock, MacTag, SipKey};
 use plp_events::addr::{BlockAddr, BLOCKS_PER_PAGE};
-use plp_events::frame::{encode_frame_into, Reader};
-use plp_nvm::image::{read_image, ImageHeader, ImageWriter};
+use plp_events::frame::{encode_frame_into, Reader, FRAME_OVERHEAD};
+use plp_events::FastMap;
+use plp_nvm::image::{ImageHeader, ImageReader, ImageWriter};
 use plp_nvm::NvmError;
 
 use crate::failpoint::{self, Crossed, Failpoint, FailpointRegistry};
@@ -175,8 +176,7 @@ pub(crate) struct TupleFrame<'a> {
 }
 
 impl TupleFrame<'_> {
-    fn payload(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(40 + 64 + COUNTERS_BYTES);
+    fn encode(&self, p: &mut Vec<u8>) {
         p.extend_from_slice(&self.id.to_le_bytes());
         p.extend_from_slice(&self.addr.index().to_le_bytes());
         p.extend_from_slice(&self.page.to_le_bytes());
@@ -184,7 +184,6 @@ impl TupleFrame<'_> {
         p.extend_from_slice(&self.mac.raw().to_le_bytes());
         p.extend_from_slice(self.cipher.as_bytes());
         p.extend_from_slice(&self.counters.to_bytes());
-        p
     }
 }
 
@@ -204,14 +203,12 @@ pub(crate) struct TriadFrame<'a> {
 }
 
 impl TriadFrame<'_> {
-    fn payload(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(24 + 64 + COUNTERS_BYTES);
+    fn encode(&self, p: &mut Vec<u8>) {
         p.extend_from_slice(&self.id.to_le_bytes());
         p.extend_from_slice(&self.addr.index().to_le_bytes());
         p.extend_from_slice(&self.page.to_le_bytes());
         p.extend_from_slice(self.cipher.as_bytes());
         p.extend_from_slice(&self.counters.to_bytes());
-        p
     }
 }
 
@@ -219,11 +216,13 @@ impl TriadFrame<'_> {
 ///
 /// I/O errors never panic and never disturb the simulation: the first
 /// error poisons the sink (subsequent appends become no-ops) and is
-/// surfaced through [`DurableSink::error`] after the run.
+/// surfaced through [`DurableSink::error`] after the run. Payloads are
+/// built in one reused buffer, so an append allocates nothing.
 #[derive(Debug)]
 pub struct DurableSink {
     writer: ImageWriter,
     error: Option<NvmError>,
+    payload: Vec<u8>,
 }
 
 impl DurableSink {
@@ -239,6 +238,7 @@ impl DurableSink {
         Ok(DurableSink {
             writer: ImageWriter::create(path, &header)?,
             error: None,
+            payload: Vec::new(),
         })
     }
 
@@ -247,38 +247,40 @@ impl DurableSink {
         self.error
     }
 
-    fn push(&mut self, tag: u8, payload: &[u8]) {
+    /// Appends one frame whose payload `fill` writes: whole, or with
+    /// `torn` only about half of it — enough to be visibly torn, never
+    /// enough to checksum.
+    fn push(&mut self, tag: u8, torn: bool, fill: impl FnOnce(&mut Vec<u8>)) {
         if self.error.is_some() {
             return;
         }
-        if let Err(e) = self.writer.append(tag, payload) {
+        self.payload.clear();
+        fill(&mut self.payload);
+        let appended = if torn {
+            let keep = (FRAME_OVERHEAD + self.payload.len()) / 2;
+            self.writer.append_torn(tag, &self.payload, keep)
+        } else {
+            self.writer.append(tag, &self.payload)
+        };
+        if let Err(e) = appended {
             self.error = Some(e);
         }
     }
 
     /// Appends one whole tuple atomically.
     pub(crate) fn tuple(&mut self, frame: &TupleFrame<'_>) {
-        self.push(TAG_TUPLE, &frame.payload());
+        self.push(TAG_TUPLE, false, |p| frame.encode(p));
     }
 
     /// Appends a deliberately torn prefix of a tuple frame — the write
     /// the armed `mid-tuple` kill lands on. Readers discard it.
     pub(crate) fn tuple_torn(&mut self, frame: &TupleFrame<'_>) {
-        if self.error.is_some() {
-            return;
-        }
-        let p = frame.payload();
-        // Keep roughly half the frame: enough to be visibly torn,
-        // never enough to checksum.
-        let keep = (13 + p.len()) / 2;
-        if let Err(e) = self.writer.append_torn(TAG_TUPLE, &p, keep) {
-            self.error = Some(e);
-        }
+        self.push(TAG_TUPLE, true, |p| frame.encode(p));
     }
 
     /// Appends `triad_nvm`'s strict data/counter slice atomically.
     pub(crate) fn triad(&mut self, frame: &TriadFrame<'_>) {
-        self.push(TAG_TRIAD, &frame.payload());
+        self.push(TAG_TRIAD, false, |p| frame.encode(p));
     }
 
     /// Appends a deliberately torn prefix of a triad frame — the write
@@ -286,68 +288,61 @@ impl DurableSink {
     /// interrupted strict slice leaves no partial state (only the
     /// *relaxed* window can strand components).
     pub(crate) fn triad_torn(&mut self, frame: &TriadFrame<'_>) {
-        if self.error.is_some() {
-            return;
-        }
-        let p = frame.payload();
-        let keep = (13 + p.len()) / 2;
-        if let Err(e) = self.writer.append_torn(TAG_TRIAD, &p, keep) {
-            self.error = Some(e);
-        }
+        self.push(TAG_TRIAD, true, |p| frame.encode(p));
     }
 
     /// Appends the ciphertext component alone (`unordered`).
     pub(crate) fn data(&mut self, id: u64, addr: BlockAddr, cipher: &DataBlock) {
-        let mut p = Vec::with_capacity(16 + 64);
-        p.extend_from_slice(&id.to_le_bytes());
-        p.extend_from_slice(&addr.index().to_le_bytes());
-        p.extend_from_slice(cipher.as_bytes());
-        self.push(TAG_DATA, &p);
+        self.push(TAG_DATA, false, |p| {
+            p.extend_from_slice(&id.to_le_bytes());
+            p.extend_from_slice(&addr.index().to_le_bytes());
+            p.extend_from_slice(cipher.as_bytes());
+        });
     }
 
     /// Appends the counter-block component alone (`unordered`).
     pub(crate) fn counter(&mut self, id: u64, page: u64, counters: &CounterBlock) {
-        let mut p = Vec::with_capacity(16 + COUNTERS_BYTES);
-        p.extend_from_slice(&id.to_le_bytes());
-        p.extend_from_slice(&page.to_le_bytes());
-        p.extend_from_slice(&counters.to_bytes());
-        self.push(TAG_COUNTER, &p);
+        self.push(TAG_COUNTER, false, |p| {
+            p.extend_from_slice(&id.to_le_bytes());
+            p.extend_from_slice(&page.to_le_bytes());
+            p.extend_from_slice(&counters.to_bytes());
+        });
     }
 
     /// Appends the MAC component alone (`unordered`).
     pub(crate) fn mac_tag(&mut self, id: u64, addr: BlockAddr, mac: MacTag) {
-        let mut p = Vec::with_capacity(24);
-        p.extend_from_slice(&id.to_le_bytes());
-        p.extend_from_slice(&addr.index().to_le_bytes());
-        p.extend_from_slice(&mac.raw().to_le_bytes());
-        self.push(TAG_MAC, &p);
+        self.push(TAG_MAC, false, |p| {
+            p.extend_from_slice(&id.to_le_bytes());
+            p.extend_from_slice(&addr.index().to_le_bytes());
+            p.extend_from_slice(&mac.raw().to_le_bytes());
+        });
     }
 
     /// Appends the root component alone (`unordered`).
     pub(crate) fn root(&mut self, id: u64, root: NodeValue) {
-        let mut p = Vec::with_capacity(16);
-        p.extend_from_slice(&id.to_le_bytes());
-        p.extend_from_slice(&root.to_le_bytes());
-        self.push(TAG_ROOT, &p);
+        self.push(TAG_ROOT, false, |p| {
+            p.extend_from_slice(&id.to_le_bytes());
+            p.extend_from_slice(&root.to_le_bytes());
+        });
     }
 
     /// Appends an epoch seal.
     pub(crate) fn seal(&mut self, epoch: u64, root: NodeValue) {
-        let mut p = Vec::with_capacity(16);
-        p.extend_from_slice(&epoch.to_le_bytes());
-        p.extend_from_slice(&root.to_le_bytes());
-        self.push(TAG_SEAL, &p);
+        self.push(TAG_SEAL, false, |p| {
+            p.extend_from_slice(&epoch.to_le_bytes());
+            p.extend_from_slice(&root.to_le_bytes());
+        });
     }
 
     /// Appends one page-overflow re-encryption (atomic with the
     /// carrier tuple that overflowed the page's major counter).
     pub(crate) fn overflow(&mut self, id: u64, addr: BlockAddr, cipher: &DataBlock, mac: MacTag) {
-        let mut p = Vec::with_capacity(24 + 64);
-        p.extend_from_slice(&id.to_le_bytes());
-        p.extend_from_slice(&addr.index().to_le_bytes());
-        p.extend_from_slice(&mac.raw().to_le_bytes());
-        p.extend_from_slice(cipher.as_bytes());
-        self.push(TAG_OVERFLOW, &p);
+        self.push(TAG_OVERFLOW, false, |p| {
+            p.extend_from_slice(&id.to_le_bytes());
+            p.extend_from_slice(&addr.index().to_le_bytes());
+            p.extend_from_slice(&mac.raw().to_le_bytes());
+            p.extend_from_slice(cipher.as_bytes());
+        });
     }
 }
 
@@ -430,12 +425,11 @@ impl<'a> Payload<'a> {
     }
 
     /// Reads the rest as a list of `u64`s.
-    fn u64s(&mut self) -> Result<Vec<u64>, ReplayError> {
-        let mut out = Vec::with_capacity(self.r.remaining() / 8);
-        while !self.r.is_empty() {
-            out.push(self.u64()?);
+    fn u64s(mut self) -> Result<impl Iterator<Item = u64> + 'a, ReplayError> {
+        if !self.r.remaining().is_multiple_of(8) {
+            return Err(self.bad());
         }
-        Ok(out)
+        Ok(std::iter::from_fn(move || self.r.u64()))
     }
 
     /// Checks that every byte was read.
@@ -472,8 +466,8 @@ fn tree_page(geometry: BmtGeometry, tag: u8, page: u64) -> Result<u64, ReplayErr
 /// [`ReplayError::PageOutsideTree`], so every replayed image can be
 /// rebuilt.
 pub fn replay_image(path: &Path, key: SipKey) -> Result<ReplayedImage, ReplayError> {
-    let contents = read_image(path)?;
-    let header = contents.header.clone();
+    let file = ImageReader::open(path)?;
+    let header = file.header().clone();
     if header.arity > 1 << 16 || header.levels > 16 {
         return Err(ReplayError::BadGeometry);
     }
@@ -483,32 +477,33 @@ pub fn replay_image(path: &Path, key: SipKey) -> Result<ReplayedImage, ReplayErr
     // the same convention as `PersistImage::fresh`.
     let mut image = PersistImage::fresh(geometry, key);
 
-    let mut complete_ids: BTreeSet<u64> = BTreeSet::new();
+    // Sorted into a set once, after the last frame.
+    let mut complete_ids: Vec<u64> = Vec::new();
     // Component bitmask per id: data=1, counter=2, mac=4, root=8.
-    let mut components: std::collections::HashMap<u64, u8> = std::collections::HashMap::new();
+    let mut components: FastMap<u64, u8> = FastMap::default();
     let mut seals = 0u64;
     let mut recovered = false;
     let mut quarantined: BTreeSet<BlockAddr> = BTreeSet::new();
 
-    for rec in &contents.records {
-        let mut p = Payload::new(rec.tag, &rec.payload);
-        match rec.tag {
+    for (tag, payload) in file.frames() {
+        let mut p = Payload::new(tag, payload);
+        match tag {
             TAG_TUPLE => {
                 let (id, addr, page, root) = (p.u64()?, p.addr()?, p.u64()?, p.u64()?);
                 let (mac, cipher, counters) = (p.mac()?, p.cipher()?, p.counters()?);
                 p.end()?;
-                let page = tree_page(geometry, rec.tag, page)?;
+                let page = tree_page(geometry, tag, page)?;
                 image.root = root;
                 image.macs.insert(addr, mac);
                 image.data.insert(addr, cipher);
                 image.counters.insert(page, counter_block(&counters)?);
-                complete_ids.insert(id);
+                complete_ids.push(id);
             }
             TAG_TRIAD => {
                 let (id, addr, page, cipher, counters) =
                     (p.u64()?, p.addr()?, p.u64()?, p.cipher()?, p.counters()?);
                 p.end()?;
-                let page = tree_page(geometry, rec.tag, page)?;
+                let page = tree_page(geometry, tag, page)?;
                 image.data.insert(addr, cipher);
                 image.counters.insert(page, counter_block(&counters)?);
                 *components.entry(id).or_insert(0) |= 3;
@@ -522,7 +517,7 @@ pub fn replay_image(path: &Path, key: SipKey) -> Result<ReplayedImage, ReplayErr
             TAG_COUNTER => {
                 let (id, page, counters) = (p.u64()?, p.u64()?, p.counters()?);
                 p.end()?;
-                let page = tree_page(geometry, rec.tag, page)?;
+                let page = tree_page(geometry, tag, page)?;
                 image.counters.insert(page, counter_block(&counters)?);
                 *components.entry(id).or_insert(0) |= 2;
             }
@@ -549,7 +544,7 @@ pub fn replay_image(path: &Path, key: SipKey) -> Result<ReplayedImage, ReplayErr
                 p.end()?;
                 image.macs.insert(addr, mac);
                 image.data.insert(addr, cipher);
-                complete_ids.insert(id);
+                complete_ids.push(id);
             }
             TAG_REC_BLOCK => {
                 let (addr, mac, cipher) = (p.addr()?, p.mac()?, p.cipher()?);
@@ -560,11 +555,11 @@ pub fn replay_image(path: &Path, key: SipKey) -> Result<ReplayedImage, ReplayErr
             TAG_REC_COUNTER => {
                 let (page, counters) = (p.u64()?, p.counters()?);
                 p.end()?;
-                let page = tree_page(geometry, rec.tag, page)?;
+                let page = tree_page(geometry, tag, page)?;
                 image.counters.insert(page, counter_block(&counters)?);
             }
             TAG_REC_IDS => complete_ids.extend(p.u64s()?),
-            TAG_REC_QUARANTINE => quarantined.extend(p.u64s()?.into_iter().map(BlockAddr::new)),
+            TAG_REC_QUARANTINE => quarantined.extend(p.u64s()?.map(BlockAddr::new)),
             TAG_ROOT_COMMIT => {
                 let (root, sealed) = (p.u64()?, p.u64()?);
                 p.end()?;
@@ -578,7 +573,7 @@ pub fn replay_image(path: &Path, key: SipKey) -> Result<ReplayedImage, ReplayErr
     let mut partial_ids = BTreeSet::new();
     for (id, mask) in components {
         if mask == 0b1111 {
-            complete_ids.insert(id);
+            complete_ids.push(id);
         } else {
             partial_ids.insert(id);
         }
@@ -586,11 +581,11 @@ pub fn replay_image(path: &Path, key: SipKey) -> Result<ReplayedImage, ReplayErr
     Ok(ReplayedImage {
         header,
         image,
-        complete_ids,
+        complete_ids: complete_ids.into_iter().collect(),
         partial_ids,
         seals,
-        frames: contents.records.len(),
-        torn_tail_bytes: contents.torn_tail_bytes,
+        frames: file.frame_count(),
+        torn_tail_bytes: file.torn_tail_bytes(),
         recovered,
         quarantined,
     })
@@ -1019,16 +1014,16 @@ mod tests {
         assert_eq!(fired.persist, 101);
         // Observe mode runs on past the armed hit; keep only the frames
         // that were durable when a killed child would have died there.
-        let contents = plp_nvm::read_image(&path).unwrap();
-        let id_of = |r: &plp_nvm::ImageRecord| Reader::new(&r.payload).u64().unwrap();
-        let kill = contents
-            .records
+        let file = ImageReader::open(&path).unwrap();
+        let records: Vec<(u8, &[u8])> = file.frames().collect();
+        let id_of = |payload: &[u8]| Reader::new(payload).u64().unwrap();
+        let kill = records
             .iter()
-            .position(|r| r.tag == TAG_MAC && id_of(r) == 101)
+            .position(|&(tag, p)| tag == TAG_MAC && id_of(p) == 101)
             .expect("persist 101 has a MAC frame");
-        let tags: Vec<(u8, u64)> = contents.records[kill - 2..kill + 2]
+        let tags: Vec<(u8, u64)> = records[kill - 2..kill + 2]
             .iter()
-            .map(|r| (r.tag, id_of(r)))
+            .map(|&(tag, p)| (tag, id_of(p)))
             .collect();
         assert_eq!(
             tags,
@@ -1040,9 +1035,9 @@ mod tests {
             ]
         );
         {
-            let mut w = ImageWriter::create(&path, &contents.header).unwrap();
-            for r in &contents.records[..kill] {
-                w.append(r.tag, &r.payload).unwrap();
+            let mut w = ImageWriter::create(&path, file.header()).unwrap();
+            for &(tag, payload) in &records[..kill] {
+                w.append(tag, payload).unwrap();
             }
         }
         let replayed = replay_image(&path, setup.config().key).unwrap();
@@ -1198,10 +1193,10 @@ mod tests {
         drop(sink);
         // Append a checksummed frame with an unknown tag.
         {
-            let contents = plp_nvm::read_image(&path).unwrap();
-            let mut w = ImageWriter::create(&path, &contents.header).unwrap();
-            for r in &contents.records {
-                w.append(r.tag, &r.payload).unwrap();
+            let file = ImageReader::open(&path).unwrap();
+            let mut w = ImageWriter::create(&path, file.header()).unwrap();
+            for (tag, payload) in file.frames() {
+                w.append(tag, payload).unwrap();
             }
             w.append(99, &[1, 2, 3]).unwrap();
         }
@@ -1490,28 +1485,29 @@ mod tests {
 
         for path in [raw, recovered] {
             let bytes = std::fs::read(&path).unwrap();
-            let contents = read_image(&path).unwrap();
+            let file = ImageReader::open(&path).unwrap();
+            let records: Vec<(u8, &[u8])> = file.frames().collect();
             // The file offset each frame ends at, and the replay of the
             // image holding only the first k frames, for every k.
             let mut ends = Vec::new();
             let mut prefixes = Vec::new();
             let mut at = IMAGE_HEADER_BYTES;
-            for k in 0..=contents.records.len() {
+            for k in 0..=records.len() {
                 {
-                    let mut w = ImageWriter::create(&path, &contents.header).unwrap();
-                    for r in &contents.records[..k] {
-                        w.append(r.tag, &r.payload).unwrap();
+                    let mut w = ImageWriter::create(&path, file.header()).unwrap();
+                    for &(tag, payload) in &records[..k] {
+                        w.append(tag, payload).unwrap();
                     }
                 }
                 let r = replay_image(&path, key).unwrap();
                 prefixes.push((r.image, r.complete_ids, r.partial_ids, r.seals, r.recovered));
-                if let Some(rec) = contents.records.get(k) {
-                    at += 13 + rec.payload.len();
+                if let Some((_, payload)) = records.get(k) {
+                    at += 13 + payload.len();
                     ends.push(at);
                 }
             }
             assert_eq!(at, bytes.len());
-            let tags: BTreeSet<u8> = contents.records.iter().map(|r| r.tag).collect();
+            let tags: BTreeSet<u8> = records.iter().map(|&(tag, _)| tag).collect();
             assert!(tags.len() >= 5, "{tags:?}");
             let check = |damaged: &[u8], intact: usize, what: &str| {
                 std::fs::write(&path, damaged).unwrap();

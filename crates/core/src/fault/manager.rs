@@ -374,24 +374,15 @@ impl RecoveryManager {
         // that verifies but is not the expected plaintext reads the
         // history, so it is built on the first such block.
         let mut history = None;
-        let mut addrs: Vec<BlockAddr> = expected.plaintexts.keys().copied().collect();
-        addrs.sort();
-        let mut fates = Vec::with_capacity(addrs.len());
-        for addr in addrs {
-            let expected_plain = expected.plaintexts[&addr];
-            let cipher = image.data.get(&addr).copied().unwrap_or_default();
-            let counter = image
-                .counters
-                .get(&addr.page().index())
-                .cloned()
-                .unwrap_or_default()
-                .value_for(addr);
-            let mac = image.macs.get(&addr).copied().unwrap_or_default();
+        let blocks = expected.sorted();
+        let mut fates = Vec::with_capacity(blocks.len());
+        for (addr, expected_plain) in blocks {
+            let (cipher, counter, mac) = image.stored(addr);
             let fate = if !self.mac.verify(&cipher, addr, counter, mac) {
                 BlockFate::Quarantined
             } else {
                 let plain = self.ctr.decrypt(cipher, addr, counter);
-                if plain == expected_plain {
+                if plain == *expected_plain {
                     BlockFate::Salvaged
                 } else if history
                     .get_or_insert_with(|| plaintext_history(records))

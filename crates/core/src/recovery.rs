@@ -4,22 +4,26 @@
 use std::collections::{BTreeSet, HashMap};
 
 use plp_bmt::{BmtGeometry, BonsaiTree, NodeValue, PathTree};
-use plp_crypto::{CounterBlock, CtrEngine, DataBlock, MacEngine, MacTag, SipKey};
+use plp_crypto::{CounterBlock, CounterValue, CtrEngine, DataBlock, MacEngine, MacTag, SipKey};
 use plp_events::addr::BlockAddr;
-use plp_events::Cycle;
+use plp_events::{Cycle, FastMap};
 
 use crate::{PersistRecord, TupleTimes};
 
 /// The durable state a crash leaves behind: NVMM contents plus the
 /// persistently-stored on-chip BMT root.
+///
+/// The maps are integer-keyed [`FastMap`]s. Nothing reads them in hash
+/// order: every site that iterates one sorts the keys first or feeds a
+/// consumer that does not depend on order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PersistImage {
     /// Ciphertexts by block address.
-    pub data: HashMap<BlockAddr, DataBlock>,
+    pub data: FastMap<BlockAddr, DataBlock>,
     /// MAC tags by block address.
-    pub macs: HashMap<BlockAddr, MacTag>,
+    pub macs: FastMap<BlockAddr, MacTag>,
     /// Split-counter blocks by page index.
-    pub counters: HashMap<u64, CounterBlock>,
+    pub counters: FastMap<u64, CounterBlock>,
     /// The persisted BMT root register.
     pub root: NodeValue,
 }
@@ -29,11 +33,23 @@ impl PersistImage {
     /// tree). Costs one hash per tree level, not a tree.
     pub fn fresh(geometry: BmtGeometry, key: SipKey) -> Self {
         PersistImage {
-            data: HashMap::new(),
-            macs: HashMap::new(),
-            counters: HashMap::new(),
+            data: FastMap::default(),
+            macs: FastMap::default(),
+            counters: FastMap::default(),
             root: BonsaiTree::fresh_root(geometry, key),
         }
+    }
+
+    /// What the image holds for block `addr`: its ciphertext, its
+    /// counter and its MAC, each the default where none persisted.
+    pub(crate) fn stored(&self, addr: BlockAddr) -> (DataBlock, CounterValue, MacTag) {
+        let cipher = self.data.get(&addr).copied().unwrap_or_default();
+        let counter = self
+            .counters
+            .get(&addr.page().index())
+            .map_or_else(CounterValue::default, |block| block.value_for(addr));
+        let mac = self.macs.get(&addr).copied().unwrap_or_default();
+        (cipher, counter, mac)
     }
 
     /// Reconstructs the durable image at crash time `t` by replaying
@@ -100,6 +116,14 @@ pub struct ObserverExpectation {
 }
 
 impl ObserverExpectation {
+    /// Every expected `(address, plaintext)`, sorted by address.
+    pub(crate) fn sorted(&self) -> Vec<(BlockAddr, &DataBlock)> {
+        let mut blocks: Vec<(BlockAddr, &DataBlock)> =
+            self.plaintexts.iter().map(|(a, p)| (*a, p)).collect();
+        blocks.sort_unstable_by_key(|&(addr, _)| addr);
+        blocks
+    }
+
     /// The observer state at crash time `t`: every persist whose whole
     /// tuple completed by `t` is expected back, latest completion per
     /// address winning.
@@ -205,22 +229,12 @@ impl RecoveryChecker {
         report.bmt_failure = rebuilt.root() != image.root;
 
         // 2 & 3. Per-block MAC verification and plaintext recovery.
-        let mut addrs: Vec<_> = expected.plaintexts.keys().copied().collect();
-        addrs.sort();
-        for addr in addrs {
-            let expected_plain = expected.plaintexts[&addr];
-            let cipher = image.data.get(&addr).copied().unwrap_or_default();
-            let counter = image
-                .counters
-                .get(&addr.page().index())
-                .cloned()
-                .unwrap_or_default()
-                .value_for(addr);
-            let mac = image.macs.get(&addr).copied().unwrap_or_default();
+        for (addr, expected_plain) in expected.sorted() {
+            let (cipher, counter, mac) = image.stored(addr);
             if !self.mac.verify(&cipher, addr, counter, mac) {
                 report.mac_failures.push(addr);
             }
-            if self.ctr.decrypt(cipher, addr, counter) != expected_plain {
+            if self.ctr.decrypt(cipher, addr, counter) != *expected_plain {
                 report.plaintext_failures.push(addr);
             }
         }

@@ -1,15 +1,41 @@
-//! A Fibonacci-multiply hasher for the simulator's hot-path maps: the
-//! workspace's one integer-key hasher.
+//! A Fibonacci-multiply hasher for the simulator's integer-keyed maps:
+//! the workspace's one integer-key hasher.
 //!
 //! The persist path does several map operations per store (counter
 //! blocks, architectural plaintexts, the sanitizer's WAW tracker, the
-//! NVM write-combining queue), and the standard library's default
-//! SipHash is the single largest non-crypto cost on that path. The keys
-//! involved — page indices, block addresses, node labels — are already
-//! well-distributed integers, so a single multiply by the 64-bit
-//! golden-ratio constant mixes them adequately. These maps are never
-//! iterated for user-visible output, so the hasher swap cannot perturb
-//! the simulator's byte-deterministic stdout.
+//! NVM write-combining queue), and recovery does several per replayed
+//! frame (the data, MAC and counter maps of `plp_core::PersistImage`,
+//! and the per-id component masks of `plp_core::replay_image`). The
+//! standard library's default SipHash was the largest non-crypto cost
+//! on both paths. The keys involved (page indices, block addresses,
+//! node labels, persist ids) are integers that a single multiply by the
+//! 64-bit golden-ratio constant mixes well enough.
+//!
+//! # Iteration order
+//!
+//! Iteration follows the hash, so no output may depend on it. The
+//! simulator's maps are only read and written by key, apart from the
+//! NVM write-combining trim, which keeps entries by a predicate.
+//! Recovery's maps are iterated in these places, and each one is
+//! order-free:
+//!
+//! * `recover_image`'s writeback sorts the pages and the addresses of
+//!   a `PersistImage` before it writes a frame;
+//! * each `FaultInjector` site sorts the keys before it draws a victim;
+//! * `PathTree::from_counters` and `BonsaiTree::from_counters` build
+//!   the same tree from the same set of `(page, block)` pairs in any
+//!   order, and a counter map holds one block per page;
+//! * `replay_image` folds its component masks into sorted sets.
+//!
+//! # Keys from files
+//!
+//! Keys replayed from a device image are file contents, and frame
+//! checksums are FNV-1a, so anyone can forge them. The multiply hasher
+//! buys speed, not collision resistance: a forged image whose
+//! addresses all collide makes replay slow (each insert scans a long
+//! probe sequence), but it cannot make it panic or decode a frame
+//! wrongly, because a collision changes where an entry is stored, not
+//! which entry a key finds.
 
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;

@@ -16,6 +16,9 @@
 //! one frame (`plp_bench::cache`); a trace file is one frame
 //! (`plp_trace::codec`). The tag says which payload layout follows.
 //!
+//! [`intact_prefix`] finds the intact frames at the front of a
+//! sequence of them (a device image's body), checking several
+//! checksums at a time, and [`split_frames`] hands them out in place.
 //! [`Reader`] walks a payload field by field with every read bounds
 //! checked, so no decoder indexes a byte slice by hand.
 
@@ -28,14 +31,45 @@ pub const MAX_PAYLOAD: usize = u32::MAX as usize;
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
 
+/// One FNV-1a 64 step: the core [`fnv1a`] and [`fnv1a_lanes`] share.
+#[inline(always)]
+fn fnv_step(h: u64, b: u8) -> u64 {
+    (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+}
+
+/// Continues an FNV-1a 64 chain from `h` over `bytes`.
+#[inline(always)]
+fn fnv_fold(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| fnv_step(h, b))
+}
+
 /// FNV-1a 64 over `bytes`: the frame checksum, the device-image header
 /// checksum, and the run cache's content address. Dependency-free and
 /// deterministic.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_BASIS;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+    fnv_fold(FNV_BASIS, bytes)
+}
+
+/// FNV-1a 64 over each of `N` byte strings at once: result `k` is
+/// `fnv1a(lanes[k])`.
+///
+/// One FNV-1a chain is a serial multiply chain, each step waiting on
+/// the last. Here the `N` chains advance in lockstep, one step each per
+/// byte over the length every lane has, so their multiplies overlap;
+/// then each lane's remaining tail runs alone. The gain comes from
+/// lanes of equal or similar length, such as the frames of one device
+/// image.
+fn fnv1a_lanes<const N: usize>(lanes: [&[u8]; N]) -> [u64; N] {
+    let common = lanes.iter().map(|l| l.len()).min().unwrap_or(0);
+    let heads = lanes.map(|l| &l[..common]);
+    let mut h = [FNV_BASIS; N];
+    for i in 0..common {
+        for (h, head) in h.iter_mut().zip(&heads) {
+            *h = fnv_step(*h, head[i]);
+        }
+    }
+    for (h, lane) in h.iter_mut().zip(&lanes) {
+        *h = fnv_fold(*h, &lane[common..]);
     }
     h
 }
@@ -112,6 +146,75 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(u8, &[u8], usize), FrameError> {
         return Err(FrameError::Checksum);
     }
     Ok((tag, payload, FRAME_OVERHEAD + len))
+}
+
+/// Frames whose checksums [`intact_prefix`] computes together, as
+/// independent FNV-1a chains. On the 252 cut device images of a
+/// `crash_recovery` pass, four replayed as fast as six and faster than
+/// one, two or eight (EXPERIMENTS.md, "In-place image replay").
+pub const LANES: usize = 4;
+
+/// The length of the frame at the front of `bytes`, if its length
+/// field fits and the whole frame does too; its checksum is not read.
+fn whole_frame_len(bytes: &[u8]) -> Option<usize> {
+    let len = Reader::new(bytes.get(1..)?).u32()?;
+    let frame = FRAME_OVERHEAD.checked_add(len as usize)?;
+    (frame <= bytes.len()).then_some(frame)
+}
+
+/// `(frames, len)` of the intact prefix of a sequence of frames:
+/// `bytes[..len]` is `frames` whole frames whose checksums match, and
+/// the frame after them is truncated or fails its checksum. These are
+/// exactly the frames that [`decode_frame`], called on one frame after
+/// another until it fails, accepts.
+///
+/// Each batch is the next [`LANES`] frames by their length fields, and
+/// their checksums run in lockstep (`fnv1a_lanes`); the batch is
+/// accepted up to its first mismatch, and a batch cut short by a frame
+/// that does not fit is the last. Where a frame starts depends only on
+/// the length fields before it, so the batches hold the frames the
+/// frame-by-frame loop sees, at the same offsets, and both stop at the
+/// same one: the first that fails its checksum, or else the first that
+/// does not fit.
+pub fn intact_prefix(bytes: &[u8]) -> (usize, usize) {
+    let (mut frames, mut at) = (0, 0);
+    loop {
+        let mut batch: [&[u8]; LANES] = [&[]; LANES];
+        let mut found = 0;
+        let mut rest = &bytes[at..];
+        for slot in &mut batch {
+            let Some(len) = whole_frame_len(rest) else {
+                break;
+            };
+            (*slot, rest) = rest.split_at(len);
+            found += 1;
+        }
+        let covered = batch.map(|frame| &frame[..frame.len().saturating_sub(8)]);
+        let sums = fnv1a_lanes(covered);
+        for (frame, sum) in batch[..found].iter().zip(sums) {
+            if frame.last_chunk::<8>().map(|s| u64::from_le_bytes(*s)) != Some(sum) {
+                return (frames, at);
+            }
+            frames += 1;
+            at += frame.len();
+        }
+        if found < LANES {
+            return (frames, at);
+        }
+    }
+}
+
+/// Each frame's `(tag, payload)` in `bytes`, a sequence of whole frames
+/// such as the prefix [`intact_prefix`] accepts. The checksums are not
+/// read again; a frame that does not fit ends the sequence.
+pub fn split_frames(bytes: &[u8]) -> impl Iterator<Item = (u8, &[u8])> {
+    let mut r = Reader::new(bytes);
+    std::iter::from_fn(move || {
+        let (tag, len) = (r.u8()?, r.u32()?);
+        let payload = r.take(len as usize)?;
+        r.take(8)?;
+        Some((tag, payload))
+    })
 }
 
 /// Appends `s` as a `u32` byte length and its UTF-8 bytes, the layout
@@ -210,6 +313,20 @@ mod tests {
         assert_eq!(&frame[5..10], b"hello");
         assert_eq!(frame[10..], fnv1a(&frame[..10]).to_le_bytes());
         assert_eq!(decode_frame(&frame), Ok((9, &b"hello"[..], frame.len())));
+    }
+
+    #[test]
+    fn lanes_hash_each_lane_as_fnv1a_does() {
+        let bytes: Vec<u8> = (0..=255).collect();
+        for lens in [
+            [0, 0, 0, 0],
+            [5, 5, 5, 5],
+            [0, 7, 200, 3],
+            [256, 1, 64, 255],
+        ] {
+            let lanes = [0, 1, 2, 3].map(|k| &bytes[k..k + lens[k].min(256 - k)]);
+            assert_eq!(fnv1a_lanes(lanes), lanes.map(fnv1a), "lengths {lens:?}");
+        }
     }
 
     #[test]

@@ -39,12 +39,24 @@
 //! first bad frame onward is discarded and reported, never an error.
 //! A corrupt *header* is an error — the image is unusable — reported
 //! as a typed [`NvmError`], never a panic.
+//!
+//! # Reading
+//!
+//! [`ImageReader`] reads the file once and decodes it in place. It
+//! validates the header, finds the intact frame prefix with
+//! [`plp_events::frame::intact_prefix`], which checks the checksums
+//! several frames at a time and accepts exactly the frames a
+//! frame-by-frame `decode_frame` loop accepts, and then hands out each
+//! frame's `(tag, payload)` as a slice of its one buffer, so no frame
+//! is copied. Everything after the prefix is the torn tail.
 
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 
-use plp_events::frame::{decode_frame, encode_frame, fnv1a, Reader};
+use plp_events::frame::{
+    encode_frame_into, fnv1a, intact_prefix, split_frames, Reader, FRAME_OVERHEAD,
+};
 
 use crate::NvmError;
 
@@ -138,10 +150,13 @@ impl ImageHeader {
 /// Every append is a single `write_all` straight to the file — no
 /// userspace buffering, so a SIGKILL between appends loses nothing and
 /// a SIGKILL *during* an append tears at most the final frame, which
-/// readers discard.
+/// readers discard. Each frame is encoded into one reused buffer, so
+/// an append allocates nothing once the buffer has grown to the
+/// largest frame.
 #[derive(Debug)]
 pub struct ImageWriter {
     file: File,
+    frame: Vec<u8>,
 }
 
 impl ImageWriter {
@@ -150,14 +165,15 @@ impl ImageWriter {
         let mut file = File::create(path).map_err(|_| NvmError::ImageIo { op: "create" })?;
         file.write_all(&header.encode())
             .map_err(|_| NvmError::ImageIo { op: "write" })?;
-        Ok(ImageWriter { file })
+        Ok(ImageWriter {
+            file,
+            frame: Vec::new(),
+        })
     }
 
     /// Appends one complete frame.
     pub fn append(&mut self, tag: u8, payload: &[u8]) -> Result<(), NvmError> {
-        self.file
-            .write_all(&encode_frame(tag, payload))
-            .map_err(|_| NvmError::ImageIo { op: "write" })
+        self.write_frame(tag, payload, usize::MAX)
     }
 
     /// Appends only the first `keep` bytes of the frame — the
@@ -166,74 +182,89 @@ impl ImageWriter {
     /// process death leaves the image exactly as if the frame were
     /// never attempted.
     pub fn append_torn(&mut self, tag: u8, payload: &[u8], keep: usize) -> Result<(), NvmError> {
-        let frame = encode_frame(tag, payload);
-        let keep = keep.min(frame.len().saturating_sub(1));
+        self.write_frame(tag, payload, keep.min(FRAME_OVERHEAD + payload.len() - 1))
+    }
+
+    /// Encodes one frame into the reused buffer and writes its first
+    /// `keep` bytes with one `write_all`.
+    fn write_frame(&mut self, tag: u8, payload: &[u8], keep: usize) -> Result<(), NvmError> {
+        self.frame.clear();
+        encode_frame_into(&mut self.frame, tag, payload);
+        let keep = keep.min(self.frame.len());
         self.file
-            .write_all(&frame[..keep])
+            .write_all(&self.frame[..keep])
             .map_err(|_| NvmError::ImageIo { op: "write" })
     }
 }
 
-/// One intact frame recovered from an image.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ImageRecord {
-    /// Frame tag (meaning assigned by the producer).
-    pub tag: u8,
-    /// Frame payload.
-    pub payload: Vec<u8>,
-}
-
-/// Everything a reader recovers from an image file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ImageContents {
-    /// Validated header.
-    pub header: ImageHeader,
-    /// All intact frames, in append order.
-    pub records: Vec<ImageRecord>,
-    /// Bytes discarded from the first bad frame onward (0 for a
-    /// cleanly closed image). Nonzero means the writer died mid-frame.
-    pub torn_tail_bytes: u64,
-}
-
-/// Reads and validates an image file.
+/// A device image read into memory: its validated header and its
+/// intact frame prefix, decoded in place.
 ///
 /// Header problems are hard, typed errors. A bad frame is *not* an
 /// error: frames after the last intact one are the write the kill
 /// interrupted, so they are counted into
-/// [`ImageContents::torn_tail_bytes`] and dropped — tuple atomicity at
+/// [`ImageReader::torn_tail_bytes`] and skipped — tuple atomicity at
 /// the medium level.
-pub fn read_image(path: &Path) -> Result<ImageContents, NvmError> {
-    let mut file = File::open(path).map_err(|_| NvmError::ImageIo { op: "read" })?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)
-        .map_err(|_| NvmError::ImageIo { op: "read" })?;
-    let Some(head) = Reader::new(&bytes).array() else {
-        return Err(NvmError::ImageHeaderTruncated {
-            len: bytes.len() as u64,
-        });
-    };
-    let header = ImageHeader::decode(&head)?;
+#[derive(Debug)]
+pub struct ImageReader {
+    header: ImageHeader,
+    bytes: Vec<u8>,
+    /// Where the intact frame prefix ends.
+    intact_end: usize,
+    frames: usize,
+}
 
-    let mut records = Vec::new();
-    let mut rest = &bytes[IMAGE_HEADER_BYTES..];
-    while let Ok((tag, payload, used)) = decode_frame(rest) {
-        records.push(ImageRecord {
-            tag,
-            payload: payload.to_vec(),
-        });
-        rest = &rest[used..];
+impl ImageReader {
+    /// Reads the image file at `path` and validates its header, then
+    /// finds its intact frame prefix.
+    pub fn open(path: &Path) -> Result<Self, NvmError> {
+        let bytes = std::fs::read(path).map_err(|_| NvmError::ImageIo { op: "read" })?;
+        let Some(head) = Reader::new(&bytes).array() else {
+            return Err(NvmError::ImageHeaderTruncated {
+                len: bytes.len() as u64,
+            });
+        };
+        let header = ImageHeader::decode(&head)?;
+        let (frames, intact) = intact_prefix(&bytes[IMAGE_HEADER_BYTES..]);
+        Ok(ImageReader {
+            header,
+            intact_end: IMAGE_HEADER_BYTES + intact,
+            frames,
+            bytes,
+        })
     }
-    Ok(ImageContents {
-        header,
-        records,
-        torn_tail_bytes: rest.len() as u64,
-    })
+
+    /// The validated header.
+    pub fn header(&self) -> &ImageHeader {
+        &self.header
+    }
+
+    /// Every intact frame's `(tag, payload)`, in append order.
+    pub fn frames(&self) -> impl Iterator<Item = (u8, &[u8])> + '_ {
+        split_frames(&self.bytes[IMAGE_HEADER_BYTES..self.intact_end])
+    }
+
+    /// How many frames are intact.
+    pub fn frame_count(&self) -> usize {
+        self.frames
+    }
+
+    /// Bytes discarded from the first bad frame onward (0 for a
+    /// cleanly closed image). Nonzero means the writer died mid-frame.
+    pub fn torn_tail_bytes(&self) -> u64 {
+        (self.bytes.len() - self.intact_end) as u64
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plp_events::frame::FrameError;
+    use plp_events::frame::{decode_frame, encode_frame, FrameError};
+
+    /// The intact frames of `img`, copied out.
+    fn records(img: &ImageReader) -> Vec<(u8, Vec<u8>)> {
+        img.frames().map(|(tag, p)| (tag, p.to_vec())).collect()
+    }
 
     fn header() -> ImageHeader {
         ImageHeader {
@@ -311,22 +342,14 @@ mod tests {
         w.append_torn(3, &[9; 40], 11).unwrap();
         drop(w);
 
-        let img = read_image(&path).unwrap();
-        assert_eq!(img.header, header());
+        let img = ImageReader::open(&path).unwrap();
+        assert_eq!(img.header(), &header());
         assert_eq!(
-            img.records,
-            vec![
-                ImageRecord {
-                    tag: 1,
-                    payload: vec![1, 2, 3]
-                },
-                ImageRecord {
-                    tag: 2,
-                    payload: b"payload".to_vec()
-                },
-            ]
+            records(&img),
+            vec![(1, vec![1, 2, 3]), (2, b"payload".to_vec())]
         );
-        assert_eq!(img.torn_tail_bytes, 11);
+        assert_eq!(img.frame_count(), 2);
+        assert_eq!(img.torn_tail_bytes(), 11);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -335,8 +358,8 @@ mod tests {
         let path = temp_path("short");
         std::fs::write(&path, &header().encode()[..30]).unwrap();
         assert_eq!(
-            read_image(&path),
-            Err(NvmError::ImageHeaderTruncated { len: 30 })
+            ImageReader::open(&path).unwrap_err(),
+            NvmError::ImageHeaderTruncated { len: 30 }
         );
         std::fs::remove_file(&path).unwrap();
     }
@@ -355,9 +378,9 @@ mod tests {
         bytes[second_frame + 6] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
 
-        let img = read_image(&path).unwrap();
-        assert_eq!(img.records.len(), 1);
-        assert_eq!(img.torn_tail_bytes, 21);
+        let img = ImageReader::open(&path).unwrap();
+        assert_eq!(records(&img), vec![(1, vec![5; 8])]);
+        assert_eq!(img.torn_tail_bytes(), 21);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -366,9 +389,10 @@ mod tests {
         let path = temp_path("empty");
         let w = ImageWriter::create(&path, &header()).unwrap();
         drop(w);
-        let img = read_image(&path).unwrap();
-        assert!(img.records.is_empty());
-        assert_eq!(img.torn_tail_bytes, 0);
+        let img = ImageReader::open(&path).unwrap();
+        assert_eq!(img.frames().count(), 0);
+        assert_eq!(img.frame_count(), 0);
+        assert_eq!(img.torn_tail_bytes(), 0);
         std::fs::remove_file(&path).unwrap();
     }
 }

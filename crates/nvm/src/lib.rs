@@ -30,5 +30,5 @@ pub mod image;
 mod timing;
 
 pub use device::{NvmDevice, NvmStats};
-pub use image::{read_image, ImageContents, ImageHeader, ImageRecord, ImageWriter};
+pub use image::{ImageHeader, ImageReader, ImageWriter};
 pub use timing::{Interleave, NvmConfig, NvmError, NvmTiming};

@@ -7,7 +7,7 @@
 //! torn tail, never an error and never a wrong record.
 
 use plp_events::frame::encode_frame;
-use plp_nvm::image::{read_image, ImageHeader, ImageRecord, IMAGE_HEADER_BYTES};
+use plp_nvm::image::{ImageHeader, ImageReader, IMAGE_HEADER_BYTES};
 use plp_nvm::NvmError;
 use proptest::prelude::*;
 
@@ -20,38 +20,37 @@ fn image_header() -> ImageHeader {
     }
 }
 
+/// One frame's tag and payload.
+type Record = (u8, Vec<u8>);
+
 /// Writes a valid header followed by `body`, reads it back, and
 /// removes the file.
-fn read_back(name: &str, body: &[u8]) -> (Vec<ImageRecord>, u64) {
+fn read_back(name: &str, body: &[u8]) -> (Vec<Record>, u64) {
     let path =
         std::env::temp_dir().join(format!("plp-image-props-{}-{name}.img", std::process::id()));
     let mut bytes = image_header().encode().to_vec();
     bytes.extend_from_slice(body);
     std::fs::write(&path, &bytes).unwrap();
-    let contents = read_image(&path).unwrap();
+    let image = ImageReader::open(&path).unwrap();
     std::fs::remove_file(&path).unwrap();
-    assert_eq!(contents.header, image_header());
-    (contents.records, contents.torn_tail_bytes)
+    assert_eq!(image.header(), &image_header());
+    let records: Vec<Record> = image.frames().map(|(t, p)| (t, p.to_vec())).collect();
+    assert_eq!(records.len(), image.frame_count());
+    (records, image.torn_tail_bytes())
 }
 
 /// Intact frames with arbitrary tags and payloads.
-fn arb_records() -> impl Strategy<Value = Vec<ImageRecord>> {
+fn arb_records() -> impl Strategy<Value = Vec<Record>> {
     prop::collection::vec(
         (any::<u8>(), prop::collection::vec(any::<u8>(), 0..24)),
         0..6,
     )
-    .prop_map(|frames| {
-        frames
-            .into_iter()
-            .map(|(tag, payload)| ImageRecord { tag, payload })
-            .collect()
-    })
 }
 
-fn encode_records(records: &[ImageRecord]) -> Vec<Vec<u8>> {
+fn encode_records(records: &[Record]) -> Vec<Vec<u8>> {
     records
         .iter()
-        .map(|r| encode_frame(r.tag, &r.payload))
+        .map(|(tag, payload)| encode_frame(*tag, payload))
         .collect()
 }
 

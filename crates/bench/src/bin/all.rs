@@ -19,35 +19,25 @@
 //! additionally makes N runs unrecoverable to demonstrate graceful
 //! degradation (partial output, exit code 3).
 //!
-//! Isolated mode (`--isolate`) re-execs this binary as
-//! `all … --run-one <key>` once per simulated run: the child applies
-//! rlimits to itself, runs exactly one request, and returns its report
-//! over stdout as one checksummed frame (see `plp_bench::isolate`).
-//! Stdout stays byte-identical to in-process execution; watchdog trips
-//! become real SIGKILLs and an over-limit child degrades to an
-//! `oom-killed` verdict instead of a hung sweep.
-//!
 //! Exit codes: 0 clean (all faults, if any, recovered), 1 sanitizer
 //! violation, 2 usage (including a zero instruction count or an
 //! unknown `--only` id), 3 degraded (some runs produced no report).
 //!
 //! Usage: `all [instructions] [seed] [--only ID[,ID…]] [--serial]
 //! [--threads N] [--no-cache] [--chaos SEED] [--chaos-hard N]
-//! [--watchdog-ms N] [--isolate]`
+//! [--watchdog-ms N]`
 
-use std::io::Write;
 use std::time::Duration;
 
 use plp_bench::{
-    all_specs, cache, isolate, matrix, specs, ChaosOptions, IsolateOptions, MatrixOptions,
-    ResourceLimits, RunSettings, SupervisorOptions,
+    all_specs, matrix, specs, ChaosOptions, MatrixOptions, RunSettings, SupervisorOptions,
 };
 
 fn usage() -> ! {
     let ids: Vec<&str> = all_specs().iter().map(|spec| spec.id).collect();
     eprintln!(
         "usage: all [instructions] [seed] [--only ID[,ID...]] [--serial] [--threads N] \
-         [--no-cache] [--chaos SEED] [--chaos-hard N] [--watchdog-ms N] [--isolate]\n  \
+         [--no-cache] [--chaos SEED] [--chaos-hard N] [--watchdog-ms N]\n  \
          instructions > 0; IDs: {}",
         ids.join(", ")
     );
@@ -62,82 +52,6 @@ fn parse_only(list: &str) -> Option<Vec<&'static str>> {
         .collect()
 }
 
-/// Child mode (`--run-one <key>`): apply rlimits, fire any injected
-/// chaos, reconstruct the request whose identity is `key` from the
-/// spec registry, run it, and write the report frame to stdout.
-fn run_one_main(args: &[String]) -> ! {
-    let mut key: Option<String> = None;
-    let mut settings = RunSettings::default();
-    let mut positionals = 0;
-    let mut limits = ResourceLimits {
-        address_space_bytes: None,
-        cpu_secs: None,
-    };
-    let mut chaos_panic = false;
-    let mut chaos_oom = false;
-    let mut stall_ms: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--run-one" => key = it.next().cloned(),
-            "--limit-as" => limits.address_space_bytes = it.next().and_then(|v| v.parse().ok()),
-            "--limit-cpu" => limits.cpu_secs = it.next().and_then(|v| v.parse().ok()),
-            "--chaos-panic" => chaos_panic = true,
-            "--chaos-oom" => chaos_oom = true,
-            "--chaos-stall-ms" => stall_ms = it.next().and_then(|v| v.parse().ok()),
-            other => {
-                if let Ok(n) = other.parse::<u64>() {
-                    match positionals {
-                        0 => settings.instructions = n,
-                        1 => settings.seed = n,
-                        _ => {}
-                    }
-                    positionals += 1;
-                }
-            }
-        }
-    }
-    let Some(key) = key else {
-        eprintln!("run-one: missing key");
-        std::process::exit(2);
-    };
-    if let Err(e) = isolate::apply_self_limits(&limits) {
-        eprintln!("run-one: {e} (continuing unlimited)");
-    }
-    if let Some(ms) = stall_ms {
-        std::thread::sleep(Duration::from_millis(ms));
-    }
-    if chaos_panic {
-        panic!("chaos: injected worker panic");
-    }
-    if chaos_oom {
-        isolate::allocation_bomb();
-    }
-    let request = all_specs()
-        .iter()
-        .flat_map(|spec| spec.runs_needed(settings))
-        .find(|req| req.key() == key);
-    let Some(request) = request else {
-        eprintln!("run-one: no spec produces key {key}");
-        std::process::exit(isolate::EXIT_UNKNOWN_KEY);
-    };
-    match matrix::run_single(&request) {
-        Ok(report) => {
-            if std::io::stdout()
-                .write_all(&cache::encode(&key, &report))
-                .is_err()
-            {
-                std::process::exit(isolate::EXIT_RUN_FAILED);
-            }
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("run-one: {e}");
-            std::process::exit(isolate::EXIT_RUN_FAILED);
-        }
-    }
-}
-
 /// Parses a chaos seed, accepting both decimal and `0x`-prefixed hex
 /// (the verify gate uses `--chaos 0xC0FFEE`).
 fn parse_seed(arg: &str) -> Option<u64> {
@@ -149,11 +63,6 @@ fn parse_seed(arg: &str) -> Option<u64> {
 }
 
 fn main() {
-    let raw_args: Vec<String> = std::env::args().skip(1).collect();
-    if raw_args.iter().any(|a| a == "--run-one") {
-        run_one_main(&raw_args);
-    }
-
     let mut settings = RunSettings::default();
     let mut positionals = 0;
     let mut threads = std::thread::available_parallelism()
@@ -163,16 +72,13 @@ fn main() {
     let mut chaos_seed: Option<u64> = None;
     let mut chaos_hard = 0usize;
     let mut watchdog_ms: Option<u64> = None;
-    let mut isolated = false;
     let mut only: Option<Vec<&'static str>> = None;
-    let mut test_oom_key: Option<String> = None;
 
-    let mut args = raw_args.into_iter();
+    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--serial" => threads = 1,
             "--no-cache" => cached = false,
-            "--isolate" => isolated = true,
             "--only" => match args.next().as_deref().and_then(parse_only) {
                 Some(ids) => only.get_or_insert_with(Vec::new).extend(ids),
                 None => usage(),
@@ -193,10 +99,6 @@ fn main() {
                 Some(n) if n > 0 => watchdog_ms = Some(n),
                 _ => usage(),
             },
-            // Test-only hook: force one isolated child (matched by key
-            // substring) to OOM under its rlimit. Hidden from usage; no
-            // effect without --isolate.
-            "--test-oom-key" => test_oom_key = args.next(),
             _ => match (arg.parse::<u64>(), positionals) {
                 (Ok(n), 0) if n > 0 => {
                     settings.instructions = n;
@@ -229,23 +131,6 @@ fn main() {
     if let Some(ms) = watchdog_ms {
         sup.watchdog = Duration::from_millis(ms);
     }
-    if isolated {
-        let exe = match std::env::current_exe() {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("[plp-bench] --isolate: cannot locate own binary: {e}");
-                std::process::exit(2);
-            }
-        };
-        let base_args = vec![settings.instructions.to_string(), settings.seed.to_string()];
-        let mut iso = IsolateOptions::new(exe, base_args);
-        iso.oom_key = test_oom_key;
-        sup.isolation = Some(iso);
-    }
-
-    // The `--run-one` children look their keys up in the full
-    // registry, so `--only` narrows only what this process requests
-    // and prints.
     let selected: Vec<_> = all_specs()
         .iter()
         .filter(|spec| only.as_ref().is_none_or(|ids| ids.contains(&spec.id)))

@@ -10,11 +10,9 @@
 //! key, then every report field as a little-endian `u64` in
 //! declaration order, with the sanitizer mode and each violation's
 //! kind and scheme written as their stable names (a `u32` byte length,
-//! then UTF-8). The same bytes are what an isolated matrix child writes
-//! to its parent (`crate::isolate`). [`CACHE_FORMAT`] is folded into
-//! every key: bumping it — or changing `SystemConfig`'s shape, which
-//! changes the key's `Debug` rendering — invalidates all previous
-//! entries.
+//! then UTF-8). [`CACHE_FORMAT`] is folded into every key: bumping it —
+//! or changing `SystemConfig`'s shape, which changes the key's `Debug`
+//! rendering — invalidates all previous entries.
 //!
 //! Robustness: the full key is stored in the entry and verified on
 //! load, and the frame checksum covers every byte, so a hash collision,

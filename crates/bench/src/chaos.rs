@@ -5,10 +5,9 @@
 //! (`plp_core::fault` owns that layer): worker panics and artificial
 //! stalls fire inside a supervised attempt — the retry driver alone
 //! decides, through [`ChaosFault::fires`], which fault fires on which
-//! attempt, and each executor injects it (in-process via [`inject`],
-//! isolated via child flags) — and cache faults corrupt on-disk entries
-//! before execution so the quarantine path has something real to
-//! recover from.
+//! attempt, and the attempt injects it through [`inject`] — and cache
+//! faults corrupt on-disk entries before execution so the quarantine
+//! path has something real to recover from.
 //!
 //! Determinism is the load-bearing property. Which fault (if any) a run
 //! receives is a pure function of `(chaos seed, run key)` — thread
@@ -30,10 +29,9 @@ pub enum ChaosClass {
     /// The attempt closure panics (exercises `catch_unwind` isolation).
     WorkerPanic,
     /// The attempt sleeps past the watchdog (exercises the timeout
-    /// path). An in-process attempt thread is abandoned and finishes in
-    /// the background, but only the retry driver touches the cache and
-    /// the counters, so it changes nothing; an isolated child is
-    /// SIGKILLed.
+    /// path). The attempt thread is abandoned and finishes in the
+    /// background, but only the retry driver touches the cache and the
+    /// counters, so it changes nothing.
     WorkerStall,
     /// The run's cache entry is cut short on disk (exercises the
     /// truncation quarantine).
@@ -266,8 +264,8 @@ fn entry_bytes(path: &Path, key: &str) -> Vec<u8> {
     }
 }
 
-/// Injects the worker faults firing on an in-process attempt, on the
-/// attempt thread. Stalls sleep `stall` (sized past the watchdog by the
+/// Injects the worker faults firing on an attempt, on the attempt
+/// thread. Stalls sleep `stall` (sized past the watchdog by the
 /// caller); panics unwind into the attempt thread's `catch_unwind`.
 pub fn inject(fire: &[ChaosClass], stall: std::time::Duration) {
     for class in fire {

@@ -15,7 +15,6 @@
 pub mod cache;
 pub mod chaos;
 pub mod crash;
-pub mod isolate;
 pub mod matrix;
 pub mod specs;
 pub mod supervisor;
@@ -24,7 +23,6 @@ use plp_events::stats::geometric_mean;
 
 pub use chaos::{ChaosOptions, ChaosPlan};
 pub use crash::{ChildSpec, HarnessOptions, HarnessReport};
-pub use isolate::{IsolateOptions, ResourceLimits};
 pub use matrix::{
     default_cache_dir, execute, execute_supervised, time_sweep, MatrixOptions, MatrixStats,
     ResultSet, RunRequest, SweepTiming,

@@ -20,7 +20,6 @@ use plp_trace::{spec, TraceStore};
 
 use crate::cache;
 use crate::chaos::{self, ChaosPlan};
-use crate::isolate;
 use crate::supervisor::DegradationReport;
 use crate::supervisor::{self, RunError, RunLog, RunVerdict, SupervisedRun, SupervisorOptions};
 use crate::RunSettings;
@@ -306,18 +305,13 @@ pub fn execute_supervised(
             )]
             let run_started = Instant::now();
             let faults = plan.as_ref().map_or(&[][..], |p| p.for_key(key));
-            let (run, log) = supervisor::supervise(key, sup, faults, |fire| match &sup.isolation {
-                // An isolated attempt re-execs the harness binary and
-                // shares neither this process's traces nor its cache.
-                Some(iso) => isolate::run_attempt(iso, key, fire, sup.watchdog, stall),
-                None => {
-                    let (req, traces, fire) = ((*req).clone(), Arc::clone(&traces), fire.to_vec());
-                    let job = move || {
-                        chaos::inject(&fire, stall);
-                        run_request(&req, &traces)
-                    };
-                    supervisor::attempt_in_thread(job, sup.watchdog)
-                }
+            let (run, log) = supervisor::supervise(key, sup, faults, |fire| {
+                let (req, traces, fire) = ((*req).clone(), Arc::clone(&traces), fire.to_vec());
+                let job = move || {
+                    chaos::inject(&fire, stall);
+                    run_request(&req, &traces)
+                };
+                supervisor::attempt_in_thread(job, sup.watchdog)
             });
             if let Some(run) = run {
                 local.record(run.report.total_cycles.get(), run_started.elapsed());
@@ -367,18 +361,6 @@ pub fn execute_supervised(
             .unwrap_or_else(PoisonError::into_inner),
     };
     (ResultSet { reports }, stats, degradation)
-}
-
-/// Runs one request in the calling process with a private trace
-/// store — the isolated child's (`--run-one`) whole job. No cache, no
-/// supervision: the parent owns both.
-///
-/// # Errors
-///
-/// Returns a typed [`RunError`] for spec bugs — an unknown benchmark
-/// name or an invalid configuration.
-pub fn run_single(req: &RunRequest) -> Result<RunReport, RunError> {
-    run_request(req, &TraceStore::new())
 }
 
 /// Runs one request, sharing its trace through `traces`.

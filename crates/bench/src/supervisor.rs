@@ -5,26 +5,23 @@
 //! [`supervise`] drives one run to a [`RunVerdict`]. Per attempt it
 //! decides which chaos faults fire ([`ChaosFault::fires`]), probes the
 //! run cache when none does (quarantining a corrupt entry), hands the
-//! attempt to an executor, and stores a fresh report; a retryable
+//! attempt to the executor, and stores a fresh report; a retryable
 //! failure backs off under the shared [`plp_core::retry`] policy
 //! (jitter seeded by the run key, so schedules replay exactly). A run
 //! that exhausts its budget degrades to a structured verdict in a
 //! [`DegradationReport`] instead of aborting the whole matrix.
 //!
-//! Executors only run an attempt and classify how it ended, as one
-//! [`AttemptOutcome`]. In-process, [`attempt_in_thread`] runs it on a
-//! dedicated thread under [`std::panic::catch_unwind`], bounded by the
-//! watchdog. Isolated (`crate::isolate::run_attempt`,
-//! [`SupervisorOptions::isolation`]), it re-execs the harness binary
-//! under rlimits and SIGKILLs the child on a watchdog trip.
+//! The executor, [`attempt_in_thread`], only runs an attempt and
+//! classifies how it ended, as one [`AttemptOutcome`]: it runs the
+//! attempt on a dedicated thread under [`std::panic::catch_unwind`],
+//! bounded by the watchdog.
 //!
-//! Rust has no thread cancellation, so a timed-out in-process attempt
-//! thread is abandoned and finishes in the background. It changes
-//! nothing: only the driver touches the cache, the result slots and the
-//! counters. Output discipline: supervision never touches stdout —
-//! surviving runs render byte-identically to a clean run, and
-//! everything about failures goes to stderr via
-//! [`DegradationReport::render`].
+//! Rust has no thread cancellation, so a timed-out attempt thread is
+//! abandoned and finishes in the background. It changes nothing: only
+//! the driver touches the cache, the result slots and the counters.
+//! Output discipline: supervision never touches stdout — surviving
+//! runs render byte-identically to a clean run, and everything about
+//! failures goes to stderr via [`DegradationReport::render`].
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -52,10 +49,6 @@ pub enum RunError {
     InvalidConfig(ConfigError),
     /// The OS refused to spawn the attempt thread.
     SpawnFailed(String),
-    /// An isolated child process died in a way the supervisor cannot
-    /// classify: an unexpected exit code or fatal signal outside the
-    /// `--run-one` protocol.
-    ChildFailed(String),
 }
 
 impl RunError {
@@ -64,7 +57,7 @@ impl RunError {
     /// every attempt identically, so the supervisor rejects them
     /// immediately instead of burning the retry budget.
     pub fn is_retryable(&self) -> bool {
-        matches!(self, RunError::SpawnFailed(_) | RunError::ChildFailed(_))
+        matches!(self, RunError::SpawnFailed(_))
     }
 }
 
@@ -74,7 +67,6 @@ impl std::fmt::Display for RunError {
             RunError::UnknownBenchmark(b) => write!(f, "unknown benchmark '{b}' in run request"),
             RunError::InvalidConfig(e) => write!(f, "invalid configuration in run request: {e}"),
             RunError::SpawnFailed(e) => write!(f, "could not spawn attempt thread: {e}"),
-            RunError::ChildFailed(e) => write!(f, "isolated child failed: {e}"),
         }
     }
 }
@@ -94,11 +86,6 @@ pub struct SupervisorOptions {
     pub retry: RetryPolicy,
     /// Harness-level fault injection, if enabled.
     pub chaos: Option<ChaosOptions>,
-    /// Process isolation: when set, every attempt re-execs the harness
-    /// binary under rlimits (`crate::isolate`) instead of running on
-    /// an in-process thread. Cache hits never start an attempt in
-    /// either mode.
-    pub isolation: Option<crate::isolate::IsolateOptions>,
 }
 
 impl SupervisorOptions {
@@ -115,7 +102,6 @@ impl SupervisorOptions {
                 .with_max_delay_ns(400.0e6)
                 .with_jitter(0.25),
             chaos: None,
-            isolation: None,
         }
     }
 
@@ -160,21 +146,6 @@ pub enum RunVerdict {
         /// The failpoint the kill landed on (stable kebab name).
         failpoint: &'static str,
     },
-    /// The isolated child exceeded its address-space rlimit and was
-    /// terminated by the allocator's abort. Terminal on the first
-    /// occurrence — the same allocation would fail identically, so
-    /// the retry budget is not burned; no report exists.
-    OomKilled {
-        /// Attempts made (always 1 more than the failing attempt's
-        /// index — OOM is never retried).
-        attempts: u32,
-    },
-    /// The isolated child exited cleanly but its result frame failed
-    /// integrity verification on every attempt; no report exists.
-    IpcCorrupt {
-        /// Attempts made (initial try + retries).
-        attempts: u32,
-    },
 }
 
 impl RunVerdict {
@@ -188,8 +159,6 @@ impl RunVerdict {
             RunVerdict::Panicked { .. } => "panicked",
             RunVerdict::Rejected => "rejected",
             RunVerdict::KilledByHarness { .. } => "killed-by-harness",
-            RunVerdict::OomKilled { .. } => "oom-killed",
-            RunVerdict::IpcCorrupt { .. } => "ipc-corrupt",
         }
     }
 
@@ -244,10 +213,6 @@ pub struct VerdictCounts {
     pub rejected: usize,
     /// Runs the crash harness SIGKILLed on purpose at a failpoint.
     pub killed_by_harness: usize,
-    /// Isolated children terminated for exceeding their memory rlimit.
-    pub oom_killed: usize,
-    /// Isolated children whose result frames never verified.
-    pub ipc_corrupt: usize,
 }
 
 impl VerdictCounts {
@@ -255,7 +220,7 @@ impl VerdictCounts {
     /// Intentional harness kills are not losses: the kill site was the
     /// experiment.
     pub fn lost(&self) -> usize {
-        self.timed_out + self.panicked + self.rejected + self.oom_killed + self.ipc_corrupt
+        self.timed_out + self.panicked + self.rejected
     }
 }
 
@@ -296,8 +261,6 @@ impl DegradationReport {
             RunVerdict::Panicked { .. } => counts.panicked += 1,
             RunVerdict::Rejected => counts.rejected += 1,
             RunVerdict::KilledByHarness { .. } => counts.killed_by_harness += 1,
-            RunVerdict::OomKilled { .. } => counts.oom_killed += 1,
-            RunVerdict::IpcCorrupt { .. } => counts.ipc_corrupt += 1,
         }
         if log.verdict != RunVerdict::Ok {
             self.entries.insert(key.to_string(), log);
@@ -339,12 +302,6 @@ impl DegradationReport {
                 c.killed_by_harness
             ));
         }
-        if c.oom_killed + c.ipc_corrupt > 0 {
-            out.push_str(&format!(
-                "[plp-bench] isolation: {} runs oom-killed, {} ipc-corrupt\n",
-                c.oom_killed, c.ipc_corrupt
-            ));
-        }
         if !self.chaos_faults.is_empty() {
             out.push_str(&format!(
                 "[plp-bench] chaos: {} faults injected\n",
@@ -381,22 +338,15 @@ pub struct SupervisedRun {
     pub cache_hit: bool,
 }
 
-/// How one attempt ended, whichever executor ran it.
+/// How one attempt ended.
 #[derive(Debug)]
 pub enum AttemptOutcome {
     /// The attempt produced a report.
     Report(Box<RunReport>),
     /// The attempt panicked; the payload rendered as text.
     Panicked(String),
-    /// The watchdog expired: the attempt thread was abandoned, or the
-    /// isolated child SIGKILLed.
+    /// The watchdog expired and the attempt thread was abandoned.
     TimedOut,
-    /// The isolated child outgrew its address-space rlimit and the
-    /// allocator aborted it.
-    OomKilled,
-    /// The isolated child exited cleanly but its result frame failed
-    /// verification.
-    IpcCorrupt(String),
     /// A typed error: a spec bug, or an executor-level failure.
     Failed(RunError),
 }
@@ -434,7 +384,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The in-process executor: runs one attempt on a dedicated thread
+/// The attempt executor: runs one attempt on a dedicated thread
 /// under `catch_unwind`, bounded by the watchdog. A timed-out thread is
 /// abandoned (see the module docs) — its send into the dropped
 /// receiver is simply lost.
@@ -477,8 +427,8 @@ where
 /// run the attempt through `execute` (given the firing fault classes)
 /// and store a fresh report. A retryable failure backs off
 /// (deterministically, seeded by `key`) and tries again until success
-/// or budget exhaustion; a spec bug or an OOM kill ends the run at
-/// once, since every further attempt would fail the same way.
+/// or budget exhaustion; a spec bug ends the run at once, since every
+/// further attempt would fail the same way.
 pub fn supervise<E>(
     key: &str,
     opts: &SupervisorOptions,
@@ -546,30 +496,10 @@ where
                 RunVerdict::TimedOut { attempts: budget },
                 None,
             ),
-            AttemptOutcome::OomKilled => (
-                "child exceeded its address-space limit and was terminated".to_string(),
-                RunVerdict::OomKilled {
-                    attempts: attempt + 1,
-                },
-                None,
-            ),
-            AttemptOutcome::IpcCorrupt(message) => (
-                format!("ipc frame rejected: {message}"),
-                RunVerdict::IpcCorrupt { attempts: budget },
-                None,
-            ),
-            AttemptOutcome::Failed(error) => (
-                match &error {
-                    RunError::ChildFailed(message) => message.clone(),
-                    other => other.to_string(),
-                },
-                RunVerdict::Rejected,
-                Some(error),
-            ),
+            AttemptOutcome::Failed(error) => (error.to_string(), RunVerdict::Rejected, Some(error)),
         };
         failures.push(format!("attempt {attempt}: {line}"));
-        let terminal = matches!(verdict, RunVerdict::OomKilled { .. })
-            || error.as_ref().is_some_and(|e| !e.is_retryable());
+        let terminal = error.as_ref().is_some_and(|e| !e.is_retryable());
         exhausted = (verdict, error);
         if terminal {
             break;
@@ -617,7 +547,7 @@ mod tests {
         }
     }
 
-    /// Drives key `k` through the in-process executor: each attempt
+    /// Drives key `k` through the executor: each attempt
     /// injects its firing faults, then succeeds.
     fn drive(opts: &SupervisorOptions, faults: &[ChaosFault]) -> (Option<SupervisedRun>, RunLog) {
         let stall = opts.chaos_stall();
@@ -687,42 +617,23 @@ mod tests {
     }
 
     #[test]
-    fn oom_kill_is_terminal() {
-        let mut calls = 0;
-        let (run, log) = supervise("k", &test_opts(), &[], |_| {
-            calls += 1;
-            AttemptOutcome::OomKilled
-        });
-        assert!(run.is_none());
-        assert_eq!(calls, 1, "the same allocation would fail identically");
-        assert_eq!(log.verdict, RunVerdict::OomKilled { attempts: 1 });
-        assert_eq!(
-            log.failures,
-            ["attempt 0: child exceeded its address-space limit and was terminated"]
-        );
-    }
-
-    #[test]
     fn budget_drains_to_the_last_failure_kind() {
         let mut outcomes = vec![
-            AttemptOutcome::IpcCorrupt("checksum mismatch".to_string()),
-            AttemptOutcome::Failed(RunError::ChildFailed(
-                "child killed by signal 11".to_string(),
-            )),
+            AttemptOutcome::Panicked("boom".to_string()),
+            AttemptOutcome::Failed(RunError::SpawnFailed("no threads".to_string())),
             AttemptOutcome::TimedOut,
         ];
         let (run, log) = supervise("k", &test_opts(), &[], |_| outcomes.pop().unwrap());
         assert!(run.is_none());
-        assert_eq!(log.verdict, RunVerdict::IpcCorrupt { attempts: 3 });
+        // A failed thread spawn is retryable, unlike a spec bug.
+        assert_eq!(log.verdict, RunVerdict::Panicked { attempts: 3 });
         assert_eq!(log.error, None);
-        // A child failure prints its own message, without the error's
-        // prefix.
         assert_eq!(
             log.failures,
             [
                 "attempt 0: watchdog timeout",
-                "attempt 1: child killed by signal 11",
-                "attempt 2: ipc frame rejected: checksum mismatch",
+                "attempt 1: could not spawn attempt thread: no threads",
+                "attempt 2: panicked: boom",
             ]
         );
     }
@@ -803,36 +714,6 @@ mod tests {
         assert!(rendered.contains("3 runs"));
         assert!(rendered.contains("chaos-fault worker-panic@0 b"));
         assert!(rendered.contains("timed-out c"));
-    }
-
-    #[test]
-    fn isolation_verdicts_count_as_lost_and_render() {
-        let mut report = DegradationReport::new(Vec::new());
-        report.record("oom/run", {
-            let mut log = RunLog::clean();
-            log.verdict = RunVerdict::OomKilled { attempts: 1 };
-            log
-        });
-        report.record("ipc/run", {
-            let mut log = RunLog::clean();
-            log.verdict = RunVerdict::IpcCorrupt { attempts: 3 };
-            log
-        });
-        assert_eq!(report.counts().oom_killed, 1);
-        assert_eq!(report.counts().ipc_corrupt, 1);
-        assert_eq!(report.counts().lost(), 2);
-        assert!(!report.fully_recovered());
-        let oom = RunVerdict::OomKilled { attempts: 1 };
-        assert_eq!(oom.name(), "oom-killed");
-        assert!(!oom.recovered());
-        let rendered = report.render();
-        assert!(rendered.contains("1 runs oom-killed, 1 ipc-corrupt"));
-        assert!(rendered.contains("oom-killed oom/run"));
-        assert!(rendered.contains("ipc-corrupt ipc/run"));
-        // The child-failure error is retryable (a transient spawn or
-        // signal problem), unlike spec bugs.
-        assert!(RunError::ChildFailed("signal 11".to_string()).is_retryable());
-        assert!(!RunError::UnknownBenchmark("x".to_string()).is_retryable());
     }
 
     #[test]

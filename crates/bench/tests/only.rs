@@ -4,9 +4,8 @@
 //! Pinned behaviours:
 //! - `--only` prints exactly the named sections of the full run, in
 //!   registry order whatever the order on the command line;
-//! - an unknown id, like a zero instruction count, is a usage error
-//!   (exit 2) that lists the valid ids;
-//! - an isolated `--only` sweep prints what the in-process one does.
+//! - an unknown id, like a zero instruction count or an unknown flag,
+//!   is a usage error (exit 2) that lists the valid ids.
 
 use std::process::{Command, Output};
 
@@ -58,7 +57,14 @@ fn only_prints_the_named_sections_of_the_full_run_in_registry_order() {
 
 #[test]
 fn unknown_id_and_zero_instructions_are_usage_errors() {
-    for args in [&["2000", "7", "--only", "nosuch"][..], &["0", "7"][..]] {
+    for args in [
+        &["2000", "7", "--only", "nosuch"][..],
+        &["0", "7"][..],
+        // Flags `all` no longer accepts fail loudly, not silently.
+        &["2000", "7", "--isolate"][..],
+        &["2000", "7", "--run-one", "K"][..],
+        &["2000", "7", "--test-oom-key", "K"][..],
+    ] {
         let output = run_all(args);
         assert_eq!(output.status.code(), Some(2), "{args:?}");
         assert!(output.stdout.is_empty(), "{args:?} printed an artefact");
@@ -68,13 +74,4 @@ fn unknown_id_and_zero_instructions_are_usage_errors() {
             "{args:?}: usage must list the valid ids:\n{stderr}"
         );
     }
-}
-
-#[test]
-fn isolated_only_matches_in_process() {
-    let args = ["2000", "7", "--no-cache", "--only", "sgx_compare"];
-    let in_process = stdout_of(&run_all(&args));
-    let isolated = stdout_of(&run_all(&[&args[..], &["--isolate"]].concat()));
-    assert!(in_process.starts_with("== SGX ablation:"), "{in_process}");
-    assert_eq!(in_process, isolated);
 }

@@ -11,9 +11,8 @@
 //! the tag, the length bytes and the payload. A reader accepts a frame
 //! whole or not at all, so a torn write or a flipped bit is discarded
 //! as a unit. The device image is a header followed by frames, one per
-//! persisted tuple or component (`plp_nvm::image`); a run-cache entry,
-//! which is also what an isolated matrix child writes to its parent, is
-//! one frame (`plp_bench::cache`); a trace file is one frame
+//! persisted tuple or component (`plp_nvm::image`); a run-cache entry
+//! is one frame (`plp_bench::cache`); a trace file is one frame
 //! (`plp_trace::codec`). The tag says which payload layout follows.
 //!
 //! [`intact_prefix`] finds the intact frames at the front of a

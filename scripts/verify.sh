@@ -16,10 +16,10 @@ cargo test -q --workspace
 # `#![warn(...)]` lines): no unwrap/expect/panic/unimplemented/todo/
 # exit in library code, no narrowing casts in plp-core and plp-bmt, no
 # `_ =>` arm over an enum in plp-core (so every library UpdateScheme
-# match names each scheme), no wall-clock reads, and no Child::kill outside the
-# crash harness and the process-isolation module. Exceptions are
-# reasoned `#[expect(clippy::…)]`s; one that suppresses nothing fails
-# here as unfulfilled_lint_expectations. tests/clippy_config.rs pins
+# match names each scheme), no wall-clock reads, and no Child::kill
+# outside the crash harness. Exceptions are reasoned
+# `#[expect(clippy::…)]`s; one that suppresses nothing fails here as
+# unfulfilled_lint_expectations. tests/clippy_config.rs pins
 # the crate-root lines and clippy.toml. The persist-path contracts are
 # the compiler's: see DESIGN.md §7c.
 cargo clippy --workspace --all-targets -- -D warnings
@@ -76,22 +76,6 @@ rm -rf "$clean_out" "$chaos_out" "$chaos_dir"
 ./target/release/crash_harness 8000 7 --double-kill --points mid-tuple > /dev/null || {
   echo "verify: double-kill nested-crash sweep failed"; exit 1
 }
-
-# Process-isolation gate: a reduced sweep where every run re-execs as
-# its own rlimited child returning its report over a checksummed pipe
-# frame must be stdout byte-identical to the in-process run. See
-# DESIGN.md §14; chaos parity and the OOM verdict are covered by
-# crates/bench/tests/isolation.rs.
-iso_out=$(mktemp)
-iso_ref=$(mktemp)
-cargo run --release -q -p plp-bench --bin all -- 6000 7 --no-cache > "$iso_ref"
-cargo run --release -q -p plp-bench --bin all -- 6000 7 --no-cache --isolate > "$iso_out" || {
-  echo "verify: isolated sweep failed (exit $?)"; exit 1
-}
-cmp "$iso_ref" "$iso_out" || {
-  echo "verify: isolated sweep stdout diverged from the in-process run"; exit 1
-}
-rm -f "$iso_out" "$iso_ref"
 
 # No-kill identity: attaching the file-backed medium must not perturb
 # the simulation — a child run with an image is stdout byte-identical
